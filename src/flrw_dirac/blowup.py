@@ -193,8 +193,8 @@ def differential_inequality_check(
     energy_cap_factor times its initial value are excluded (detector
     granularity near the singular time).
     """
-    tt = rec.times
-    e = rec.l2
+    tt = rec.series["times"]
+    e = rec.series["l2"]
     cosmo = case.cosmology
     cap = energy_cap_factor * e[0]
     ok = True

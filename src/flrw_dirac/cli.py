@@ -282,54 +282,23 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-_CHECKS = {
-    "energy_identity": lambda rec, tol, params: diag.check_energy_identity(rec, tol),
-    "gamma2": lambda rec, tol, params: diag.check_gamma2_conservation(rec, tol),
-    "lm": lambda rec, tol, params: diag.check_lm_evolution(rec, tol),
-    "cone": lambda rec, tol, params: diag.check_cone_containment(rec, tol),
-    "forward_bound": lambda rec, tol, params: diag.check_forward_bound(
-        rec, margin=params.get("margin", 0.2)
-    ),
-    "decay": None,  # handled specially (needs window/expected)
-}
-
-
-def _run_check(rec: RunRecord, spec: dict) -> diag.CheckReport:
-    name = spec.get("name")
-    tol = float(spec.get("tolerance", 1e-6))
-    params = spec.get("params", {})
-    if name == "decay":
-        window = tuple(params.get("window", (rec.times[0], rec.times[-1])))
-        fit = diag.fit_decay(rec.times, np.sqrt(rec.l2), window)
-        expected = params.get("expected")
-        mismatch = abs(fit.exponent - expected) if expected is not None else 0.0
-        return diag.CheckReport(
-            check="decay",
-            status="pass" if mismatch <= tol else "fail",
-            max_mismatch=mismatch,
-            fitted_constants={"exponent": fit.exponent, "residual": fit.residual},
-            window=window,
-        )
-    if name not in _CHECKS or _CHECKS[name] is None:
-        raise ConfigError(f"unknown check name {name!r}")
-    return _CHECKS[name](rec, tol, params)
-
-
 def cmd_verify(args) -> int:
     try:
         rec = RunRecord.from_dict(json.loads(Path(args.record).read_text()))
         suite = json.loads(Path(args.suite).read_text())
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: cannot load inputs: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     reports = []
     status_ok = True
     for spec in suite.get("checks", []):
-        try:
-            rep = _run_check(rec, spec)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
+        name = spec.get("name")
+        if name not in diag.CHECKS:
+            print(f"config error: unknown check name {name!r}", file=sys.stderr)
             return EXIT_CONFIG
+        tol = float(spec.get("tolerance", 1e-6))
+        try:
+            rep = diag.CHECKS[name](rec, tol, spec.get("params", {}))
         except diag.IncompatibleRunError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_RUNTIME

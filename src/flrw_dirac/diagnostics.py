@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from .field import SpinorField, l2_norm_sq, support_radius
-from .models import ModelSpec, NonlinearitySpec, hyperbolic_rhs_nonlinearity
+from .models import ModelSpec, hyperbolic_rhs_nonlinearity
 from .solver import (
     ConeSafetyError,
     RunRecord,
@@ -28,7 +28,9 @@ __all__ = [
     "CheckReport",
     "ScatterResult",
     "IncompatibleRunError",
+    "CHECKS",
     "fit_decay",
+    "check_decay",
     "check_energy_identity",
     "check_gamma2_conservation",
     "check_lm_evolution",
@@ -105,6 +107,14 @@ def fit_decay(times, values, window) -> DecayFit:
     )
 
 
+def _series(rec: RunRecord, name: str) -> np.ndarray:
+    """The recorded series `name`; IncompatibleRunError when the run lacks it."""
+    try:
+        return rec.series[name]
+    except KeyError:
+        raise IncompatibleRunError(f"run has no recorded series {name!r}") from None
+
+
 def _require_a_form(rec: RunRecord, check: str) -> None:
     if rec.nonlinearity_kind not in _A_FORM_KINDS:
         raise IncompatibleRunError(
@@ -120,13 +130,14 @@ def check_energy_identity(rec: RunRecord, tol: float) -> CheckReport:
     2 Im(m) times the accumulated s^(3 ell - 1)-weighted scalar-density
     integral, minus twice the accumulated s^(3 ell)-weighted Im(V) term),
     with the time integrals taken by trapezoid on the recorded cadence.
+    Needs the series times, l2, xi_int and imv_int.
     """
     _require_a_form(rec, "energy identity")
     ell = rec.cosmology.ell
-    tt = rec.times
-    e = rec.l2
-    i_xi = _cumtrapz(tt, tt ** (3.0 * ell - 1.0) * rec.xi_int)
-    i_v = _cumtrapz(tt, tt ** (3.0 * ell) * rec.imv_int)
+    tt = _series(rec, "times")
+    e = _series(rec, "l2")
+    i_xi = _cumtrapz(tt, tt ** (3.0 * ell - 1.0) * _series(rec, "xi_int"))
+    i_v = _cumtrapz(tt, tt ** (3.0 * ell) * _series(rec, "imv_int"))
     rhs = tt ** (-3.0 * ell) * (e[0] + 2.0 * rec.mass.imag * i_xi - 2.0 * i_v)
     scale = np.where(e > 0, e, 1.0)
     mismatch = float(np.max(np.abs(rhs - e) / scale))
@@ -139,19 +150,21 @@ def check_energy_identity(rec: RunRecord, tol: float) -> CheckReport:
 
 
 def check_gamma2_conservation(rec: RunRecord, tol: float) -> CheckReport:
-    """Constancy of t^(3 ell) times the transpose bilinear integral."""
+    """Constancy of t^(3 ell) times the transpose bilinear integral.
+
+    Needs the series times, gamma2 and l2.
+    """
     if rec.potential_kind != "zero" and not rec.potential_gamma2_ok:
         raise IncompatibleRunError(
             "gamma2 conservation requires V^T g2 + g2 V = 0"
         )
     _require_a_form(rec, "gamma2 conservation")
     ell = rec.cosmology.ell
-    q = rec.gamma2 * rec.times ** (3.0 * ell)
+    q = _series(rec, "gamma2") * _series(rec, "times") ** (3.0 * ell)
     q0 = q[0]
     if abs(q0) == 0.0:
-        mismatch = float(np.max(np.abs(q)))
-        scale = float(rec.l2[0]) if rec.l2[0] > 0 else 1.0
-        mismatch /= scale
+        e = _series(rec, "l2")
+        mismatch = float(np.max(np.abs(q))) / (float(e[0]) if e[0] > 0 else 1.0)
     else:
         mismatch = float(np.max(np.abs(q - q0)) / abs(q0))
     return CheckReport(
@@ -168,17 +181,17 @@ def check_lm_evolution(rec: RunRecord, tol: float) -> CheckReport:
     the initial energy when the start is zero).  Complex mass with
     defect-free data: the defect is bounded by 4 |Im m| t^(-3 ell) times the
     accumulated s^(3 ell - 1)-weighted integral of the pointwise density
-    rho = sqrt(rho^2).
+    rho = sqrt(rho^2).  Needs the series times, lm_defect (recorded only
+    with a defect phase z), l2 and rho_int.
     """
-    if rec.lm_defect is None:
-        raise IncompatibleRunError("run was not recorded with a defect phase z")
+    d = _series(rec, "lm_defect")
     if rec.potential_kind != "zero" and not rec.potential_gamma2_ok:
         raise IncompatibleRunError("defect evolution requires V^T g2 + g2 V = 0")
     _require_a_form(rec, "defect evolution")
     ell = rec.cosmology.ell
-    tt = rec.times
-    d = rec.lm_defect
-    e0 = float(rec.l2[0]) if rec.l2[0] > 0 else 1.0
+    tt = _series(rec, "times")
+    e = _series(rec, "l2")
+    e0 = float(e[0]) if e[0] > 0 else 1.0
     if rec.mass.imag == 0.0:
         q = d * tt ** (3.0 * ell)
         scale = max(float(q[0]), tol * e0)
@@ -193,7 +206,7 @@ def check_lm_evolution(rec: RunRecord, tol: float) -> CheckReport:
             4.0
             * abs(rec.mass.imag)
             * tt ** (-3.0 * ell)
-            * _cumtrapz(tt, tt ** (3.0 * ell - 1.0) * rec.rho_int)
+            * _cumtrapz(tt, tt ** (3.0 * ell - 1.0) * _series(rec, "rho_int"))
         )
         mismatch = float(np.max((d - bound) / e0))
         label = "bounded"
@@ -206,9 +219,13 @@ def check_lm_evolution(rec: RunRecord, tol: float) -> CheckReport:
 
 
 def check_cone_containment(rec: RunRecord, tol: float) -> CheckReport:
-    """Recorded mass outside the forward support cone stays below tol * E(1)."""
-    e0 = float(rec.l2[0]) if rec.l2[0] > 0 else 1.0
-    mismatch = float(np.max(rec.cone_leak)) / e0
+    """Recorded mass outside the forward support cone stays below tol * E(1).
+
+    Needs the series l2 and cone_leak.
+    """
+    e = _series(rec, "l2")
+    e0 = float(e[0]) if e[0] > 0 else 1.0
+    mismatch = float(np.max(_series(rec, "cone_leak"))) / e0
     return CheckReport(
         check="cone_containment",
         status="pass" if mismatch < tol else "fail",
@@ -222,13 +239,14 @@ def check_forward_bound(rec: RunRecord, margin: float = 0.2) -> CheckReport:
     For every recorded pair s <= t the estimate reads
     N(t) <= c [ (s/t)^q N(s) + t^(-q) Int_s^t tau^q src(tau) dtau ] with
     q = 3 ell / 2 - |Im m|; the report carries the maximal required c.
+    N is the series sobolev_k and src the series source_k; also needs times.
     """
     ell = rec.cosmology.ell
     q = 1.5 * ell - abs(rec.mass.imag)
-    tt = rec.times
-    norms = rec.sobolev_k
+    tt = _series(rec, "times")
+    norms = _series(rec, "sobolev_k")
     wt = tt**q
-    src_pref = _cumtrapz(tt, wt * rec.source_k)
+    src_pref = _cumtrapz(tt, wt * _series(rec, "source_k"))
     c_min = 0.0
     for j in range(len(tt)):
         denom = (wt / wt[j]) * norms + (src_pref[j] - src_pref) / wt[j]
@@ -243,6 +261,34 @@ def check_forward_bound(rec: RunRecord, margin: float = 0.2) -> CheckReport:
         max_mismatch=0.0,
         fitted_constants={"c_min": c_min, "margin": margin},
     )
+
+
+def check_decay(rec: RunRecord, tol: float, window=None, expected=None) -> CheckReport:
+    """Decay exponent of sqrt(E(t)) fitted inside window (default: the whole
+    run), compared with expected when given.  Needs the series times and l2.
+    """
+    tt = _series(rec, "times")
+    window = tuple(window if window is not None else (tt[0], tt[-1]))
+    fit = fit_decay(tt, np.sqrt(_series(rec, "l2")), window)
+    mismatch = abs(fit.exponent - expected) if expected is not None else 0.0
+    return CheckReport(
+        check="decay",
+        status="pass" if mismatch <= tol else "fail",
+        max_mismatch=mismatch,
+        fitted_constants={"exponent": fit.exponent, "residual": fit.residual},
+        window=window,
+    )
+
+
+# verification-suite check names -> check(record, tolerance, params)
+CHECKS = {
+    "energy_identity": lambda rec, tol, p: check_energy_identity(rec, tol),
+    "gamma2": lambda rec, tol, p: check_gamma2_conservation(rec, tol),
+    "lm": lambda rec, tol, p: check_lm_evolution(rec, tol),
+    "cone": lambda rec, tol, p: check_cone_containment(rec, tol),
+    "forward_bound": lambda rec, tol, p: check_forward_bound(rec, p.get("margin", 0.2)),
+    "decay": lambda rec, tol, p: check_decay(rec, tol, p.get("window"), p.get("expected")),
+}
 
 
 @dataclass
@@ -307,18 +353,7 @@ def scattering_profile(
         weights.extend(0.5 * (b - a) * w_gl)
         panel_of.extend([p] * nodes_per_panel)
 
-    run_cfg = SolverConfig(
-        t_start=cfg.t_start,
-        t_end=t_last,
-        cfl=cfg.cfl,
-        dt_max=cfg.dt_max,
-        record_every=cfg.record_every,
-        sobolev_order=cfg.sobolev_order,
-        track_cone=cfg.track_cone,
-        cone_center=cfg.cone_center,
-        cone_mass_fraction=cfg.cone_mass_fraction,
-        on_cone_violation="error",
-    )
+    run_cfg = replace(cfg, t_end=t_last, on_cone_violation="error")
     capture = list(nodes) + checkpoints
     nonlinear = propagate(f0, cosmo, model, run_cfg, capture_times=capture)
 
@@ -328,14 +363,14 @@ def scattering_profile(
         for tau, w, p in zip(nodes, weights, panel_of):
             state = nonlinear.captured[tau]
             g = hyperbolic_rhs_nonlinearity(model.nonlinearity, state)
-            back_cfg = SolverConfig(
+            back_cfg = replace(
+                cfg,
                 t_start=tau,
                 t_end=cfg.t_start,
-                cfl=cfg.cfl,
-                dt_max=cfg.dt_max,
                 record_every=10**9,
                 track_cone=False,
-                blowup_norm_threshold=math.inf,
+                blowup_factor=math.inf,
+                lm_z=None,
             )
             back = propagate(g, cosmo, linear_model, back_cfg)
             contrib = w * back.final.data

@@ -15,11 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .field import (
+    BilinearDensities,
     Grid,
     SpinorField,
     _derivative_wavenumbers,
@@ -38,12 +39,13 @@ from .spacetime import Cone, Cosmology
 __all__ = [
     "SolverConfig",
     "RunRecord",
+    "OBSERVABLES",
+    "TIME_AXIS",
     "CFLViolationError",
     "ConeSafetyError",
     "rhs",
     "step",
     "propagate",
-    "duhamel_source",
     "cone_limit_radius",
 ]
 
@@ -60,8 +62,8 @@ class ConeSafetyError(RuntimeError):
 class SolverConfig:
     """Time-integration parameters.
 
-    blowup_norm_threshold is an absolute bound on the squared L2 norm; when
-    None it defaults to blowup_factor times the initial squared norm.
+    A run blows up when its squared L2 norm exceeds blowup_factor times the
+    initial one (with math.inf, or zero data, only non-finite data count).
     t_start and t_end are normalised to builtin float, so numpy scalar
     times (quadrature nodes, say) behave like plain numbers downstream.
     """
@@ -71,7 +73,6 @@ class SolverConfig:
     cfl: float = 0.25
     method: str = "rk4"
     dt_max: float = math.inf
-    blowup_norm_threshold: float | None = None
     blowup_factor: float = 1e6
     record_every: int = 1
     sobolev_order: int = 1
@@ -102,24 +103,13 @@ class SolverConfig:
 
 @dataclass
 class RunRecord:
-    """Scalar time series plus snapshots recorded along a run.
+    """Recorded series plus the metadata of the run that produced them.
 
-    l2 holds the squared L2 norm (the energy integral E(t)); sobolev_k the
-    H_k norm at the configured order; gamma2 the complex transpose bilinear.
+    series maps the name of each OBSERVABLES entry that applies to the run
+    to its values (float or complex), one per entry of the TIME_AXIS series.
     """
 
-    times: np.ndarray
-    l2: np.ndarray
-    sobolev_k: np.ndarray
-    xi_int: np.ndarray
-    eta_int: np.ndarray
-    gamma2: np.ndarray
-    rho2_int: np.ndarray
-    rho_int: np.ndarray
-    cone_leak: np.ndarray
-    imv_int: np.ndarray
-    source_k: np.ndarray
-    lm_defect: np.ndarray | None
+    series: dict[str, np.ndarray]
     sobolev_order: int
     cosmology: Cosmology
     mass: complex
@@ -137,22 +127,13 @@ class RunRecord:
     snapshots: list = dc_field(default_factory=list)
 
     def to_dict(self) -> dict:
-        series = {
-            "times": self.times.tolist(),
-            "l2": self.l2.tolist(),
-            "sobolev_k": self.sobolev_k.tolist(),
-            "xi_int": self.xi_int.tolist(),
-            "eta_int": self.eta_int.tolist(),
-            "gamma2_re": self.gamma2.real.tolist(),
-            "gamma2_im": self.gamma2.imag.tolist(),
-            "rho2_int": self.rho2_int.tolist(),
-            "rho_int": self.rho_int.tolist(),
-            "cone_leak": self.cone_leak.tolist(),
-            "imv_int": self.imv_int.tolist(),
-            "source_k": self.source_k.tolist(),
-        }
-        if self.lm_defect is not None:
-            series["lm_defect"] = self.lm_defect.tolist()
+        series = {}
+        for name, values in self.series.items():
+            if np.iscomplexobj(values):
+                series[f"{name}_re"] = values.real.tolist()
+                series[f"{name}_im"] = values.imag.tolist()
+            else:
+                series[name] = values.tolist()
         return {
             "schema": "flrw-dirac-run/1",
             "cosmology": {"ell": self.cosmology.ell, "a0": self.cosmology.a0},
@@ -175,22 +156,25 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
-        series = d["series"]
+        """Inverse of to_dict.  Raises ValueError when a series has a
+        different number of values than the time axis."""
+        raw = d["series"]
+        n = len(raw[TIME_AXIS])
+        for key, values in raw.items():
+            if len(values) != n:
+                raise ValueError(
+                    f"series {key!r} has {len(values)} values, but {TIME_AXIS!r} has {n}"
+                )
+        series = {}
+        for name in OBSERVABLES:
+            if name in raw:
+                series[name] = np.array(raw[name])
+            elif f"{name}_re" in raw:
+                real, imag = np.array(raw[f"{name}_re"]), np.array(raw[f"{name}_im"])
+                series[name] = real + 1j * imag
         flags = d["flags"]
-        lm = series.get("lm_defect")
         return cls(
-            times=np.array(series["times"]),
-            l2=np.array(series["l2"]),
-            sobolev_k=np.array(series["sobolev_k"]),
-            xi_int=np.array(series["xi_int"]),
-            eta_int=np.array(series["eta_int"]),
-            gamma2=np.array(series["gamma2_re"]) + 1j * np.array(series["gamma2_im"]),
-            rho2_int=np.array(series["rho2_int"]),
-            rho_int=np.array(series["rho_int"]),
-            cone_leak=np.array(series["cone_leak"]),
-            imv_int=np.array(series["imv_int"]),
-            source_k=np.array(series["source_k"]),
-            lm_defect=np.array(lm) if lm is not None else None,
+            series=series,
             sobolev_order=d["sobolev_order"],
             cosmology=Cosmology(d["cosmology"]["ell"], d["cosmology"]["a0"]),
             mass=complex(d["mass"]["re"], d["mass"]["im"]),
@@ -289,85 +273,105 @@ def cone_limit_radius(grid: Grid) -> float:
     return 0.5 * grid.box_length - 2.0 * grid.h
 
 
+class _Sample(NamedTuple):
+    """What an observable reads at one recorded time: the field, its
+    bilinear densities and cell volume, and the run's fixed inputs (cfg,
+    cosmo, cone, r0, source and imv = Im V, as attributes of run)."""
+
+    f: SpinorField
+    dens: BilinearDensities
+    vol: float
+    run: "_Recorder"
+
+
+def _cone_leak(s: _Sample) -> float:
+    run = s.run
+    if run.cfg.track_cone and s.f.time >= run.cfg.t_start:
+        return cone_mass(s.f, run.cone, run.cosmo, margin=run.r0)
+    return 0.0
+
+
+def _imv_int(s: _Sample) -> float:
+    if s.run.imv is None:
+        return 0.0
+    v = np.einsum("a...,ab...,b...->...", np.conj(s.f.data), s.run.imv, s.f.data)
+    return float(np.sum(v.real)) * s.vol
+
+
+def _source_k(s: _Sample) -> float:
+    if s.run.source is None:
+        return 0.0
+    sf = s.f.with_data(np.asarray(s.run.source(s.f.time), dtype=complex))
+    return sobolev_norm(sf, s.run.cfg.sobolev_order)
+
+
+TIME_AXIS = "times"
+
+# The recorded series, in order: name -> value at one sample, or None where
+# the observable does not apply to the run (the series is then absent).
+# Entries look the field functions up by their module-global names on each
+# call, so wrapping those names (as the tracer does) sees every call.
+OBSERVABLES: dict[str, Callable[[_Sample], float | complex | None]] = {
+    # t, the time of the sample
+    TIME_AXIS: lambda s: s.f.time,
+    # E(t), the squared L2 norm
+    "l2": lambda s: l2_norm_sq(s.f),
+    # H_k norm at cfg.sobolev_order
+    "sobolev_k": lambda s: sobolev_norm(s.f, s.run.cfg.sobolev_order),
+    # integral of the scalar density xi = psi^dagger g0 psi
+    "xi_int": lambda s: float(np.sum(s.dens.xi)) * s.vol,
+    # integral of the pseudoscalar density eta
+    "eta_int": lambda s: float(np.sum(s.dens.eta)) * s.vol,
+    # complex transpose bilinear integral of psi^T g2 psi
+    "gamma2": lambda s: gamma2_bilinear(s.f),
+    # integral of rho^2 = xi^2 + eta^2
+    "rho2_int": lambda s: float(np.sum(s.dens.rho2)) * s.vol,
+    # integral of the pointwise density rho = sqrt(rho^2)
+    "rho_int": lambda s: float(np.sum(np.sqrt(s.dens.rho2))) * s.vol,
+    # L2 mass outside the forward cone widened by r0 (0 when not tracked)
+    "cone_leak": _cone_leak,
+    # integral of psi^dagger Im(V) psi (0 for a Hermitian potential)
+    "imv_int": _imv_int,
+    # H_k norm of the source at the sample time (0 without a source)
+    "source_k": _source_k,
+    # Majorana defect at the phase cfg.lm_z; only with lm_z set
+    "lm_defect": lambda s: (
+        None if s.run.cfg.lm_z is None else majorana_defect(s.f, s.run.cfg.lm_z)
+    ),
+}
+
+
 class _Recorder:
+    """Samples OBSERVABLES along a run and holds the run's fixed inputs."""
+
     def __init__(self, cosmo, model, cfg, grid, source, r0):
         self.cosmo = cosmo
-        self.model = model
         self.cfg = cfg
         self.source = source
         self.r0 = r0
         self.cone = Cone(cfg.cone_center, cfg.t_start, "forward")
         self.imv = _static_im_potential_field(model.potential, grid)
-        self.rows: dict[str, list] = {
-            k: []
-            for k in (
-                "times",
-                "l2",
-                "sobolev_k",
-                "xi_int",
-                "eta_int",
-                "gamma2",
-                "rho2_int",
-                "rho_int",
-                "cone_leak",
-                "imv_int",
-                "source_k",
-                "lm_defect",
-            )
-        }
+        self.rows: dict[str, list] = {}
+        self.last_time = None
 
     def record(self, f: SpinorField) -> None:
-        cfg = self.cfg
-        if self.rows["times"] and self.rows["times"][-1] == f.time:
+        if f.time == self.last_time:
             return
-        vol = f.grid.cell_volume
-        dens = bilinear_densities(f)
-        self.rows["times"].append(f.time)
-        self.rows["l2"].append(l2_norm_sq(f))
-        self.rows["sobolev_k"].append(sobolev_norm(f, cfg.sobolev_order))
-        self.rows["xi_int"].append(float(np.sum(dens.xi)) * vol)
-        self.rows["eta_int"].append(float(np.sum(dens.eta)) * vol)
-        self.rows["gamma2"].append(gamma2_bilinear(f))
-        self.rows["rho2_int"].append(float(np.sum(dens.rho2)) * vol)
-        self.rows["rho_int"].append(float(np.sum(np.sqrt(dens.rho2))) * vol)
-        if cfg.track_cone and f.time >= cfg.t_start:
-            leak = cone_mass(f, self.cone, self.cosmo, margin=self.r0)
-        else:
-            leak = 0.0
-        self.rows["cone_leak"].append(leak)
-        if self.imv is not None:
-            v = np.einsum("a...,ab...,b...->...", np.conj(f.data), self.imv, f.data)
-            self.rows["imv_int"].append(float(np.sum(v.real)) * vol)
-        else:
-            self.rows["imv_int"].append(0.0)
-        if self.source is not None:
-            sf = f.with_data(np.asarray(self.source(f.time), dtype=complex))
-            self.rows["source_k"].append(sobolev_norm(sf, cfg.sobolev_order))
-        else:
-            self.rows["source_k"].append(0.0)
-        if cfg.lm_z is not None:
-            self.rows["lm_defect"].append(majorana_defect(f, cfg.lm_z))
+        self.last_time = f.time
+        sample = _Sample(f, bilinear_densities(f), f.grid.cell_volume, self)
+        for name, observe in OBSERVABLES.items():
+            value = observe(sample)
+            if value is not None:
+                self.rows.setdefault(name, []).append(value)
 
     def build(self, cfg, cosmo, model, flags, final, captured) -> RunRecord:
-        lm = np.array(self.rows["lm_defect"]) if cfg.lm_z is not None else None
         if model.potential.is_zero:
             g2_ok = True
         else:
             v = model.potential.constant_matrix()
             g2_ok = bool(np.allclose(v.T @ BASIS.g2 + BASIS.g2 @ v, 0.0, atol=1e-12))
         return RunRecord(
-            times=np.array(self.rows["times"]),
-            l2=np.array(self.rows["l2"]),
-            sobolev_k=np.array(self.rows["sobolev_k"]),
-            xi_int=np.array(self.rows["xi_int"]),
-            eta_int=np.array(self.rows["eta_int"]),
-            gamma2=np.array(self.rows["gamma2"], dtype=complex),
-            rho2_int=np.array(self.rows["rho2_int"]),
-            rho_int=np.array(self.rows["rho_int"]),
-            cone_leak=np.array(self.rows["cone_leak"]),
-            imv_int=np.array(self.rows["imv_int"]),
-            source_k=np.array(self.rows["source_k"]),
-            lm_defect=lm,
+            series={name: np.array(values) for name, values in self.rows.items()},
             sobolev_order=cfg.sobolev_order,
             cosmology=cosmo,
             mass=complex(model.mass.m),
@@ -407,9 +411,7 @@ def propagate(
     direction = -1.0 if backward else 1.0
 
     e0 = l2_norm_sq(f0)
-    threshold = cfg.blowup_norm_threshold
-    if threshold is None:
-        threshold = cfg.blowup_factor * e0 if e0 > 0 else math.inf
+    threshold = cfg.blowup_factor * e0 if e0 > 0 else math.inf
 
     r0 = 0.0
     if cfg.track_cone:
@@ -485,15 +487,3 @@ def propagate(
         flags["completed"] = True
 
     return recorder.build(cfg, cosmo, model, flags, f, captured)
-
-
-def duhamel_source(
-    f0: SpinorField,
-    cosmo: Cosmology,
-    model: ModelSpec,
-    cfg: SolverConfig,
-    source: Callable[[float], np.ndarray],
-    capture_times=(),
-) -> RunRecord:
-    """Inhomogeneous linear run with a prescribed source field f(x, t)."""
-    return propagate(f0, cosmo, model, cfg, source=source, capture_times=capture_times)

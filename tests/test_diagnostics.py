@@ -17,7 +17,7 @@ from flrw_dirac.diagnostics import (
 from flrw_dirac.field import Grid, l2_norm_sq
 from flrw_dirac.initial_data import gaussian_bump, lm_constrained_bump, random_smooth
 from flrw_dirac.models import Mass, ModelSpec, NonlinearitySpec, linear_form
-from flrw_dirac.solver import ConeSafetyError, SolverConfig, propagate, duhamel_source
+from flrw_dirac.solver import ConeSafetyError, SolverConfig, propagate
 from flrw_dirac.spacetime import Cosmology
 
 COSMO = Cosmology(2 / 3, 1.0)
@@ -74,7 +74,7 @@ def test_fit_decay_validation():
 
 
 def test_fit_decay_on_free_run(canary):
-    fit = fit_decay(canary.times, np.sqrt(canary.l2), (2.0, 10.0))
+    fit = fit_decay(canary.series["times"], np.sqrt(canary.series["l2"]), (2.0, 10.0))
     assert fit.exponent == pytest.approx(-1.0, abs=1e-3)
 
 
@@ -105,9 +105,9 @@ def test_energy_identity_detects_tampering(canary):
     import dataclasses
 
     # a time-dependent distortion (a uniform rescale would cancel out)
-    tampered = dataclasses.replace(
-        canary, l2=canary.l2 * (1.0 + 1e-3 * (canary.times - 1.0))
-    )
+    series = dict(canary.series)
+    series["l2"] = series["l2"] * (1.0 + 1e-3 * (series["times"] - 1.0))
+    tampered = dataclasses.replace(canary, series=series)
     rep = check_energy_identity(tampered, tol=1e-6)
     assert not rep.passed
 
@@ -154,7 +154,7 @@ def test_lm_defect_free_data_stays_defect_free():
         beta_fn=linear_form(0.2, 1.0),
     )
     rec = free_run(mass=1.0, cfl=0.25, lm_z=1.0 + 0j, f0=f0, nonlinearity=nl)
-    assert np.max(rec.lm_defect) < 1e-8 * rec.l2[0]
+    assert np.max(rec.series["lm_defect"]) < 1e-8 * rec.series["l2"][0]
 
 
 def test_lm_complex_mass_bound_for_defect_free_data():
@@ -170,14 +170,14 @@ def test_lm_complex_mass_equality_for_defect_free_data():
     f0 = lm_constrained_bump(GRID, amplitude=0.8, width=2.0, second_amplitude=0.5)
     rec = free_run(mass=0.4j, cfl=0.05, lm_z=1.0 + 0j, f0=f0)
     ell = COSMO.ell
-    tt = rec.times
-    weighted = tt ** (3.0 * ell - 1.0) * rec.xi_int
+    tt = rec.series["times"]
+    weighted = tt ** (3.0 * ell - 1.0) * rec.series["xi_int"]
     # the defect starts at zero, so a first-order (trapezoid) integral would
     # carry an O(dt) relative error on the first steps; use a cubic spline
     integral = CubicSpline(tt, weighted).antiderivative()(tt)
     predicted = 4.0 * 0.4 * tt ** (-3.0 * ell) * integral
-    scale = np.maximum(np.abs(predicted), 1e-12 * rec.l2[0])
-    err = np.max(np.abs(rec.lm_defect - predicted) / scale)
+    scale = np.maximum(np.abs(predicted), 1e-12 * rec.series["l2"][0])
+    err = np.max(np.abs(rec.series["lm_defect"] - predicted) / scale)
     assert err < 1e-3
 
 
@@ -226,7 +226,7 @@ def test_forward_bound_with_decaying_source():
         return (profile / t**2).astype(complex)
 
     cfg = SolverConfig(t_end=6.0, cfl=0.2, record_every=2, track_cone=False)
-    rec = duhamel_source(f0, COSMO, ModelSpec(mass=Mass(1.0)), cfg, source)
+    rec = propagate(f0, COSMO, ModelSpec(mass=Mass(1.0)), cfg, source=source)
     rep = check_forward_bound(rec)
     assert rep.passed
     assert rep.fitted_constants["c_min"] < 3.0

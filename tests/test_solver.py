@@ -12,7 +12,6 @@ from flrw_dirac.solver import (
     ConeSafetyError,
     RunRecord,
     SolverConfig,
-    duhamel_source,
     propagate,
     rhs,
     step,
@@ -112,8 +111,8 @@ def test_propagate_zero_data():
     cfg = SolverConfig(t_start=1.0, t_end=2.0, cfl=0.4, track_cone=False)
     rec = propagate(constant_field(grid, (0, 0, 0, 0)), COSMO, ModelSpec(), cfg)
     assert rec.completed and not rec.blown_up
-    assert np.all(rec.l2 == 0)
-    assert np.all(np.diff(rec.times) > 0)
+    assert np.all(rec.series["l2"] == 0)
+    assert np.all(np.diff(rec.series["times"]) > 0)
 
 
 def test_propagate_free_energy_decay():
@@ -121,7 +120,7 @@ def test_propagate_free_energy_decay():
     f0 = gaussian_bump(grid, amplitude=1.0, width=2.0)
     cfg = SolverConfig(t_start=1.0, t_end=10.0, cfl=0.15, record_every=10)
     rec = propagate(f0, COSMO, ModelSpec(mass=Mass(1.0)), cfg)
-    weighted = rec.l2 * rec.times**2
+    weighted = rec.series["l2"] * rec.series["times"] ** 2
     assert np.max(np.abs(weighted / weighted[0] - 1.0)) < 1e-8
 
 
@@ -192,7 +191,7 @@ def test_duhamel_manufactured_solution():
     f0 = SpinorField(grid, manufactured(1.0), 1.0)
     cfg = SolverConfig(t_start=1.0, t_end=3.0, cfl=0.1, record_every=1000,
                        track_cone=False)
-    rec = duhamel_source(f0, COSMO, ModelSpec(mass=Mass(m)), cfg, source)
+    rec = propagate(f0, COSMO, ModelSpec(mass=Mass(m)), cfg, source=source)
     expected = manufactured(3.0)
     rel = np.sqrt(
         np.sum(np.abs(rec.final.data - expected) ** 2) / np.sum(np.abs(expected) ** 2)
@@ -207,7 +206,7 @@ def test_duhamel_zero_source_reduces_to_propagate():
     cfg = SolverConfig(t_start=1.0, t_end=2.0, cfl=0.3, record_every=1000,
                        track_cone=False)
     a = propagate(f0, COSMO, model, cfg).final
-    b = duhamel_source(f0, COSMO, model, cfg, lambda t: np.zeros_like(f0.data)).final
+    b = propagate(f0, COSMO, model, cfg, source=lambda t: np.zeros_like(f0.data)).final
     assert np.allclose(a.data, b.data, atol=1e-14)
 
 
@@ -216,14 +215,14 @@ def test_duhamel_linearity():
     f0 = constant_field(grid, (0, 0, 0, 0))
     model = ModelSpec(mass=Mass(0.5))
     cfg = SolverConfig(t_start=1.0, t_end=2.0, cfl=0.3, record_every=1000,
-                       track_cone=False, blowup_norm_threshold=math.inf)
+                       track_cone=False, blowup_factor=math.inf)
     x = grid.axis_coordinates()
     s1 = lambda t: (np.sin(x) / t)[None, :] * np.array([1, 0, 0, 0])[:, None]
     s2 = lambda t: (np.cos(2 * x) * t)[None, :] * np.array([0, 1j, 0, 0])[:, None]
     both = lambda t: s1(t) + s2(t)
-    r1 = duhamel_source(f0, COSMO, model, cfg, s1).final
-    r2 = duhamel_source(f0, COSMO, model, cfg, s2).final
-    r12 = duhamel_source(f0, COSMO, model, cfg, both).final
+    r1 = propagate(f0, COSMO, model, cfg, source=s1).final
+    r2 = propagate(f0, COSMO, model, cfg, source=s2).final
+    r12 = propagate(f0, COSMO, model, cfg, source=both).final
     assert np.allclose(r12.data, r1.data + r2.data, atol=1e-12)
 
 
@@ -236,7 +235,7 @@ def test_blowup_detection_and_linear_never_flags():
     rec = propagate(f0, Cosmology(0.0, 1.0), ModelSpec(nonlinearity=nl), cfg)
     assert rec.blown_up and rec.blowup_time is not None
     assert rec.blowup_time < 4.0
-    assert np.all(np.isfinite(rec.l2))
+    assert np.all(np.isfinite(rec.series["l2"]))
 
     lin = propagate(f0, Cosmology(0.0, 1.0), ModelSpec(), cfg)
     assert not lin.blown_up
@@ -272,9 +271,9 @@ def test_record_roundtrip_through_json():
                        track_cone=False, lm_z=1.0 + 0j)
     rec = propagate(f0, COSMO, ModelSpec(mass=Mass(0.5 + 0.1j)), cfg)
     back = RunRecord.from_dict(rec.to_dict())
-    assert np.array_equal(back.times, rec.times)
-    assert np.array_equal(back.gamma2, rec.gamma2)
-    assert np.array_equal(back.lm_defect, rec.lm_defect)
+    assert np.array_equal(back.series["times"], rec.series["times"])
+    assert np.array_equal(back.series["gamma2"], rec.series["gamma2"])
+    assert np.array_equal(back.series["lm_defect"], rec.series["lm_defect"])
     assert back.mass == rec.mass
     assert back.cosmology == rec.cosmology
 
