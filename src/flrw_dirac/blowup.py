@@ -138,7 +138,14 @@ def j_integral(case: BlowupCase, t: float, abs_tol: float = 1e-10) -> float:
 
 
 def total_j_mass(case: BlowupCase, abs_tol: float = 1e-12) -> float:
-    """Improper total of the lifespan integrand over [1, infinity)."""
+    """Improper total of the lifespan integrand over [1, infinity).
+
+    The integrand decays like t^(-q), q the classify threshold value (for
+    ell = 1 with an extra factor log(t)^(-3 alpha / 2), and 3 alpha / 2 <= q),
+    so the total is infinite exactly in the any-size regime q <= 1.
+    """
+    if classify(case).regime == ANY_SIZE:
+        return math.inf
     f = _integrand(case)
     total, _ = quad(f, 1.0, 200.0, epsabs=abs_tol, epsrel=1e-12, limit=800)
     tail, _ = quad(f, 200.0, np.inf, epsabs=abs_tol, epsrel=1e-10, limit=800)

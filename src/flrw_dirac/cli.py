@@ -3,13 +3,16 @@ and blow-up sweeps.
 
 Configuration is a single JSON tree; every validation error names the
 offending dotted path.  Exit codes: 0 success (including a detected
-blow-up), 1 config/validation error, 2 runtime error, 3 verification
-failure.  FLRW_DIRAC_THREADS caps sweep parallelism.
+blow-up), 1 config/validation error (a required potential flag that
+fails, a forward cone that would wrap around the torus by t_end, or an
+unknown key in a verification suite, among others), 2 runtime error,
+3 verification failure.  FLRW_DIRAC_THREADS caps sweep parallelism.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import os
@@ -24,21 +27,8 @@ from . import diagnostics as diag
 from .field import Grid, load_snapshot, save_snapshot
 from .initial_data import make_initial_data
 from .kernels import KernelEval, kernel_E, kernel_K1, reconstruct_free
-from .models import (
-    Mass,
-    ModelSpec,
-    NonlinearitySpec,
-    PotentialSpec,
-    linear_form,
-    validate_potential_flags,
-)
-from .solver import (
-    ConeSafetyError,
-    RunRecord,
-    SolverConfig,
-    cone_limit_radius,
-    propagate,
-)
+from .models import Mass, ModelSpec, NonlinearitySpec, PotentialSpec, linear_form
+from .solver import ConeSafetyError, RunRecord, SolverConfig, propagate
 from .spacetime import Cosmology
 
 __all__ = ["main", "ConfigError", "load_run_config", "run_simulation"]
@@ -226,25 +216,8 @@ def load_run_config(tree: dict):
     return cosmo, model, grid, f0, cfg, outputs
 
 
-def _precheck_cone(grid, cosmo, cfg, f0) -> None:
-    from .field import support_radius
-
-    if not cfg.track_cone or cfg.t_end <= cfg.t_start:
-        return
-    r0 = support_radius(f0, cfg.cone_center, cfg.cone_mass_fraction)
-    radius = r0 + abs(cosmo.phi(cfg.t_end) - cosmo.phi(cfg.t_start)) / cosmo.a0
-    if cfg.on_cone_violation == "error" and radius >= cone_limit_radius(grid):
-        raise ConfigError(
-            f"cone-safety precheck failed: forward cone radius {radius:.3f} at "
-            f"t_end exceeds the torus limit {cone_limit_radius(grid):.3f}; "
-            "enlarge grid.box_length or lower solver.t_end"
-        )
-
-
 def run_simulation(tree: dict, out_dir: Path) -> tuple[RunRecord, Path]:
     cosmo, model, grid, f0, cfg, outputs = load_run_config(tree)
-    validate_potential_flags(model.potential, grid, cfg.t_start, cfg.t_end)
-    _precheck_cone(grid, cosmo, cfg, f0)
     record = propagate(f0, cosmo, model, cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     if outputs["snapshots"]:
@@ -269,12 +242,9 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out) if args.out else Path(tree.get("outputs", {}).get("dir", "."))
     try:
         record, path = run_simulation(tree, out_dir)
-    except ConfigError as exc:
+    except (ConfigError, ConeSafetyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ConeSafetyError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     status = "blow-up" if record.blown_up else "completed"
     print(f"{status}: wrote {path}")
     if record.blown_up:
@@ -296,9 +266,23 @@ def cmd_verify(args) -> int:
         if name not in diag.CHECKS:
             print(f"config error: unknown check name {name!r}", file=sys.stderr)
             return EXIT_CONFIG
-        tol = float(spec.get("tolerance", 1e-6))
+        unknown = sorted(set(spec) - {"name", "tolerance", "params"})
+        if unknown:
+            keys = ", ".join(map(repr, unknown))
+            print(f"config error: check {name!r}: unknown key {keys}", file=sys.stderr)
+            return EXIT_CONFIG
+        check = diag.CHECKS[name]
+        signature = inspect.signature(check)
+        positional = [rec]
+        if "tol" in signature.parameters:
+            positional.append(float(spec.get("tolerance", 1e-6)))
         try:
-            rep = diag.CHECKS[name](rec, tol, spec.get("params", {}))
+            bound = signature.bind(*positional, **spec.get("params", {}))
+        except TypeError as exc:
+            print(f"config error: check {name!r} params: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        try:
+            rep = check(*bound.args, **bound.kwargs)
         except diag.IncompatibleRunError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_RUNTIME

@@ -154,7 +154,7 @@ def check_gamma2_conservation(rec: RunRecord, tol: float) -> CheckReport:
 
     Needs the series times, gamma2 and l2.
     """
-    if rec.potential_kind != "zero" and not rec.potential_gamma2_ok:
+    if not rec.potential_gamma2_ok:
         raise IncompatibleRunError(
             "gamma2 conservation requires V^T g2 + g2 V = 0"
         )
@@ -185,7 +185,7 @@ def check_lm_evolution(rec: RunRecord, tol: float) -> CheckReport:
     with a defect phase z), l2 and rho_int.
     """
     d = _series(rec, "lm_defect")
-    if rec.potential_kind != "zero" and not rec.potential_gamma2_ok:
+    if not rec.potential_gamma2_ok:
         raise IncompatibleRunError("defect evolution requires V^T g2 + g2 V = 0")
     _require_a_form(rec, "defect evolution")
     ell = rec.cosmology.ell
@@ -280,14 +280,15 @@ def check_decay(rec: RunRecord, tol: float, window=None, expected=None) -> Check
     )
 
 
-# verification-suite check names -> check(record, tolerance, params)
+# verification-suite check names -> check(rec[, tol], **params); a check
+# that takes a parameter named tol receives the suite's tolerance there
 CHECKS = {
-    "energy_identity": lambda rec, tol, p: check_energy_identity(rec, tol),
-    "gamma2": lambda rec, tol, p: check_gamma2_conservation(rec, tol),
-    "lm": lambda rec, tol, p: check_lm_evolution(rec, tol),
-    "cone": lambda rec, tol, p: check_cone_containment(rec, tol),
-    "forward_bound": lambda rec, tol, p: check_forward_bound(rec, p.get("margin", 0.2)),
-    "decay": lambda rec, tol, p: check_decay(rec, tol, p.get("window"), p.get("expected")),
+    "energy_identity": check_energy_identity,
+    "gamma2": check_gamma2_conservation,
+    "lm": check_lm_evolution,
+    "cone": check_cone_containment,
+    "forward_bound": check_forward_bound,
+    "decay": check_decay,
 }
 
 

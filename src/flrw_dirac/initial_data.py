@@ -6,6 +6,8 @@ identical configurations reproduce identical fields on any platform.
 """
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .field import Grid, SpinorField
@@ -14,7 +16,6 @@ __all__ = [
     "gaussian_bump",
     "lm_constrained_bump",
     "compact_bump",
-    "plane_wave_packet",
     "random_smooth",
     "make_initial_data",
 ]
@@ -100,26 +101,6 @@ def compact_bump(
     return SpinorField(grid, data.astype(complex), time)
 
 
-def plane_wave_packet(
-    grid: Grid,
-    amplitude: float = 1.0,
-    width: float = 1.0,
-    center=None,
-    wavenumber: float = 1.0,
-    coeffs=(1.0, 0.0, 0.0, 0.0),
-    time: float = 1.0,
-) -> SpinorField:
-    return gaussian_bump(
-        grid,
-        amplitude=amplitude,
-        width=width,
-        center=center,
-        coeffs=coeffs,
-        wavenumber=wavenumber,
-        time=time,
-    )
-
-
 def random_smooth(
     grid: Grid,
     amplitude: float = 1.0,
@@ -155,7 +136,7 @@ _FAMILIES = {
     "gaussian": gaussian_bump,
     "lm_gaussian": lm_constrained_bump,
     "compact_bump": compact_bump,
-    "plane_wave": plane_wave_packet,
+    "plane_wave": partial(gaussian_bump, wavenumber=1.0, coeffs=(1.0, 0.0, 0.0, 0.0)),
     "random_smooth": random_smooth,
 }
 

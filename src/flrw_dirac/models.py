@@ -30,9 +30,7 @@ __all__ = [
     "ModelSpec",
     "PotentialFlagError",
     "linear_form",
-    "eval_potential",
     "potential_field",
-    "validate_potential_flags",
     "eval_nonlinearity",
     "hyperbolic_rhs_nonlinearity",
     "induced_potential",
@@ -56,17 +54,23 @@ class Mass:
 
 
 class PotentialFlagError(ValueError):
-    """A declared structural property of the potential failed at a sample."""
+    """A declared structural property of the potential does not hold."""
 
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Matrix potential V(x, t).
+    """Static matrix potential V(x) = env(x) * amplitude * M.
 
     kinds:
       zero          -- V = 0
-      scalar_bump   -- amplitude * exp(-|x - center|^2 / width^2) * I4
-      custom_matrix -- same envelope times a fixed 4x4 matrix
+      scalar_bump   -- env(x) = exp(-|x - center|^2 / width^2) on the torus,
+                       M = I4
+      custom_matrix -- the same envelope times a fixed 4x4 matrix M
+
+    The envelope is a positive real scalar, so V(x) is self-adjoint, or
+    satisfies V^T g2 + g2 V = 0, at every x exactly when amplitude * M
+    does.  Construction raises PotentialFlagError when a required flag
+    fails.
     """
 
     kind: str = "zero"
@@ -84,61 +88,36 @@ class PotentialSpec:
             raise ValueError("custom_matrix potential needs a matrix")
         if self.kind != "zero" and self.width <= 0:
             raise ValueError("potential width must be positive")
+        if self.hermitian_required and not self.hermitian:
+            raise PotentialFlagError("V is not self-adjoint")
+        if self.gamma2_condition_required and not self.gamma2_ok:
+            raise PotentialFlagError("V^T g2 + g2 V != 0")
 
     @property
     def is_zero(self) -> bool:
         return self.kind == "zero"
 
     def constant_matrix(self) -> np.ndarray:
+        if self.kind == "zero":
+            return np.zeros((4, 4), dtype=complex)
         if self.kind == "scalar_bump":
             return np.eye(4, dtype=complex)
         return np.asarray(self.matrix, dtype=complex).reshape(4, 4)
 
+    @property
+    def hermitian(self) -> bool:
+        """V = V^dagger at every point."""
+        v = self.amplitude * self.constant_matrix()
+        return bool(np.allclose(v, v.conj().T, atol=1e-12))
 
-def _bump(spec: PotentialSpec, x) -> float:
-    d2 = sum((float(xi) - ci) ** 2 for xi, ci in zip(x, spec.center))
-    return spec.amplitude * math.exp(-d2 / spec.width**2)
-
-
-def eval_potential(spec: PotentialSpec, x, t: float) -> np.ndarray:
-    """V(x, t) as a 4x4 matrix; validates declared flags at this point."""
-    if t <= 0:
-        raise ValueError("potential requires t > 0")
-    if spec.is_zero:
-        return np.zeros((4, 4), dtype=complex)
-    v = _bump(spec, np.atleast_1d(x)) * spec.constant_matrix()
-    _check_flags_at(spec, v, x, t)
-    return v
+    @property
+    def gamma2_ok(self) -> bool:
+        """V^T g2 + g2 V = 0 at every point."""
+        v = self.amplitude * self.constant_matrix()
+        return bool(np.allclose(v.T @ BASIS.g2 + BASIS.g2 @ v, 0.0, atol=1e-12))
 
 
-def _check_flags_at(spec: PotentialSpec, v: np.ndarray, x, t: float) -> None:
-    if spec.hermitian_required and not np.allclose(v, v.conj().T, atol=1e-12):
-        raise PotentialFlagError(f"V not self-adjoint at x={x}, t={t}")
-    if spec.gamma2_condition_required:
-        resid = v.T @ BASIS.g2 + BASIS.g2 @ v
-        if not np.allclose(resid, 0.0, atol=1e-12):
-            raise PotentialFlagError(
-                f"V^T g2 + g2 V != 0 at x={x}, t={t}"
-            )
-
-
-def validate_potential_flags(
-    spec: PotentialSpec, grid: Grid, t_start: float, t_end: float, seed: int = 0
-) -> None:
-    """Sample the declared flags on the grid at the start and 8 random times."""
-    if spec.is_zero:
-        return
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    times = [t_start] + list(t_start + (t_end - t_start) * rng.random(8))
-    x_axis = grid.axis_coordinates()
-    for t in times:
-        for _ in range(8):
-            idx = rng.integers(0, grid.n, size=grid.dim)
-            x = tuple(x_axis[i] for i in idx) + (0.0,) * (3 - grid.dim)
-            eval_potential(spec, x, float(t))
-
-
-def potential_field(spec: PotentialSpec, grid: Grid, t: float) -> np.ndarray | None:
+def potential_field(spec: PotentialSpec, grid: Grid) -> np.ndarray | None:
     """V sampled on the whole grid, shape (4, 4, *spatial); None when V = 0."""
     if spec.is_zero:
         return None

@@ -227,7 +227,7 @@ def rhs(
 @lru_cache(maxsize=32)
 def _static_potential_field(spec, grid):
     # shipped potential families are time independent; sample once per grid
-    return potential_field(spec, grid, 1.0)
+    return potential_field(spec, grid)
 
 
 @lru_cache(maxsize=32)
@@ -365,11 +365,6 @@ class _Recorder:
                 self.rows.setdefault(name, []).append(value)
 
     def build(self, cfg, cosmo, model, flags, final, captured) -> RunRecord:
-        if model.potential.is_zero:
-            g2_ok = True
-        else:
-            v = model.potential.constant_matrix()
-            g2_ok = bool(np.allclose(v.T @ BASIS.g2 + BASIS.g2 @ v, 0.0, atol=1e-12))
         return RunRecord(
             series={name: np.array(values) for name, values in self.rows.items()},
             sobolev_order=cfg.sobolev_order,
@@ -381,7 +376,7 @@ class _Recorder:
             blown_up=flags["blown_up"],
             blowup_time=flags["blowup_time"],
             cone_violation=flags["cone_violation"],
-            potential_gamma2_ok=g2_ok,
+            potential_gamma2_ok=model.potential.gamma2_ok,
             support_radius0=self.r0,
             cone_center=cfg.cone_center,
             final=final,
@@ -401,8 +396,13 @@ def propagate(
 
     With no nonlinearity and no source this realizes the linear solution
     operator between the two times (backward runs are allowed).  The run
-    stops early on blow-up (norm threshold or non-finite data) and on
-    forward-cone wraparound.
+    stops early on blow-up (norm threshold or non-finite data).
+
+    A forward run with cfg.track_cone reaches the forward-cone radius
+    r0 + |phi(t) - phi(t_start)| / a0, with r0 the support radius of f0.
+    When that radius would reach cone_limit_radius by cfg.t_end,
+    on_cone_violation="error" raises ConeSafetyError before the first step
+    and "stop" ends the run at the first step that reaches it.
     """
     if abs(f0.time - cfg.t_start) > 1e-9 * max(1.0, cfg.t_start):
         raise ValueError("f0.time must equal cfg.t_start")
@@ -417,6 +417,17 @@ def propagate(
     if cfg.track_cone:
         r0 = support_radius(f0, cfg.cone_center, cfg.cone_mass_fraction)
     limit = cone_limit_radius(grid)
+
+    def cone_radius(t):
+        return r0 + abs(cosmo.phi(t) - cosmo.phi(cfg.t_start)) / cosmo.a0
+
+    if cfg.track_cone and not backward and cfg.on_cone_violation == "error":
+        radius = cone_radius(cfg.t_end)
+        if radius >= limit:
+            raise ConeSafetyError(
+                f"forward cone radius {radius:.3f} at t_end={cfg.t_end:.4f} reaches "
+                f"the torus limit {limit:.3f}; enlarge the box or lower t_end"
+            )
 
     recorder = _Recorder(cosmo, model, cfg, grid, source, r0)
     flags = {
@@ -452,7 +463,9 @@ def propagate(
             dt = abs(tc - f.time)
         f_new = step(f, direction * dt, cosmo, model, source)
 
-        if not f_new.is_finite() or l2_norm_sq(f_new) > threshold:
+        with np.errstate(over="ignore"):  # an overflowing norm is inf: blown up
+            blown_up = not f_new.is_finite() or l2_norm_sq(f_new) > threshold
+        if blown_up:
             flags["blown_up"] = True
             flags["blowup_time"] = f.time + 0.5 * direction * dt
             recorder.record(f)  # last sub-threshold state
@@ -466,17 +479,10 @@ def propagate(
             captured[tc] = f
             pending.pop(0)
 
-        if cfg.track_cone and not backward:
-            radius = r0 + abs(cosmo.phi(f.time) - cosmo.phi(cfg.t_start)) / cosmo.a0
-            if radius >= limit:
-                if cfg.on_cone_violation == "error":
-                    raise ConeSafetyError(
-                        f"forward cone radius {radius:.3f} reached the torus "
-                        f"limit {limit:.3f} at t={f.time:.4f}"
-                    )
-                flags["cone_violation"] = True
-                recorder.record(f)
-                break
+        if cfg.track_cone and not backward and cone_radius(f.time) >= limit:
+            flags["cone_violation"] = True
+            recorder.record(f)
+            break
 
         at_end = direction * (cfg.t_end - f.time) <= tiny
         if steps_since_record >= cfg.record_every or at_end:

@@ -1,7 +1,11 @@
 import math
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
 from flrw_dirac.blowup import (
@@ -128,6 +132,47 @@ def test_lifespan_ell_one_uses_log_distance():
     assert j_integral(case, t) == pytest.approx(target, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "ell, alpha, im_m, t_bu",
+    [(0.5, 0.3, 0.0, 16.05), (2.0, 0.3, 0.0, 212.4), (1.0, 0.5, 0.0, 39.07)],
+)
+def test_any_size_lifespan_is_finite(ell, alpha, im_m, t_bu):
+    """Any-size points of the sweep grid (c0 = R = 1, E1 = 4): the lifespan
+    integrand is not integrable, so the bound always gives a finite time."""
+    case = BlowupCase(ell=ell, alpha_exp=alpha, im_m_abs=im_m, e1=4.0)
+    assert classify(case).regime == ANY_SIZE
+    assert math.isinf(total_j_mass(case))
+    assert lifespan(case) == pytest.approx(t_bu, rel=1e-3)
+
+
+# lifespan doubles its bracket from 2 while J stays below the target and
+# gives up (returns inf) once the bracket passes 1e12; 2**39 is its last
+# bracket end
+_LAST_BRACKET = 2.0**39
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    ell=st.one_of(st.just(1.0), st.floats(0.0, 3.0)),
+    alpha=st.floats(0.05, 2.0),
+    im_m=st.floats(0.0, 2.0),
+    c0=st.floats(0.1, 10.0),
+    r_support=st.floats(0.1, 10.0),
+    e1=st.floats(1e-3, 1e3),
+)
+def test_any_size_regime_has_no_energy_threshold(ell, alpha, im_m, c0, r_support, e1):
+    case = BlowupCase(ell=ell, alpha_exp=alpha, im_m_abs=im_m, c0=c0,
+                      r_support=r_support, e1=e1)
+    assume(classify(case).regime == ANY_SIZE)
+    assert math.isinf(total_j_mass(case))
+    assert solvability_threshold(case) == 0.0
+    target = e1 ** (-0.5 * alpha) / (0.5 * alpha * c0)
+    t_bu = lifespan(case)
+    assert math.isfinite(t_bu) == (j_integral(case, _LAST_BRACKET) >= target)
+    if math.isfinite(t_bu):
+        assert j_integral(case, t_bu) == pytest.approx(target, rel=1e-6)
+
+
 def _blowup_setup(e_target=4.0):
     grid = Grid(dim=1, n=256, box_length=8.0)
     probe = compact_bump(grid, amplitude=1.0, width=1.0, coeffs=(1, 0, 0, 0))
@@ -171,3 +216,16 @@ def test_differential_inequality_on_blowup_run():
     rep = empirical_blowup(f0, Cosmology(0.0, 1.0), alpha_exp=2.0, c0=1.0, cfg=cfg)
     ineq = rep["differential_inequality"]
     assert ineq["holds"] and ineq["points_checked"] > 10
+
+
+def test_blowup_detection_emits_no_overflow_warning():
+    """A focusing run that blows up overflows its squared norm; the detector
+    reads that as blow-up without a RuntimeWarning."""
+    grid = Grid(dim=1, n=64, box_length=8.0)
+    f0 = compact_bump(grid, amplitude=3.0, width=1.0, coeffs=(1, 0, 0, 0))
+    cfg = SolverConfig(t_start=1.0, t_end=4.0, cfl=0.3, record_every=1,
+                       on_cone_violation="stop")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = empirical_blowup(f0, Cosmology(0.5, 1.0), alpha_exp=2.0, c0=1.0, cfg=cfg)
+    assert rep["t_numerical"] is not None

@@ -12,12 +12,11 @@ from flrw_dirac.models import (
     PotentialFlagError,
     PotentialSpec,
     eval_nonlinearity,
-    eval_potential,
     hyperbolic_rhs_nonlinearity,
     induced_potential,
     linear_form,
     lipschitz_probe,
-    validate_potential_flags,
+    potential_field,
 )
 
 GRID = Grid(dim=1, n=32, box_length=2 * np.pi)
@@ -165,20 +164,20 @@ def test_nonlinearity_validation():
 
 def test_zero_potential():
     spec = PotentialSpec(kind="zero")
-    assert np.all(eval_potential(spec, (0.0, 0.0, 0.0), 1.0) == 0)
+    assert potential_field(spec, GRID) is None
+    assert spec.hermitian and spec.gamma2_ok
 
 
 def test_scalar_bump_hermitian_but_not_gamma2():
     spec = PotentialSpec(
         kind="scalar_bump", amplitude=2.0, width=1.0, hermitian_required=True
     )
-    v = eval_potential(spec, (0.0, 0.0, 0.0), 1.0)
+    v = potential_field(spec, GRID)[..., GRID.n // 2]  # the bump centre x = 0
     assert np.allclose(v, 2.0 * np.eye(4))
-    flagged = PotentialSpec(
-        kind="scalar_bump", amplitude=2.0, width=1.0, gamma2_condition_required=True
-    )
     with pytest.raises(PotentialFlagError):
-        eval_potential(flagged, (0.0, 0.0, 0.0), 1.0)
+        PotentialSpec(
+            kind="scalar_bump", amplitude=2.0, width=1.0, gamma2_condition_required=True
+        )
 
 
 def test_custom_ig5_satisfies_gamma2_not_hermitian():
@@ -190,21 +189,15 @@ def test_custom_ig5_satisfies_gamma2_not_hermitian():
         matrix=matrix,
         gamma2_condition_required=True,
     )
-    validate_potential_flags(ok, GRID, 1.0, 10.0)
-    bad = PotentialSpec(
-        kind="custom_matrix",
-        amplitude=0.5,
-        width=1.0,
-        matrix=matrix,
-        hermitian_required=True,
-    )
+    assert ok.gamma2_ok and not ok.hermitian
     with pytest.raises(PotentialFlagError):
-        validate_potential_flags(bad, GRID, 1.0, 10.0)
-
-
-def test_potential_requires_time_positive():
-    with pytest.raises(ValueError):
-        eval_potential(PotentialSpec(kind="scalar_bump", amplitude=1.0), (0, 0, 0), 0.0)
+        PotentialSpec(
+            kind="custom_matrix",
+            amplitude=0.5,
+            width=1.0,
+            matrix=matrix,
+            hermitian_required=True,
+        )
 
 
 # --- Lipschitz probe ------------------------------------------------------

@@ -302,3 +302,28 @@ def test_config_coerces_numpy_times_to_float():
                     capture_times=[np.float64(2.0), np.float64(1.5)])
     assert rec.completed
     assert set(rec.captured) == {2.0, 1.5}
+
+
+def test_propagate_with_potential_records_its_invariants():
+    """A nonzero potential reaches the recorded run: a scalar bump is
+    Hermitian but breaks the gamma2 condition, and a non-self-adjoint
+    matrix drives the Im V term that closes the L2 balance law."""
+    from flrw_dirac.diagnostics import check_energy_identity
+
+    grid = Grid(dim=1, n=64, box_length=16.0)
+    f0 = gaussian_bump(grid, amplitude=0.5, width=1.5)
+    cfg = SolverConfig(t_start=1.0, t_end=3.0, cfl=0.1)
+    cosmo = Cosmology(0.5, 1.0)
+
+    bump = PotentialSpec(kind="scalar_bump", amplitude=0.8, width=2.0)
+    rec = propagate(f0, cosmo, ModelSpec(mass=Mass(0.3), potential=bump), cfg)
+    assert rec.completed
+    assert rec.potential_gamma2_ok is False
+    assert np.all(rec.series["imv_int"] == 0.0)
+
+    lossy = tuple(tuple(0.2j if i == j else 0.0 for j in range(4)) for i in range(4))
+    absorbing = PotentialSpec(kind="custom_matrix", amplitude=1.0, width=2.0, matrix=lossy)
+    rec = propagate(f0, cosmo, ModelSpec(mass=Mass(0.3), potential=absorbing), cfg)
+    assert rec.completed
+    assert np.all(rec.series["imv_int"] > 0.0)
+    assert check_energy_identity(rec, 1e-4).passed
