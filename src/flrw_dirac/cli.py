@@ -275,7 +275,13 @@ def cmd_verify(args) -> int:
         signature = inspect.signature(check)
         positional = [rec]
         if "tol" in signature.parameters:
-            positional.append(float(spec.get("tolerance", 1e-6)))
+            tol = spec.get("tolerance", 1e-6)
+            try:
+                positional.append(float(tol))
+            except (TypeError, ValueError):
+                print(f"config error: check {name!r}: tolerance {tol!r} is not a number",
+                      file=sys.stderr)
+                return EXIT_CONFIG
         try:
             bound = signature.bind(*positional, **spec.get("params", {}))
         except TypeError as exc:

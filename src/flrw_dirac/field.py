@@ -189,8 +189,8 @@ def gamma2_bilinear(f: SpinorField) -> complex:
 
     Note the plain transpose (no conjugation); the result is complex.
     """
-    g2psi = apply(BASIS.g2, f.data)
-    return complex(np.sum(f.data * g2psi) * f.grid.cell_volume)
+    p = f.data  # g2 psi = (-i psi3, i psi2, i psi1, -i psi0)
+    return complex(2j * np.sum(p[1] * p[2] - p[0] * p[3]) * f.grid.cell_volume)
 
 
 def majorana_defect(f: SpinorField, z: complex) -> float:
@@ -202,13 +202,19 @@ def majorana_defect(f: SpinorField, z: complex) -> float:
 
 
 def _torus_distance_sq(grid: Grid, center) -> np.ndarray:
-    """Squared distance to `center` in the torus metric."""
+    """Squared distance to `center` in the torus metric (read-only, cached)."""
+    center = tuple(float(center[j]) for j in range(grid.dim))
+    return _cached_torus_distance_sq(grid, center)
+
+
+@lru_cache(maxsize=16)
+def _cached_torus_distance_sq(grid: Grid, center: tuple[float, ...]) -> np.ndarray:
     L = grid.box_length
-    coords = grid.coordinate_arrays()
     out = np.zeros((grid.n,) * grid.dim)
-    for j, x in enumerate(coords):
-        d = np.mod(x - center[j] + 0.5 * L, L) - 0.5 * L
+    for x, c in zip(grid.coordinate_arrays(), center):
+        d = np.mod(x - c + 0.5 * L, L) - 0.5 * L
         out = out + d**2
+    out.setflags(write=False)
     return out
 
 

@@ -84,8 +84,15 @@ class PotentialSpec:
     def __post_init__(self):
         if self.kind not in ("zero", "scalar_bump", "custom_matrix"):
             raise ValueError(f"unknown potential kind {self.kind!r}")
-        if self.kind == "custom_matrix" and self.matrix is None:
-            raise ValueError("custom_matrix potential needs a matrix")
+        if self.kind == "custom_matrix":
+            if self.matrix is None:
+                raise ValueError("custom_matrix potential needs a matrix")
+            try:
+                ok = np.asarray(self.matrix, dtype=complex).shape == (4, 4)
+            except (TypeError, ValueError):  # ragged rows or non-numbers
+                ok = False
+            if not ok:
+                raise ValueError("'matrix' must be a 4x4 matrix of numbers")
         if self.kind != "zero" and self.width <= 0:
             raise ValueError("potential width must be positive")
         if self.hermitian_required and not self.hermitian:
@@ -102,7 +109,7 @@ class PotentialSpec:
             return np.zeros((4, 4), dtype=complex)
         if self.kind == "scalar_bump":
             return np.eye(4, dtype=complex)
-        return np.asarray(self.matrix, dtype=complex).reshape(4, 4)
+        return np.asarray(self.matrix, dtype=complex)
 
     @property
     def hermitian(self) -> bool:

@@ -154,16 +154,19 @@ _LAST_BRACKET = 2.0**39
 @settings(max_examples=30, deadline=None)
 @given(
     ell=st.one_of(st.just(1.0), st.floats(0.0, 3.0)),
-    alpha=st.floats(0.05, 2.0),
+    v=st.floats(0.0, 1.0),
     im_m=st.floats(0.0, 2.0),
     c0=st.floats(0.1, 10.0),
     r_support=st.floats(0.1, 10.0),
     e1=st.floats(1e-3, 1e3),
 )
-def test_any_size_regime_has_no_energy_threshold(ell, alpha, im_m, c0, r_support, e1):
+def test_any_size_regime_has_no_energy_threshold(ell, v, im_m, c0, r_support, e1):
+    # any-size means alpha (1.5 max(ell, 1) + |Im m|) <= 1; alpha is drawn
+    # from that part of [0.05, 2] (its upper end is at most 1/1.5)
+    alpha = 0.05 + v * (1.0 / (1.5 * max(ell, 1.0) + im_m) - 0.05)
     case = BlowupCase(ell=ell, alpha_exp=alpha, im_m_abs=im_m, c0=c0,
                       r_support=r_support, e1=e1)
-    assume(classify(case).regime == ANY_SIZE)
+    assume(classify(case).regime == ANY_SIZE)  # rounding at q = 1
     assert math.isinf(total_j_mass(case))
     assert solvability_threshold(case) == 0.0
     target = e1 ** (-0.5 * alpha) / (0.5 * alpha * c0)

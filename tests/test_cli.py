@@ -199,6 +199,15 @@ def test_verify_rejects_misspelled_keys(tmp_path, plain_record, capsys, spec, me
     assert message in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("tolerance", ["abc", None, [1e-3]], ids=["string", "null", "list"])
+def test_verify_non_numeric_tolerance_is_config_error(tmp_path, plain_record, capsys,
+                                                      tolerance):
+    spec = {"name": "energy_identity", "tolerance": tolerance}
+    assert verify(tmp_path, plain_record, [spec]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "'energy_identity'" in err and "tolerance" in err
+
 # --- simulate: the checks made once, where the invariant is declared ---------
 
 
@@ -223,6 +232,21 @@ def test_simulate_failing_potential_flag_is_config_error(tmp_path, capsys):
     assert not record.exists()
     assert "field 'potential'" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("rows", [3, 5])
+def test_simulate_mis_shaped_potential_matrix_is_config_error(tmp_path, capsys, rows):
+    tree = config()
+    tree["potential"] = {
+        "kind": "custom_matrix",
+        "amplitude": 0.5,
+        "matrix": [[[1.0, 0.0]] * 4] * rows,
+    }
+    code, record = simulate(tmp_path, tree)
+    assert code == 1
+    assert not record.exists()
+    err = capsys.readouterr().err
+    assert "field 'potential'" in err and "'matrix' must be a 4x4 matrix" in err
 
 def test_simulate_plane_wave_is_a_unit_wavenumber_gaussian(tmp_path):
     tree = config()
