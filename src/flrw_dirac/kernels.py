@@ -17,6 +17,15 @@ with F the Gauss hypergeometric series.  In the usage domain z lies in
 [0, 1) and every power has a positive real base, so the principal branch
 is inert.  The module restricts itself to 0 < ell < 1, a0 = 1 and
 t / eps <= 50, which keeps z safely below the series guard.
+
+The r-integrals run on a composite Gauss-Legendre rule with P uniform
+panels of Q nodes, refined by doubling P.  Every node is a panel midpoint
+plus a shared Gauss offset, r = M_p + d_q, so cos(r xi) factors as
+cos(M_p xi) cos(d_q xi) - sin(M_p xi) sin(d_q xi): each doubling costs
+one real GEMM pair against P x U cosine and sine tables (U distinct
+|xi|) and 2 P U + 2 Q U trig evaluations instead of Q P U.  Modes are
+grouped by the exact integer |k|^2 L^2 / (2 pi)^2, so each distinct |xi|
+is integrated once.
 """
 from __future__ import annotations
 
@@ -207,15 +216,15 @@ def kernel_K1_time_derivative(r, t: float, ke: KernelEval):
 
 
 @lru_cache(maxsize=64)
-def _gl_rule(panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre rule on [0, 1]."""
+def _gl_rule(panels: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule on [0, 1] in panel form.
+
+    Returns (mids, offsets, weights): node p*order + q is mids[p] +
+    offsets[q] and has weight weights[q], since the panels are uniform.
+    """
     x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mids[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+    half = 0.5 / panels
+    return (np.arange(panels) + 0.5) / panels, half * x, half * w
 
 
 def _cos_integrals(
@@ -230,6 +239,17 @@ def _cos_integrals(
 
     `fvals_fn(r)` returns a tuple of complex arrays sampled at the nodes.
     Panels double until two successive composite rules agree to abs_tol.
+
+    The rule has P uniform panels of Q = order Gauss nodes each, so every
+    node is r = M_p + d_q: a panel midpoint plus a Gauss offset shared by
+    all panels.  The sum uses cos(r xi) = cos(M_p xi) cos(d_q xi) -
+    sin(M_p xi) sin(d_q xi).  The weighted samples of all n_f functions,
+    real and imaginary parts stacked as rows of one real (2 n_f Q, P)
+    matrix, take one real GEMM pair against the P x U tables cos(M xi)
+    and sin(M xi); a contraction over q with the Q x U tables cos(d xi)
+    and sin(d xi) finishes the sum.  Each doubling so evaluates
+    2 P U + 2 Q U trig values instead of the Q P U of cos(outer(r, xi)),
+    and no complex copy of a table is made.
     """
     if upper <= 0.0:
         probe = fvals_fn(np.array([0.0]))
@@ -238,12 +258,22 @@ def _cos_integrals(
     panels = max(4, int(np.ceil(upper * xi_max / (2.0 * np.pi))))
     prev = None
     while panels <= max_panels:
-        nodes01, weights01 = _gl_rule(panels, order)
-        r = upper * nodes01
-        w = upper * weights01
-        fvals = fvals_fn(r)
-        cos_mat = np.cos(np.outer(r, xi_abs))
-        out = tuple((w * fk) @ cos_mat for fk in fvals)
+        mids01, offsets01, weights01 = _gl_rule(panels, order)
+        mids = upper * mids01
+        offsets = upper * offsets01
+        fvals = np.stack(fvals_fn((mids[:, None] + offsets).ravel()))
+        fw = fvals.reshape(-1, panels, order) * (upper * weights01)
+        # rows (k, re/im, q), columns p
+        rows = np.stack((fw.real, fw.imag), axis=1).transpose(0, 1, 3, 2)
+        rows = rows.reshape(-1, panels)
+        m_phase = np.outer(mids, xi_abs)
+        d_phase = np.outer(offsets, xi_abs)
+        shape = (len(fw), 2, order, xi_abs.size)
+        c = (rows @ np.cos(m_phase)).reshape(shape)
+        s = (rows @ np.sin(m_phase)).reshape(shape)
+        parts = (np.einsum("kcqu,qu->kcu", c, np.cos(d_phase))
+                 - np.einsum("kcqu,qu->kcu", s, np.sin(d_phase)))
+        out = tuple(parts[:, 0] + 1j * parts[:, 1])
         if prev is not None:
             change = max(
                 float(np.max(np.abs(o - p))) if o.size else 0.0
@@ -274,12 +304,28 @@ def free_mode_multipliers(ke: KernelEval, t: float, xi_abs: np.ndarray,
     d/dt (boundary term plus differentiated integrand), and the same pair
     for the reflected mass -m.
     """
+    return _k1_multipliers(ke, t, xi_abs, abs_tol, time_derivative=True)
+
+
+def _k1_multipliers(ke: KernelEval, t: float, xi_abs, abs_tol: float,
+                    time_derivative: bool):
+    """(kp, kdp, km, kdm) as in free_mode_multipliers; without
+    time_derivative only K1(+/-m) is integrated and (kp, km) returned."""
     ke.check_time(t)
     xi_abs = np.asarray(xi_abs, dtype=float)
     phi = ke.cosmology.phi
     upper = phi(t) - phi(ke.epsilon)
     kp_ctx = ke
     km_ctx = ke.with_mass(-complex(ke.m))
+    pref_p = _k1_prefactor(kp_ctx)
+    pref_m = _k1_prefactor(km_ctx)
+
+    if not time_derivative:
+        def fvals(r):
+            return kernel_K1(r, t, kp_ctx), kernel_K1(r, t, km_ctx)
+
+        i_k_p, i_k_m = _cos_integrals(fvals, upper, xi_abs, abs_tol)
+        return pref_p * i_k_p, pref_m * i_k_m
 
     def fvals(r):
         return (
@@ -290,8 +336,6 @@ def free_mode_multipliers(ke: KernelEval, t: float, xi_abs: np.ndarray,
         )
 
     i_k_p, i_dk_p, i_k_m, i_dk_m = _cos_integrals(fvals, upper, xi_abs, abs_tol)
-    pref_p = _k1_prefactor(kp_ctx)
-    pref_m = _k1_prefactor(km_ctx)
     dphi = ke.cosmology.dphi(t)
     if upper > 0.0:
         edge_p = complex(kernel_K1(np.array([upper]), t, kp_ctx)[0])
@@ -332,13 +376,18 @@ def free_mode_matrix(ke: KernelEval, t: float, xi) -> np.ndarray:
 
 
 def _unique_mode_magnitudes(grid: Grid):
+    """Distinct |k| of the derivative wavenumbers, and each mode's index.
+
+    Every wavenumber is (2 pi / L) times an integer, so modes are grouped
+    exactly by q = i^2 + j^2 + l^2 and the magnitudes are (2 pi / L) sqrt(q).
+    Returns (uniq, inverse, ks) with uniq[inverse] = |k| on the grid.
+    """
     ks = _derivative_wavenumbers(grid)
-    k2 = np.zeros((grid.n,) * grid.dim)
-    for k in ks:
-        k2 = k2 + k**2
-    mags = np.sqrt(k2).ravel()
-    uniq, inverse = np.unique(np.round(mags, 12), return_inverse=True)
-    return uniq, inverse.reshape(k2.shape), ks
+    unit = 2.0 * np.pi / grid.box_length
+    q = sum(np.rint(k / unit).astype(np.int64) ** 2 for k in ks)
+    present = np.bincount(q.ravel()) > 0
+    inverse = (np.cumsum(present) - 1)[q]
+    return unit * np.sqrt(np.flatnonzero(present)), inverse, ks
 
 
 def apply_K1_operator(values: np.ndarray, grid: Grid, t: float, ke: KernelEval,
@@ -386,9 +435,9 @@ def apply_G_operator(source_fn, grid: Grid, t: float, ke: KernelEval,
     m = complex(ke.m)
 
     def total(panels: int) -> np.ndarray:
-        nodes01, weights01 = _gl_rule(panels, order)
-        b_nodes = eps + (t - eps) * nodes01
-        b_weights = (t - eps) * weights01
+        mids01, offsets01, weights01 = _gl_rule(panels, order)
+        b_nodes = eps + (t - eps) * (mids01[:, None] + offsets01).ravel()
+        b_weights = (t - eps) * np.tile(weights01, panels)
         out_hat = np.zeros((grid.n,) * 3, dtype=complex)
         for b, wb in zip(b_nodes, b_weights):
             upper = phi(t) - phi(b)
@@ -423,7 +472,9 @@ def reconstruct_free(psi1: SpinorField, t: float, ke: KernelEval,
     from the Cauchy multipliers; spatial derivatives act spectrally and the
     time derivative under the integral sign is analytic.  With self_check
     on, the analytic time derivative is audited against a 4th-order central
-    difference on a subsample of mode magnitudes.
+    difference on a subsample of mode magnitudes: the stencil integrates
+    only K1(+/-m) at t +/- dt and t +/- 2 dt (dt = 1e-4 t), never the
+    time-derivative kernel it audits.
     """
     grid = psi1.grid
     if grid.dim != 3:
@@ -465,12 +516,13 @@ def _self_check_time_derivative(ke, t, uniq, kdp, kdm, abs_tol,
     idx = np.unique(np.linspace(0, len(uniq) - 1, samples).astype(int))
     sub = uniq[idx]
     dt = 1e-4 * t
-    stencil = []
-    for shift in (-2, -1, 1, 2):
-        kp_s, _, km_s, _ = free_mode_multipliers(ke, t + shift * dt, sub, abs_tol)
-        stencil.append((shift, kp_s, km_s))
-    num_p = sum(c * kp_s for (s, kp_s, _), c in zip(stencil, (1/12, -2/3, 2/3, -1/12))) / dt
-    num_m = sum(c * km_s for (s, _, km_s), c in zip(stencil, (1/12, -2/3, 2/3, -1/12))) / dt
+    coeffs = (1 / 12, -2 / 3, 2 / 3, -1 / 12)
+    stencil = [
+        _k1_multipliers(ke, t + shift * dt, sub, abs_tol, time_derivative=False)
+        for shift in (-2, -1, 1, 2)
+    ]
+    num_p = sum(c * kp_s for (kp_s, _), c in zip(stencil, coeffs)) / dt
+    num_m = sum(c * km_s for (_, km_s), c in zip(stencil, coeffs)) / dt
     scale = max(float(np.max(np.abs(kdp[idx]))), float(np.max(np.abs(kdm[idx]))), 1e-30)
     err = max(
         float(np.max(np.abs(num_p - kdp[idx]))),

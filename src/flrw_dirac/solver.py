@@ -339,10 +339,12 @@ def cone_limit_radius(grid: Grid) -> float:
 
 class _Sample(NamedTuple):
     """What an observable reads at one recorded time: the field, its
-    bilinear densities and cell volume, and the run's fixed inputs (cfg,
-    cosmo, cone, r0, source and imv = Im V, as attributes of run)."""
+    squared L2 norm, its bilinear densities and cell volume, and the run's
+    fixed inputs (cfg, cosmo, cone, r0, source and imv = Im V, as
+    attributes of run)."""
 
     f: SpinorField
+    l2: float
     dens: BilinearDensities
     vol: float
     run: "_Recorder"
@@ -379,7 +381,7 @@ OBSERVABLES: dict[str, Callable[[_Sample], float | complex | None]] = {
     # t, the time of the sample
     TIME_AXIS: lambda s: s.f.time,
     # E(t), the squared L2 norm
-    "l2": lambda s: l2_norm_sq(s.f),
+    "l2": lambda s: s.l2,
     # H_k norm at cfg.sobolev_order
     "sobolev_k": lambda s: sobolev_norm(s.f, s.run.cfg.sobolev_order),
     # integral of the scalar density xi = psi^dagger g0 psi
@@ -418,11 +420,12 @@ class _Recorder:
         self.rows: dict[str, list] = {}
         self.last_time = None
 
-    def record(self, f: SpinorField) -> None:
+    def record(self, f: SpinorField, l2: float) -> None:
+        """Sample f; l2 is its squared L2 norm, which propagate has already."""
         if f.time == self.last_time:
             return
         self.last_time = f.time
-        sample = _Sample(f, bilinear_densities(f), f.grid.cell_volume, self)
+        sample = _Sample(f, l2, bilinear_densities(f), f.grid.cell_volume, self)
         for name, observe in OBSERVABLES.items():
             value = observe(sample)
             if value is not None:
@@ -474,8 +477,8 @@ def propagate(
     backward = cfg.t_end < cfg.t_start
     direction = -1.0 if backward else 1.0
 
-    e0 = l2_norm_sq(f0)
-    threshold = cfg.blowup_factor * e0 if e0 > 0 else math.inf
+    e = l2_norm_sq(f0)  # squared L2 norm of the current state f
+    threshold = cfg.blowup_factor * e if e > 0 else math.inf
 
     r0 = 0.0
     if cfg.track_cone:
@@ -513,7 +516,7 @@ def propagate(
         return None
 
     f = f0
-    recorder.record(f)
+    recorder.record(f, e)
     if pending and abs(pending[0] - f.time) <= 1e-12 * max(1.0, f.time):
         captured[pending.pop(0)] = f
 
@@ -528,14 +531,14 @@ def propagate(
         f_new = step(f, direction * dt, cosmo, model, source)
 
         with np.errstate(over="ignore"):  # an overflowing norm is inf: blown up
-            blown_up = not f_new.is_finite() or l2_norm_sq(f_new) > threshold
+            blown_up = not f_new.is_finite() or (e_new := l2_norm_sq(f_new)) > threshold
         if blown_up:
             flags["blown_up"] = True
             flags["blowup_time"] = f.time + 0.5 * direction * dt
-            recorder.record(f)  # last sub-threshold state
+            recorder.record(f, e)  # last sub-threshold state
             break
 
-        f = f_new
+        f, e = f_new, e_new
         steps_since_record += 1
         if pending and direction * (f.time - pending[0]) > 1e-9:
             raise RuntimeError(f"stepped past capture time {pending[0]}")
@@ -545,12 +548,12 @@ def propagate(
 
         if cfg.track_cone and not backward and cone_radius(f.time) >= limit:
             flags["cone_violation"] = True
-            recorder.record(f)
+            recorder.record(f, e)
             break
 
         at_end = direction * (cfg.t_end - f.time) <= tiny
         if steps_since_record >= cfg.record_every or at_end:
-            recorder.record(f)
+            recorder.record(f, e)
             steps_since_record = 0
 
     if direction * (cfg.t_end - f.time) <= tiny:

@@ -19,6 +19,23 @@ __all__ = ["Cosmology", "Cone", "cone_radius"]
 _ELL_ONE_TOL = 1e-12
 
 
+def _positive_times(t, what: str) -> np.ndarray:
+    """t as a float array (0-d for a scalar), checked to be > 0.
+
+    A plain float skips the array-wide np.any test, which dominates the
+    cost of a scalar call; the arithmetic after it is the same numpy
+    arithmetic either way, so results stay bit-identical.
+    """
+    if isinstance(t, float):
+        if t <= 0:
+            raise ValueError(f"{what} requires t > 0")
+        return np.asarray(t)
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= 0):
+        raise ValueError(f"{what} requires t > 0")
+    return t
+
+
 @dataclass(frozen=True)
 class Cosmology:
     """Spatially flat background with scale factor a(t) = a0 * t**ell."""
@@ -38,17 +55,13 @@ class Cosmology:
 
     def scale(self, t):
         """a(t) = a0 * t**ell for t > 0."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t <= 0):
-            raise ValueError("scale factor requires t > 0")
+        t = _positive_times(t, "scale factor")
         out = self.a0 * t**self.ell
         return float(out) if out.ndim == 0 else out
 
     def phi(self, t):
         """t**(1-ell)/(1-ell), or log(t) when ell = 1 (a0 = 1 convention)."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t <= 0):
-            raise ValueError("phi requires t > 0")
+        t = _positive_times(t, "phi")
         if self.ell_is_one:
             out = np.log(t)
         else:
@@ -57,9 +70,7 @@ class Cosmology:
 
     def dphi(self, t):
         """d phi / dt = t**(-ell)."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t <= 0):
-            raise ValueError("dphi requires t > 0")
+        t = _positive_times(t, "dphi")
         out = t ** (-self.ell)
         return float(out) if out.ndim == 0 else out
 

@@ -1,18 +1,24 @@
 import math
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
-from flrw_dirac.field import Grid, SpinorField, l2_norm_sq
+from flrw_dirac import kernels
+from flrw_dirac.field import Grid, SpinorField, _derivative_wavenumbers, l2_norm_sq
 from flrw_dirac.gamma import BASIS
 from flrw_dirac.initial_data import gaussian_bump
 from flrw_dirac.kernels import (
     Hyp2F1ConvergenceError,
+    KernelConsistencyError,
     KernelDomainError,
     KernelEval,
+    _cos_integrals,
     _cpow,
+    _gl_rule,
+    _unique_mode_magnitudes,
     apply_G_operator,
     apply_K1_operator,
     free_mode_matrix,
@@ -217,6 +223,78 @@ def test_constant_mode_matches_homogeneous_solution():
     assert np.max(np.abs(got - expected)) < 1e-8
 
 
+# --- the cos-weighted quadrature -------------------------------------------
+
+
+def _recording(fn):
+    """fn with the node arrays of its calls kept in .calls."""
+    def wrapped(r):
+        wrapped.calls.append(r)
+        return fn(r)
+    wrapped.calls = []
+    return wrapped
+
+
+def _runge_pair(c):
+    return lambda r: ((1 + 0.5j) / (1 + c * (r - 1.3) ** 2), np.exp((0.3 + 1j) * r))
+
+
+@pytest.mark.parametrize(
+    "c, xi, min_doublings",
+    [
+        (10.0, [0.0, 0.7, 3.1, 12.0], 1),  # xi = 0 among others
+        (10.0, [2.5], 1),  # a single xi
+        (400.0, [0.0, 0.7, 3.1, 12.0], 2),  # needs several doublings
+    ],
+)
+def test_cos_integrals_match_the_direct_sum(c, xi, min_doublings):
+    """The factorised sum equals (w f_k) @ cos(outer(r, xi)) on the final rule."""
+    upper = 3.0
+    xi = np.array(xi)
+    fvals = _recording(_runge_pair(c))
+    got = _cos_integrals(fvals, upper, xi)
+    assert len(fvals.calls) - 1 >= min_doublings
+    r = fvals.calls[-1]
+    panels = r.size // 16
+    _, _, weights = _gl_rule(panels, 16)
+    w = upper * np.tile(weights, panels)
+    cos_mat = np.cos(np.outer(r, xi))
+    for g, fk in zip(got, fvals(r)):
+        assert g.shape == xi.shape
+        assert np.max(np.abs(g - (w * fk) @ cos_mat)) <= 1e-13
+
+
+@pytest.mark.parametrize("upper", [0.0, -1.0])
+def test_cos_integrals_empty_interval_is_zero(upper):
+    xi = np.array([0.0, 1.0, 2.0])
+    got = _cos_integrals(_runge_pair(10.0), upper, xi)
+    assert len(got) == 2
+    for g in got:
+        assert g.shape == xi.shape and g.dtype == complex and not np.any(g)
+
+
+@dataclass(frozen=True)
+class _AnyNGrid(Grid):
+    """Grid admits only powers of two; the grouping must hold for any n."""
+
+    def __post_init__(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [Grid(3, 8, 8.0), Grid(3, 16, 10.0), _AnyNGrid(3, 9, 7.0), _AnyNGrid(3, 15, 12.0)],
+)
+def test_unique_mode_magnitudes_group_exactly(grid):
+    uniq, inverse, ks = _unique_mode_magnitudes(grid)
+    assert ks is _derivative_wavenumbers(grid)
+    mags = np.sqrt(sum(k**2 for k in ks))
+    assert inverse.shape == mags.shape
+    assert np.all(np.diff(uniq) > 0)
+    assert set(np.unique(inverse)) == set(range(uniq.size))
+    np.testing.assert_allclose(uniq[inverse], mags, rtol=1e-14, atol=0.0)
+
+
 # --- integral operators -----------------------------------------------------
 
 
@@ -357,3 +435,15 @@ def test_reconstruct_requires_matching_start_time():
     f1 = gaussian_bump(grid1, amplitude=1.0, width=1.0)
     with pytest.raises(KernelDomainError):
         reconstruct_free(f1, 2.0, ke)
+
+
+def test_reconstruct_self_check_catches_a_wrong_time_derivative(monkeypatch):
+    grid = Grid(dim=3, n=8, box_length=8.0)
+    f0 = gaussian_bump(grid, amplitude=1.0, width=1.0, coeffs=(1, 0.5, 0.3j, -0.2))
+    ke = KernelEval(Cosmology(0.5, 1.0), 0.3, 1.0)
+    exact = kernels.kernel_K1_time_derivative
+    monkeypatch.setattr(kernels, "kernel_K1_time_derivative",
+                        lambda r, t, ke: 1.001 * exact(r, t, ke))
+    with pytest.raises(KernelConsistencyError):
+        reconstruct_free(f0, 3.0, ke)
+    reconstruct_free(f0, 3.0, ke, self_check=False)
