@@ -11,6 +11,12 @@ for T, where A(t) is the comoving travel distance (log t for ell = 1).
 The right side is strictly increasing in T; when its improper total mass
 stays below the left side the bound is inconclusive for this energy and
 infinity is returned.
+
+scipy is loaded on the first quadrature, not at import: the simulate,
+verify and kernel paths never integrate and should not pay for it.
+`quad` stays a module attribute that forwards to scipy's, so callers and
+tools that wrap `flrw_dirac.blowup.quad` see every call of `j_integral`
+and `total_j_mass`.
 """
 from __future__ import annotations
 
@@ -18,8 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .field import SpinorField, l2_norm_sq, support_radius
 from .models import Mass, ModelSpec, NonlinearitySpec
@@ -113,6 +117,13 @@ def _integrand(case: BlowupCase):
     return f
 
 
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on the first call."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
+
+
 def _split_points(t: float) -> list[float]:
     pts = []
     decade = 10.0
@@ -166,6 +177,8 @@ def lifespan(case: BlowupCase, xtol: float = 1e-12) -> float:
     Solves the lifespan equation by bracketing plus Brent root finding on
     the strictly increasing right side.
     """
+    from scipy.optimize import brentq
+
     target = case.e1 ** (-0.5 * case.alpha_exp) / (0.5 * case.alpha_exp * case.c0)
     total = total_j_mass(case)
     if math.isfinite(total) and total <= target * (1.0 + 1e-12):

@@ -6,7 +6,10 @@ offending dotted path.  Exit codes: 0 success (including a detected
 blow-up), 1 config/validation error (a required potential flag that
 fails, a forward cone that would wrap around the torus by t_end, or an
 unknown key in a verification suite, among others), 2 runtime error,
-3 verification failure.  FLRW_DIRAC_THREADS caps sweep parallelism.
+3 verification failure.  FLRW_DIRAC_THREADS caps sweep parallelism
+(0 or unset: all cores); with more than one worker the parent loads scipy
+before it forks the pool, so the workers inherit it instead of each
+importing it again.
 """
 from __future__ import annotations
 
@@ -17,7 +20,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -402,6 +404,15 @@ def _sweep_case(params: dict) -> dict:
     return row
 
 
+def _sweep_workers() -> int:
+    """FLRW_DIRAC_THREADS as a worker count; 0 or unset means all cores."""
+    raw = os.environ.get("FLRW_DIRAC_THREADS", "0")
+    if not raw.strip().isdecimal():
+        raise ConfigError(
+            f"FLRW_DIRAC_THREADS must be a nonnegative integer, got {raw!r}")
+    return int(raw) or os.cpu_count() or 1
+
+
 def cmd_sweep(args) -> int:
     try:
         tree = json.loads(Path(args.config).read_text())
@@ -423,9 +434,13 @@ def cmd_sweep(args) -> int:
         for a in sorted(alphas)
         for i in sorted(im_ms)
     ]
-    workers = int(os.environ.get("FLRW_DIRAC_THREADS", "0")) or os.cpu_count() or 1
-    workers = min(workers, max(len(cases), 1))
+    workers = min(_sweep_workers(), max(len(cases), 1))
     if workers > 1 and len(cases) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        import scipy.integrate  # noqa: F401 -- loaded once, inherited by the forks
+        import scipy.optimize  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_case, cases))
     else:

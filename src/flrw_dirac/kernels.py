@@ -471,10 +471,11 @@ def reconstruct_free(psi1: SpinorField, t: float, ke: KernelEval,
     Every Fourier mode is propagated by the explicit 4x4 mode matrix built
     from the Cauchy multipliers; spatial derivatives act spectrally and the
     time derivative under the integral sign is analytic.  With self_check
-    on, the analytic time derivative is audited against a 4th-order central
+    on, the analytic time derivative is audited against a 4th-order
     difference on a subsample of mode magnitudes: the stencil integrates
-    only K1(+/-m) at t +/- dt and t +/- 2 dt (dt = 1e-4 t), never the
-    time-derivative kernel it audits.
+    only K1(+/-m), never the time-derivative kernel it audits, at
+    t +/- dt and t +/- 2 dt (dt = 1e-4 t), or at t - dt, ..., t - 4 dt
+    where t + 2 dt is past the supported ratio TIME_RATIO_MAX.
     """
     grid = psi1.grid
     if grid.dim != 3:
@@ -484,9 +485,9 @@ def reconstruct_free(psi1: SpinorField, t: float, ke: KernelEval,
     ke.check_time(t)
     uniq, inverse, ks = _unique_mode_magnitudes(grid)
     kp, kdp, km, kdm = free_mode_multipliers(ke, t, uniq, abs_tol)
-    # the difference stencil needs room on both sides of t
+    # the difference stencil needs room below t
     if self_check and t - 2.0 * 1e-4 * t > ke.epsilon:
-        _self_check_time_derivative(ke, t, uniq, kdp, kdm, abs_tol)
+        _self_check_time_derivative(ke, t, uniq, kp, kdp, km, kdm, abs_tol)
 
     ell = ke.cosmology.ell
     m = complex(ke.m)
@@ -510,19 +511,24 @@ def reconstruct_free(psi1: SpinorField, t: float, ke: KernelEval,
     return SpinorField(grid, data, t)
 
 
-def _self_check_time_derivative(ke, t, uniq, kdp, kdm, abs_tol,
+def _self_check_time_derivative(ke, t, uniq, kp, kdp, km, kdm, abs_tol,
                                 rel_tol: float = 1e-6, samples: int = 5):
-    """Audit the analytic d/dt multipliers with a central difference."""
+    """Audit the analytic d/dt multipliers with a 4th-order difference:
+    central where t + 2 dt is a supported time, else backward from t, whose
+    K1 values are kp and km."""
     idx = np.unique(np.linspace(0, len(uniq) - 1, samples).astype(int))
     sub = uniq[idx]
     dt = 1e-4 * t
-    coeffs = (1 / 12, -2 / 3, 2 / 3, -1 / 12)
+    if (t + 2.0 * dt) / ke.epsilon <= TIME_RATIO_MAX * (1.0 + 1e-12):
+        at_t, shifts, coeffs = 0.0, (-2, -1, 1, 2), (1 / 12, -2 / 3, 2 / 3, -1 / 12)
+    else:
+        at_t, shifts, coeffs = 25 / 12, (-1, -2, -3, -4), (-4.0, 3.0, -4 / 3, 1 / 4)
     stencil = [
         _k1_multipliers(ke, t + shift * dt, sub, abs_tol, time_derivative=False)
-        for shift in (-2, -1, 1, 2)
+        for shift in shifts
     ]
-    num_p = sum(c * kp_s for (kp_s, _), c in zip(stencil, coeffs)) / dt
-    num_m = sum(c * km_s for (_, km_s), c in zip(stencil, coeffs)) / dt
+    num_p = (at_t * kp[idx] + sum(c * kp_s for (kp_s, _), c in zip(stencil, coeffs))) / dt
+    num_m = (at_t * km[idx] + sum(c * km_s for (_, km_s), c in zip(stencil, coeffs))) / dt
     scale = max(float(np.max(np.abs(kdp[idx]))), float(np.max(np.abs(kdm[idx]))), 1e-30)
     err = max(
         float(np.max(np.abs(num_p - kdp[idx]))),
@@ -530,6 +536,6 @@ def _self_check_time_derivative(ke, t, uniq, kdp, kdm, abs_tol,
     )
     if err > rel_tol * scale:
         raise KernelConsistencyError(
-            f"analytic time derivative disagrees with central difference: "
+            f"analytic time derivative disagrees with finite difference: "
             f"relative error {err / scale:.3e}"
         )

@@ -5,9 +5,9 @@ power_g0g5) is stated directly as the right side of the first-order
 symmetric hyperbolic system.  The structured families are stated in the
 covariant form instead: lochak_form multiplies psi by
 alpha(xi, eta) I + i beta(xi, eta) g5 and blowup_G contributes
-G(psi) i g0 psi, both on the i-g0-d/dt side of the equation; the solver
-converts them with a left multiplication by -i g0
-(see hyperbolic_rhs_nonlinearity).
+G(psi) i g0 psi, both on the i-g0-d/dt side of the equation.
+hyperbolic_rhs_nonlinearity returns every family as a first-order right
+side, with the left factor -i g0 of the covariant ones written out.
 """
 from __future__ import annotations
 
@@ -31,7 +31,6 @@ __all__ = [
     "PotentialFlagError",
     "linear_form",
     "potential_field",
-    "eval_nonlinearity",
     "hyperbolic_rhs_nonlinearity",
     "induced_potential",
     "lipschitz_probe",
@@ -213,15 +212,17 @@ class ModelSpec:
     nonlinearity: NonlinearitySpec = NonlinearitySpec()
 
 
-def eval_nonlinearity(spec: NonlinearitySpec, f: SpinorField) -> SpinorField:
-    """The selected nonlinear term in its stated (covariant) form.
+def hyperbolic_rhs_nonlinearity(spec: NonlinearitySpec, f: SpinorField) -> SpinorField:
+    """Nonlinear term as the right side of the first-order system.
 
-    Returns sign*|psi|^a psi, |g0 g5 psi|^a psi,
-    (alpha I + i beta g5) psi, or G(psi) i g0 psi for blowup_G.
-    Zero input always maps to zero output.
+    The Lipschitz families give sign*|psi|^a psi and |g0 g5 psi|^a psi.
+    The covariant families carry the left factor -i g0 written out:
+    -i g0 (alpha I + i beta g5) psi = -i alpha g0 psi + beta g0 g5 psi for
+    lochak_form, and -i g0 (c0 |psi|^a i g0 psi) = c0 |psi|^a psi for
+    blowup_G.  Zero input always maps to zero output.
     """
     if spec.is_none:
-        raise ValueError("eval_nonlinearity requires kind != 'none'")
+        raise ValueError("hyperbolic_rhs_nonlinearity requires kind != 'none'")
     p = f.data
     if spec.kind == "power_abs":
         mag = np.sqrt(np.sum(np.abs(p) ** 2, axis=0))
@@ -232,30 +233,15 @@ def eval_nonlinearity(spec: NonlinearitySpec, f: SpinorField) -> SpinorField:
         out = mag**spec.alpha_exp * p
     elif spec.kind == "lochak_form":
         dens = bilinear_densities(f)
-        a = np.asarray(spec.alpha_fn(dens.xi, dens.eta), dtype=float)
+        ia = 1j * np.asarray(spec.alpha_fn(dens.xi, dens.eta), dtype=float)
         b = np.asarray(spec.beta_fn(dens.xi, dens.eta), dtype=float)
-        out = a * p + 1j * b * apply(BASIS.g5, p)
+        # g0 = diag(1, 1, -1, -1); g0 g5 maps (u, l) to (-l, u)
+        up, lo = p[:2], p[2:]
+        out = np.concatenate((-ia * up - b * lo, ia * lo + b * up))
     else:  # blowup_G
         mag = np.sqrt(np.sum(np.abs(p) ** 2, axis=0))
-        out = 1j * spec.c0 * mag**spec.alpha_exp * apply(BASIS.g0, p)
-    return f.with_data(out.astype(complex))
-
-
-_MINUS_I_G0 = (-1j * BASIS.g0).copy()
-_MINUS_I_G0.setflags(write=False)
-
-
-def hyperbolic_rhs_nonlinearity(spec: NonlinearitySpec, f: SpinorField) -> SpinorField:
-    """Nonlinear term as the right side of the first-order system.
-
-    The covariantly stated families (lochak_form, blowup_G) are converted
-    with a left factor -i g0; the Lipschitz families already are first-order
-    right sides and pass through unchanged.
-    """
-    out = eval_nonlinearity(spec, f)
-    if spec.kind in ("lochak_form", "blowup_G"):
-        return out.with_data(apply(_MINUS_I_G0, out.data))
-    return out
+        out = spec.c0 * mag**spec.alpha_exp * p
+    return f.with_data(out.astype(complex, copy=False))
 
 
 def induced_potential(spec: NonlinearitySpec, f: SpinorField) -> InducedPotential:
@@ -280,7 +266,8 @@ def lipschitz_probe(
 
     Maximizes ||F(psi1) - F(psi2)||_k over random smooth pairs, normalized by
     ||psi1 - psi2||_k (||psi1||_k^a + ||psi2||_k^a).  Coincident pairs are
-    skipped.
+    skipped.  F is the first-order right side; the covariant form gives the
+    same constant, since the two differ by the constant unitary -i g0.
     """
     if spec.is_none:
         raise ValueError("lipschitz_probe requires kind != 'none'")
@@ -297,7 +284,8 @@ def lipschitz_probe(
             continue
         num = sobolev_norm(
             f1.with_data(
-                eval_nonlinearity(spec, f1).data - eval_nonlinearity(spec, f2).data
+                hyperbolic_rhs_nonlinearity(spec, f1).data
+                - hyperbolic_rhs_nonlinearity(spec, f2).data
             ),
             k,
         )

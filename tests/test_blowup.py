@@ -83,6 +83,31 @@ def test_lifespan_inconclusive_below_threshold():
     assert math.isfinite(lifespan(BlowupCase(e1=1.1 * thresh, **base)))
 
 
+def test_quad_is_the_module_attribute_every_quadrature_calls(monkeypatch):
+    """Tools that wrap flrw_dirac.blowup.quad (the benchmark tracer counts
+    IntegrationWarnings this way) see every call, and results are unchanged."""
+    import flrw_dirac.blowup as bup
+
+    case = BlowupCase(ell=0.5, alpha_exp=1.0, e1=4.0)
+    expected = (j_integral(case, 50.0), total_j_mass(case), lifespan(case))
+    calls = []
+    original = bup.quad
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bup, "quad", counted)
+    assert j_integral(case, 50.0) == expected[0]
+    assert calls == [(1.0, 10.0), (10.0, 50.0)]
+    assert total_j_mass(case) == expected[1]
+    assert calls[2:] == [(1.0, 200.0), (200.0, np.inf)]
+    del calls[:]
+    assert lifespan(case) == expected[2]
+    assert calls[:2] == [(1.0, 200.0), (200.0, np.inf)] and len(calls) > 2
+    assert math.isfinite(expected[2])
+
+
 def test_j_integral_properties():
     case = BlowupCase(ell=2 / 3, alpha_exp=2 / 3)
     assert j_integral(case, 1.0) == 0.0

@@ -7,10 +7,15 @@ exit codes.
 """
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flrw_dirac
 from flrw_dirac.cli import main
 from flrw_dirac.field import Grid, load_snapshot, save_snapshot
 from flrw_dirac.initial_data import compact_bump, gaussian_bump
@@ -322,6 +327,32 @@ def test_sweep_two_points(tmp_path, monkeypatch):
     assert all(r["error"] == "" and r["t_numerical"] == "" for r in rows)
 
 
+def test_sweep_pool_writes_the_serial_csv(tmp_path, monkeypatch):
+    grid = write_json(tmp_path / "sweep.json", {
+        "ell": [0.5, 2.0], "alpha": [0.5, 2.0], "E1": 4.0,
+        "empirical": {"enabled": True, "dim": 1, "n": 64, "box_length": 16.0,
+                      "t_end": 2.0, "cfl": 0.3},
+    })
+    written = []
+    for threads in ("2", "1"):
+        monkeypatch.setenv("FLRW_DIRAC_THREADS", threads)
+        out = tmp_path / f"sweep{threads}.csv"
+        assert main(["sweep", str(grid), "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    assert written[0].count(b"\n") == 5
+    assert b"Error" not in written[0]
+
+
+@pytest.mark.parametrize("threads", ["abc", "-1", ""])
+def test_sweep_bad_thread_count_is_config_error(tmp_path, monkeypatch, capsys, threads):
+    monkeypatch.setenv("FLRW_DIRAC_THREADS", threads)
+    grid = write_json(tmp_path / "sweep.json", {"ell": [0.5], "alpha": [0.3]})
+    assert main(["sweep", str(grid), "--out", str(tmp_path / "s.csv")]) == 1
+    assert f"FLRW_DIRAC_THREADS must be a nonnegative integer, got {threads!r}" in (
+        capsys.readouterr().err)
+
+
 def test_sweep_without_ell_is_config_error(tmp_path):
     grid = write_json(tmp_path / "sweep.json", {"alpha": [0.3]})
     assert main(["sweep", str(grid), "--out", str(tmp_path / "s.csv")]) == 1
@@ -333,6 +364,43 @@ def test_lifespan(capsys):
     assert out["regime"] == "no_global_any_size"
     assert out["solvability_threshold_E1"] == 0.0
     assert out["T_bu"] == pytest.approx(16.05, rel=1e-3)
+
+
+_STARTUP_PROBE = """
+import json, sys
+from flrw_dirac.cli import main
+
+LAZY = ("scipy.integrate", "scipy.optimize", "scipy.special",
+        "concurrent.futures.process")
+config, work, report = sys.argv[1:]
+seen = {"import": [m for m in LAZY if m in sys.modules]}
+assert main(["simulate", config, "--out", work + "/run"]) == 0
+assert main(["kernel", "--ell", "0.5", "--t", "2.0", "--nr", "8",
+             "--out", work + "/table.csv"]) == 0
+seen["simulate_kernel"] = [m for m in LAZY if m in sys.modules]
+assert main(["lifespan", "--ell", "0.5", "--alpha", "0.3", "--E1", "4"]) == 0
+seen["lifespan"] = [m for m in LAZY if m in sys.modules]
+with open(report, "w") as fh:
+    json.dump(seen, fh)
+"""
+
+
+def test_scipy_loads_only_with_the_first_quadrature(tmp_path):
+    """In a fresh interpreter (pytest's warning filters import scipy.integrate
+    into this one), importing the CLI and running simulate and a kernel table
+    loads no scipy quadrature, root finder or special functions and no
+    process pool; lifespan loads the first two."""
+    cfg = write_json(tmp_path / "run.json", config())
+    report = tmp_path / "modules.json"
+    src = str(Path(flrw_dirac.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE, str(cfg), str(tmp_path), str(report)],
+        env=env, check=True, capture_output=True, timeout=120)
+    seen = json.loads(report.read_text())
+    assert seen["import"] == [] and seen["simulate_kernel"] == []
+    assert seen["lifespan"][:2] == ["scipy.integrate", "scipy.optimize"]
 
 
 def test_lifespan_bad_case_is_config_error():

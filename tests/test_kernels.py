@@ -447,3 +447,22 @@ def test_reconstruct_self_check_catches_a_wrong_time_derivative(monkeypatch):
     with pytest.raises(KernelConsistencyError):
         reconstruct_free(f0, 3.0, ke)
     reconstruct_free(f0, 3.0, ke, self_check=False)
+
+
+@pytest.mark.parametrize("scale, raises", [(1.0, False), (1.001, True)])
+def test_reconstruct_self_check_at_the_supported_time_limit(monkeypatch, scale, raises):
+    """At t = TIME_RATIO_MAX * eps the central stencil would step past the
+    supported ratio; the audit then runs on the backward stencil."""
+    grid = Grid(dim=3, n=8, box_length=8.0)
+    f0 = gaussian_bump(grid, amplitude=1.0, width=1.0, coeffs=(1, 0.5, 0.3j, -0.2))
+    ke = KernelEval(Cosmology(0.5, 1.0), 0.3, 1.0)
+    t = kernels.TIME_RATIO_MAX * ke.epsilon
+    exact = kernels.kernel_K1_time_derivative
+    monkeypatch.setattr(kernels, "kernel_K1_time_derivative",
+                        lambda r, t, ke: scale * exact(r, t, ke))
+    if raises:
+        with pytest.raises(KernelConsistencyError):
+            reconstruct_free(f0, t, ke)
+    else:
+        out = reconstruct_free(f0, t, ke)
+        assert np.array_equal(out.data, reconstruct_free(f0, t, ke, self_check=False).data)

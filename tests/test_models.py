@@ -4,14 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flrw_dirac.field import Grid, SpinorField, l2_norm_sq
-from flrw_dirac.gamma import BASIS
+from flrw_dirac.gamma import BASIS, apply
 from flrw_dirac.initial_data import random_smooth
 from flrw_dirac.models import (
     Mass,
     NonlinearitySpec,
     PotentialFlagError,
     PotentialSpec,
-    eval_nonlinearity,
     hyperbolic_rhs_nonlinearity,
     induced_potential,
     linear_form,
@@ -39,7 +38,7 @@ def test_mass_validation():
 def test_power_abs_on_unit_spinor():
     spec = NonlinearitySpec(kind="power_abs", alpha_exp=2.0)
     f = constant_field((1, 0, 0, 0))
-    out = eval_nonlinearity(spec, f)
+    out = hyperbolic_rhs_nonlinearity(spec, f)
     assert np.allclose(out.data, f.data)
 
 
@@ -58,21 +57,40 @@ def test_power_abs_on_unit_spinor():
     ],
 )
 def test_zero_maps_to_zero(spec):
-    out = eval_nonlinearity(spec, constant_field((0, 0, 0, 0)))
+    out = hyperbolic_rhs_nonlinearity(spec, constant_field((0, 0, 0, 0)))
     assert np.all(out.data == 0)
+
+
+def covariant(spec, f):
+    """The covariant term i g0 F of the first-order right side F."""
+    return apply(1j * BASIS.g0, hyperbolic_rhs_nonlinearity(spec, f).data)
 
 
 def test_blowup_g_form():
     spec = NonlinearitySpec(kind="blowup_G", alpha_exp=1.0, c0=1.0)
-    out = eval_nonlinearity(spec, constant_field((0, 1, 0, 0)))
+    out = covariant(spec, constant_field((0, 1, 0, 0)))
     expected = constant_field((0, 1j, 0, 0))
-    assert np.allclose(out.data, expected.data)
+    assert np.allclose(out, expected.data)
+
+
+def test_lochak_form_is_the_stated_covariant_term():
+    """i g0 F = (alpha I + i beta g5) psi, with the coefficients read off the
+    bilinear densities."""
+    spec = NonlinearitySpec(
+        kind="lochak_form",
+        alpha_fn=linear_form(1.3, -0.4),
+        beta_fn=linear_form(0.2, 0.9),
+    )
+    f = random_smooth(GRID, amplitude=1.0, seed=29)
+    a = induced_potential(spec, f)
+    expected = a.alpha_field * f.data + 1j * a.beta_field * apply(BASIS.g5, f.data)
+    assert np.allclose(covariant(spec, f), expected, rtol=0, atol=1e-14)
 
 
 def test_power_g0g5_on_basis_spinor():
     spec = NonlinearitySpec(kind="power_g0g5", alpha_exp=3.0)
     f = constant_field((2, 0, 0, 0))
-    out = eval_nonlinearity(spec, f)
+    out = hyperbolic_rhs_nonlinearity(spec, f)
     assert np.allclose(out.data, 8.0 * f.data)
 
 
@@ -82,8 +100,8 @@ def test_power_abs_phase_equivariance(theta):
     spec = NonlinearitySpec(kind="power_abs", alpha_exp=1.5)
     f = random_smooth(GRID, amplitude=1.0, seed=3)
     phase = np.exp(1j * theta)
-    lhs = eval_nonlinearity(spec, f.with_data(phase * f.data)).data
-    rhs = phase * eval_nonlinearity(spec, f).data
+    lhs = hyperbolic_rhs_nonlinearity(spec, f.with_data(phase * f.data)).data
+    rhs = phase * hyperbolic_rhs_nonlinearity(spec, f).data
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -93,7 +111,7 @@ def test_lochak_form_vanishes_on_lm_states():
         alpha_fn=linear_form(1.0, 0.0),
         beta_fn=linear_form(0.0, 1.0),
     )
-    out = eval_nonlinearity(spec, constant_field((1, 0, 1, 0)))
+    out = hyperbolic_rhs_nonlinearity(spec, constant_field((1, 0, 1, 0)))
     assert np.max(np.abs(out.data)) < 1e-14
 
 
@@ -156,7 +174,9 @@ def test_nonlinearity_validation():
     with pytest.raises(ValueError):
         NonlinearitySpec(kind="blowup_G", c0=0.0)
     with pytest.raises(ValueError):
-        eval_nonlinearity(NonlinearitySpec(kind="none"), constant_field((1, 0, 0, 0)))
+        hyperbolic_rhs_nonlinearity(
+            NonlinearitySpec(kind="none"), constant_field((1, 0, 0, 0))
+        )
 
 
 # --- potentials -----------------------------------------------------------
