@@ -1,7 +1,7 @@
 """Numerical laboratory for Dirac fields on power-law FLRW backgrounds.
 
 Subpackages by concern: gamma (matrix algebra), spacetime (background and
-cones), field (discrete spinor fields), models (mass, potentials,
+causal reach), field (discrete spinor fields), models (mass, potentials,
 nonlinearities), solver (time integration), kernels (closed-form free
 propagation), diagnostics (identity checks and scattering), blowup
 (nonexistence machinery), cli (command-line front end).

@@ -3,13 +3,14 @@ and blow-up sweeps.
 
 Configuration is a single JSON tree; every validation error names the
 offending dotted path.  Exit codes: 0 success (including a detected
-blow-up), 1 config/validation error (a required potential flag that
-fails, a forward cone that would wrap around the torus by t_end, or an
-unknown key in a verification suite, among others), 2 runtime error,
-3 verification failure.  FLRW_DIRAC_THREADS caps sweep parallelism
-(0 or unset: all cores); with more than one worker the parent loads scipy
-before it forks the pool, so the workers inherit it instead of each
-importing it again.
+blow-up), 1 config/validation error (a section that is not an object, a
+flag that is not a JSON bool, a required potential flag that fails, an
+lm_z off the unit circle, a forward cone that would wrap around the torus
+by t_end, or an unknown key in a verification suite, among others),
+2 runtime error, 3 verification failure.  FLRW_DIRAC_THREADS caps sweep
+parallelism (0 or unset: all cores); with more than one worker the parent
+loads scipy before it forks the pool, so the workers inherit it instead of
+each importing it again.
 """
 from __future__ import annotations
 
@@ -70,6 +71,20 @@ def _expect_number(tree, path, lo=None, hi=None, required=False, default=None):
     return float(val)
 
 
+def _expect_bool(tree, path, default: bool) -> bool:
+    val = _get(tree, path, default=default)
+    if not isinstance(val, bool):
+        raise ConfigError(f"field {path!r} must be true or false")
+    return val
+
+
+def _expect_section(tree, path, default, required=False) -> dict:
+    node = _get(tree, path, default=default, required=required)
+    if not isinstance(node, dict):
+        raise ConfigError(f"field {path!r} must be an object")
+    return node
+
+
 def _expect_open_interval(tree, path, lo, hi, default):
     val = _expect_number(tree, path, default=default)
     if not lo < val < hi:
@@ -88,8 +103,10 @@ def _complex_from(node, path) -> complex:
 
 
 def _potential_from(tree) -> PotentialSpec:
-    node = _get(tree, "potential", default={"kind": "zero"})
+    node = _expect_section(tree, "potential", {"kind": "zero"})
     kind = node.get("kind", "zero")
+    hermitian = _expect_bool(tree, "potential.hermitian_required", False)
+    gamma2 = _expect_bool(tree, "potential.gamma2_condition_required", False)
     matrix = node.get("matrix")
     if matrix is not None:
         try:
@@ -107,25 +124,23 @@ def _potential_from(tree) -> PotentialSpec:
             center=tuple(node.get("center", (0.0, 0.0, 0.0))),
             width=float(node.get("width", 1.0)),
             matrix=matrix,
-            hermitian_required=bool(node.get("hermitian_required", False)),
-            gamma2_condition_required=bool(
-                node.get("gamma2_condition_required", False)
-            ),
+            hermitian_required=hermitian,
+            gamma2_condition_required=gamma2,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"field 'potential': {exc}") from None
 
 
 def _nonlinearity_from(tree) -> NonlinearitySpec:
-    node = _get(tree, "nonlinearity", default={"kind": "none"})
+    node = _expect_section(tree, "nonlinearity", {"kind": "none"})
     kind = node.get("kind", "none")
-    kwargs = {}
-    if kind == "lochak_form":
-        ac = node.get("alpha_coeffs", [0.0, 0.0])
-        bc = node.get("beta_coeffs", [0.0, 0.0])
-        kwargs["alpha_fn"] = linear_form(float(ac[0]), float(ac[1]))
-        kwargs["beta_fn"] = linear_form(float(bc[0]), float(bc[1]))
     try:
+        kwargs = {}
+        if kind == "lochak_form":
+            ac = node.get("alpha_coeffs", [0.0, 0.0])
+            bc = node.get("beta_coeffs", [0.0, 0.0])
+            kwargs["alpha_fn"] = linear_form(float(ac[0]), float(ac[1]))
+            kwargs["beta_fn"] = linear_form(float(bc[0]), float(bc[1]))
         return NonlinearitySpec(
             kind=kind,
             alpha_exp=float(node.get("alpha_exp", 1.0)),
@@ -133,7 +148,7 @@ def _nonlinearity_from(tree) -> NonlinearitySpec:
             c0=float(node.get("c0", 1.0)),
             **kwargs,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError, IndexError) as exc:
         raise ConfigError(f"field 'nonlinearity': {exc}") from None
 
 
@@ -171,7 +186,7 @@ def load_run_config(tree: dict):
             _expect_number(tree, "solver.sobolev_order", lo=0, hi=6, default=1)
         ),
         blowup_factor=_expect_number(tree, "solver.blowup_factor", lo=1.0, default=1e6),
-        track_cone=bool(_get(tree, "solver.track_cone", default=True)),
+        track_cone=_expect_bool(tree, "solver.track_cone", True),
         on_cone_violation=_get(tree, "solver.on_cone_violation", default="error"),
     )
     if dt_max is not None:
@@ -186,14 +201,14 @@ def load_run_config(tree: dict):
     except ValueError as exc:
         raise ConfigError(f"field 'solver': {exc}") from None
 
-    ini = _get(tree, "initial_data", default={}, required=True)
+    ini = _expect_section(tree, "initial_data", {}, required=True)
     family = ini.get("family", "gaussian")
-    if ini.get("lm_constrained", False):
+    if _expect_bool(tree, "initial_data.lm_constrained", False):
         family = "lm_gaussian"
     data_kwargs = {}
     for key in ("amplitude", "width", "wavenumber", "second_amplitude"):
         if key in ini:
-            data_kwargs[key] = float(ini[key])
+            data_kwargs[key] = _expect_number(tree, f"initial_data.{key}")
     if "seed" in ini:
         data_kwargs["seed"] = int(ini["seed"])
     if "coeffs" in ini:
@@ -213,7 +228,7 @@ def load_run_config(tree: dict):
 
     outputs = {
         "dir": _get(tree, "outputs.dir", default="."),
-        "snapshots": bool(_get(tree, "outputs.snapshots", default=False)),
+        "snapshots": _expect_bool(tree, "outputs.snapshots", False),
     }
     return cosmo, model, grid, f0, cfg, outputs
 

@@ -14,13 +14,7 @@ import numpy as np
 
 from .field import SpinorField, l2_norm_sq, support_radius
 from .models import ModelSpec, hyperbolic_rhs_nonlinearity
-from .solver import (
-    ConeSafetyError,
-    RunRecord,
-    SolverConfig,
-    cone_limit_radius,
-    propagate,
-)
+from .solver import RunRecord, SolverConfig, guard_cone, propagate
 from .spacetime import Cosmology
 
 __all__ = [
@@ -324,11 +318,12 @@ def scattering_profile(
 
     Torus wraparound of the free comparison run is guarded once, up front:
     by finite propagation speed that run stays inside
-    r0 + 2 |phi(t_last) - phi(t_start)| / a0, with r0 the support radius of
-    f0 at cfg.cone_mass_fraction.  With cfg.track_cone, ConeSafetyError is
-    raised when this reaches the torus limit.  The free run itself does not
-    track the cone: the modified datum carries far-field spectral noise that
-    a support estimate at a tiny mass fraction reads as the whole box.
+    r0 + 2 cosmo.travel_distance(t_last, t_start), with r0 the support
+    radius of f0 at cfg.cone_mass_fraction.  With cfg.track_cone,
+    solver.ConeSafetyError is raised when this reaches the torus limit.
+    The free run itself does not track the cone: the modified datum carries
+    far-field spectral noise that a support estimate at a tiny mass
+    fraction reads as the whole box.
     """
     checkpoints = sorted(float(c) for c in checkpoints)
     if not checkpoints or checkpoints[0] <= cfg.t_start:
@@ -336,14 +331,8 @@ def scattering_profile(
     t_last = checkpoints[-1]
     if cfg.track_cone:
         r0 = support_radius(f0, cfg.cone_center, cfg.cone_mass_fraction)
-        reach = abs(cosmo.phi(t_last) - cosmo.phi(cfg.t_start)) / cosmo.a0
-        radius = r0 + 2.0 * reach
-        limit = cone_limit_radius(f0.grid)
-        if radius >= limit:
-            raise ConeSafetyError(
-                f"free comparison radius {radius:.3f} reaches the torus "
-                f"limit {limit:.3f} by t={t_last:.4f}"
-            )
+        reach = r0 + 2.0 * cosmo.travel_distance(t_last, cfg.t_start)
+        guard_cone(reach, f0.grid, t_last, "free comparison")
 
     x_gl, w_gl = np.polynomial.legendre.leggauss(nodes_per_panel)
     edges = [cfg.t_start] + checkpoints

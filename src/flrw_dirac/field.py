@@ -14,15 +14,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gamma import BASIS, apply
-
 __all__ = [
     "Grid",
     "SpinorField",
     "BilinearDensities",
     "l2_norm_sq",
     "sobolev_norm",
-    "spectral_derivative",
     "bilinear_densities",
     "gamma2_bilinear",
     "majorana_defect",
@@ -141,7 +138,6 @@ class BilinearDensities:
     xi: np.ndarray  # |psi1|^2 + |psi2|^2 - |psi3|^2 - |psi4|^2
     eta: np.ndarray  # 2 Im(psi1 conj(psi3)) + 2 Im(psi2 conj(psi4))
     rho2: np.ndarray  # xi^2 + eta^2
-    abs2: np.ndarray  # |psi|^2
 
 
 def l2_norm_sq(f: SpinorField) -> float:
@@ -163,25 +159,13 @@ def sobolev_norm(f: SpinorField, k: int) -> float:
     return float(np.sqrt(norm_sq))
 
 
-def spectral_derivative(f: SpinorField, axis: int) -> SpinorField:
-    """Partial derivative along a spatial axis (1-based), evaluated spectrally."""
-    if not 1 <= axis <= f.grid.dim:
-        raise ValueError(f"axis {axis} out of range for dim {f.grid.dim}")
-    ks = _derivative_wavenumbers(f.grid)
-    hat = np.fft.fftn(f.data, axes=f.grid.spatial_axes)
-    hat *= 1j * ks[axis - 1]
-    out = np.fft.ifftn(hat, axes=f.grid.spatial_axes)
-    return f.with_data(out)
-
-
 def bilinear_densities(f: SpinorField) -> BilinearDensities:
     p = f.data
     xi = (
         np.abs(p[0]) ** 2 + np.abs(p[1]) ** 2 - np.abs(p[2]) ** 2 - np.abs(p[3]) ** 2
     )
     eta = 2.0 * np.imag(p[0] * np.conj(p[2])) + 2.0 * np.imag(p[1] * np.conj(p[3]))
-    abs2 = np.sum(np.abs(p) ** 2, axis=0)
-    return BilinearDensities(xi=xi, eta=eta, rho2=xi**2 + eta**2, abs2=abs2)
+    return BilinearDensities(xi=xi, eta=eta, rho2=xi**2 + eta**2)
 
 
 def gamma2_bilinear(f: SpinorField) -> complex:
@@ -197,7 +181,8 @@ def majorana_defect(f: SpinorField, z: complex) -> float:
     """Integral of |psi - z g2 conj(psi)|^2 for a unit phase z."""
     if abs(abs(z) - 1.0) > 1e-12:
         raise ValueError("z must lie on the unit circle")
-    w = f.data - z * apply(BASIS.g2, np.conj(f.data))
+    c = np.conj(f.data)  # g2 conj(psi) = (-i c3, i c2, i c1, -i c0)
+    w = f.data - z * np.stack((-1j * c[3], 1j * c[2], 1j * c[1], -1j * c[0]))
     return float(np.sum(np.abs(w) ** 2)) * f.grid.cell_volume
 
 
@@ -218,17 +203,13 @@ def _cached_torus_distance_sq(grid: Grid, center: tuple[float, ...]) -> np.ndarr
     return out
 
 
-def cone_mass(f, cone, cosmo, margin: float = 0.0) -> float:
-    """L2 mass outside the cone's slice at the field's time.
+def cone_mass(f: SpinorField, center, radius: float) -> float:
+    """L2 mass outside the ball of `radius` around `center`.
 
-    `margin` inflates the slice radius (used for cones around an initially
-    extended support).  Distances are taken in the torus metric; once the
-    inflated radius reaches half the box the outside set is empty.
+    Distances are taken in the torus metric; once the radius reaches half
+    the box the outside set is empty.
     """
-    from .spacetime import cone_radius  # local import to keep modules light
-
-    radius = cone_radius(cone, cosmo, f.time) + margin
-    dist_sq = _torus_distance_sq(f.grid, cone.apex_x)
+    dist_sq = _torus_distance_sq(f.grid, center)
     outside = dist_sq > radius**2
     dens = np.sum(np.abs(f.data) ** 2, axis=0)
     return float(np.sum(dens[outside])) * f.grid.cell_volume

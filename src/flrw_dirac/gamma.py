@@ -14,7 +14,6 @@ __all__ = [
     "GammaBasis",
     "build_basis",
     "anticommutator",
-    "commutator",
     "apply",
 ]
 
@@ -101,11 +100,6 @@ BASIS = build_basis()
 def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """AB + BA."""
     return a @ b + b @ a
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """AB - BA."""
-    return a @ b - b @ a
 
 
 def apply(a: np.ndarray, s: np.ndarray) -> np.ndarray:

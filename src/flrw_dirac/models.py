@@ -1,9 +1,9 @@
 """Model terms: complex mass, matrix potentials and nonlinearity families.
 
-Nonlinearities come in two flavours.  The Lipschitz family (power_abs,
-power_g0g5) is stated directly as the right side of the first-order
-symmetric hyperbolic system.  The structured families are stated in the
-covariant form instead: lochak_form multiplies psi by
+Nonlinearities come in two flavours.  The Lipschitz family (power_abs) is
+stated directly as the right side of the first-order symmetric hyperbolic
+system.  The structured families are stated in the covariant form instead:
+lochak_form multiplies psi by the induced potential
 alpha(xi, eta) I + i beta(xi, eta) g5 and blowup_G contributes
 G(psi) i g0 psi, both on the i-g0-d/dt side of the equation.
 hyperbolic_rhs_nonlinearity returns every family as a first-order right
@@ -19,20 +19,18 @@ from typing import Callable
 import numpy as np
 
 from .field import Grid, SpinorField, bilinear_densities, sobolev_norm
-from .gamma import BASIS, apply
+from .gamma import BASIS
 from .initial_data import random_smooth
 
 __all__ = [
     "Mass",
     "PotentialSpec",
     "NonlinearitySpec",
-    "InducedPotential",
     "ModelSpec",
     "PotentialFlagError",
     "linear_form",
     "potential_field",
     "hyperbolic_rhs_nonlinearity",
-    "induced_potential",
     "lipschitz_probe",
 ]
 
@@ -46,10 +44,6 @@ class Mass:
     def __post_init__(self):
         if not (math.isfinite(self.m.real) and math.isfinite(self.m.imag)):
             raise ValueError("mass must be finite")
-
-    @property
-    def im_abs(self) -> float:
-        return abs(self.m.imag)
 
 
 class PotentialFlagError(ValueError):
@@ -140,10 +134,10 @@ def potential_field(spec: PotentialSpec, grid: Grid) -> np.ndarray | None:
 class NonlinearitySpec:
     """Selected nonlinear term.
 
-    kinds: none, power_abs (sign * |psi|^alpha psi), power_g0g5
-    (|g0 g5 psi|^alpha psi), lochak_form ((alpha_fn I + i beta_fn g5) psi
-    with real alpha_fn(xi, eta), beta_fn(xi, eta)), blowup_G
-    (c0 |psi|^alpha I as G, contributing G(psi) i g0 psi).
+    kinds: none, power_abs (sign * |psi|^alpha psi), lochak_form
+    ((alpha_fn I + i beta_fn g5) psi with real alpha_fn(xi, eta),
+    beta_fn(xi, eta)), blowup_G (c0 |psi|^alpha I as G, contributing
+    G(psi) i g0 psi).
     """
 
     kind: str = "none"
@@ -154,7 +148,7 @@ class NonlinearitySpec:
     beta_fn: Callable | None = None
 
     def __post_init__(self):
-        kinds = ("none", "power_abs", "power_g0g5", "lochak_form", "blowup_G")
+        kinds = ("none", "power_abs", "lochak_form", "blowup_G")
         if self.kind not in kinds:
             raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
         if self.kind != "none" and not self.alpha_exp > 0:
@@ -196,14 +190,6 @@ def linear_form(c_xi: float, c_eta: float) -> Callable:
 
 
 @dataclass(frozen=True)
-class InducedPotential:
-    """Pointwise coefficient fields of alpha I + i beta g5 induced by a state."""
-
-    alpha_field: np.ndarray
-    beta_field: np.ndarray
-
-
-@dataclass(frozen=True)
 class ModelSpec:
     """Everything entering the equation besides the background geometry."""
 
@@ -215,43 +201,27 @@ class ModelSpec:
 def hyperbolic_rhs_nonlinearity(spec: NonlinearitySpec, f: SpinorField) -> SpinorField:
     """Nonlinear term as the right side of the first-order system.
 
-    The Lipschitz families give sign*|psi|^a psi and |g0 g5 psi|^a psi.
     The covariant families carry the left factor -i g0 written out:
     -i g0 (alpha I + i beta g5) psi = -i alpha g0 psi + beta g0 g5 psi for
     lochak_form, and -i g0 (c0 |psi|^a i g0 psi) = c0 |psi|^a psi for
-    blowup_G.  Zero input always maps to zero output.
+    blowup_G, which is power_abs (sign |psi|^a psi) with c0 for the sign.
+    Zero input always maps to zero output.
     """
     if spec.is_none:
         raise ValueError("hyperbolic_rhs_nonlinearity requires kind != 'none'")
     p = f.data
-    if spec.kind == "power_abs":
-        mag = np.sqrt(np.sum(np.abs(p) ** 2, axis=0))
-        out = spec.sign * mag**spec.alpha_exp * p
-    elif spec.kind == "power_g0g5":
-        w = apply(BASIS.g0 @ BASIS.g5, p)
-        mag = np.sqrt(np.sum(np.abs(w) ** 2, axis=0))
-        out = mag**spec.alpha_exp * p
-    elif spec.kind == "lochak_form":
+    if spec.kind == "lochak_form":
         dens = bilinear_densities(f)
         ia = 1j * np.asarray(spec.alpha_fn(dens.xi, dens.eta), dtype=float)
         b = np.asarray(spec.beta_fn(dens.xi, dens.eta), dtype=float)
         # g0 = diag(1, 1, -1, -1); g0 g5 maps (u, l) to (-l, u)
         up, lo = p[:2], p[2:]
         out = np.concatenate((-ia * up - b * lo, ia * lo + b * up))
-    else:  # blowup_G
+    else:  # power_abs, blowup_G: c |psi|^a psi
+        c = spec.sign if spec.kind == "power_abs" else spec.c0
         mag = np.sqrt(np.sum(np.abs(p) ** 2, axis=0))
-        out = spec.c0 * mag**spec.alpha_exp * p
+        out = c * mag**spec.alpha_exp * p
     return f.with_data(out.astype(complex, copy=False))
-
-
-def induced_potential(spec: NonlinearitySpec, f: SpinorField) -> InducedPotential:
-    if spec.kind != "lochak_form":
-        raise ValueError("induced_potential requires kind 'lochak_form'")
-    dens = bilinear_densities(f)
-    return InducedPotential(
-        alpha_field=np.asarray(spec.alpha_fn(dens.xi, dens.eta), dtype=float),
-        beta_field=np.asarray(spec.beta_fn(dens.xi, dens.eta), dtype=float),
-    )
 
 
 def lipschitz_probe(

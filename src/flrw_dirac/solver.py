@@ -42,7 +42,7 @@ from .field import (
     support_radius,
 )
 from .models import ModelSpec, hyperbolic_rhs_nonlinearity, potential_field
-from .spacetime import Cone, Cosmology
+from .spacetime import Cosmology
 
 __all__ = [
     "SolverConfig",
@@ -55,6 +55,7 @@ __all__ = [
     "step",
     "propagate",
     "cone_limit_radius",
+    "guard_cone",
 ]
 
 
@@ -73,13 +74,14 @@ class SolverConfig:
     A run blows up when its squared L2 norm exceeds blowup_factor times the
     initial one (with math.inf, or zero data, only non-finite data count).
     t_start and t_end are normalised to builtin float, so numpy scalar
-    times (quadrature nodes, say) behave like plain numbers downstream.
+    times (quadrature nodes, say) behave like plain numbers downstream, and
+    lm_z, the phase of the recorded Majorana defect, to builtin complex on
+    the unit circle.
     """
 
     t_start: float = 1.0
     t_end: float = 10.0
     cfl: float = 0.25
-    method: str = "rk4"
     dt_max: float = math.inf
     blowup_factor: float = 1e6
     record_every: int = 1
@@ -99,14 +101,16 @@ class SolverConfig:
             raise ValueError("t_end must be >= 1")
         if not 0.0 < self.cfl < 1.0:
             raise ValueError("cfl must lie in (0, 1)")
-        if self.method != "rk4":
-            raise ValueError("only the rk4 method is provided")
         if self.dt_max <= 0:
             raise ValueError("dt_max must be positive")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
         if self.on_cone_violation not in ("error", "stop"):
             raise ValueError("on_cone_violation must be 'error' or 'stop'")
+        if self.lm_z is not None:
+            object.__setattr__(self, "lm_z", complex(self.lm_z))
+            if abs(abs(self.lm_z) - 1.0) > 1e-12:
+                raise ValueError("lm_z must lie on the unit circle")
 
 
 @dataclass
@@ -263,7 +267,7 @@ def rhs(
     model: ModelSpec,
     source: Callable[[float], np.ndarray] | None = None,
 ) -> SpinorField:
-    """Right side of the method-of-lines system at time t."""
+    """Right side of the semi-discrete system at time t."""
     if t <= 0:
         raise ValueError("rhs requires t > 0")
     axes = f.grid.spatial_axes
@@ -337,11 +341,22 @@ def cone_limit_radius(grid: Grid) -> float:
     return 0.5 * grid.box_length - 2.0 * grid.h
 
 
+def guard_cone(radius: float, grid: Grid, t: float, what: str) -> None:
+    """Raise ConeSafetyError when `radius`, the reach of the run named by
+    `what` at time t, reaches cone_limit_radius(grid)."""
+    limit = cone_limit_radius(grid)
+    if radius >= limit:
+        raise ConeSafetyError(
+            f"{what} radius {radius:.3f} at t={t:.4f} reaches the torus limit "
+            f"{limit:.3f}; enlarge the box or lower the end time"
+        )
+
+
 class _Sample(NamedTuple):
     """What an observable reads at one recorded time: the field, its
     squared L2 norm, its bilinear densities and cell volume, and the run's
-    fixed inputs (cfg, cosmo, cone, r0, source and imv = Im V, as
-    attributes of run)."""
+    fixed inputs (cfg, cosmo, r0, source and imv = Im V, as attributes of
+    run)."""
 
     f: SpinorField
     l2: float
@@ -353,7 +368,7 @@ class _Sample(NamedTuple):
 def _cone_leak(s: _Sample) -> float:
     run = s.run
     if run.cfg.track_cone and s.f.time >= run.cfg.t_start:
-        return cone_mass(s.f, run.cone, run.cosmo, margin=run.r0)
+        return cone_mass(s.f, run.cfg.cone_center, run.reach(s.f.time))
     return 0.0
 
 
@@ -415,10 +430,14 @@ class _Recorder:
         self.cfg = cfg
         self.source = source
         self.r0 = r0
-        self.cone = Cone(cfg.cone_center, cfg.t_start, "forward")
         self.imv = _static_im_potential_field(model.potential, grid)
         self.rows: dict[str, list] = {}
         self.last_time = None
+
+    def reach(self, t: float) -> float:
+        """Forward-cone radius at t >= cfg.t_start: r0 plus the comoving
+        distance light travels from cfg.t_start."""
+        return self.r0 + self.cosmo.travel_distance(t, self.cfg.t_start)
 
     def record(self, f: SpinorField, l2: float) -> None:
         """Sample f; l2 is its squared L2 norm, which propagate has already."""
@@ -466,7 +485,7 @@ def propagate(
     stops early on blow-up (norm threshold or non-finite data).
 
     A forward run with cfg.track_cone reaches the forward-cone radius
-    r0 + |phi(t) - phi(t_start)| / a0, with r0 the support radius of f0.
+    r0 + cosmo.travel_distance(t, t_start), with r0 the support radius of f0.
     When that radius would reach cone_limit_radius by cfg.t_end,
     on_cone_violation="error" raises ConeSafetyError before the first step
     and "stop" ends the run at the first step that reaches it.
@@ -483,20 +502,12 @@ def propagate(
     r0 = 0.0
     if cfg.track_cone:
         r0 = support_radius(f0, cfg.cone_center, cfg.cone_mass_fraction)
+    recorder = _Recorder(cosmo, model, cfg, grid, source, r0)
+    tracked = cfg.track_cone and not backward
+    if tracked and cfg.on_cone_violation == "error":
+        guard_cone(recorder.reach(cfg.t_end), grid, cfg.t_end, "forward cone")
     limit = cone_limit_radius(grid)
 
-    def cone_radius(t):
-        return r0 + abs(cosmo.phi(t) - cosmo.phi(cfg.t_start)) / cosmo.a0
-
-    if cfg.track_cone and not backward and cfg.on_cone_violation == "error":
-        radius = cone_radius(cfg.t_end)
-        if radius >= limit:
-            raise ConeSafetyError(
-                f"forward cone radius {radius:.3f} at t_end={cfg.t_end:.4f} reaches "
-                f"the torus limit {limit:.3f}; enlarge the box or lower t_end"
-            )
-
-    recorder = _Recorder(cosmo, model, cfg, grid, source, r0)
     flags = {
         "completed": False,
         "blown_up": False,
@@ -546,7 +557,7 @@ def propagate(
             captured[tc] = f
             pending.pop(0)
 
-        if cfg.track_cone and not backward and cone_radius(f.time) >= limit:
+        if tracked and recorder.reach(f.time) >= limit:
             flags["cone_violation"] = True
             recorder.record(f, e)
             break

@@ -1,18 +1,18 @@
-"""Cosmological background: power-law scale factor and null-cone geometry.
+"""Cosmological background: power-law scale factor and causal reach.
 
 The scale factor is a(t) = a0 * t**ell with a general real exponent.  The
-conformal-distance function phi and the comoving travel distance carry the
-whole causal structure: a signal emitted at (x0, t0) reaches at time t the
-sphere |x - x0| = |phi(t) - phi(t0)| / a0.
+comoving travel distance carries the whole causal structure: a signal
+emitted at (x0, t0) reaches at time t >= t0 the sphere
+|x - x0| = travel_distance(t, t0) = (phi(t) - phi(t0)) / a0.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Cosmology", "Cone", "cone_radius"]
+__all__ = ["Cosmology"]
 
 # below this distance from 1 the exponent is treated as exactly 1
 # (logarithmic branch of phi)
@@ -74,48 +74,24 @@ class Cosmology:
         out = t ** (-self.ell)
         return float(out) if out.ndim == 0 else out
 
-    def travel_distance(self, t):
-        """Comoving distance crossed by a null ray between times 1 and t.
+    def travel_distance(self, t, t0: float = 1.0):
+        """Comoving distance crossed by a null ray between times t0 and t.
 
-        Closed form of the integral of 1/a over [1, t]:
-        (t**(1-ell) - 1)/(a0*(1-ell)) for ell != 1, log(t)/a0 for ell = 1.
+        Closed form of the integral of 1/a over [t0, t]:
+        (t**(1-ell) - t0**(1-ell))/(a0*(1-ell)) for ell != 1, and
+        (log(t) - log(t0))/a0 for ell = 1; requires t >= t0 > 0.  Data
+        supported within R of a point at t0 stay within R + this distance
+        of it at t.  The t0 terms are exactly 0 for the default t0 = 1, and t
+        and t0 go through the same arithmetic, so the distance is additive
+        over consecutive intervals up to rounding of the differences.
         """
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 1):
-            raise ValueError("travel_distance requires t >= 1")
+        t = _positive_times(t, "travel_distance")
+        if not t0 > 0 or (t < t0 if t.ndim == 0 else np.any(t < t0)):
+            raise ValueError("travel_distance requires t >= t0 > 0")
+        t0 = np.asarray(t0, dtype=float)
         if self.ell_is_one:
-            out = np.log(t) / self.a0
+            out = (np.log(t) - np.log(t0)) / self.a0
         else:
-            out = (t ** (1.0 - self.ell) - 1.0) / (self.a0 * (1.0 - self.ell))
+            p = 1.0 - self.ell
+            out = (t**p - t0**p) / (self.a0 * p)
         return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class Cone:
-    """Null cone with apex (x0, t0), opening forward or backward in time."""
-
-    apex_x: tuple[float, float, float]
-    apex_t: float
-    direction: str = "forward"  # "forward" | "backward"
-
-    def __post_init__(self):
-        if self.apex_t <= 0:
-            raise ValueError("cone apex time must be positive")
-        if self.direction not in ("forward", "backward"):
-            raise ValueError("direction must be 'forward' or 'backward'")
-        if len(self.apex_x) != 3:
-            raise ValueError("apex_x must be a 3-vector")
-
-
-def cone_radius(cone: Cone, cosmo: Cosmology, t: float) -> float:
-    """Radius of the cone's slice at time t: |phi(t) - phi(t0)| / a0.
-
-    Forward cones require t >= t0, backward cones t <= t0.
-    """
-    if t <= 0:
-        raise ValueError("cone_radius requires t > 0")
-    if cone.direction == "forward" and t < cone.apex_t:
-        raise ValueError("forward cone evaluated before its apex")
-    if cone.direction == "backward" and t > cone.apex_t:
-        raise ValueError("backward cone evaluated after its apex")
-    return abs(cosmo.phi(t) - cosmo.phi(cone.apex_t)) / cosmo.a0

@@ -253,6 +253,59 @@ def test_simulate_mis_shaped_potential_matrix_is_config_error(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert "field 'potential'" in err and "'matrix' must be a 4x4 matrix" in err
 
+@pytest.mark.parametrize("value", ["false", 0])
+@pytest.mark.parametrize("path", [
+    "solver.track_cone",
+    "outputs.snapshots",
+    "initial_data.lm_constrained",
+    "potential.hermitian_required",
+    "potential.gamma2_condition_required",
+])
+def test_simulate_non_bool_flag_is_config_error(tmp_path, capsys, path, value):
+    tree = config()
+    section, key = path.split(".")
+    tree.setdefault(section, {})[key] = value
+    code, record = simulate(tmp_path, tree)
+    assert code == 1
+    assert not record.exists()
+    assert f"field {path!r} must be true or false" in capsys.readouterr().err
+
+
+def test_simulate_untracked_cone_measures_no_support(tmp_path):
+    tree = config()
+    tree["solver"]["track_cone"] = False
+    code, record = simulate(tmp_path, tree)
+    assert code == 0
+    tree = json.loads(record.read_text())
+    assert tree["support_radius0"] == 0.0
+    assert set(tree["series"]["cone_leak"]) == {0.0}
+
+
+def test_simulate_defect_phase_off_the_unit_circle_is_config_error(tmp_path, capsys):
+    code, record = simulate(tmp_path, config(lm_z=2.0))
+    assert code == 1
+    assert not record.exists()
+    err = capsys.readouterr().err
+    assert "config error: field 'solver'" in err and "unit circle" in err
+
+
+@pytest.mark.parametrize("section, value, field", [
+    ("potential", "zero", "'potential' must be an object"),
+    ("nonlinearity", "cubic", "'nonlinearity' must be an object"),
+    ("nonlinearity", {"kind": "lochak_form", "alpha_coeffs": ["a", 0]}, "'nonlinearity'"),
+    ("nonlinearity", {"kind": "lochak_form", "beta_coeffs": 5}, "'nonlinearity'"),
+    ("initial_data", {"amplitude": "big"}, "'initial_data.amplitude' must be a number"),
+    ("initial_data", [2.0], "'initial_data' must be an object"),
+])
+def test_simulate_malformed_section_is_config_error(tmp_path, capsys, section, value, field):
+    tree = config()
+    tree[section] = value
+    code, record = simulate(tmp_path, tree)
+    assert code == 1
+    assert not record.exists()
+    assert f"config error: field {field}" in capsys.readouterr().err
+
+
 def test_simulate_plane_wave_is_a_unit_wavenumber_gaussian(tmp_path):
     tree = config()
     tree["initial_data"] = {"family": "plane_wave", "width": 2.0, "amplitude": 0.7}

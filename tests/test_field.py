@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from flrw_dirac.field import (
     Grid,
     SpinorField,
+    _derivative_wavenumbers,
     bilinear_densities,
     cone_mass,
     gamma2_bilinear,
@@ -14,14 +15,22 @@ from flrw_dirac.field import (
     majorana_defect,
     save_snapshot,
     sobolev_norm,
-    spectral_derivative,
     support_radius,
 )
 from flrw_dirac.gamma import BASIS
 from flrw_dirac.initial_data import compact_bump, random_smooth
-from flrw_dirac.spacetime import Cone, Cosmology
+from flrw_dirac.models import ModelSpec
+from flrw_dirac.solver import rhs
+from flrw_dirac.spacetime import Cosmology
 
 TWO_PI = 2.0 * np.pi
+ORIGIN = (0.0, 0.0, 0.0)
+
+
+def free_transport(f):
+    """-alpha^j d_j f: the right side with ell = 0 (a = 1) and m = 0, whose
+    symbol is built from the odd-derivative wavenumbers."""
+    return rhs(f, 1.0, Cosmology(0.0, 1.0), ModelSpec()).data
 
 
 def constant_field(grid, v, time=1.0):
@@ -101,32 +110,33 @@ def test_sobolev_zero_field_and_bounds(grid1d):
 
 def test_derivative_constant_is_zero(grid1d):
     f = constant_field(grid1d, (1, 2, 3, 4))
-    d = spectral_derivative(f, 1)
-    assert np.max(np.abs(d.data)) < 1e-13
+    assert np.max(np.abs(free_transport(f))) < 1e-13
 
 
 def test_derivative_sin_to_cos(grid1d):
     x = grid1d.axis_coordinates()
     v = np.array([1.0, 0.5, -0.25, 2.0])
     f = SpinorField(grid1d, (v[:, None] * np.sin(x)).astype(complex), 1.0)
-    d = spectral_derivative(f, 1)
-    assert np.max(np.abs(d.data - v[:, None] * np.cos(x))) < 1e-12
+    expected = -(BASIS.alpha1 @ v)[:, None] * np.cos(x)
+    assert np.max(np.abs(free_transport(f) - expected)) < 1e-12
 
 
 def test_derivative_axes_commute_3d():
+    """(alpha . grad)^2 is the Laplacian: the cross terms
+    {alpha^i, alpha^j} d_i d_j cancel because the alphas anticommute and the
+    derivatives along different axes commute."""
     g = Grid(dim=3, n=8, box_length=TWO_PI)
     f = random_smooth(g, amplitude=1.0, seed=11, corr_modes=2.0)
-    d12 = spectral_derivative(spectral_derivative(f, 1), 2)
-    d21 = spectral_derivative(spectral_derivative(f, 2), 1)
-    assert np.max(np.abs(d12.data - d21.data)) < 1e-12
-    with pytest.raises(ValueError):
-        spectral_derivative(f, 4)
+    twice = free_transport(f.with_data(free_transport(f)))
+    k_sq = sum(k**2 for k in _derivative_wavenumbers(g))
+    laplacian = np.fft.ifftn(-k_sq * np.fft.fftn(f.data, axes=(1, 2, 3)), axes=(1, 2, 3))
+    assert np.max(np.abs(twice - laplacian)) < 1e-12
 
 
 def test_derivative_antisymmetric(grid1d):
+    """The free transport is skew-adjoint: Re <-alpha^j d_j f, f> = 0."""
     f = random_smooth(grid1d, amplitude=1.0, seed=5)
-    d = spectral_derivative(f, 1)
-    inner = np.sum(np.conj(d.data) * f.data) * grid1d.h
+    inner = np.sum(np.conj(free_transport(f)) * f.data) * grid1d.h
     assert abs(inner.real) < 1e-12 * l2_norm_sq(f)
 
 
@@ -215,21 +225,31 @@ def test_rho2_zero_state_with_nonzero_defect(grid1d):
 
 
 def test_cone_mass(grid1d):
-    cosmo = Cosmology(0.0, 1.0)
-    cone = Cone((0.0, 0.0, 0.0), 1.0, "forward")
     zero = constant_field(grid1d, (0, 0, 0, 0))
-    assert cone_mass(zero, cone, cosmo) == 0.0
+    assert cone_mass(zero, ORIGIN, 0.0) == 0.0
 
     bump = compact_bump(grid1d, amplitude=1.0, width=0.5)
-    # slice radius 1.0 > support radius 0.5 at t = 2
-    f = bump.with_data(bump.data, time=2.0)
-    assert cone_mass(f, cone, cosmo) < 1e-30
+    # radius 1.0 > support radius 0.5
+    assert cone_mass(bump, ORIGIN, 1.0) < 1e-30
 
-    uniform = constant_field(grid1d, (1, 0, 0, 0), time=1.0)
-    half_cone = Cone((0.0, 0.0, 0.0), 1.0, "forward")
-    # at t = 1 the slice radius is 0; inflate to cover half the box
-    got = cone_mass(uniform, half_cone, cosmo, margin=grid1d.box_length / 4)
+    uniform = constant_field(grid1d, (1, 0, 0, 0))
+    # a radius of a quarter box covers half of it
+    got = cone_mass(uniform, ORIGIN, grid1d.box_length / 4)
     assert got == pytest.approx(0.5 * l2_norm_sq(uniform), rel=4.0 / grid1d.n)
+    assert cone_mass(uniform, ORIGIN, grid1d.box_length / 2) == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 1000), st.floats(-3.0, 3.0),
+       st.lists(st.floats(0.0, 4.0), min_size=2, max_size=2))
+def test_cone_mass_does_not_grow_with_the_radius(seed, x0, radii):
+    grid = Grid(dim=1, n=64, box_length=TWO_PI)
+    f = random_smooth(grid, amplitude=1.0, seed=seed)
+    small, large = sorted(radii)
+    inner = cone_mass(f, (x0, 0.0, 0.0), small)
+    outer = cone_mass(f, (x0, 0.0, 0.0), large)
+    assert outer <= inner * (1.0 + 1e-12)
+    assert inner <= l2_norm_sq(f) * (1.0 + 1e-12)
 
 
 def test_support_radius(grid1d):

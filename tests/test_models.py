@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flrw_dirac.field import Grid, SpinorField, l2_norm_sq
+from flrw_dirac.field import Grid, SpinorField, bilinear_densities, l2_norm_sq
 from flrw_dirac.gamma import BASIS, apply
 from flrw_dirac.initial_data import random_smooth
 from flrw_dirac.models import (
@@ -12,7 +12,6 @@ from flrw_dirac.models import (
     PotentialFlagError,
     PotentialSpec,
     hyperbolic_rhs_nonlinearity,
-    induced_potential,
     linear_form,
     lipschitz_probe,
     potential_field,
@@ -27,7 +26,6 @@ def constant_field(v, time=1.0):
 
 
 def test_mass_validation():
-    assert Mass(0.5 + 0.25j).im_abs == 0.25
     with pytest.raises(ValueError):
         Mass(complex(np.nan, 0.0))
 
@@ -47,7 +45,6 @@ def test_power_abs_on_unit_spinor():
     [
         NonlinearitySpec(kind="power_abs", alpha_exp=2.0),
         NonlinearitySpec(kind="power_abs", alpha_exp=0.5, sign=-1),
-        NonlinearitySpec(kind="power_g0g5", alpha_exp=1.0),
         NonlinearitySpec(
             kind="lochak_form",
             alpha_fn=linear_form(1.0, 0.0),
@@ -82,16 +79,10 @@ def test_lochak_form_is_the_stated_covariant_term():
         beta_fn=linear_form(0.2, 0.9),
     )
     f = random_smooth(GRID, amplitude=1.0, seed=29)
-    a = induced_potential(spec, f)
-    expected = a.alpha_field * f.data + 1j * a.beta_field * apply(BASIS.g5, f.data)
+    dens = bilinear_densities(f)
+    alpha, beta = spec.alpha_fn(dens.xi, dens.eta), spec.beta_fn(dens.xi, dens.eta)
+    expected = alpha * f.data + 1j * beta * apply(BASIS.g5, f.data)
     assert np.allclose(covariant(spec, f), expected, rtol=0, atol=1e-14)
-
-
-def test_power_g0g5_on_basis_spinor():
-    spec = NonlinearitySpec(kind="power_g0g5", alpha_exp=3.0)
-    f = constant_field((2, 0, 0, 0))
-    out = hyperbolic_rhs_nonlinearity(spec, f)
-    assert np.allclose(out.data, 8.0 * f.data)
 
 
 @settings(max_examples=30, deadline=None)
@@ -125,20 +116,15 @@ def test_lochak_requires_vanishing_coefficients():
 
 
 def test_induced_potential():
+    """On the basis spinor (1, 0, 0, 0), xi = 1 and eta = 0, so the induced
+    potential alpha I + i beta g5 with alpha = xi and beta = eta is I."""
     spec = NonlinearitySpec(
         kind="lochak_form",
         alpha_fn=linear_form(1.0, 0.0),
         beta_fn=linear_form(0.0, 1.0),
     )
-    zero = induced_potential(spec, constant_field((0, 0, 0, 0)))
-    assert np.all(zero.alpha_field == 0) and np.all(zero.beta_field == 0)
-    lm = induced_potential(spec, constant_field((1, 0, 1, 0)))
-    assert np.max(np.abs(lm.alpha_field)) < 1e-14
-    basis = induced_potential(spec, constant_field((1, 0, 0, 0)))
-    assert np.allclose(basis.alpha_field, 1.0)
-    assert np.allclose(basis.beta_field, 0.0)
-    with pytest.raises(ValueError):
-        induced_potential(NonlinearitySpec(kind="power_abs"), constant_field((1, 0, 0, 0)))
+    f = constant_field((1, 0, 0, 0))
+    assert np.allclose(covariant(spec, f), f.data)
 
 
 def test_hyperbolic_form_energy_neutral_for_lochak():
@@ -171,6 +157,8 @@ def test_nonlinearity_validation():
         NonlinearitySpec(kind="power_abs", alpha_exp=-1.0)
     with pytest.raises(ValueError):
         NonlinearitySpec(kind="nope")
+    with pytest.raises(ValueError, match="unknown nonlinearity kind"):
+        NonlinearitySpec(kind="power_g0g5")  # power_abs with sign +1
     with pytest.raises(ValueError):
         NonlinearitySpec(kind="blowup_G", c0=0.0)
     with pytest.raises(ValueError):

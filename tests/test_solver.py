@@ -371,10 +371,20 @@ def test_config_validation():
         SolverConfig(t_start=0.5, t_end=2.0)
     with pytest.raises(ValueError):
         SolverConfig(cfl=1.5)
-    with pytest.raises(ValueError):
-        SolverConfig(method="euler")
+    with pytest.raises(TypeError):
+        SolverConfig(method="rk4")  # RK4 is the only integrator
     with pytest.raises(ValueError):
         SolverConfig(record_every=0)
+
+
+def test_config_checks_the_defect_phase():
+    """lm_z is stored as a builtin complex and must lie on the unit circle."""
+    cfg = SolverConfig(lm_z=np.complex128(1j))
+    assert type(cfg.lm_z) is complex and cfg.lm_z == 1j
+    assert SolverConfig().lm_z is None
+    for z in (2.0, 0.0, 1.0 + 1e-9):
+        with pytest.raises(ValueError, match="unit circle"):
+            SolverConfig(lm_z=z)
 
 
 def test_config_coerces_numpy_times_to_float():

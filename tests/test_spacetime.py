@@ -2,8 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flrw_dirac.spacetime import Cone, Cosmology, cone_radius
+from flrw_dirac.spacetime import Cosmology
+
+# ell in [0, 3], with the logarithmic branch ell = 1 drawn on its own
+ELLS = st.one_of(st.just(1.0), st.floats(0.0, 3.0))
 
 
 def test_scale_examples():
@@ -33,38 +38,67 @@ def test_domain_errors():
     with pytest.raises(ValueError):
         c.travel_distance(0.5)
     with pytest.raises(ValueError):
+        c.travel_distance(np.array([2.0, 0.5]))
+    with pytest.raises(ValueError):
         Cosmology(0.5, a0=-1.0)
     with pytest.raises(ValueError):
         Cosmology(math.nan)
 
 
 def test_cone_radius_examples():
+    """The cone radius between t0 and t is travel_distance(t, t0), whichever
+    end is the apex: the backward cone with apex 8 has radius 3 at t = 1."""
     c = Cosmology(2 / 3, 1.0)
-    backward = Cone((0.0, 0.0, 0.0), 8.0, "backward")
-    assert cone_radius(backward, c, 1.0) == pytest.approx(3.0)
-    forward = Cone((0.0, 0.0, 0.0), 1.0, "forward")
-    assert cone_radius(forward, Cosmology(0.0, 1.0), 4.0) == pytest.approx(3.0)
-    assert cone_radius(forward, c, 1.0) == pytest.approx(0.0)
+    assert c.travel_distance(8.0, 1.0) == pytest.approx(3.0)
+    assert c.travel_distance(27.0, 8.0) == pytest.approx(3.0)
+    assert Cosmology(0.0, 1.0).travel_distance(4.0, 1.0) == pytest.approx(3.0)
+    assert c.travel_distance(1.0, 1.0) == 0.0
+    assert Cosmology(1.0).travel_distance(2.0 * math.e, 2.0) == pytest.approx(1.0)
 
 
 def test_cone_wrong_side_rejected():
     c = Cosmology(0.5)
     with pytest.raises(ValueError):
-        cone_radius(Cone((0, 0, 0), 2.0, "forward"), c, 1.0)
+        c.travel_distance(1.0, 2.0)
     with pytest.raises(ValueError):
-        cone_radius(Cone((0, 0, 0), 2.0, "backward"), c, 3.0)
+        c.travel_distance(1.0, 0.0)
     with pytest.raises(ValueError):
-        Cone((0, 0, 0), -1.0, "forward")
-    with pytest.raises(ValueError):
-        Cone((0, 0, 0), 1.0, "sideways")
+        c.travel_distance(1.0, -1.0)
 
 
 @pytest.mark.parametrize("ell", [-0.5, 0.0, 0.5, 1.0, 2.0])
 def test_travel_distance_equals_unit_apex_cone_radius(ell):
     c = Cosmology(ell, 1.0)
-    cone = Cone((0.0, 0.0, 0.0), 1.0, "forward")
     for t in (1.0, 1.7, 3.0, 9.0):
-        assert c.travel_distance(t) == pytest.approx(cone_radius(cone, c, t))
+        assert c.travel_distance(t) == c.travel_distance(t, 1.0)
+        assert c.travel_distance(t) == pytest.approx((c.phi(t) - c.phi(1.0)) / c.a0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ELLS, st.lists(st.floats(0.05, 1e3), min_size=3, max_size=3))
+def test_travel_distance_is_additive(ell, times):
+    t0, t1, t2 = sorted(times)
+    c = Cosmology(ell, 1.0)
+    whole = c.travel_distance(t2, t0)
+    parts = c.travel_distance(t1, t0) + c.travel_distance(t2, t1)
+    assert math.isclose(whole, parts, rel_tol=1e-12, abs_tol=0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ELLS, st.lists(st.floats(1.0, 1e4), min_size=1, max_size=5),
+       st.floats(0.1, 10.0))
+def test_unit_apex_travel_distance_is_the_one_sided_formula(ell, times, a0):
+    """With t0 = 1 the distance is bit-equal to the closed form without the
+    t0 terms, (t**(1-ell) - 1)/(a0 (1-ell)) or log(t)/a0, for scalars and
+    arrays."""
+    c = Cosmology(ell, a0)
+    for t in (np.asarray(times[0]), np.asarray(times)):
+        if c.ell_is_one:
+            expected = np.log(t) / a0
+        else:
+            expected = (t ** (1.0 - ell) - 1.0) / (a0 * (1.0 - ell))
+        assert np.array_equal(c.travel_distance(t), expected)
+        assert np.array_equal(c.travel_distance(t, 1.0), expected)
 
 
 @pytest.mark.parametrize("ell", [-1.0, 0.0, 0.5, 1.0, 1.5, 3.0])
@@ -86,6 +120,5 @@ def test_travel_distance_asymptotics():
 
 def test_a0_scaling_of_cones():
     c = Cosmology(0.0, a0=2.0)
-    cone = Cone((0.0, 0.0, 0.0), 1.0, "forward")
-    assert cone_radius(cone, c, 3.0) == pytest.approx(1.0)
     assert c.travel_distance(3.0) == pytest.approx(1.0)
+    assert c.travel_distance(5.0, 3.0) == pytest.approx(1.0)
