@@ -71,6 +71,21 @@ def _expect_number(tree, path, lo=None, hi=None, required=False, default=None):
     return float(val)
 
 
+def _expect_int(tree, path, lo=None, hi=None, required=False, default=None) -> int:
+    """An integer field; an integral float such as 64.0 is taken as an
+    integer, while a fraction, a bool, a string or null is an error."""
+    val = _get(tree, path, default=default, required=required)
+    if isinstance(val, float) and val.is_integer():
+        val = int(val)
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise ConfigError(f"field {path!r} must be an integer")
+    if lo is not None and val < lo:
+        raise ConfigError(f"field {path!r} must be >= {lo}")
+    if hi is not None and val > hi:
+        raise ConfigError(f"field {path!r} must be <= {hi}")
+    return val
+
+
 def _expect_bool(tree, path, default: bool) -> bool:
     val = _get(tree, path, default=default)
     if not isinstance(val, bool):
@@ -160,8 +175,8 @@ def load_run_config(tree: dict):
 
     mass = Mass(_complex_from(_get(tree, "mass", default=0.0), "mass"))
 
-    dim = int(_expect_number(tree, "grid.dim", required=True))
-    n = int(_expect_number(tree, "grid.n", required=True))
+    dim = _expect_int(tree, "grid.dim", required=True)
+    n = _expect_int(tree, "grid.n", required=True)
     box = _expect_number(tree, "grid.box_length", lo=1e-12, required=True)
     try:
         grid = Grid(dim=dim, n=n, box_length=box)
@@ -181,10 +196,8 @@ def load_run_config(tree: dict):
         t_start=t_start,
         t_end=t_end,
         cfl=cfl,
-        record_every=int(_expect_number(tree, "solver.record_every", lo=1, default=1)),
-        sobolev_order=int(
-            _expect_number(tree, "solver.sobolev_order", lo=0, hi=6, default=1)
-        ),
+        record_every=_expect_int(tree, "solver.record_every", lo=1, default=1),
+        sobolev_order=_expect_int(tree, "solver.sobolev_order", lo=0, hi=6, default=1),
         blowup_factor=_expect_number(tree, "solver.blowup_factor", lo=1.0, default=1e6),
         track_cone=_expect_bool(tree, "solver.track_cone", True),
         on_cone_violation=_get(tree, "solver.on_cone_violation", default="error"),
@@ -210,7 +223,7 @@ def load_run_config(tree: dict):
         if key in ini:
             data_kwargs[key] = _expect_number(tree, f"initial_data.{key}")
     if "seed" in ini:
-        data_kwargs["seed"] = int(ini["seed"])
+        data_kwargs["seed"] = _expect_int(tree, "initial_data.seed")
     if "coeffs" in ini:
         data_kwargs["coeffs"] = tuple(
             _complex_from(c, "initial_data.coeffs") for c in ini["coeffs"]
@@ -226,15 +239,22 @@ def load_run_config(tree: dict):
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"field 'initial_data': {exc}") from None
 
+    out_node = _expect_section(tree, "outputs", {})
     outputs = {
-        "dir": _get(tree, "outputs.dir", default="."),
+        "dir": out_node.get("dir", "."),
         "snapshots": _expect_bool(tree, "outputs.snapshots", False),
     }
+    if not isinstance(outputs["dir"], str):
+        raise ConfigError("field 'outputs.dir' must be a string")
     return cosmo, model, grid, f0, cfg, outputs
 
 
-def run_simulation(tree: dict, out_dir: Path) -> tuple[RunRecord, Path]:
+def run_simulation(tree: dict, out_dir: Path | None = None) -> tuple[RunRecord, Path]:
+    """Run the configured simulation and write its outputs to out_dir
+    (default: the config's outputs.dir)."""
     cosmo, model, grid, f0, cfg, outputs = load_run_config(tree)
+    if out_dir is None:
+        out_dir = Path(outputs["dir"])
     record = propagate(f0, cosmo, model, cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     if outputs["snapshots"]:
@@ -256,9 +276,8 @@ def cmd_simulate(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out_dir = Path(args.out) if args.out else Path(tree.get("outputs", {}).get("dir", "."))
     try:
-        record, path = run_simulation(tree, out_dir)
+        record, path = run_simulation(tree, Path(args.out) if args.out else None)
     except (ConfigError, ConeSafetyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -109,9 +109,21 @@ def _k_squared(grid: Grid) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=32)
+def _sobolev_weight(grid: Grid, k: int) -> np.ndarray:
+    """The H_k symbol (1 + |xi|^2)**k on the grid (read-only)."""
+    out = (1.0 + _k_squared(grid)) ** k
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class SpinorField:
-    """A 4-spinor field sampled on a grid at one instant."""
+    """A 4-spinor field sampled on a grid at one instant.
+
+    `data` is never mutated after construction: the cached `spectrum`
+    depends on it.  Build a changed field with `with_data`.
+    """
 
     grid: Grid
     data: np.ndarray
@@ -126,6 +138,22 @@ class SpinorField:
 
     def with_data(self, data: np.ndarray, time: float | None = None) -> "SpinorField":
         return SpinorField(self.grid, data, self.time if time is None else time)
+
+    def with_spectrum(self, hat: np.ndarray, time: float | None = None) -> "SpinorField":
+        """The field whose Fourier coefficients are `hat`: one inverse FFT,
+        and `hat` (made read-only) becomes the new field's spectrum."""
+        out = self.with_data(np.fft.ifftn(hat, axes=self.grid.spatial_axes), time)
+        hat.setflags(write=False)
+        out.__dict__["spectrum"] = hat
+        return out
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Fourier coefficients of `data` over the spatial axes (read-only),
+        computed once per field."""
+        hat = np.fft.fftn(self.data, axes=self.grid.spatial_axes)
+        hat.setflags(write=False)
+        return hat
 
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.data.view(float))))
@@ -152,9 +180,7 @@ def sobolev_norm(f: SpinorField, k: int) -> float:
     """
     if not 0 <= k <= MAX_SOBOLEV_ORDER:
         raise ValueError(f"k must be in [0, {MAX_SOBOLEV_ORDER}]")
-    hat = np.fft.fftn(f.data, axes=f.grid.spatial_axes)
-    weight = (1.0 + _k_squared(f.grid)) ** k
-    total = np.sum(weight * np.abs(hat) ** 2)
+    total = np.sum(_sobolev_weight(f.grid, k) * np.abs(f.spectrum) ** 2)
     norm_sq = total * f.grid.cell_volume / f.grid.n**f.grid.dim
     return float(np.sqrt(norm_sq))
 

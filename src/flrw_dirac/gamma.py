@@ -13,7 +13,6 @@ import numpy as np
 __all__ = [
     "GammaBasis",
     "build_basis",
-    "anticommutator",
     "apply",
 ]
 
@@ -95,11 +94,6 @@ def build_basis() -> GammaBasis:
 
 
 BASIS = build_basis()
-
-
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """AB + BA."""
-    return a @ b + b @ a
 
 
 def apply(a: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -10,14 +10,22 @@ transport speed is 1/a(t), so this keeps the Courant number fixed.  Spatial
 derivatives are spectral, which makes the semi-discrete flow conserve the
 quadratic invariants exactly; the recorded drift is pure time-stepping error.
 
-The four RK4 stages run on the Fourier coefficients.  There the free
-operator (the first three terms) is an explicit symbol: i sigma.k on the
-off-diagonal 2x2 blocks scaled by -1/a(t), plus the scalars -3 ell / 2t and
--/+ i m / t on the upper/lower spinor pair (g0 is a sign flip).  The
-x-dependent terms (potential, nonlinearity, source) are evaluated in
-physical space and transformed.  A step without them costs one FFT pair;
-with them, each of the last three stages adds an inverse FFT to form the
-stage field and every stage a forward FFT of those terms (9 FFTs).
+RK4 runs on the Fourier coefficients.  There the free operator (the first
+three terms) is L(t) = d I + s B + mu g0 per mode, with B = i sigma.k on the
+off-diagonal 2x2 blocks, s = -1/a(t), d = -3 ell / 2t and mu = -i m / t (g0
+flips the sign of the lower spinor pair).  B^2 = -|k|^2, g0^2 = I and
+B g0 = -g0 B, so without x-dependent terms a whole step is one element
+r0 I + r1 B + r2 g0 + r3 B g0 of that span, whose coefficients are
+polynomials in |k|^2, applied in one pass.  The x-dependent terms
+(potential, nonlinearity, source) are evaluated in physical space and
+transformed, stage by stage.
+
+Each field a step returns carries its Fourier coefficients
+(SpinorField.spectrum), so the next step and the recorder transform
+nothing: a run makes one forward FFT of its start field, then one inverse
+FFT per free step.  A step with x-dependent terms adds an inverse FFT for
+each of the last three stage fields and a forward FFT of those terms at
+every stage (8 FFTs).
 """
 from __future__ import annotations
 
@@ -220,28 +228,96 @@ def _dirac_symbol(grid: Grid) -> tuple[np.ndarray | None, np.ndarray, np.ndarray
     return entries
 
 
+@lru_cache(maxsize=32)
+def _k_powers(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """K = |k|^2 and K^2 on the odd-derivative wavenumbers, so that
+    B^2 = -K for the B = i sigma.k of _dirac_symbol (read-only)."""
+    k_sq = sum(k**2 for k in _derivative_wavenumbers(grid))
+    out = k_sq, k_sq**2
+    for e in out:
+        e.setflags(write=False)
+    return out
+
+
+def _apply_span(hat: np.ndarray, grid: Grid, p, q=None, s: float = 1.0) -> np.ndarray:
+    """(P + s B Q) hat, per Fourier mode, for B = i sigma.k on the
+    off-diagonal 2x2 blocks.  P and Q lie in the span of I and g0: p = (p_u,
+    p_l) holds the factors on the upper and lower spinor pair, scalars or
+    arrays over the modes, and likewise q, with q None for Q = I."""
+    ik3, ikp, ikm = (None if e is None else s * e for e in _dirac_symbol(grid))
+    hu, hl = hat[:2], hat[2:]
+    wu, wl = (hu, hl) if q is None else (q[0] * hu, q[1] * hl)
+    out = np.empty_like(hat)
+    np.multiply(p[0], hu, out=out[:2])
+    np.multiply(p[1], hl, out=out[2:])
+    out[0] += ikp * wl[1]
+    out[1] += ikm * wl[0]
+    out[2] += ikp * wu[1]
+    out[3] += ikm * wu[0]
+    if ik3 is not None:
+        out[0] += ik3 * wl[0]
+        out[1] -= ik3 * wl[1]
+        out[2] += ik3 * wu[0]
+        out[3] -= ik3 * wu[1]
+    return out
+
+
+def _free_coefficients(t: float, cosmo: Cosmology, m: complex) -> tuple[float, float, complex]:
+    """(d, s, mu) of the free operator d I + s B + mu g0 at time t."""
+    return -1.5 * cosmo.ell / t, -1.0 / cosmo.scale(t), -1j * m / t
+
+
 def _linear_symbol(hat: np.ndarray, t: float, cosmo: Cosmology, m: complex,
                    grid: Grid) -> np.ndarray:
     """d(hat)/dt of the free operator
     -(1/a) sum_j alpha^j d_j - 3 ell / 2t - (i m / t) g0, on Fourier data."""
-    s = -1.0 / cosmo.scale(t)
-    ik3, ikp, ikm = _dirac_symbol(grid)
-    ikp, ikm = s * ikp, s * ikm
-    damp = -1.5 * cosmo.ell / t
-    up, lo = damp - 1j * m / t, damp + 1j * m / t  # g0 = diag(1, 1, -1, -1)
-    h0, h1, h2, h3 = hat
-    out = np.empty_like(hat)
-    out[0] = ikp * h3 + up * h0
-    out[1] = ikm * h2 + up * h1
-    out[2] = ikp * h1 + lo * h2
-    out[3] = ikm * h0 + lo * h3
-    if ik3 is not None:
-        ik3 = s * ik3
-        out[0] += ik3 * h2
-        out[1] -= ik3 * h3
-        out[2] += ik3 * h0
-        out[3] -= ik3 * h1
-    return out
+    d, s, mu = _free_coefficients(t, cosmo, m)
+    return _apply_span(hat, grid, (d + mu, d - mu), s=s)  # g0 = diag(1, 1, -1, -1)
+
+
+def _times_free(x: list, d: float, s: float, mu: complex) -> list:
+    """L x for L = d I + s B + mu g0 and x = r0 I + r1 B + r2 g0 + r3 B g0,
+    where x lists the coefficients of K^0, K^1, K^2 in r0, then in r1, r2
+    and r3.  B^2 = -K, g0^2 = I and B g0 = -g0 B close the span under
+    products; the K^3 terms of K r1 and K r3 are dropped, because every
+    x passed in has r1 and r3 of degree < 2."""
+    a0, a1, a2, b0, b1, b2, c0, c1, c2, e0, e1, e2 = x
+    return [
+        d * a0 + mu * c0, d * a1 + mu * c1 - s * b0, d * a2 + mu * c2 - s * b1,
+        d * b0 + s * a0 - mu * e0, d * b1 + s * a1 - mu * e1, d * b2 + s * a2 - mu * e2,
+        d * c0 + mu * a0, d * c1 + mu * a1 - s * e0, d * c2 + mu * a2 - s * e1,
+        d * e0 + s * c0 - mu * b0, d * e1 + s * c1 - mu * b1, d * e2 + s * c2 - mu * b2,
+    ]
+
+
+def _free_rk4(hat: np.ndarray, t: float, dt: float, cosmo: Cosmology, m: complex,
+              grid: Grid) -> np.ndarray:
+    """One classical RK4 step of the free flow, taken as its amplification
+    R = I + (dt/6)(K1 + 2 K2 + 2 K3 + K4) = r0 I + r1 B + r2 g0 + r3 B g0,
+    whose r_i are polynomials of degree <= 2 in K = |k|^2 built with scalar
+    arithmetic, then applied in one symbol pass."""
+    l1 = _free_coefficients(t, cosmo, m)
+    l2 = _free_coefficients(t + 0.5 * dt, cosmo, m)
+    l4 = _free_coefficients(t + dt, cosmo, m)
+    one = [1.0] + [0.0] * 11
+    k1 = _times_free(one, *l1)
+    k2 = _times_free([o + 0.5 * dt * k for o, k in zip(one, k1)], *l2)
+    k3 = _times_free([o + 0.5 * dt * k for o, k in zip(one, k2)], *l2)
+    k4 = _times_free([o + dt * k for o, k in zip(one, k3)], *l4)
+    r = [o + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + e)
+         for o, a, b, c, e in zip(one, k1, k2, k3, k4)]
+    r0, r1, r2, r3 = r[0:3], r[3:6], r[6:9], r[9:12]
+    k_sq, k_4 = _k_powers(grid)
+
+    def on_modes(u, v, sign):
+        """The polynomial u + sign v in K, on every mode."""
+        c0, c1, c2 = (a + sign * b for a, b in zip(u, v))
+        return c0 + c1 * k_sq + c2 * k_4
+
+    # g0 is +1 on the upper and -1 on the lower spinor pair
+    p = on_modes(r0, r2, 1.0), on_modes(r0, r2, -1.0)
+    q = on_modes(r1, r3, 1.0), on_modes(r1, r3, -1.0)
+    return _apply_span(hat, grid, p, q)
 
 
 def _local_terms(f: SpinorField, t: float, model: ModelSpec,
@@ -270,10 +346,8 @@ def rhs(
     """Right side of the semi-discrete system at time t."""
     if t <= 0:
         raise ValueError("rhs requires t > 0")
-    axes = f.grid.spatial_axes
-    hat = np.fft.fftn(f.data, axes=axes)
-    linear = _linear_symbol(hat, t, cosmo, complex(model.mass.m), f.grid)
-    out = np.fft.ifftn(linear, axes=axes)
+    linear = _linear_symbol(f.spectrum, t, cosmo, complex(model.mass.m), f.grid)
+    out = np.fft.ifftn(linear, axes=f.grid.spatial_axes)
     local = _local_terms(f, t, model, source)
     if local is not None:
         out += local
@@ -305,7 +379,10 @@ def step(
     source: Callable[[float], np.ndarray] | None = None,
     cfl: float | None = None,
 ) -> SpinorField:
-    """One classical RK4 step of size dt (dt < 0 integrates backward)."""
+    """One classical RK4 step of size dt (dt < 0 integrates backward).
+
+    Without x-dependent terms the step is the closed-form free RK4
+    amplification; the field returned carries its spectrum."""
     t = f.time
     if cfl is not None:
         bound = cfl * f.grid.h * min(cosmo.scale(t), cosmo.scale(t + dt))
@@ -316,24 +393,24 @@ def step(
     grid = f.grid
     axes = grid.spatial_axes
     m = complex(model.mass.m)
-    hat = np.fft.fftn(f.data, axes=axes)
+    hat = f.spectrum
     local = _local_terms(f, t, model, source)
+    if local is None:
+        return f.with_spectrum(_free_rk4(hat, t, dt, cosmo, m, grid), time=t + dt)
     k1 = _linear_symbol(hat, t, cosmo, m, grid)
-    if local is not None:
-        k1 += np.fft.fftn(local, axes=axes)
+    k1 += np.fft.fftn(local, axes=axes)
 
     def deriv(stage_hat, t_stage):
         out = _linear_symbol(stage_hat, t_stage, cosmo, m, grid)
-        if local is not None:  # only the x-dependent terms need the stage field
-            g = f.with_data(np.fft.ifftn(stage_hat, axes=axes))
-            out += np.fft.fftn(_local_terms(g, t_stage, model, source), axes=axes)
+        g = f.with_data(np.fft.ifftn(stage_hat, axes=axes))
+        out += np.fft.fftn(_local_terms(g, t_stage, model, source), axes=axes)
         return out
 
     k2 = deriv(hat + 0.5 * dt * k1, t + 0.5 * dt)
     k3 = deriv(hat + 0.5 * dt * k2, t + 0.5 * dt)
     k4 = deriv(hat + dt * k3, t + dt)
     new = hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return f.with_data(np.fft.ifftn(new, axes=axes), time=t + dt)
+    return f.with_spectrum(new, time=t + dt)
 
 
 def cone_limit_radius(grid: Grid) -> float:
@@ -554,7 +631,7 @@ def propagate(
         if pending and direction * (f.time - pending[0]) > 1e-9:
             raise RuntimeError(f"stepped past capture time {pending[0]}")
         if tc is not None and abs(f.time - tc) <= 1e-9:
-            captured[tc] = f
+            captured[tc] = f.with_data(f.data)  # without its spectrum: half the memory
             pending.pop(0)
 
         if tracked and recorder.reach(f.time) >= limit:

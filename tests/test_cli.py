@@ -271,6 +271,62 @@ def test_simulate_non_bool_flag_is_config_error(tmp_path, capsys, path, value):
     assert f"field {path!r} must be true or false" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path, value", [
+    ("grid.dim", 1.5),
+    ("grid.n", 64.9),
+    ("grid.n", "64"),
+    ("grid.n", True),
+    ("solver.record_every", 2.5),
+    ("solver.sobolev_order", "1"),
+    ("initial_data.seed", 2.7),
+    ("initial_data.seed", True),
+    ("initial_data.seed", "x"),
+    ("initial_data.seed", None),
+])
+def test_simulate_non_integer_field_is_config_error(tmp_path, capsys, path, value):
+    tree = config()
+    tree["initial_data"] = {"family": "random_smooth", "amplitude": 0.5}
+    section, key = path.split(".")
+    tree[section][key] = value
+    code, record = simulate(tmp_path, tree)
+    assert code == 1
+    assert not record.exists()
+    assert f"field {path!r} must be an integer" in capsys.readouterr().err
+
+
+def test_simulate_integral_float_is_an_integer(tmp_path):
+    tree = config()
+    tree["initial_data"] = {"family": "random_smooth", "amplitude": 0.5, "seed": 3}
+    tree["solver"].update(record_every=2, track_cone=False)
+    code, ints = simulate(tmp_path, tree, name="ints")
+    tree["grid"]["n"] = 64.0
+    tree["initial_data"]["seed"] = 3.0
+    tree["solver"]["record_every"] = 2.0
+    code_f, floats = simulate(tmp_path, tree, name="floats")
+    assert code == code_f == 0
+    assert ints.read_bytes() == floats.read_bytes()
+
+
+@pytest.mark.parametrize("outputs, field", [
+    ("x", "'outputs' must be an object"),
+    ({"dir": 5}, "'outputs.dir' must be a string"),
+])
+def test_simulate_malformed_outputs_is_config_error(tmp_path, capsys, outputs, field):
+    tree = config()
+    tree["outputs"] = outputs
+    cfg = write_json(tmp_path / "run.json", tree)
+    assert main(["simulate", str(cfg)]) == 1
+    assert f"config error: field {field}" in capsys.readouterr().err
+
+
+def test_simulate_writes_to_outputs_dir_without_out(tmp_path):
+    tree = config()
+    tree["outputs"] = {"dir": str(tmp_path / "from_config")}
+    cfg = write_json(tmp_path / "run.json", tree)
+    assert main(["simulate", str(cfg)]) == 0
+    assert (tmp_path / "from_config" / "record.json").is_file()
+
+
 def test_simulate_untracked_cone_measures_no_support(tmp_path):
     tree = config()
     tree["solver"]["track_cone"] = False

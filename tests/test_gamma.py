@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
-from flrw_dirac.gamma import BASIS, anticommutator, apply, build_basis
+from flrw_dirac.gamma import BASIS, apply, build_basis
 
 I2 = np.eye(2)
 I4 = np.eye(4)
 ZERO4 = np.zeros((4, 4))
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
+
+
+def anticommutator(a, b):
+    """AB + BA."""
+    return a @ b + b @ a
 
 
 def test_g0_applied_twice_is_identity():

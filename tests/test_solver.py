@@ -143,13 +143,19 @@ def _reference_case(dim, terms):
 
 
 @pytest.mark.parametrize("dim", ["3d", "1d"])
-@pytest.mark.parametrize("terms", ["mass", "potential", "nonlinear", "source", "all"])
-def test_rhs_and_step_match_the_physical_space_formula(dim, terms):
+@pytest.mark.parametrize("terms, ell", [
+    pytest.param(terms, 0.5, id=terms)
+    for terms in ("mass", "potential", "nonlinear", "source", "all")
+] + [
+    pytest.param("mass", ell, id=f"mass-ell{ell:g}") for ell in (1.0, 2.0)
+])
+def test_rhs_and_step_match_the_physical_space_formula(dim, terms, ell):
     """rhs and one RK4 step (forward and backward) agree with the term-by-term
     physical-space formula to rounding, for a complex mass alone and with a
-    potential, a nonlinearity, a source, or all of them."""
+    potential, a nonlinearity, a source, or all of them.  The mass-only
+    cases take the closed-form free step, so they also run at ell = 1, 2."""
     f, model, source = _reference_case(dim, terms)
-    cosmo = Cosmology(0.5, 1.0)
+    cosmo = Cosmology(ell, 1.0)
     expected = reference_rhs(f, 1.7, cosmo, model, source)
     assert _rel_max(rhs(f, 1.7, cosmo, model, source).data, expected) < 1e-12
     dt = 0.2 * f.grid.h * cosmo.scale(f.time)
@@ -157,6 +163,43 @@ def test_rhs_and_step_match_the_physical_space_formula(dim, terms):
         out = step(f, h, cosmo, model, source)
         assert out.time == f.time + h
         assert _rel_max(out.data, reference_step(f, h, cosmo, model, source)) < 1e-12
+
+
+def test_step_carries_the_spectrum_of_its_result():
+    """The field step returns holds its Fourier coefficients, with and without
+    local terms; with_data drops them."""
+    for terms in ("mass", "all"):
+        f, model, source = _reference_case("3d", terms)
+        out = step(f, 0.01, COSMO, model, source)
+        assert "spectrum" in vars(out)
+        expected = np.fft.fftn(out.data, axes=out.grid.spatial_axes)
+        assert _rel_max(out.spectrum, expected) < 1e-13
+        assert not out.spectrum.flags.writeable
+    fresh = out.with_data(2.0 * out.data)
+    assert "spectrum" not in vars(fresh)
+    assert np.array_equal(fresh.spectrum, np.fft.fftn(fresh.data, axes=(1, 2, 3)))
+
+
+def test_linear_propagate_makes_one_forward_fft(monkeypatch):
+    """A linear run transforms its start field once and each new state once
+    back; neither the steps nor the recorder recompute a spectrum."""
+    counts = {"fftn": 0, "ifftn": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    grid = Grid(dim=3, n=16, box_length=16.0)
+    f0 = compact_bump(grid, 1.0, 2.0, time=1.0)
+    cfg = SolverConfig(t_start=1.0, t_end=1.5, cfl=0.1, record_every=1, sobolev_order=2)
+    rec = propagate(f0, COSMO, ModelSpec(mass=Mass(0.5 + 0.1j)), cfg)
+    steps = len(rec.series["times"]) - 1
+    assert rec.completed and steps > 3
+    assert counts == {"fftn": 1, "ifftn": steps}
 
 
 def test_step_matches_exact_solution_fourth_order():
