@@ -106,13 +106,13 @@ def classify(case: BlowupCase) -> RegimeVerdict:
 
 
 def _integrand(case: BlowupCase):
-    cosmo = case.cosmology
+    travel_distance = case.cosmology.travel_distance
+    r = case.r_support
+    q = -1.5 * case.alpha_exp
     p = -1.5 * case.alpha_exp * case.ell - case.alpha_exp * case.im_m_abs
 
     def f(t: float) -> float:
-        return (case.r_support + cosmo.travel_distance(t)) ** (
-            -1.5 * case.alpha_exp
-        ) * t**p
+        return (r + travel_distance(t)) ** q * t**p
 
     return f
 

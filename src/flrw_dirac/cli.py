@@ -27,8 +27,8 @@ import numpy as np
 
 from . import blowup as bup
 from . import diagnostics as diag
-from .field import Grid, load_snapshot, save_snapshot
-from .initial_data import make_initial_data
+from .field import Grid, l2_norm_sq, load_snapshot, save_snapshot
+from .initial_data import compact_bump, make_initial_data
 from .kernels import KernelEval, kernel_E, kernel_K1, reconstruct_free
 from .models import Mass, ModelSpec, NonlinearitySpec, PotentialSpec, linear_form
 from .solver import ConeSafetyError, RunRecord, SolverConfig, propagate
@@ -59,8 +59,10 @@ def _get(tree: dict, path: str, default=None, required: bool = False):
 
 
 def _expect_number(tree, path, lo=None, hi=None, required=False, default=None):
+    """A number field; null stands for "absent" only in an optional field
+    without a default, and is an error anywhere else."""
     val = _get(tree, path, default=default, required=required)
-    if val is None:
+    if val is None and default is None and not required:
         return None
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"field {path!r} must be a number")
@@ -115,6 +117,19 @@ def _complex_from(node, path) -> complex:
     if isinstance(node, dict):
         return complex(node.get("re", 0.0), node.get("im", 0.0))
     raise ConfigError(f"field {path!r} must be a number, [re, im] or {{re, im}}")
+
+
+def _center_from(tree) -> tuple[float, float, float]:
+    """initial_data.center: a list of at most 3 numbers, padded with zeros."""
+    path = "initial_data.center"
+    node = _get(tree, path, default=[])
+    if not (
+        isinstance(node, list)
+        and len(node) <= 3
+        and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in node)
+    ):
+        raise ConfigError(f"field {path!r} must be a list of at most 3 numbers")
+    return tuple(float(c) for c in node) + (0.0,) * (3 - len(node))
 
 
 def _potential_from(tree) -> PotentialSpec:
@@ -206,8 +221,7 @@ def load_run_config(tree: dict):
         cfg_kwargs["dt_max"] = dt_max
     if lm_z is not None:
         cfg_kwargs["lm_z"] = _complex_from(lm_z, "solver.lm_z")
-    center = tuple(_get(tree, "initial_data.center", default=(0.0, 0.0, 0.0)))
-    center = (tuple(center) + (0.0, 0.0, 0.0))[:3]
+    center = _center_from(tree)
     cfg_kwargs["cone_center"] = center
     try:
         cfg = SolverConfig(**cfg_kwargs)
@@ -405,26 +419,11 @@ def _sweep_case(params: dict) -> dict:
     try:
         t_bu = bup.lifespan(case)
         row["T_bu"] = repr(t_bu) if math.isfinite(t_bu) else "inf"
-        emp = params.get("empirical")
-        if emp and emp.get("enabled"):
-            from .initial_data import compact_bump
-            from .field import l2_norm_sq
-
-            grid = Grid(
-                dim=int(emp.get("dim", 1)),
-                n=int(emp.get("n", 256)),
-                box_length=float(emp.get("box_length", 8.0)),
-            )
+        if params["empirical"] is not None:
+            grid, cfg = params["empirical"]
             probe = compact_bump(grid, 1.0, case.r_support, coeffs=(1, 0, 0, 0))
             amp = math.sqrt(case.e1 / l2_norm_sq(probe))
             f0 = compact_bump(grid, amp, case.r_support, coeffs=(1, 0, 0, 0))
-            cfg = SolverConfig(
-                t_start=1.0,
-                t_end=float(emp.get("t_end", 4.0)),
-                cfl=float(emp.get("cfl", 0.3)),
-                record_every=1,
-                on_cone_violation="stop",
-            )
             rep = bup.empirical_blowup(
                 f0, Cosmology(case.ell, 1.0), case.alpha_exp, case.c0, cfg,
                 mass=1j * case.im_m_abs,
@@ -436,6 +435,29 @@ def _sweep_case(params: dict) -> dict:
     except Exception as exc:  # keep the sweep going, record the failure
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
+
+
+def _empirical_from(tree) -> tuple[Grid, SolverConfig] | None:
+    """The sweep's empirical section as the grid and solver settings of its
+    blow-up runs, or None when the runs are not enabled.  Every field is
+    checked, enabled or not."""
+    _expect_section(tree, "empirical", {})
+    enabled = _expect_bool(tree, "empirical.enabled", False)
+    dim = _expect_int(tree, "empirical.dim", default=1)
+    n = _expect_int(tree, "empirical.n", lo=8, default=256)
+    box = _expect_number(tree, "empirical.box_length", lo=1e-12, default=8.0)
+    t_end = _expect_number(tree, "empirical.t_end", lo=1.0, default=4.0)
+    cfl = _expect_open_interval(tree, "empirical.cfl", 0.0, 1.0, default=0.3)
+    try:
+        grid = Grid(dim=dim, n=n, box_length=box)
+    except ValueError as exc:
+        raise ConfigError(f"field 'empirical': {exc}") from None
+    if not enabled:
+        return None
+    cfg = SolverConfig(
+        t_start=1.0, t_end=t_end, cfl=cfl, record_every=1, on_cone_violation="stop"
+    )
+    return grid, cfg
 
 
 def _sweep_workers() -> int:
@@ -457,11 +479,10 @@ def cmd_sweep(args) -> int:
         print(f"config error: sweep grid: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     base = {
-        "c0": float(tree.get("c0", 1.0)),
-        "R": float(tree.get("R", 1.0)),
-        "E1": float(tree.get("E1", 1.0)),
-        "empirical": tree.get("empirical"),
+        key: _expect_open_interval(tree, key, 0.0, math.inf, default=1.0)
+        for key in ("c0", "R", "E1")
     }
+    base["empirical"] = _empirical_from(tree)
     cases = [
         dict(base, ell=e, alpha=a, im_m=i)
         for e in sorted(ells)

@@ -2,6 +2,7 @@ import math
 
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -154,6 +155,44 @@ def test_lifespan_ell_one_uses_log_distance():
     assert math.isfinite(t) and t > 1.0
     # independent check: the balance at the root reproduces the target
     target = case.e1 ** (-1.0) / (1.0 * case.c0)
+    assert j_integral(case, t) == pytest.approx(target, rel=1e-9)
+
+
+def _mpmath_j(ell, alpha, im_m, r_support, t):
+    """The lifespan integral in 30-digit arithmetic, written out from the
+    bound: (R + A(s))^(-3 alpha / 2) s^(-3 alpha ell / 2 - alpha |Im m|) over
+    [1, t], A the comoving distance from time 1, split at every decade."""
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+    ell, alpha, im_m, r_support = map(mp.mpf, (ell, alpha, im_m, r_support))
+
+    def distance(s):
+        return mp.log(s) if ell == 1 else (s ** (1 - ell) - 1) / (1 - ell)
+
+    def f(s):
+        return (r_support + distance(s)) ** (-3 * alpha / 2) * s ** (
+            -3 * alpha * ell / 2 - alpha * im_m)
+
+    edges = [1] + [10**k for k in range(1, 13) if 10**k < t] + [mp.mpf(t)]
+    return mp.quad(f, edges)
+
+
+@pytest.mark.parametrize("t", [100.0, 4321.0])
+@pytest.mark.parametrize("im_m", [0.0, 0.5])
+@pytest.mark.parametrize("ell", [0.5, 1.0, 2.0])
+def test_j_integral_matches_mpmath(ell, im_m, t):
+    case = BlowupCase(ell=ell, alpha_exp=0.5, im_m_abs=im_m, r_support=0.7)
+    expected = float(_mpmath_j(ell, 0.5, im_m, 0.7, t))
+    assert j_integral(case, t) == pytest.approx(expected, rel=1e-10)
+
+
+def test_lifespan_balance_at_the_root_off_ell_one():
+    """ell = 2, any-size point of the sweep grid: J at the computed lifespan
+    (about 212, two decades out) reproduces the target E1^(-alpha/2)/(alpha c0/2)."""
+    case = BlowupCase(ell=2.0, alpha_exp=0.3, e1=4.0, r_support=1.0)
+    t = lifespan(case)
+    assert math.isfinite(t) and t > 100.0
+    target = case.e1 ** (-0.15) / (0.15 * case.c0)
     assert j_integral(case, t) == pytest.approx(target, rel=1e-9)
 
 

@@ -362,6 +362,40 @@ def test_simulate_malformed_section_is_config_error(tmp_path, capsys, section, v
     assert f"config error: field {field}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path", ["solver.cfl", "solver.t_start", "grid.box_length",
+                                  "cosmology.a0"])
+def test_simulate_null_number_is_config_error(tmp_path, capsys, path):
+    tree = config()
+    section, key = path.split(".")
+    tree[section][key] = None
+    code, record = simulate(tmp_path, tree)
+    assert code == 1
+    assert not record.exists()
+    assert f"config error: field {path!r} must be a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("center", [5, "x", [1.0, 2.0, 3.0, 4.0], [1.0, "a"], [True], None])
+def test_simulate_malformed_center_is_config_error(tmp_path, capsys, center):
+    tree = config()
+    tree["initial_data"]["center"] = center
+    code, record = simulate(tmp_path, tree)
+    assert code == 1
+    assert not record.exists()
+    assert ("config error: field 'initial_data.center' must be a list of at most 3 numbers"
+            in capsys.readouterr().err)
+
+
+def test_simulate_center_is_padded_with_zeros(tmp_path):
+    tree = config()
+    tree["initial_data"]["center"] = [1]
+    code, short = simulate(tmp_path, tree, name="short")
+    tree["initial_data"]["center"] = [1.0, 0.0, 0.0]
+    code_full, full = simulate(tmp_path, tree, name="full")
+    assert code == code_full == 0
+    assert json.loads(short.read_text())["cone_center"] == [1.0, 0.0, 0.0]
+    assert short.read_bytes() == full.read_bytes()
+
+
 def test_simulate_plane_wave_is_a_unit_wavenumber_gaussian(tmp_path):
     tree = config()
     tree["initial_data"] = {"family": "plane_wave", "width": 2.0, "amplitude": 0.7}
@@ -465,6 +499,59 @@ def test_sweep_bad_thread_count_is_config_error(tmp_path, monkeypatch, capsys, t
 def test_sweep_without_ell_is_config_error(tmp_path):
     grid = write_json(tmp_path / "sweep.json", {"alpha": [0.3]})
     assert main(["sweep", str(grid), "--out", str(tmp_path / "s.csv")]) == 1
+
+
+@pytest.mark.parametrize("key, value", [
+    ("c0", "x"), ("c0", -1), ("c0", 0), ("R", None), ("R", True), ("E1", [4.0]),
+])
+def test_sweep_bad_scalar_is_config_error(tmp_path, capsys, key, value):
+    grid = write_json(tmp_path / "sweep.json", {"ell": [0.5], "alpha": [0.3], key: value})
+    out = tmp_path / "s.csv"
+    assert main(["sweep", str(grid), "--out", str(out)]) == 1
+    assert f"config error: field {key!r} must" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("empirical, field", [
+    ("on", "'empirical' must be an object"),
+    ({"enabled": "yes"}, "'empirical.enabled' must be true or false"),
+    ({"enabled": True, "n": "x"}, "'empirical.n' must be an integer"),
+    ({"enabled": True, "n": 4}, "'empirical.n' must be >= 8"),
+    ({"enabled": True, "n": 100}, "'empirical': n must be a power of two"),
+    ({"enabled": True, "dim": 2.5}, "'empirical.dim' must be an integer"),
+    ({"enabled": True, "dim": 2}, "'empirical': dim must be 1 or 3"),
+    ({"enabled": True, "box_length": "8"}, "'empirical.box_length' must be a number"),
+    ({"enabled": True, "t_end": 0.5}, "'empirical.t_end' must be >= 1.0"),
+    ({"enabled": True, "cfl": 1.5}, "'empirical.cfl' must lie in (0.0, 1.0)"),
+    ({"enabled": False, "n": "x"}, "'empirical.n' must be an integer"),
+])
+def test_sweep_bad_empirical_section_is_config_error(tmp_path, capsys, empirical, field):
+    grid = write_json(tmp_path / "sweep.json",
+                      {"ell": [0.5], "alpha": [0.3], "empirical": empirical})
+    out = tmp_path / "s.csv"
+    assert main(["sweep", str(grid), "--out", str(out)]) == 1
+    assert f"config error: field {field}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_empirical_defaults_match_explicit_values(tmp_path, monkeypatch):
+    """An enabled section without fields runs with the defaults
+    (1D, n 256, box 8, t_end 4, cfl 0.3); integral floats count as integers."""
+    monkeypatch.setenv("FLRW_DIRAC_THREADS", "1")
+    written = []
+    for name, empirical in (
+        ("defaults", {"enabled": True}),
+        ("explicit", {"enabled": True, "dim": 1.0, "n": 256, "box_length": 8,
+                      "t_end": 4, "cfl": 0.3}),
+    ):
+        grid = write_json(tmp_path / f"{name}.json",
+                          {"ell": [0.5], "alpha": [2.0], "E1": 4.0, "empirical": empirical})
+        out = tmp_path / f"{name}.csv"
+        assert main(["sweep", str(grid), "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    row = next(csv.DictReader(written[0].decode().splitlines()))
+    assert row["error"] == "" and row["t_numerical"] != ""
 
 
 def test_lifespan(capsys):

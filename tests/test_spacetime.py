@@ -101,6 +101,75 @@ def test_unit_apex_travel_distance_is_the_one_sided_formula(ell, times, a0):
         assert np.array_equal(c.travel_distance(t, 1.0), expected)
 
 
+def _ulps_apart(x, y, *terms):
+    """|x - y| in units of the last place of the largest of the terms."""
+    return abs(x - y) / math.ulp(max(abs(v) for v in terms))
+
+
+def _error(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ELLS, st.floats(1.0, 1e3), st.floats(0.05, 1.0), st.floats(0.1, 10.0),
+       st.sampled_from([float, np.float64]))
+def test_float_times_take_the_float_path(ell, t, frac, a0, kind):
+    """A float time, builtin or np.float64, gives a builtin float that agrees
+    with the array path to a few ulp of the terms it subtracts, and is
+    rejected outside the domain with the array path's error."""
+    c = Cosmology(ell, a0)
+    t0 = max(frac * t, 0.05)
+    ft, ft0 = kind(t), kind(t0)
+    p = 1.0 - c.ell
+
+    def on_array(method, *args):
+        return method(np.array([t]), *args)[0]
+
+    values = {
+        "scale": (c.scale(ft), on_array(c.scale), [c.scale(ft)]),
+        "phi": (c.phi(ft), on_array(c.phi), [c.phi(ft)]),
+        "dphi": (c.dphi(ft), on_array(c.dphi), [c.dphi(ft)]),
+    }
+    if c.ell_is_one:
+        terms = [math.log(t) / a0, math.log(t0) / a0]
+    else:
+        terms = [t**p / (a0 * p), t0**p / (a0 * p)]
+    distance = c.travel_distance(ft, ft0)
+    values["travel_distance"] = (distance, on_array(c.travel_distance, t0),
+                                 terms + [distance])
+    for name, (scalar, array, scale) in values.items():
+        assert type(scalar) is float, name
+        assert _ulps_apart(scalar, array, *scale) <= 4.0, name
+    assert type(c.travel_distance(ft)) is float
+    assert c.travel_distance(ft) == c.travel_distance(ft, 1.0)
+
+    for name in ("scale", "phi", "dphi", "travel_distance"):
+        method = getattr(c, name)
+        for bad in (kind(0.0), kind(-t)):
+            assert _error(lambda: method(bad)) == _error(lambda: method(np.array([bad])))
+    if t0 < t:
+        assert _error(lambda: c.travel_distance(ft0, ft)) == _error(
+            lambda: c.travel_distance(np.array([t0]), t))
+    for bad in (kind(0.0), kind(-t0)):
+        assert _error(lambda: c.travel_distance(ft, bad)) == _error(
+            lambda: c.travel_distance(np.array([t]), bad))
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: Cosmology(2.0).scale(1e200), math.inf),
+    (lambda: Cosmology(2.0).dphi(1e-200), math.inf),
+    (lambda: Cosmology(3.0).phi(1e-200), -math.inf),
+    (lambda: Cosmology(-1.0).travel_distance(1e200), math.inf),
+])
+def test_float_overflow_gives_the_array_path_infinity(call, expected):
+    """A float power past the float range is inf, with numpy's overflow
+    warning, as on the array path; it does not raise OverflowError."""
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert call() == expected
+
+
 @pytest.mark.parametrize("ell", [-1.0, 0.0, 0.5, 1.0, 1.5, 3.0])
 def test_phi_strictly_increasing(ell):
     c = Cosmology(ell)
