@@ -58,6 +58,9 @@ class BlowupCase:
     e1: float = 1.0
 
     def __post_init__(self):
+        for name in ("ell", "alpha_exp", "im_m_abs", "c0", "r_support", "e1"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.alpha_exp > 0:
             raise ValueError("alpha_exp must be positive")
         if self.im_m_abs < 0:

@@ -1,16 +1,20 @@
 """Command-line front end: config-driven runs, verification, kernel tables
 and blow-up sweeps.
 
-Configuration is a single JSON tree; every validation error names the
-offending dotted path.  Exit codes: 0 success (including a detected
-blow-up), 1 config/validation error (a section that is not an object, a
-flag that is not a JSON bool, a required potential flag that fails, an
-lm_z off the unit circle, a forward cone that would wrap around the torus
-by t_end, or an unknown key in a verification suite, among others),
-2 runtime error, 3 verification failure.  FLRW_DIRAC_THREADS caps sweep
-parallelism (0 or unset: all cores); with more than one worker the parent
-loads scipy before it forks the pool, so the workers inherit it instead of
-each importing it again.
+A config is a single JSON tree.  Each config type (a run, a sweep, a
+verification suite) is declared by one table of (dotted path, kind,
+bounds, default) entries, and one walker checks a tree against its table
+before anything is built; every validation error names the offending
+dotted path.  Exit codes: 0 success (including a detected blow-up),
+1 config/validation error (an unknown key at any level, reported with the
+nearest valid key; a value of the wrong kind or out of its bounds; a
+missing required field; a required potential flag that fails, an lm_z off
+the unit circle, a forward cone that would wrap around the torus by t_end,
+or a kernel argument out of range, among others), 2 runtime error,
+3 verification failure.  FLRW_DIRAC_THREADS caps sweep parallelism
+(0 or unset: all cores); with more than one worker the parent loads scipy
+before it forks the pool, so the workers inherit it instead of each
+importing it again.
 """
 from __future__ import annotations
 
@@ -46,221 +50,274 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
 
 
-def _get(tree: dict, path: str, default=None, required: bool = False):
-    node = tree
-    parts = path.split(".")
-    for p in parts:
-        if not isinstance(node, dict) or p not in node:
-            if required:
-                raise ConfigError(f"missing required field {path!r}")
-            return default
-        node = node[p]
-    return node
+# --- config tables and their walker -------------------------------------------
+#
+# An entry is (dotted path, kind, bounds, default).  Kinds and their bounds:
+#   number, integer   bounds (lo, hi) closed, hi None for no upper bound, or
+#                     (lo, hi, "open"); an integral float counts as an integer
+#   bool, complex     no bounds; complex is a number, [re, im] or {re, im}
+#   string            bounds: None or the tuple of allowed values
+#   list              bounds (item kind, item bounds, min length, max length);
+#                     the lengths are equal, or min is 0, or min is 1 and max INF
+#   section           an object whose keys are the entries below its path; it
+#                     needs its own entry only to be required or, with no
+#                     entries below it, to take any keys
+# default is REQUIRED, None (absent: the dataclass default applies) or the
+# value used when the key is absent.  Bools and strings are never numbers and
+# null is never a value.
+
+REQUIRED = object()
+INF = math.inf
 
 
-def _expect_number(tree, path, lo=None, hi=None, required=False, default=None):
-    """A number field; null stands for "absent" only in an optional field
-    without a default, and is an error anywhere else."""
-    val = _get(tree, path, default=default, required=required)
-    if val is None and default is None and not required:
-        return None
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"field {path!r} must be a number")
-    if lo is not None and not val >= lo:
-        raise ConfigError(f"field {path!r} must be >= {lo}")
-    if hi is not None and not val <= hi:
-        raise ConfigError(f"field {path!r} must be <= {hi}")
-    return float(val)
+def _table(*entries) -> dict:
+    """Nest the entries by section, a section's bounds slot holding the
+    table of its keys; a section entry comes before its keys."""
+    root = {}
+    for path, kind, bounds, default in entries:
+        *parents, key = path.split(".")
+        node = root
+        for part in parents:
+            node = node.setdefault(part, ("section", {}, None))[1]
+        node[key] = (kind, {} if kind == "section" else bounds, default)
+    return root
 
 
-def _expect_int(tree, path, lo=None, hi=None, required=False, default=None) -> int:
-    """An integer field; an integral float such as 64.0 is taken as an
-    integer, while a fraction, a bool, a string or null is an error."""
-    val = _get(tree, path, default=default, required=required)
-    if isinstance(val, float) and val.is_integer():
-        val = int(val)
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"field {path!r} must be an integer")
-    if lo is not None and val < lo:
-        raise ConfigError(f"field {path!r} must be >= {lo}")
-    if hi is not None and val > hi:
-        raise ConfigError(f"field {path!r} must be <= {hi}")
-    return val
+_RUN = _table(
+    ("cosmology.ell", "number", None, REQUIRED),
+    ("cosmology.a0", "number", (1e-300, None), None),
+    ("mass", "complex", None, 0.0),
+    ("grid.dim", "integer", None, REQUIRED),
+    ("grid.n", "integer", None, REQUIRED),
+    ("grid.box_length", "number", (1e-12, None), REQUIRED),
+    ("potential.kind", "string", None, None),
+    ("potential.amplitude", "number", None, None),
+    ("potential.center", "list", ("number", None, 0, 3), None),
+    ("potential.width", "number", None, None),
+    ("potential.matrix", "list", ("list", ("complex", None, 0, INF), 0, INF), None),
+    ("potential.hermitian_required", "bool", None, None),
+    ("potential.gamma2_condition_required", "bool", None, None),
+    ("nonlinearity.kind", "string", None, None),
+    ("nonlinearity.alpha_exp", "number", None, None),
+    ("nonlinearity.sign", "integer", None, None),
+    ("nonlinearity.c0", "number", None, None),
+    ("nonlinearity.alpha_coeffs", "list", ("number", None, 2, 2), (0.0, 0.0)),
+    ("nonlinearity.beta_coeffs", "list", ("number", None, 2, 2), (0.0, 0.0)),
+    ("solver.t_start", "number", (1.0, None), None),
+    ("solver.t_end", "number", (1.0, None), REQUIRED),
+    ("solver.cfl", "number", (0.0, 1.0, "open"), None),
+    ("solver.dt_max", "number", (0.0, None), None),
+    ("solver.record_every", "integer", (1, None), None),
+    ("solver.sobolev_order", "integer", (0, 6), None),
+    ("solver.blowup_factor", "number", (1.0, None), None),
+    ("solver.track_cone", "bool", None, None),
+    ("solver.on_cone_violation", "string", None, None),
+    ("solver.lm_z", "complex", None, None),
+    ("initial_data", "section", None, REQUIRED),
+    ("initial_data.family", "string", None, "gaussian"),
+    ("initial_data.lm_constrained", "bool", None, False),
+    ("initial_data.amplitude", "number", None, None),
+    ("initial_data.width", "number", None, None),
+    ("initial_data.wavenumber", "number", None, None),
+    ("initial_data.second_amplitude", "number", None, None),
+    ("initial_data.seed", "integer", None, None),
+    ("initial_data.coeffs", "list", ("complex", None, 0, INF), None),
+    ("initial_data.center", "list", ("number", None, 0, 3), None),
+    ("outputs.dir", "string", None, "."),
+    ("outputs.snapshots", "bool", None, False),
+)
+
+_SWEEP = _table(
+    ("ell", "list", ("number", None, 1, INF), REQUIRED),
+    ("alpha", "list", ("number", (0.0, INF, "open"), 1, INF), REQUIRED),
+    ("im_m", "list", ("number", (0.0, None), 1, INF), (0.0,)),
+    ("c0", "number", (0.0, INF, "open"), 1.0),
+    ("R", "number", (0.0, INF, "open"), 1.0),
+    ("E1", "number", (0.0, INF, "open"), 1.0),
+    ("empirical.enabled", "bool", None, False),
+    ("empirical.dim", "integer", None, 1),
+    ("empirical.n", "integer", (8, None), 256),
+    ("empirical.box_length", "number", (1e-12, None), 8.0),
+    ("empirical.t_end", "number", (1.0, None), 4.0),
+    ("empirical.cfl", "number", (0.0, 1.0, "open"), 0.3),
+)
+
+# A suite's checks are walked one by one against _CHECK, so an error can
+# name the check as well as the path.
+_SUITE = _table(("checks", "list", ("section", None, 1, INF), REQUIRED))
+_CHECK = _table(
+    ("name", "string", tuple(diag.CHECKS), REQUIRED),
+    ("tolerance", "number", None, 1e-6),
+    ("params", "section", None, None),  # bound to the check's signature
+)
 
 
-def _expect_bool(tree, path, default: bool) -> bool:
-    val = _get(tree, path, default=default)
-    if not isinstance(val, bool):
-        raise ConfigError(f"field {path!r} must be true or false")
-    return val
+def _number(v):
+    return float(v) if isinstance(v, (int, float)) and not isinstance(v, bool) else None
 
 
-def _expect_section(tree, path, default, required=False) -> dict:
-    node = _get(tree, path, default=default, required=required)
+def _integer(v):
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    return v if isinstance(v, int) and not isinstance(v, bool) else None
+
+
+def _complex(v):
+    if isinstance(v, dict) and v.keys() <= {"re", "im"}:
+        v = [v.get("re", 0.0), v.get("im", 0.0)]
+    if isinstance(v, list) and len(v) == 2:
+        re, im = _number(v[0]), _number(v[1])
+        return None if re is None or im is None else complex(re, im)
+    return None if _number(v) is None else complex(v)
+
+
+# kind -> (normaliser returning None for a value of another kind, noun, plural)
+_KINDS = {
+    "number": (_number, "a number", "numbers"),
+    "integer": (_integer, "an integer", "integers"),
+    "bool": (lambda v: v if isinstance(v, bool) else None, "true or false", "bools"),
+    "string": (lambda v: v if isinstance(v, str) else None, "a string", "strings"),
+    "complex": (_complex, "a number, [re, im] or {re, im}", "complex numbers"),
+    "section": (None, "an object", "objects"),
+}
+
+
+def _range(bounds) -> str:
+    lo, hi, *is_open = bounds
+    if is_open:
+        return f"in ({lo}, {hi})"
+    return f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+
+
+def _noun(kind: str, bounds, plural: bool = False) -> str:
+    """What a value of this kind must be: 'a number', 'a list of at most 3
+    numbers', 'a list of one or more numbers in (0.0, inf)', ..."""
+    if kind != "list":
+        return _KINDS[kind][1 + plural]
+    item, item_bounds, lo, hi = bounds
+    size = f"{lo} " if lo == hi else f"at most {hi} " if hi < INF else "one or more " if lo else ""
+    items = _noun(item, item_bounds, plural=True)
+    if item_bounds and item in ("number", "integer"):
+        items += " " + _range(item_bounds)
+    return ("lists" if plural else "a list") + f" of {size}{items}"
+
+
+def _unknown(what: str, name: str, valid) -> ConfigError:
+    """The error for a key or value outside `valid`, naming the nearest one."""
+    from difflib import get_close_matches
+
+    near = get_close_matches(name, list(valid), n=1)
+    hint = f"did you mean {near[0]!r}?" if near else "valid: " + ", ".join(map(repr, valid))
+    return ConfigError(f"{what} {name!r}; {hint}")
+
+
+def _value(val, kind: str, bounds, path: str):
+    """val checked against its kind and bounds and normalised: numbers to
+    float, integers to int, complex forms to complex, lists to tuples."""
+    if kind == "section":
+        return _walk(val, bounds, path)
+    if kind == "list":
+        item, item_bounds, lo, hi = bounds
+        if isinstance(val, list) and lo <= len(val) <= hi:
+            try:
+                return tuple(_value(v, item, item_bounds, path) for v in val)
+            except ConfigError:
+                pass
+        raise ConfigError(f"field {path!r} must be {_noun(kind, bounds)}")
+    out = _KINDS[kind][0](val)
+    if out is None:
+        raise ConfigError(f"field {path!r} must be {_noun(kind, bounds)}")
+    if bounds is None:
+        return out
+    if kind == "string":
+        if out not in bounds:
+            raise _unknown(f"field {path!r} has unknown value", out, bounds)
+        return out
+    lo, hi, *is_open = bounds
+    if not (lo < out < hi if is_open else lo <= out and (hi is None or out <= hi)):
+        text = _range(bounds)
+        raise ConfigError(f"field {path!r} must {'be' if text[0] == '>' else 'lie'} {text}")
+    return out
+
+
+def _walk(node, table: dict, path: str = "") -> dict:
+    """Check one config object against its table; returns the normalised
+    values of the keys given, plus the default of each absent key that has
+    one.  An absent optional section is walked as {}, so its own defaults
+    apply.  Unknown keys are rejected first: a misspelt key is more often
+    the cause of an error than the value it was meant to set."""
+    where = f"field {path!r}" if path else "the config"
     if not isinstance(node, dict):
-        raise ConfigError(f"field {path!r} must be an object")
-    return node
+        raise ConfigError(f"{where} must be an object")
+    if not table:
+        return dict(node)
+    for key in node:
+        if key not in table:
+            raise _unknown(f"{where} has unknown key", key, table)
+    out = {}
+    for key, (kind, bounds, default) in table.items():
+        sub = f"{path}.{key}" if path else key
+        if key in node:
+            out[key] = _value(node[key], kind, bounds, sub)
+        elif default is REQUIRED:
+            raise ConfigError(f"missing required field {sub!r}")
+        elif kind == "section":
+            out[key] = _walk({}, bounds, sub)
+        elif default is not None:
+            out[key] = default
+    return out
 
 
-def _expect_open_interval(tree, path, lo, hi, default):
-    val = _expect_number(tree, path, default=default)
-    if not lo < val < hi:
-        raise ConfigError(f"field {path!r} must lie in ({lo}, {hi})")
-    return val
-
-
-def _complex_from(node, path) -> complex:
-    if isinstance(node, (int, float)):
-        return complex(node)
-    if isinstance(node, (list, tuple)) and len(node) == 2:
-        return complex(node[0], node[1])
-    if isinstance(node, dict):
-        return complex(node.get("re", 0.0), node.get("im", 0.0))
-    raise ConfigError(f"field {path!r} must be a number, [re, im] or {{re, im}}")
-
-
-def _center_from(tree) -> tuple[float, float, float]:
-    """initial_data.center: a list of at most 3 numbers, padded with zeros."""
-    path = "initial_data.center"
-    node = _get(tree, path, default=[])
-    if not (
-        isinstance(node, list)
-        and len(node) <= 3
-        and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in node)
-    ):
-        raise ConfigError(f"field {path!r} must be a list of at most 3 numbers")
-    return tuple(float(c) for c in node) + (0.0,) * (3 - len(node))
-
-
-def _potential_from(tree) -> PotentialSpec:
-    node = _expect_section(tree, "potential", {"kind": "zero"})
-    kind = node.get("kind", "zero")
-    hermitian = _expect_bool(tree, "potential.hermitian_required", False)
-    gamma2 = _expect_bool(tree, "potential.gamma2_condition_required", False)
-    matrix = node.get("matrix")
-    if matrix is not None:
-        try:
-            matrix = tuple(
-                tuple(complex(c[0], c[1]) for c in row) for row in matrix
-            )
-        except (TypeError, IndexError):
-            raise ConfigError(
-                "field 'potential.matrix' must be a 4x4 array of [re, im] pairs"
-            ) from None
+def _build(path: str | None, fn, *args, **kwargs):
+    """fn(*args, **kwargs), its ValueError or TypeError a ConfigError naming
+    path (with path None, the error's own message names the argument)."""
     try:
-        return PotentialSpec(
-            kind=kind,
-            amplitude=float(node.get("amplitude", 0.0)),
-            center=tuple(node.get("center", (0.0, 0.0, 0.0))),
-            width=float(node.get("width", 1.0)),
-            matrix=matrix,
-            hermitian_required=hermitian,
-            gamma2_condition_required=gamma2,
-        )
+        return fn(*args, **kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field 'potential': {exc}") from None
+        raise ConfigError(f"field {path!r}: {exc}" if path else str(exc)) from None
 
 
-def _nonlinearity_from(tree) -> NonlinearitySpec:
-    node = _expect_section(tree, "nonlinearity", {"kind": "none"})
-    kind = node.get("kind", "none")
+def _read_json(path: str):
     try:
-        kwargs = {}
-        if kind == "lochak_form":
-            ac = node.get("alpha_coeffs", [0.0, 0.0])
-            bc = node.get("beta_coeffs", [0.0, 0.0])
-            kwargs["alpha_fn"] = linear_form(float(ac[0]), float(ac[1]))
-            kwargs["beta_fn"] = linear_form(float(bc[0]), float(bc[1]))
-        return NonlinearitySpec(
-            kind=kind,
-            alpha_exp=float(node.get("alpha_exp", 1.0)),
-            sign=int(node.get("sign", 1)),
-            c0=float(node.get("c0", 1.0)),
-            **kwargs,
-        )
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"field 'nonlinearity': {exc}") from None
+        return json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+
+
+def _point(coords: tuple) -> tuple:
+    """At most 3 coordinates, padded with zeros to a 3D point."""
+    return coords + (0.0,) * (3 - len(coords))
 
 
 def load_run_config(tree: dict):
     """Validate the config tree; returns (cosmo, model, grid, f0, cfg, outputs)."""
-    ell = _expect_number(tree, "cosmology.ell", required=True)
-    a0 = _expect_number(tree, "cosmology.a0", lo=1e-300, default=1.0)
-    cosmo = Cosmology(ell=ell, a0=a0)
-
-    mass = Mass(_complex_from(_get(tree, "mass", default=0.0), "mass"))
-
-    dim = _expect_int(tree, "grid.dim", required=True)
-    n = _expect_int(tree, "grid.n", required=True)
-    box = _expect_number(tree, "grid.box_length", lo=1e-12, required=True)
-    try:
-        grid = Grid(dim=dim, n=n, box_length=box)
-    except ValueError as exc:
-        raise ConfigError(f"field 'grid': {exc}") from None
-
-    potential = _potential_from(tree)
-    nonlinearity = _nonlinearity_from(tree)
-    model = ModelSpec(mass=mass, potential=potential, nonlinearity=nonlinearity)
-
-    t_start = _expect_number(tree, "solver.t_start", lo=1.0, default=1.0)
-    t_end = _expect_number(tree, "solver.t_end", lo=1.0, required=True)
-    cfl = _expect_open_interval(tree, "solver.cfl", 0.0, 1.0, default=0.25)
-    dt_max = _expect_number(tree, "solver.dt_max", lo=0.0, default=None)
-    lm_z = _get(tree, "solver.lm_z")
-    cfg_kwargs = dict(
-        t_start=t_start,
-        t_end=t_end,
-        cfl=cfl,
-        record_every=_expect_int(tree, "solver.record_every", lo=1, default=1),
-        sobolev_order=_expect_int(tree, "solver.sobolev_order", lo=0, hi=6, default=1),
-        blowup_factor=_expect_number(tree, "solver.blowup_factor", lo=1.0, default=1e6),
-        track_cone=_expect_bool(tree, "solver.track_cone", True),
-        on_cone_violation=_get(tree, "solver.on_cone_violation", default="error"),
+    v = _walk(tree, _RUN)
+    cosmo = _build("cosmology", Cosmology, **v["cosmology"])
+    grid = _build("grid", Grid, **v["grid"])
+    potential, nonlinearity, ini = v["potential"], v["nonlinearity"], v["initial_data"]
+    if "center" in potential:
+        potential["center"] = _point(potential["center"])
+    coeffs = nonlinearity.pop("alpha_coeffs"), nonlinearity.pop("beta_coeffs")
+    if nonlinearity.get("kind") == "lochak_form":
+        nonlinearity["alpha_fn"], nonlinearity["beta_fn"] = (linear_form(*c) for c in coeffs)
+    model = ModelSpec(
+        mass=_build("mass", Mass, v["mass"]),
+        potential=_build("potential", PotentialSpec, **potential),
+        nonlinearity=_build("nonlinearity", NonlinearitySpec, **nonlinearity),
     )
-    if dt_max is not None:
-        cfg_kwargs["dt_max"] = dt_max
-    if lm_z is not None:
-        cfg_kwargs["lm_z"] = _complex_from(lm_z, "solver.lm_z")
-    center = _center_from(tree)
-    cfg_kwargs["cone_center"] = center
-    try:
-        cfg = SolverConfig(**cfg_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"field 'solver': {exc}") from None
-
-    ini = _expect_section(tree, "initial_data", {}, required=True)
-    family = ini.get("family", "gaussian")
-    if _expect_bool(tree, "initial_data.lm_constrained", False):
+    family = ini.pop("family")
+    if ini.pop("lm_constrained"):
         family = "lm_gaussian"
-    data_kwargs = {}
-    for key in ("amplitude", "width", "wavenumber", "second_amplitude"):
-        if key in ini:
-            data_kwargs[key] = _expect_number(tree, f"initial_data.{key}")
-    if "seed" in ini:
-        data_kwargs["seed"] = _expect_int(tree, "initial_data.seed")
-    if "coeffs" in ini:
-        data_kwargs["coeffs"] = tuple(
-            _complex_from(c, "initial_data.coeffs") for c in ini["coeffs"]
-        )
-    if family != "random_smooth":
-        data_kwargs.setdefault("center", center)
-        data_kwargs.pop("seed", None)
+    if "center" in ini:
+        ini["center"] = v["solver"]["cone_center"] = _point(ini["center"])
+    cfg = _build("solver", SolverConfig, **v["solver"])
+    if family == "random_smooth":
+        ini.pop("center", None)
+        ini.pop("coeffs", None)
     else:
-        data_kwargs.pop("center", None)
-        data_kwargs.pop("coeffs", None)
-    try:
-        f0 = make_initial_data(grid, family, time=t_start, **data_kwargs)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"field 'initial_data': {exc}") from None
-
-    out_node = _expect_section(tree, "outputs", {})
-    outputs = {
-        "dir": out_node.get("dir", "."),
-        "snapshots": _expect_bool(tree, "outputs.snapshots", False),
-    }
-    if not isinstance(outputs["dir"], str):
-        raise ConfigError("field 'outputs.dir' must be a string")
-    return cosmo, model, grid, f0, cfg, outputs
+        ini.pop("seed", None)
+    f0 = _build("initial_data", make_initial_data, grid, family, time=cfg.t_start, **ini)
+    return cosmo, model, grid, f0, cfg, v["outputs"]
 
 
 def run_simulation(tree: dict, out_dir: Path | None = None) -> tuple[RunRecord, Path]:
@@ -285,11 +342,7 @@ def run_simulation(tree: dict, out_dir: Path | None = None) -> tuple[RunRecord, 
 
 
 def cmd_simulate(args) -> int:
-    try:
-        tree = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    tree = _read_json(args.config)
     try:
         record, path = run_simulation(tree, Path(args.out) if args.out else None)
     except (ConfigError, ConeSafetyError) as exc:
@@ -309,34 +362,22 @@ def cmd_verify(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: cannot load inputs: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    calls = []  # every spec is checked before the first check runs
+    for i, spec in enumerate(_walk(suite, _SUITE)["checks"]):
+        path = f"checks[{i}]"
+        try:
+            spec = _walk(spec, _CHECK, path)
+            check = diag.CHECKS[spec["name"]]
+            signature = inspect.signature(check)
+            positional = [rec, spec["tolerance"]] if "tol" in signature.parameters else [rec]
+            calls.append((check, _build(f"{path}.params", signature.bind,
+                                        *positional, **spec["params"])))
+        except ConfigError as exc:
+            name = spec.get("name")
+            raise ConfigError(f"check {name!r}: {exc}" if isinstance(name, str) else exc) from None
     reports = []
     status_ok = True
-    for spec in suite.get("checks", []):
-        name = spec.get("name")
-        if name not in diag.CHECKS:
-            print(f"config error: unknown check name {name!r}", file=sys.stderr)
-            return EXIT_CONFIG
-        unknown = sorted(set(spec) - {"name", "tolerance", "params"})
-        if unknown:
-            keys = ", ".join(map(repr, unknown))
-            print(f"config error: check {name!r}: unknown key {keys}", file=sys.stderr)
-            return EXIT_CONFIG
-        check = diag.CHECKS[name]
-        signature = inspect.signature(check)
-        positional = [rec]
-        if "tol" in signature.parameters:
-            tol = spec.get("tolerance", 1e-6)
-            try:
-                positional.append(float(tol))
-            except (TypeError, ValueError):
-                print(f"config error: check {name!r}: tolerance {tol!r} is not a number",
-                      file=sys.stderr)
-                return EXIT_CONFIG
-        try:
-            bound = signature.bind(*positional, **spec.get("params", {}))
-        except TypeError as exc:
-            print(f"config error: check {name!r} params: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+    for check, bound in calls:
         try:
             rep = check(*bound.args, **bound.kwargs)
         except diag.IncompatibleRunError as exc:
@@ -352,12 +393,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    try:
-        cosmo = Cosmology(args.ell, 1.0)
-        ke = KernelEval(cosmo, complex(args.m_re, args.m_im), args.eps)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    if args.mode == "reconstruct" and args.snapshot is None:
+        raise ConfigError("--mode reconstruct needs --snapshot")
+    if args.nr < 1:
+        raise ConfigError(f"--nr must be >= 1, got {args.nr}")
+    cosmo = _build(None, Cosmology, args.ell, 1.0)
+    ke = _build(None, KernelEval, cosmo, complex(args.m_re, args.m_im), args.eps)
     if args.mode == "reconstruct":
         try:
             f0 = load_snapshot(args.snapshot)
@@ -370,9 +411,8 @@ def cmd_kernel(args) -> int:
         return EXIT_OK
     t0 = args.t0 if args.t0 is not None else args.eps
     upper = cosmo.phi(args.t) - cosmo.phi(t0)
-    if upper < 0:
-        print("config error: t must be >= t0", file=sys.stderr)
-        return EXIT_CONFIG
+    if not upper >= 0:
+        raise ConfigError("t must be >= t0")
     r = np.linspace(0.0, upper, args.nr)
     try:
         if args.kernel == "K1":
@@ -392,15 +432,9 @@ def cmd_kernel(args) -> int:
     return EXIT_OK
 
 
-def _sweep_case(params: dict) -> dict:
-    case = bup.BlowupCase(
-        ell=params["ell"],
-        alpha_exp=params["alpha"],
-        im_m_abs=params["im_m"],
-        c0=params["c0"],
-        r_support=params["R"],
-        e1=params["E1"],
-    )
+def _sweep_case(case: bup.BlowupCase, empirical: tuple[Grid, SolverConfig] | None) -> dict:
+    """One CSV row; empirical holds the grid and solver settings of the
+    blow-up run, or is None when the runs are not enabled."""
     verdict = bup.classify(case)
     row = {
         "ell": case.ell,
@@ -419,8 +453,8 @@ def _sweep_case(params: dict) -> dict:
     try:
         t_bu = bup.lifespan(case)
         row["T_bu"] = repr(t_bu) if math.isfinite(t_bu) else "inf"
-        if params["empirical"] is not None:
-            grid, cfg = params["empirical"]
+        if empirical is not None:
+            grid, cfg = empirical
             probe = compact_bump(grid, 1.0, case.r_support, coeffs=(1, 0, 0, 0))
             amp = math.sqrt(case.e1 / l2_norm_sq(probe))
             f0 = compact_bump(grid, amp, case.r_support, coeffs=(1, 0, 0, 0))
@@ -437,29 +471,6 @@ def _sweep_case(params: dict) -> dict:
     return row
 
 
-def _empirical_from(tree) -> tuple[Grid, SolverConfig] | None:
-    """The sweep's empirical section as the grid and solver settings of its
-    blow-up runs, or None when the runs are not enabled.  Every field is
-    checked, enabled or not."""
-    _expect_section(tree, "empirical", {})
-    enabled = _expect_bool(tree, "empirical.enabled", False)
-    dim = _expect_int(tree, "empirical.dim", default=1)
-    n = _expect_int(tree, "empirical.n", lo=8, default=256)
-    box = _expect_number(tree, "empirical.box_length", lo=1e-12, default=8.0)
-    t_end = _expect_number(tree, "empirical.t_end", lo=1.0, default=4.0)
-    cfl = _expect_open_interval(tree, "empirical.cfl", 0.0, 1.0, default=0.3)
-    try:
-        grid = Grid(dim=dim, n=n, box_length=box)
-    except ValueError as exc:
-        raise ConfigError(f"field 'empirical': {exc}") from None
-    if not enabled:
-        return None
-    cfg = SolverConfig(
-        t_start=1.0, t_end=t_end, cfl=cfl, record_every=1, on_cone_violation="stop"
-    )
-    return grid, cfg
-
-
 def _sweep_workers() -> int:
     """FLRW_DIRAC_THREADS as a worker count; 0 or unset means all cores."""
     raw = os.environ.get("FLRW_DIRAC_THREADS", "0")
@@ -470,24 +481,18 @@ def _sweep_workers() -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        tree = json.loads(Path(args.config).read_text())
-        ells = [float(v) for v in tree["ell"]]
-        alphas = [float(v) for v in tree["alpha"]]
-        im_ms = [float(v) for v in tree.get("im_m", [0.0])]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        print(f"config error: sweep grid: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    base = {
-        key: _expect_open_interval(tree, key, 0.0, math.inf, default=1.0)
-        for key in ("c0", "R", "E1")
-    }
-    base["empirical"] = _empirical_from(tree)
+    v = _walk(_read_json(args.config), _SWEEP)
+    emp = v["empirical"]
+    grid = _build("empirical", Grid, emp["dim"], emp["n"], emp["box_length"])
+    empirical = None
+    if emp["enabled"]:
+        empirical = grid, SolverConfig(t_end=emp["t_end"], cfl=emp["cfl"],
+                                       on_cone_violation="stop")
     cases = [
-        dict(base, ell=e, alpha=a, im_m=i)
-        for e in sorted(ells)
-        for a in sorted(alphas)
-        for i in sorted(im_ms)
+        _build(None, bup.BlowupCase, e, a, i, v["c0"], v["R"], v["E1"])
+        for e in sorted(v["ell"])
+        for a in sorted(v["alpha"])
+        for i in sorted(v["im_m"])
     ]
     workers = min(_sweep_workers(), max(len(cases), 1))
     if workers > 1 and len(cases) > 1:
@@ -497,16 +502,12 @@ def cmd_sweep(args) -> int:
         import scipy.optimize  # noqa: F401
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_case, cases))
+            rows = list(pool.map(_sweep_case, cases, [empirical] * len(cases)))
     else:
-        rows = [_sweep_case(c) for c in cases]
+        rows = [_sweep_case(c, empirical) for c in cases]
     rows.sort(key=lambda r: (r["ell"], r["alpha"], r["im_m"]))
-    fields = [
-        "ell", "alpha", "im_m", "c0", "R", "E1",
-        "regime", "branch", "T_bu", "t_numerical", "satisfied", "error",
-    ]
     with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer = csv.DictWriter(fh, fieldnames=rows[0])  # the grid lists are non-empty
         writer.writeheader()
         writer.writerows(rows)
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -514,14 +515,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_lifespan(args) -> int:
-    try:
-        case = bup.BlowupCase(
-            ell=args.ell, alpha_exp=args.alpha, im_m_abs=args.im_m,
-            c0=args.c0, r_support=args.R, e1=args.E1,
-        )
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    case = _build(None, bup.BlowupCase, args.ell, args.alpha, args.im_m,
+                  args.c0, args.R, args.E1)
     t_bu = bup.lifespan(case)
     out = {
         "T_bu": t_bu if math.isfinite(t_bu) else "inf",
@@ -533,11 +528,7 @@ def cmd_lifespan(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    try:
-        case = bup.BlowupCase(ell=args.ell, alpha_exp=args.alpha, im_m_abs=args.im_m)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    case = _build(None, bup.BlowupCase, args.ell, args.alpha, args.im_m)
     v = bup.classify(case)
     print(json.dumps(
         {"regime": v.regime, "branch": v.branch, "threshold_value": v.threshold_value},

@@ -29,6 +29,7 @@ is integrated once.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -145,6 +146,8 @@ class KernelEval:
             raise KernelDomainError("kernel formulas require a0 = 1")
         if not self.epsilon > 0:
             raise KernelDomainError("epsilon must be positive")
+        if not cmath.isfinite(self.m):
+            raise KernelDomainError("m must be finite")
 
     @property
     def mu(self) -> complex:
@@ -155,7 +158,7 @@ class KernelEval:
 
     def check_time(self, t: float, t0: float | None = None) -> None:
         t0 = self.epsilon if t0 is None else t0
-        if t < t0:
+        if not t >= t0:
             raise KernelDomainError("kernels require t >= t0")
         if t / t0 > TIME_RATIO_MAX * (1.0 + 1e-12):
             raise KernelDomainError(

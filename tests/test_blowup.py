@@ -57,6 +57,14 @@ def test_case_validation():
         BlowupCase(ell=0.5, alpha_exp=1.0, e1=0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["ell", "alpha_exp", "im_m_abs", "c0", "r_support", "e1"])
+def test_case_rejects_non_finite_parameters(field, value):
+    params = {"ell": 0.5, "alpha_exp": 1.0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        BlowupCase(**params)
+
+
 def test_lifespan_closed_form_case():
     """Static background, quadratic focusing: the balance integral is
     (1 - T^-2)/2 so energy 4 forces T = sqrt(2)."""

@@ -205,13 +205,33 @@ def test_verify_rejects_misspelled_keys(tmp_path, plain_record, capsys, spec, me
 
 
 
-@pytest.mark.parametrize("tolerance", ["abc", None, [1e-3]], ids=["string", "null", "list"])
+@pytest.mark.parametrize("tolerance", ["abc", None, [1e-3], True],
+                         ids=["string", "null", "list", "bool"])
 def test_verify_non_numeric_tolerance_is_config_error(tmp_path, plain_record, capsys,
                                                       tolerance):
     spec = {"name": "energy_identity", "tolerance": tolerance}
     assert verify(tmp_path, plain_record, [spec]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "'energy_identity'" in err and "tolerance" in err
+
+
+@pytest.mark.parametrize("suite, message", [
+    ([{"name": "cone"}], "the config must be an object"),
+    ({"checks": 5}, "field 'checks' must be a list of one or more objects"),
+    ({"checks": []}, "field 'checks' must be a list of one or more objects"),
+    ({"checks": [{"name": "cone"}, "gamma2"]},
+     "field 'checks' must be a list of one or more objects"),
+    ({"checks": [{"name": ["lm"]}]}, "field 'checks[0].name' must be a string"),
+    ({}, "missing required field 'checks'"),
+])
+def test_verify_malformed_suite_is_config_error(tmp_path, plain_record, capsys, suite,
+                                                message):
+    """A suite of the wrong shape is a config error naming the path; no
+    check runs and nothing passes by default."""
+    path = write_json(tmp_path / "suite.json", suite)
+    assert main(["verify", str(plain_record), str(path)]) == 1
+    captured = capsys.readouterr()
+    assert f"config error: {message}" in captured.err and captured.out == ""
 
 # --- simulate: the checks made once, where the invariant is declared ---------
 
@@ -348,10 +368,23 @@ def test_simulate_defect_phase_off_the_unit_circle_is_config_error(tmp_path, cap
 @pytest.mark.parametrize("section, value, field", [
     ("potential", "zero", "'potential' must be an object"),
     ("nonlinearity", "cubic", "'nonlinearity' must be an object"),
-    ("nonlinearity", {"kind": "lochak_form", "alpha_coeffs": ["a", 0]}, "'nonlinearity'"),
-    ("nonlinearity", {"kind": "lochak_form", "beta_coeffs": 5}, "'nonlinearity'"),
+    ("nonlinearity", {"kind": "lochak_form", "alpha_coeffs": ["a", 0]},
+     "'nonlinearity.alpha_coeffs' must be a list of 2 numbers"),
+    ("nonlinearity", {"kind": "lochak_form", "beta_coeffs": 5},
+     "'nonlinearity.beta_coeffs' must be a list of 2 numbers"),
     ("initial_data", {"amplitude": "big"}, "'initial_data.amplitude' must be a number"),
     ("initial_data", [2.0], "'initial_data' must be an object"),
+    ("mass", {"re": "x"}, "'mass' must be a number, [re, im] or {re, im}"),
+    ("initial_data", {"coeffs": 5}, "'initial_data.coeffs' must be a list of complex numbers"),
+    ("solver", {"t_end": 3.0, "lm_z": [1, "x"]},
+     "'solver.lm_z' must be a number, [re, im] or {re, im}"),
+    ("potential", {"kind": "scalar_bump", "center": ["a"]},
+     "'potential.center' must be a list of at most 3 numbers"),
+    ("nonlinearity", {"kind": "power_abs", "sign": 1.5}, "'nonlinearity.sign' must be an integer"),
+    ("potential", {"kind": "scalar_bump", "amplitude": "1"},
+     "'potential.amplitude' must be a number"),
+    ("nonlinearity", {"kind": "power_abs", "alpha_exp": True},
+     "'nonlinearity.alpha_exp' must be a number"),
 ])
 def test_simulate_malformed_section_is_config_error(tmp_path, capsys, section, value, field):
     tree = config()
@@ -360,6 +393,45 @@ def test_simulate_malformed_section_is_config_error(tmp_path, capsys, section, v
     assert code == 1
     assert not record.exists()
     assert f"config error: field {field}" in capsys.readouterr().err
+
+
+def _sweep_tree():
+    return {"ell": [0.5], "alpha": [0.3]}
+
+
+@pytest.mark.parametrize("base, path, value, where, key, hint", [
+    (config, "nonlinarity", {"kind": "power_abs"}, "the config", "nonlinarity",
+     "nonlinearity"),
+    (config, "solver.cfll", 0.9, "field 'solver'", "cfll", "cfl"),
+    (config, "initial_data.widht", 0.5, "field 'initial_data'", "widht", "width"),
+    (config, "outputs.snapshot", True, "field 'outputs'", "snapshot", "snapshots"),
+    (_sweep_tree, "E", 4.0, "the config", "E", "E1"),
+    (_sweep_tree, "empirical.enable", True, "field 'empirical'", "enable", "enabled"),
+    (dict, "chekcs", [{"name": "cone"}], "the config", "chekcs", "checks"),
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_misspelt_key_is_config_error_naming_the_nearest_key(
+    tmp_path, plain_record, capsys, base, path, value, where, key, hint
+):
+    """An unknown key at any level of a run, sweep or suite config is an
+    error that names where it is and the valid key nearest to it, instead
+    of being ignored."""
+    tree = base()
+    *sections, last = path.split(".")
+    node = tree
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[last] = value
+    cfg = write_json(tmp_path / "cfg.json", tree)
+    out = tmp_path / "out"
+    argv = {
+        config: ["simulate", str(cfg), "--out", str(out)],
+        _sweep_tree: ["sweep", str(cfg), "--out", str(out)],
+        dict: ["verify", str(plain_record), str(cfg), "--out", str(out)],
+    }[base]
+    assert main(argv) == 1
+    assert (f"config error: {where} has unknown key {key!r}; did you mean {hint!r}?"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("path", ["solver.cfl", "solver.t_start", "grid.box_length",
@@ -430,6 +502,21 @@ def test_kernel_table(tmp_path, kernel):
 )
 def test_kernel_table_bad_input_is_config_error(tmp_path, extra):
     assert main(["kernel", *extra, "--out", str(tmp_path / "t.csv")]) == 1
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--mode", "reconstruct"], "--mode reconstruct needs --snapshot"),
+    (["--nr", "0"], "--nr must be >= 1"),
+    (["--nr", "-1"], "--nr must be >= 1"),
+    (["--m-re", "nan"], "m must be finite"),
+    (["--t", "nan"], "t must be >= t0"),
+])
+def test_kernel_bad_argument_is_config_error(tmp_path, capsys, extra, message):
+    """Each fails at once, before any kernel is evaluated, naming the argument."""
+    out = tmp_path / "t.csv"
+    assert main(["kernel", "--ell", "0.5", "--t", "2.0", *extra, "--out", str(out)]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_kernel_reconstruct(tmp_path):
@@ -503,6 +590,8 @@ def test_sweep_without_ell_is_config_error(tmp_path):
 
 @pytest.mark.parametrize("key, value", [
     ("c0", "x"), ("c0", -1), ("c0", 0), ("R", None), ("R", True), ("E1", [4.0]),
+    ("alpha", [-1]), ("im_m", [-0.5]), ("ell", ["0.5"]), ("alpha", [True]), ("ell", []),
+    ("im_m", 0.5),
 ])
 def test_sweep_bad_scalar_is_config_error(tmp_path, capsys, key, value):
     grid = write_json(tmp_path / "sweep.json", {"ell": [0.5], "alpha": [0.3], key: value})
@@ -611,6 +700,17 @@ def test_classify(capsys):
         "branch": "ell>1:large_data",
         "threshold_value": 3.0,
     }
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["classify", "--ell", "nan", "--alpha", "1.0"], "ell"),
+    (["classify", "--ell", "0.5", "--alpha", "inf"], "alpha_exp"),
+    (["lifespan", "--ell", "nan", "--alpha", "0.3"], "ell"),
+    (["lifespan", "--ell", "0.5", "--alpha", "0.3", "--R", "inf"], "r_support"),
+])
+def test_non_finite_case_is_config_error(capsys, argv, field):
+    assert main(argv) == 1
+    assert f"config error: {field} must be finite" in capsys.readouterr().err
 
 
 def test_classify_bad_case_is_config_error():

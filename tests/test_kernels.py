@@ -150,6 +150,11 @@ def test_kernel_domain_guards():
         KernelEval(Cosmology(2.0, 1.0), 0.3, 1.0)
     with pytest.raises(KernelDomainError):
         KernelEval(Cosmology(0.5, 2.0), 0.3, 1.0)
+    for m in (complex(math.nan, 0.0), complex(0.3, math.inf)):
+        with pytest.raises(KernelDomainError, match="m must be finite"):
+            KernelEval(cos, m, 1.0)
+    with pytest.raises(KernelDomainError, match="t >= t0"):
+        ke.check_time(math.nan)
 
 
 def test_unimodular_power_for_real_mass():
