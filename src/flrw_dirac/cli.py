@@ -33,7 +33,14 @@ from . import blowup as bup
 from . import diagnostics as diag
 from .field import Grid, l2_norm_sq, load_snapshot, save_snapshot
 from .initial_data import compact_bump, make_initial_data
-from .kernels import KernelEval, kernel_E, kernel_K1, reconstruct_free
+from .kernels import (
+    TIME_RATIO_MAX,
+    KernelDomainError,
+    KernelEval,
+    kernel_E,
+    kernel_K1,
+    reconstruct_free,
+)
 from .models import Mass, ModelSpec, NonlinearitySpec, PotentialSpec, linear_form
 from .solver import ConeSafetyError, RunRecord, SolverConfig, propagate
 from .spacetime import Cosmology
@@ -148,7 +155,10 @@ _SUITE = _table(("checks", "list", ("section", None, 1, INF), REQUIRED))
 _CHECK = _table(
     ("name", "string", tuple(diag.CHECKS), REQUIRED),
     ("tolerance", "number", None, 1e-6),
-    ("params", "section", None, None),  # bound to the check's signature
+    # every check parameter; the ones given are bound to the check's signature
+    ("params.margin", "number", None, None),
+    ("params.window", "list", ("number", None, 2, 2), None),
+    ("params.expected", "number", None, None),
 )
 
 
@@ -399,6 +409,12 @@ def cmd_kernel(args) -> int:
         raise ConfigError(f"--nr must be >= 1, got {args.nr}")
     cosmo = _build(None, Cosmology, args.ell, 1.0)
     ke = _build(None, KernelEval, cosmo, complex(args.m_re, args.m_im), args.eps)
+    t0 = args.t0 if args.t0 is not None else args.eps
+    try:
+        ke.check_time(args.t, t0)
+    except KernelDomainError as exc:
+        raise ConfigError(
+            f"t must be >= t0 > 0 and t/t0 <= {TIME_RATIO_MAX:g}: {exc}") from None
     if args.mode == "reconstruct":
         try:
             f0 = load_snapshot(args.snapshot)
@@ -409,11 +425,7 @@ def cmd_kernel(args) -> int:
         save_snapshot(out, args.out)
         print(f"wrote reconstructed field to {args.out}")
         return EXIT_OK
-    t0 = args.t0 if args.t0 is not None else args.eps
-    upper = cosmo.phi(args.t) - cosmo.phi(t0)
-    if not upper >= 0:
-        raise ConfigError("t must be >= t0")
-    r = np.linspace(0.0, upper, args.nr)
+    r = np.linspace(0.0, cosmo.phi(args.t) - cosmo.phi(t0), args.nr)
     try:
         if args.kernel == "K1":
             vals = kernel_K1(r, args.t, ke)

@@ -5,6 +5,11 @@ the component axis first: data.shape == (4, n) or (4, n, n, n).  Derivatives
 are spectral; the odd-derivative multiplier zeroes the unpaired Nyquist mode
 so that differentiation commutes with complex conjugation and is exactly
 antisymmetric on the grid.
+
+The module also holds the Dirac symbol of alpha.grad: i sigma.k on the
+off-diagonal 2x2 blocks (_dirac_symbol), and the one pass that applies an
+operator P + s B Q of its span to Fourier coefficients (_apply_span).  The
+RK4 solver and the closed-form propagator of kernels both end with it.
 """
 from __future__ import annotations
 
@@ -98,6 +103,46 @@ def _derivative_wavenumbers(grid: Grid) -> tuple[np.ndarray, ...]:
     if grid.dim == 1:
         return (k,)
     return (k[:, None, None], k[None, :, None], k[None, None, :])
+
+
+@lru_cache(maxsize=32)
+def _dirac_symbol(grid: Grid) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Entries (i k3, i k1 + k2, i k1 - k2) of i sigma.k, the Fourier symbol
+    of sum_j alpha^j d_j on each off-diagonal 2x2 block; shapes (1, 1, n)
+    and (n, n, 1) in 3D, and i k3 is None in 1D."""
+    ks = _derivative_wavenumbers(grid)
+    if grid.dim == 1:
+        entries = None, 1j * ks[0], 1j * ks[0]
+    else:
+        k1, k2, k3 = ks
+        entries = 1j * k3, 1j * k1 + k2, 1j * k1 - k2
+    for e in entries:
+        if e is not None:
+            e.setflags(write=False)
+    return entries
+
+
+def _apply_span(hat: np.ndarray, grid: Grid, p, q=None, s: complex = 1.0) -> np.ndarray:
+    """(P + s B Q) hat, per Fourier mode, for B = i sigma.k on the
+    off-diagonal 2x2 blocks.  P and Q lie in the span of I and g0: p = (p_u,
+    p_l) holds the factors on the upper and lower spinor pair, scalars or
+    arrays over the modes, and likewise q, with q None for Q = I."""
+    ik3, ikp, ikm = (None if e is None else s * e for e in _dirac_symbol(grid))
+    hu, hl = hat[:2], hat[2:]
+    wu, wl = (hu, hl) if q is None else (q[0] * hu, q[1] * hl)
+    out = np.empty_like(hat)
+    np.multiply(p[0], hu, out=out[:2])
+    np.multiply(p[1], hl, out=out[2:])
+    out[0] += ikp * wl[1]
+    out[1] += ikm * wl[0]
+    out[2] += ikp * wu[1]
+    out[3] += ikm * wu[0]
+    if ik3 is not None:
+        out[0] += ik3 * wl[0]
+        out[1] -= ik3 * wl[1]
+        out[2] += ik3 * wu[0]
+        out[3] -= ik3 * wu[1]
+    return out
 
 
 @lru_cache(maxsize=32)

@@ -3,7 +3,8 @@
 The free solution admits an explicit representation: Fourier modes are
 weighted by r-integrals of cone kernels against the flat-space wave
 multiplier cos(r |xi|), and the result is assembled by a first-order
-co-factor operator.  Writing mu = m / (1 - ell), phi(t) = t^(1-ell)/(1-ell),
+co-factor operator, applied through field._apply_span, the symbol pass the
+RK4 solver uses too.  Writing mu = m / (1 - ell), phi(t) = t^(1-ell)/(1-ell),
 D = phi(t) - phi(t0), S = phi(t) + phi(t0), w = S^2 - r^2 and
 z = (D^2 - r^2) / w, the two kernels are
 
@@ -36,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import Grid, SpinorField, _derivative_wavenumbers
+from .field import Grid, SpinorField, _apply_span, _derivative_wavenumbers
 from .spacetime import Cosmology
 
 __all__ = [
@@ -51,8 +52,6 @@ __all__ = [
     "kernel_K1",
     "kernel_K1_time_derivative",
     "free_mode_multipliers",
-    "free_mode_matrix",
-    "apply_K1_operator",
     "apply_G_operator",
     "reconstruct_free",
 ]
@@ -158,8 +157,8 @@ class KernelEval:
 
     def check_time(self, t: float, t0: float | None = None) -> None:
         t0 = self.epsilon if t0 is None else t0
-        if not t >= t0:
-            raise KernelDomainError("kernels require t >= t0")
+        if not t >= t0 > 0:
+            raise KernelDomainError("kernels require t >= t0 > 0")
         if t / t0 > TIME_RATIO_MAX * (1.0 + 1e-12):
             raise KernelDomainError(
                 f"t/t0 = {t / t0:.1f} exceeds the supported ratio "
@@ -354,67 +353,19 @@ def _k1_multipliers(ke: KernelEval, t: float, xi_abs, abs_tol: float,
     return kp, kdp, km, kdm
 
 
-def free_mode_matrix(ke: KernelEval, t: float, xi) -> np.ndarray:
-    """4x4 matrix mapping a Fourier coefficient at time eps to time t."""
-    xi = np.asarray(xi, dtype=float)
-    xi_abs = np.array([float(np.sqrt(np.sum(xi**2)))])
-    kp, kdp, km, kdm = free_mode_multipliers(ke, t, xi_abs)
-    kp, kdp, km, kdm = kp[0], kdp[0], km[0], kdm[0]
-    ell = ke.cosmology.ell
-    m = complex(ke.m)
-    tp = _cpow(t, 1j * m)
-    tm = _cpow(t, -1j * m)
-    a_up = 1j * t ** (-0.5 * ell) * tp * kdp
-    a_lo = 1j * t ** (-0.5 * ell) * tm * kdm
-    b_up = t ** (-1.5 * ell) * tm * km
-    b_lo = t ** (-1.5 * ell) * tp * kp
-    x1, x2, x3 = (list(xi) + [0.0, 0.0])[:3]
-    p = np.array([[x3, x1 - 1j * x2], [x1 + 1j * x2, -x3]], dtype=complex)
-    out = np.zeros((4, 4), dtype=complex)
-    out[:2, :2] = a_up * np.eye(2)
-    out[2:, 2:] = a_lo * np.eye(2)
-    out[:2, 2:] = b_up * p
-    out[2:, :2] = b_lo * p
-    return out
-
-
 def _unique_mode_magnitudes(grid: Grid):
     """Distinct |k| of the derivative wavenumbers, and each mode's index.
 
     Every wavenumber is (2 pi / L) times an integer, so modes are grouped
     exactly by q = i^2 + j^2 + l^2 and the magnitudes are (2 pi / L) sqrt(q).
-    Returns (uniq, inverse, ks) with uniq[inverse] = |k| on the grid.
+    Returns (uniq, inverse) with uniq[inverse] = |k| on the grid.
     """
     ks = _derivative_wavenumbers(grid)
     unit = 2.0 * np.pi / grid.box_length
     q = sum(np.rint(k / unit).astype(np.int64) ** 2 for k in ks)
     present = np.bincount(q.ravel()) > 0
     inverse = (np.cumsum(present) - 1)[q]
-    return unit * np.sqrt(np.flatnonzero(present)), inverse, ks
-
-
-def apply_K1_operator(values: np.ndarray, grid: Grid, t: float, ke: KernelEval,
-                      abs_tol: float = 1e-10) -> np.ndarray:
-    """Apply the Cauchy-data integral operator to a scalar field.
-
-    Per Fourier mode the field is multiplied by the prefactor times the
-    integral of K1(r, t) cos(r |xi|) over the cone range.
-    """
-    if grid.dim != 3:
-        raise KernelDomainError("the integral operators act on dim = 3 grids")
-    ke.check_time(t)
-    upper = ke.cosmology.phi(t) - ke.cosmology.phi(ke.epsilon)
-    if upper <= 0.0:
-        return np.zeros_like(np.asarray(values, dtype=complex))
-    uniq, inverse, _ = _unique_mode_magnitudes(grid)
-
-    def fvals(r):
-        return (kernel_K1(r, t, ke),)
-
-    (i_k,) = _cos_integrals(fvals, upper, uniq, abs_tol)
-    mult = (_k1_prefactor(ke) * i_k)[inverse]
-    hat = np.fft.fftn(np.asarray(values, dtype=complex))
-    return np.fft.ifftn(mult * hat)
+    return unit * np.sqrt(np.flatnonzero(present)), inverse
 
 
 def apply_G_operator(source_fn, grid: Grid, t: float, ke: KernelEval,
@@ -432,7 +383,7 @@ def apply_G_operator(source_fn, grid: Grid, t: float, ke: KernelEval,
     eps = ke.epsilon
     if t <= eps:
         return np.zeros((grid.n,) * 3, dtype=complex)
-    uniq, inverse, _ = _unique_mode_magnitudes(grid)
+    uniq, inverse = _unique_mode_magnitudes(grid)
     phi = ke.cosmology.phi
     ell = ke.cosmology.ell
     m = complex(ke.m)
@@ -471,9 +422,10 @@ def reconstruct_free(psi1: SpinorField, t: float, ke: KernelEval,
                      abs_tol: float = 1e-10, self_check: bool = True) -> SpinorField:
     """Evaluate the free solution at time t from its data at time eps.
 
-    Every Fourier mode is propagated by the explicit 4x4 mode matrix built
-    from the Cauchy multipliers; spatial derivatives act spectrally and the
-    time derivative under the integral sign is analytic.  With self_check
+    Every Fourier mode is propagated by the co-factor operator
+    diag(a_up, a_lo) + diag(b_up, b_lo) sigma.k built from the Cauchy
+    multipliers, applied to the spectrum in one field._apply_span pass;
+    the time derivative under the integral sign is analytic.  With self_check
     on, the analytic time derivative is audited against a 4th-order
     difference on a subsample of mode magnitudes: the stencil integrates
     only K1(+/-m), never the time-derivative kernel it audits, at
@@ -486,7 +438,7 @@ def reconstruct_free(psi1: SpinorField, t: float, ke: KernelEval,
     if abs(psi1.time - ke.epsilon) > 1e-9:
         raise KernelDomainError("psi1.time must equal the kernel epsilon")
     ke.check_time(t)
-    uniq, inverse, ks = _unique_mode_magnitudes(grid)
+    uniq, inverse = _unique_mode_magnitudes(grid)
     kp, kdp, km, kdm = free_mode_multipliers(ke, t, uniq, abs_tol)
     # the difference stencil needs room below t
     if self_check and t - 2.0 * 1e-4 * t > ke.epsilon:
@@ -500,18 +452,9 @@ def reconstruct_free(psi1: SpinorField, t: float, ke: KernelEval,
     a_lo = (1j * t ** (-0.5 * ell) * tm) * kdm[inverse]
     b_up = (t ** (-1.5 * ell) * tm) * km[inverse]
     b_lo = (t ** (-1.5 * ell) * tp) * kp[inverse]
-
-    hat = np.fft.fftn(psi1.data, axes=grid.spatial_axes)
-    k1, k2, k3 = ks
-    pm = k1 - 1j * k2
-    pp = k1 + 1j * k2
-    out = np.empty_like(hat)
-    out[0] = a_up * hat[0] + b_up * (k3 * hat[2] + pm * hat[3])
-    out[1] = a_up * hat[1] + b_up * (pp * hat[2] - k3 * hat[3])
-    out[2] = a_lo * hat[2] + b_lo * (k3 * hat[0] + pm * hat[1])
-    out[3] = a_lo * hat[3] + b_lo * (pp * hat[0] - k3 * hat[1])
-    data = np.fft.ifftn(out, axes=grid.spatial_axes)
-    return SpinorField(grid, data, t)
+    # s = -i turns B = i sigma.k into sigma.k
+    hat = _apply_span(psi1.spectrum, grid, (a_up, a_lo), (b_lo, b_up), s=-1j)
+    return psi1.with_spectrum(hat, time=t)
 
 
 def _self_check_time_derivative(ke, t, uniq, kp, kdp, km, kdm, abs_tol,

@@ -18,9 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .field import Grid, SpinorField, bilinear_densities, sobolev_norm
+from .field import Grid, SpinorField, bilinear_densities
 from .gamma import BASIS
-from .initial_data import random_smooth
 
 __all__ = [
     "Mass",
@@ -31,7 +30,6 @@ __all__ = [
     "linear_form",
     "potential_field",
     "hyperbolic_rhs_nonlinearity",
-    "lipschitz_probe",
 ]
 
 
@@ -223,44 +221,3 @@ def hyperbolic_rhs_nonlinearity(spec: NonlinearitySpec, f: SpinorField) -> Spino
         out = c * mag**spec.alpha_exp * p
     return f.with_data(out.astype(complex, copy=False))
 
-
-def lipschitz_probe(
-    spec: NonlinearitySpec,
-    k: int,
-    trials: int = 16,
-    seed: int = 0,
-    grid: Grid | None = None,
-    amplitude: float = 0.5,
-) -> float:
-    """Empirical Lipschitz constant of the nonlinearity in H_k.
-
-    Maximizes ||F(psi1) - F(psi2)||_k over random smooth pairs, normalized by
-    ||psi1 - psi2||_k (||psi1||_k^a + ||psi2||_k^a).  Coincident pairs are
-    skipped.  F is the first-order right side; the covariant form gives the
-    same constant, since the two differ by the constant unitary -i g0.
-    """
-    if spec.is_none:
-        raise ValueError("lipschitz_probe requires kind != 'none'")
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if grid is None:
-        grid = Grid(dim=1, n=64, box_length=2.0 * np.pi)
-    best = 0.0
-    for trial in range(trials):
-        f1 = random_smooth(grid, amplitude=amplitude, seed=seed * 1000 + 2 * trial)
-        f2 = random_smooth(grid, amplitude=amplitude, seed=seed * 1000 + 2 * trial + 1)
-        diff_norm = sobolev_norm(f1.with_data(f1.data - f2.data), k)
-        if diff_norm == 0.0:
-            continue
-        num = sobolev_norm(
-            f1.with_data(
-                hyperbolic_rhs_nonlinearity(spec, f1).data
-                - hyperbolic_rhs_nonlinearity(spec, f2).data
-            ),
-            k,
-        )
-        den = diff_norm * (
-            sobolev_norm(f1, k) ** spec.alpha_exp + sobolev_norm(f2, k) ** spec.alpha_exp
-        )
-        best = max(best, num / den)
-    return best

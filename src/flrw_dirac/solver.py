@@ -16,9 +16,10 @@ off-diagonal 2x2 blocks, s = -1/a(t), d = -3 ell / 2t and mu = -i m / t (g0
 flips the sign of the lower spinor pair).  B^2 = -|k|^2, g0^2 = I and
 B g0 = -g0 B, so without x-dependent terms a whole step is one element
 r0 I + r1 B + r2 g0 + r3 B g0 of that span, whose coefficients are
-polynomials in |k|^2, applied in one pass.  The x-dependent terms
-(potential, nonlinearity, source) are evaluated in physical space and
-transformed, stage by stage.
+polynomials in |k|^2, applied in one pass.  That pass, field._apply_span,
+lives in field, and the closed-form propagator of kernels uses it too.  The
+x-dependent terms (potential, nonlinearity, source) are evaluated in
+physical space and transformed, stage by stage.
 
 Each field a step returns carries its Fourier coefficients
 (SpinorField.spectrum), so the next step and the recorder transform
@@ -40,6 +41,7 @@ from .field import (
     BilinearDensities,
     Grid,
     SpinorField,
+    _apply_span,
     _derivative_wavenumbers,
     bilinear_densities,
     cone_mass,
@@ -212,53 +214,13 @@ class RunRecord:
 
 
 @lru_cache(maxsize=32)
-def _dirac_symbol(grid: Grid) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Entries (i k3, i k1 + k2, i k1 - k2) of i sigma.k, the Fourier symbol
-    of sum_j alpha^j d_j on each off-diagonal 2x2 block; shapes (1, 1, n)
-    and (n, n, 1) in 3D, and i k3 is None in 1D."""
-    ks = _derivative_wavenumbers(grid)
-    if grid.dim == 1:
-        entries = None, 1j * ks[0], 1j * ks[0]
-    else:
-        k1, k2, k3 = ks
-        entries = 1j * k3, 1j * k1 + k2, 1j * k1 - k2
-    for e in entries:
-        if e is not None:
-            e.setflags(write=False)
-    return entries
-
-
-@lru_cache(maxsize=32)
 def _k_powers(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """K = |k|^2 and K^2 on the odd-derivative wavenumbers, so that
-    B^2 = -K for the B = i sigma.k of _dirac_symbol (read-only)."""
+    B^2 = -K for the B = i sigma.k of field._dirac_symbol (read-only)."""
     k_sq = sum(k**2 for k in _derivative_wavenumbers(grid))
     out = k_sq, k_sq**2
     for e in out:
         e.setflags(write=False)
-    return out
-
-
-def _apply_span(hat: np.ndarray, grid: Grid, p, q=None, s: float = 1.0) -> np.ndarray:
-    """(P + s B Q) hat, per Fourier mode, for B = i sigma.k on the
-    off-diagonal 2x2 blocks.  P and Q lie in the span of I and g0: p = (p_u,
-    p_l) holds the factors on the upper and lower spinor pair, scalars or
-    arrays over the modes, and likewise q, with q None for Q = I."""
-    ik3, ikp, ikm = (None if e is None else s * e for e in _dirac_symbol(grid))
-    hu, hl = hat[:2], hat[2:]
-    wu, wl = (hu, hl) if q is None else (q[0] * hu, q[1] * hl)
-    out = np.empty_like(hat)
-    np.multiply(p[0], hu, out=out[:2])
-    np.multiply(p[1], hl, out=out[2:])
-    out[0] += ikp * wl[1]
-    out[1] += ikm * wl[0]
-    out[2] += ikp * wu[1]
-    out[3] += ikm * wu[0]
-    if ik3 is not None:
-        out[0] += ik3 * wl[0]
-        out[1] -= ik3 * wl[1]
-        out[2] += ik3 * wu[0]
-        out[3] -= ik3 * wu[1]
     return out
 
 

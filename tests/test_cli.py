@@ -205,6 +205,29 @@ def test_verify_rejects_misspelled_keys(tmp_path, plain_record, capsys, spec, me
 
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"name": "decay", "params": {"expected": "x"}},
+     "field 'checks[0].params.expected' must be a number"),
+    ({"name": "decay", "params": {"expected": True}},
+     "field 'checks[0].params.expected' must be a number"),
+    ({"name": "decay", "params": {"window": 5}},
+     "field 'checks[0].params.window' must be a list of 2 numbers"),
+    ({"name": "decay", "params": {"window": None}},
+     "field 'checks[0].params.window' must be a list of 2 numbers"),
+    ({"name": "forward_bound", "params": {"margin": "x"}},
+     "field 'checks[0].params.margin' must be a number"),
+    ({"name": "cone", "tolerance": 1e-8, "params": {"margin": 0.3}},
+     "unexpected keyword argument 'margin'"),
+])
+def test_verify_mistyped_params_are_config_errors(tmp_path, plain_record, capsys, spec,
+                                                  message):
+    """Each check parameter has a declared kind, and a check is passed only
+    the parameters it takes; anything else fails before any check runs."""
+    assert verify(tmp_path, plain_record, [spec]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("tolerance", ["abc", None, [1e-3], True],
                          ids=["string", "null", "list", "bool"])
 def test_verify_non_numeric_tolerance_is_config_error(tmp_path, plain_record, capsys,
@@ -510,6 +533,16 @@ def test_kernel_table_bad_input_is_config_error(tmp_path, extra):
     (["--nr", "-1"], "--nr must be >= 1"),
     (["--m-re", "nan"], "m must be finite"),
     (["--t", "nan"], "t must be >= t0"),
+    (["--t", "60"], "t must be >= t0 > 0 and t/t0 <= 50: t/t0 = 60.0 exceeds"),
+    (["--t0", "0"], "t must be >= t0 > 0"),
+    (["--t0", "-1"], "t must be >= t0 > 0"),
+    # the snapshot is never read: the time is checked first
+    (["--mode", "reconstruct", "--snapshot", "missing.fdrc", "--t", "nan"],
+     "t must be >= t0"),
+    (["--mode", "reconstruct", "--snapshot", "missing.fdrc", "--t", "0.5"],
+     "t must be >= t0"),
+    (["--mode", "reconstruct", "--snapshot", "missing.fdrc", "--t", "60"],
+     "t must be >= t0 > 0 and t/t0 <= 50: t/t0 = 60.0 exceeds"),
 ])
 def test_kernel_bad_argument_is_config_error(tmp_path, capsys, extra, message):
     """Each fails at once, before any kernel is evaluated, naming the argument."""

@@ -20,8 +20,6 @@ from flrw_dirac.kernels import (
     _gl_rule,
     _unique_mode_magnitudes,
     apply_G_operator,
-    apply_K1_operator,
-    free_mode_matrix,
     free_mode_multipliers,
     hyp2f1,
     hyp2f1_derivative,
@@ -206,14 +204,31 @@ def ode_mode_matrix(ell, m, xi, t_end):
     return sol.y[:, -1].reshape(4, 4)
 
 
+PLANE_WAVE_GRID = Grid(3, 8, 2 * np.pi)  # integer wavenumbers
+
+
+def plane_wave_matrix(ke, t, xi):
+    """The 4x4 matrix reconstruct_free applies to the mode xi: column j is
+    the flow of exp(i xi.x) e_j, projected back onto the wave."""
+    grid = PLANE_WAVE_GRID
+    wave = np.exp(1j * sum(k * x for k, x in zip(xi, grid.coordinate_arrays())))
+    cols = []
+    for j in range(4):
+        data = np.zeros((4,) + wave.shape, dtype=complex)
+        data[j] = wave
+        out = reconstruct_free(SpinorField(grid, data, ke.epsilon), t, ke)
+        cols.append(np.mean(np.conj(wave) * out.data, axis=(1, 2, 3)))
+    return np.stack(cols, axis=1)
+
+
 @pytest.mark.parametrize(
     "ell,m",
     [(0.5, 0.0), (0.5, 0.3), (2 / 3, 0.5 + 0.1j)],
 )
-def test_free_mode_matrix_matches_ode(ell, m):
+def test_reconstruct_plane_waves_match_ode(ell, m):
     ke = KernelEval(Cosmology(ell, 1.0), m, 1.0)
-    for xi in ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.7, -1.3, 2.1)):
-        got = free_mode_matrix(ke, 2.0, xi)
+    for xi in ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, -1.0, 2.0)):
+        got = plane_wave_matrix(ke, 2.0, xi)
         ref = ode_mode_matrix(ell, m, xi, 2.0)
         assert np.max(np.abs(got - ref)) < 1e-9
 
@@ -221,7 +236,7 @@ def test_free_mode_matrix_matches_ode(ell, m):
 def test_constant_mode_matches_homogeneous_solution():
     ke = KernelEval(Cosmology(0.5, 1.0), 0.5 + 0.1j, 1.0)
     t = 3.0
-    got = free_mode_matrix(ke, t, (0.0, 0.0, 0.0))
+    got = plane_wave_matrix(ke, t, (0.0, 0.0, 0.0))
     fac = t ** (-0.75)
     m = 0.5 + 0.1j
     expected = np.diag([fac * t ** (-1j * m)] * 2 + [fac * t ** (1j * m)] * 2)
@@ -291,8 +306,8 @@ class _AnyNGrid(Grid):
     [Grid(3, 8, 8.0), Grid(3, 16, 10.0), _AnyNGrid(3, 9, 7.0), _AnyNGrid(3, 15, 12.0)],
 )
 def test_unique_mode_magnitudes_group_exactly(grid):
-    uniq, inverse, ks = _unique_mode_magnitudes(grid)
-    assert ks is _derivative_wavenumbers(grid)
+    uniq, inverse = _unique_mode_magnitudes(grid)
+    ks = _derivative_wavenumbers(grid)
     mags = np.sqrt(sum(k**2 for k in ks))
     assert inverse.shape == mags.shape
     assert np.all(np.diff(uniq) > 0)
@@ -304,32 +319,26 @@ def test_unique_mode_magnitudes_group_exactly(grid):
 
 
 def test_apply_k1_degenerate_interval_is_zero():
-    grid = Grid(dim=3, n=8, box_length=8.0)
-    values = np.ones((8, 8, 8), dtype=complex)
+    """The Cauchy-data multipliers kp and km vanish on the interval t = eps."""
     ke = KernelEval(Cosmology(0.5, 1.0), 0.3, 1.0)
-    out = apply_K1_operator(values, grid, 1.0, ke)
-    assert np.max(np.abs(out)) == 0.0
+    kp, _, km, _ = free_mode_multipliers(ke, 1.0, np.array([0.0, 0.25 * np.pi, 2.0]))
+    assert np.max(np.abs(kp)) == 0.0 and np.max(np.abs(km)) == 0.0
 
 
 def test_apply_k1_massless_closed_form_multiplier():
-    """For m = 0 the mode multiplier collapses to
+    """For m = 0 the Cauchy-data multiplier kp collapses to
     -i eps^(1 + ell/2) / ((1 - ell) phi(eps)) * sin(|xi| U) / |xi|."""
-    grid = Grid(dim=3, n=8, box_length=8.0)
     cos = Cosmology(0.5, 1.0)
     ke = KernelEval(cos, 0.0, 1.0)
     t = 2.0
     upper = cos.phi(t) - cos.phi(1.0)
-    x = grid.axis_coordinates()
-    q = 2.0 * np.pi / grid.box_length
-    mode = np.exp(1j * q * x)[:, None, None] * np.ones((1, 8, 8))
-    out = apply_K1_operator(mode.astype(complex), grid, t, ke)
+    q = 2.0 * np.pi / 8.0
+    kp, _, _, _ = free_mode_multipliers(ke, t, np.array([q, 0.0]))
     expected_mult = -1j / ((1 - 0.5) * cos.phi(1.0)) * math.sin(q * upper) / q
-    assert np.allclose(out, expected_mult * mode, atol=1e-9)
+    assert np.allclose(kp[0], expected_mult, atol=1e-9)
     # zero-frequency mode: plain integral of the kernel
-    const = np.ones((8, 8, 8), dtype=complex)
-    out0 = apply_K1_operator(const, grid, t, ke)
     expected0 = -1j / ((1 - 0.5) * cos.phi(1.0)) * upper
-    assert np.allclose(out0, expected0, atol=1e-10)
+    assert np.allclose(kp[1], expected0, atol=1e-10)
 
 
 def test_apply_g_zero_source_and_degenerate_interval():

@@ -1,8 +1,13 @@
-"""The benchmark's tracer (perfbench/spans.py) wraps program functions by
-module and attribute name.  A name it lists that no longer resolves makes
-`perfbench/run.py --trace 1` fail, so every listed name must stay."""
+"""Names other code relies on must resolve.  The benchmark's tracer
+(perfbench/spans.py) wraps program functions by module and attribute name:
+a name it lists that no longer resolves makes `perfbench/run.py --trace 1`
+fail, so every listed name must stay.  Each module's __all__ is its public
+API: a stale entry makes `from flrw_dirac.<module> import *` raise."""
 import importlib
+import pkgutil
 from pathlib import Path
+
+import flrw_dirac
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -24,3 +29,12 @@ def test_every_traced_name_resolves(monkeypatch):
     assert missing == []
     # the tracer also counts the IntegrationWarnings of every quadrature here
     assert callable(flrw_dirac.blowup.quad)
+
+
+def test_every_public_name_resolves():
+    stale = []
+    for info in pkgutil.iter_modules(flrw_dirac.__path__, "flrw_dirac."):
+        module = importlib.import_module(info.name)
+        stale += [f"{info.name}.{name}" for name in getattr(module, "__all__", ())
+                  if not hasattr(module, name)]
+    assert stale == []
