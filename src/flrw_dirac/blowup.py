@@ -127,28 +127,34 @@ def quad(*args, **kwargs):
     return scipy_quad(*args, **kwargs)
 
 
-def _split_points(t: float) -> list[float]:
-    pts = []
-    decade = 10.0
-    while decade < t:
-        pts.append(decade)
-        decade *= 10.0
-    return pts
+def _pieces(t: float) -> list[tuple[float, float]]:
+    """[1, t] split at the powers of ten: the complete decades
+    [10^k, 10^(k+1)] below t, then the last, partial piece ending at t."""
+    edges = [1.0]
+    while edges[-1] * 10.0 < t:
+        edges.append(edges[-1] * 10.0)
+    edges.append(t)
+    return list(zip(edges[:-1], edges[1:]))
 
 
-def j_integral(case: BlowupCase, t: float, abs_tol: float = 1e-10) -> float:
-    """Adaptive quadrature of the lifespan integrand over [1, t]."""
+def j_integral(case: BlowupCase, t: float, abs_tol: float = 1e-10, *,
+               decades: dict | None = None) -> float:
+    """Adaptive quadrature of the lifespan integrand over [1, t], one quad
+    per _pieces piece, summed in order.  `decades` memoizes the complete
+    decades by left edge, for calls with the same case and abs_tol."""
     if t < 1.0:
         raise ValueError("j_integral requires t >= 1")
     if t == 1.0:
         return 0.0
     f = _integrand(case)
+    memo = {} if decades is None else decades
+    *complete, (a, b) = _pieces(t)
     total = 0.0
-    edges = [1.0] + _split_points(t) + [t]
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, _ = quad(f, a, b, epsabs=abs_tol, epsrel=1e-12, limit=400)
-        total += val
-    return total
+    for lo, hi in complete:
+        if lo not in memo:
+            memo[lo] = quad(f, lo, hi, epsabs=abs_tol, epsrel=1e-12, limit=400)[0]
+        total += memo[lo]
+    return total + quad(f, a, b, epsabs=abs_tol, epsrel=1e-12, limit=400)[0]
 
 
 def total_j_mass(case: BlowupCase, abs_tol: float = 1e-12) -> float:
@@ -178,7 +184,9 @@ def lifespan(case: BlowupCase, xtol: float = 1e-12) -> float:
     """Latest possible blow-up time, or infinity when inconclusive.
 
     Solves the lifespan equation by bracketing plus Brent root finding on
-    the strictly increasing right side.
+    the strictly increasing right side.  Every J(t) of one call shares one
+    memo of the complete decades, so each decade is integrated once; the
+    sums, and so the root, are the same as without it.
     """
     from scipy.optimize import brentq
 
@@ -187,15 +195,16 @@ def lifespan(case: BlowupCase, xtol: float = 1e-12) -> float:
     if math.isfinite(total) and total <= target * (1.0 + 1e-12):
         return math.inf
 
+    decades: dict[float, float] = {}
     hi = 2.0
-    while j_integral(case, hi) < target:
+    while j_integral(case, hi, decades=decades) < target:
         hi *= 2.0
         if hi > 1e12:
             return math.inf
     lo = max(1.0, hi / 2.0)
 
     def g(t: float) -> float:
-        return j_integral(case, t) - target
+        return j_integral(case, t, decades=decades) - target
 
     if g(lo) > 0.0:
         lo = 1.0
@@ -281,7 +290,7 @@ def empirical_blowup(
         mass=Mass(complex(mass)),
         nonlinearity=NonlinearitySpec(kind="blowup_G", alpha_exp=alpha_exp, c0=c0),
     )
-    rec = propagate(f0, cosmo, model, cfg)
+    rec = propagate(f0, cosmo, model, cfg, observables=("l2",))
 
     t_numerical = rec.blowup_time if rec.blown_up else None
     if rec.blown_up and math.isfinite(t_bound):

@@ -407,6 +407,9 @@ def cmd_kernel(args) -> int:
         raise ConfigError("--mode reconstruct needs --snapshot")
     if args.nr < 1:
         raise ConfigError(f"--nr must be >= 1, got {args.nr}")
+    if args.t0 is not None and (args.mode == "reconstruct" or args.kernel != "E"):
+        raise ConfigError("--t0 applies only to --kernel E in table mode; "
+                          "K1 and reconstruct start at --eps")
     cosmo = _build(None, Cosmology, args.ell, 1.0)
     ke = _build(None, KernelEval, cosmo, complex(args.m_re, args.m_im), args.eps)
     t0 = args.t0 if args.t0 is not None else args.eps

@@ -345,7 +345,7 @@ def scattering_profile(
 
     run_cfg = replace(cfg, t_end=t_last, on_cone_violation="error")
     capture = list(nodes) + checkpoints
-    nonlinear = propagate(f0, cosmo, model, run_cfg, capture_times=capture)
+    nonlinear = propagate(f0, cosmo, model, run_cfg, capture_times=capture, observables=())
 
     linear_model = ModelSpec(mass=model.mass, potential=model.potential)
     panel_sums = [None] * (len(edges) - 1)
@@ -362,7 +362,7 @@ def scattering_profile(
                 blowup_factor=math.inf,
                 lm_z=None,
             )
-            back = propagate(g, cosmo, linear_model, back_cfg)
+            back = propagate(g, cosmo, linear_model, back_cfg, observables=())
             contrib = w * back.final.data
             if panel_sums[p] is None:
                 panel_sums[p] = contrib
@@ -378,7 +378,8 @@ def scattering_profile(
 
     psi_plus = f0.with_data(f0.data + total)
     free_cfg = replace(run_cfg, track_cone=False)
-    free = propagate(psi_plus, cosmo, linear_model, free_cfg, capture_times=checkpoints)
+    free = propagate(psi_plus, cosmo, linear_model, free_cfg,
+                     capture_times=checkpoints, observables=())
 
     tails = []
     for c in checkpoints:

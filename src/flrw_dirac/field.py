@@ -13,6 +13,7 @@ RK4 solver and the closed-form propagator of kernels both end with it.
 """
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -83,6 +84,18 @@ class Grid:
             x[None, :, None],
             x[None, None, :],
         )
+
+
+def _fftn(a: np.ndarray, grid: Grid) -> np.ndarray:
+    """FFT of a 4-spinor array over the spatial axes.  In 1D, np.fft.fft
+    along the last axis gives fftn's values without its per-call argument
+    handling, a large share of a transform of a few hundred points."""
+    return np.fft.fft(a) if grid.dim == 1 else np.fft.fftn(a, axes=grid.spatial_axes)
+
+
+def _ifftn(a: np.ndarray, grid: Grid) -> np.ndarray:
+    """Inverse of _fftn."""
+    return np.fft.ifft(a) if grid.dim == 1 else np.fft.ifftn(a, axes=grid.spatial_axes)
 
 
 @lru_cache(maxsize=32)
@@ -187,7 +200,7 @@ class SpinorField:
     def with_spectrum(self, hat: np.ndarray, time: float | None = None) -> "SpinorField":
         """The field whose Fourier coefficients are `hat`: one inverse FFT,
         and `hat` (made read-only) becomes the new field's spectrum."""
-        out = self.with_data(np.fft.ifftn(hat, axes=self.grid.spatial_axes), time)
+        out = self.with_data(_ifftn(hat, self.grid), time)
         hat.setflags(write=False)
         out.__dict__["spectrum"] = hat
         return out
@@ -196,7 +209,7 @@ class SpinorField:
     def spectrum(self) -> np.ndarray:
         """Fourier coefficients of `data` over the spatial axes (read-only),
         computed once per field."""
-        hat = np.fft.fftn(self.data, axes=self.grid.spatial_axes)
+        hat = _fftn(self.data, self.grid)
         hat.setflags(write=False)
         return hat
 
@@ -323,15 +336,26 @@ def save_snapshot(f: SpinorField, path) -> None:
 
 
 def load_snapshot(path) -> SpinorField:
+    """Read a field written by save_snapshot.  A file that is not exactly
+    as long as its header says raises ValueError naming the file and the
+    expected and actual byte counts."""
     with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        magic, version, dim, n, L, time = _HEADER.unpack(raw)
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER.size:
+            raise ValueError(
+                f"{path}: snapshot header needs {_HEADER.size} bytes, file has {size}")
+        magic, version, dim, n, L, time = _HEADER.unpack(fh.read(_HEADER.size))
         if magic != SNAPSHOT_MAGIC:
             raise ValueError("not a spinor snapshot file")
         if version != SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {version}")
         grid = Grid(dim=dim, n=n, box_length=L)
         count = 4 * n**dim
+        expected = _HEADER.size + 16 * count
+        if size != expected:
+            raise ValueError(
+                f"{path}: snapshot with dim {dim}, n {n} needs {expected} bytes, "
+                f"file has {size}")
         data = np.frombuffer(fh.read(count * 16), dtype="<c16", count=count)
     data = data.astype(complex).reshape((4,) + (n,) * dim)
     return SpinorField(grid=grid, data=data, time=time)

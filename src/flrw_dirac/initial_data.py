@@ -10,7 +10,7 @@ from functools import partial
 
 import numpy as np
 
-from .field import Grid, SpinorField
+from .field import Grid, SpinorField, _ifftn
 
 __all__ = [
     "gaussian_bump",
@@ -127,7 +127,7 @@ def random_smooth(
             + modes[None, None, :] ** 2
         )
     coeff *= np.exp(-m2 / corr_modes**2)
-    data = np.fft.ifftn(coeff, axes=grid.spatial_axes)
+    data = _ifftn(coeff, grid)
     scale = amplitude / max(np.max(np.abs(data)), 1e-300)
     return SpinorField(grid, (scale * data).astype(complex), time)
 

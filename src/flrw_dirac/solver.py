@@ -27,13 +27,16 @@ nothing: a run makes one forward FFT of its start field, then one inverse
 FFT per free step.  A step with x-dependent terms adds an inverse FFT for
 each of the last three stage fields and a forward FFT of those terms at
 every stage (8 FFTs).
+
+The recorder samples only the OBSERVABLES named by propagate's caller, and
+computes the bilinear densities only when a recorded observable reads them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
-from typing import Callable, NamedTuple
+from functools import cached_property, lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -43,6 +46,8 @@ from .field import (
     SpinorField,
     _apply_span,
     _derivative_wavenumbers,
+    _fftn,
+    _ifftn,
     bilinear_densities,
     cone_mass,
     gamma2_bilinear,
@@ -309,7 +314,7 @@ def rhs(
     if t <= 0:
         raise ValueError("rhs requires t > 0")
     linear = _linear_symbol(f.spectrum, t, cosmo, complex(model.mass.m), f.grid)
-    out = np.fft.ifftn(linear, axes=f.grid.spatial_axes)
+    out = _ifftn(linear, f.grid)
     local = _local_terms(f, t, model, source)
     if local is not None:
         out += local
@@ -353,19 +358,18 @@ def step(
                 f"|dt|={abs(dt):.3e} exceeds cfl*h*a(t)={bound:.3e} at t={t:.6f}"
             )
     grid = f.grid
-    axes = grid.spatial_axes
     m = complex(model.mass.m)
     hat = f.spectrum
     local = _local_terms(f, t, model, source)
     if local is None:
         return f.with_spectrum(_free_rk4(hat, t, dt, cosmo, m, grid), time=t + dt)
     k1 = _linear_symbol(hat, t, cosmo, m, grid)
-    k1 += np.fft.fftn(local, axes=axes)
+    k1 += _fftn(local, grid)
 
     def deriv(stage_hat, t_stage):
         out = _linear_symbol(stage_hat, t_stage, cosmo, m, grid)
-        g = f.with_data(np.fft.ifftn(stage_hat, axes=axes))
-        out += np.fft.fftn(_local_terms(g, t_stage, model, source), axes=axes)
+        g = f.with_data(_ifftn(stage_hat, grid))
+        out += _fftn(_local_terms(g, t_stage, model, source), grid)
         return out
 
     k2 = deriv(hat + 0.5 * dt * k1, t + 0.5 * dt)
@@ -391,17 +395,18 @@ def guard_cone(radius: float, grid: Grid, t: float, what: str) -> None:
         )
 
 
-class _Sample(NamedTuple):
-    """What an observable reads at one recorded time: the field, its
-    squared L2 norm, its bilinear densities and cell volume, and the run's
-    fixed inputs (cfg, cosmo, r0, source and imv = Im V, as attributes of
-    run)."""
+class _Sample:
+    """What an observable reads at one recorded time: the field f, its
+    squared L2 norm l2, its cell volume vol, its bilinear densities dens
+    (computed on first read) and the run's fixed inputs (cfg, cosmo, r0,
+    source and imv = Im V, as attributes of run)."""
 
-    f: SpinorField
-    l2: float
-    dens: BilinearDensities
-    vol: float
-    run: "_Recorder"
+    def __init__(self, f: SpinorField, l2: float, run: "_Recorder"):
+        self.f, self.l2, self.run, self.vol = f, l2, run, f.grid.cell_volume
+
+    @cached_property
+    def dens(self) -> BilinearDensities:
+        return bilinear_densities(self.f)
 
 
 def _cone_leak(s: _Sample) -> float:
@@ -464,7 +469,13 @@ OBSERVABLES: dict[str, Callable[[_Sample], float | complex | None]] = {
 class _Recorder:
     """Samples OBSERVABLES along a run and holds the run's fixed inputs."""
 
-    def __init__(self, cosmo, model, cfg, grid, source, r0):
+    def __init__(self, cosmo, model, cfg, grid, source, r0, observables=None):
+        unknown = set(observables or ()) - OBSERVABLES.keys()
+        if unknown:
+            raise ValueError(
+                f"unknown observables {sorted(unknown)}; options: {list(OBSERVABLES)}")
+        self.observe = {name: fn for name, fn in OBSERVABLES.items()
+                        if observables is None or name == TIME_AXIS or name in observables}
         self.cosmo = cosmo
         self.cfg = cfg
         self.source = source
@@ -483,8 +494,8 @@ class _Recorder:
         if f.time == self.last_time:
             return
         self.last_time = f.time
-        sample = _Sample(f, l2, bilinear_densities(f), f.grid.cell_volume, self)
-        for name, observe in OBSERVABLES.items():
+        sample = _Sample(f, l2, self)
+        for name, observe in self.observe.items():
             value = observe(sample)
             if value is not None:
                 self.rows.setdefault(name, []).append(value)
@@ -516,12 +527,18 @@ def propagate(
     cfg: SolverConfig,
     source: Callable[[float], np.ndarray] | None = None,
     capture_times=(),
+    observables=None,
 ) -> RunRecord:
     """Integrate from cfg.t_start to cfg.t_end, recording diagnostics.
 
     With no nonlinearity and no source this realizes the linear solution
     operator between the two times (backward runs are allowed).  The run
     stops early on blow-up (norm threshold or non-finite data).
+
+    observables names the OBSERVABLES entries recorded besides TIME_AXIS
+    (an unknown name raises ValueError); None records all, as `simulate`
+    does.  empirical_blowup records ("l2",), and scattering_profile, which
+    reads only `captured` and `final`, records ().
 
     A forward run with cfg.track_cone reaches the forward-cone radius
     r0 + cosmo.travel_distance(t, t_start), with r0 the support radius of f0.
@@ -541,7 +558,7 @@ def propagate(
     r0 = 0.0
     if cfg.track_cone:
         r0 = support_radius(f0, cfg.cone_center, cfg.cone_mass_fraction)
-    recorder = _Recorder(cosmo, model, cfg, grid, source, r0)
+    recorder = _Recorder(cosmo, model, cfg, grid, source, r0, observables)
     tracked = cfg.track_cone and not backward
     if tracked and cfg.on_cone_violation == "error":
         guard_cone(recorder.reach(cfg.t_end), grid, cfg.t_end, "forward cone")

@@ -117,6 +117,45 @@ def test_quad_is_the_module_attribute_every_quadrature_calls(monkeypatch):
     assert math.isfinite(expected[2])
 
 
+# (ell, alpha, im_m) at the sweep's E1 = 4: T_bu is about 6710 (four decade
+# pieces) and about 1795
+MEMO_CASES = [(2.0, 0.3, 0.5), (1.0, 0.5, 0.5)]
+
+
+@pytest.mark.parametrize("ell, alpha, im_m", MEMO_CASES)
+def test_lifespan_integrates_each_complete_decade_once(monkeypatch, ell, alpha, im_m):
+    import flrw_dirac.blowup as bup
+
+    case = BlowupCase(ell=ell, alpha_exp=alpha, im_m_abs=im_m, e1=4.0)
+    calls = []
+    original = bup.quad
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bup, "quad", counted)
+    t_bu = lifespan(case)
+    decades = [(a, b) for a, b in calls if b == 10.0 * a]
+    below = {(10.0**k, 10.0 ** (k + 1)) for k in range(int(math.log10(t_bu)))}
+    assert len(below) >= 3
+    assert len(decades) == len(set(decades)) and below <= set(decades)
+
+
+@pytest.mark.parametrize("ell, alpha, im_m", MEMO_CASES)
+def test_lifespan_memo_leaves_the_root_bit_identical(monkeypatch, ell, alpha, im_m):
+    """The root equals, bit for bit, the one found with every J(t)
+    integrated afresh."""
+    import flrw_dirac.blowup as bup
+
+    case = BlowupCase(ell=ell, alpha_exp=alpha, im_m_abs=im_m, e1=4.0)
+    memoized = lifespan(case)
+    plain = bup.j_integral
+    monkeypatch.setattr(bup, "j_integral",
+                        lambda case, t, decades=None: plain(case, t))
+    assert lifespan(case) == memoized
+
+
 def test_j_integral_properties():
     case = BlowupCase(ell=2 / 3, alpha_exp=2 / 3)
     assert j_integral(case, 1.0) == 0.0

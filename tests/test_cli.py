@@ -521,7 +521,8 @@ def test_kernel_table(tmp_path, kernel):
 
 @pytest.mark.parametrize(
     "extra",
-    [["--ell", "1.5", "--t", "2.0"], ["--ell", "0.5", "--t", "2.0", "--t0", "3.0"]],
+    [["--ell", "1.5", "--t", "2.0"],
+     ["--ell", "0.5", "--t", "2.0", "--kernel", "E", "--t0", "3.0"]],
 )
 def test_kernel_table_bad_input_is_config_error(tmp_path, extra):
     assert main(["kernel", *extra, "--out", str(tmp_path / "t.csv")]) == 1
@@ -534,8 +535,8 @@ def test_kernel_table_bad_input_is_config_error(tmp_path, extra):
     (["--m-re", "nan"], "m must be finite"),
     (["--t", "nan"], "t must be >= t0"),
     (["--t", "60"], "t must be >= t0 > 0 and t/t0 <= 50: t/t0 = 60.0 exceeds"),
-    (["--t0", "0"], "t must be >= t0 > 0"),
-    (["--t0", "-1"], "t must be >= t0 > 0"),
+    (["--kernel", "E", "--t0", "0"], "t must be >= t0 > 0"),
+    (["--kernel", "E", "--t0", "-1"], "t must be >= t0 > 0"),
     # the snapshot is never read: the time is checked first
     (["--mode", "reconstruct", "--snapshot", "missing.fdrc", "--t", "nan"],
      "t must be >= t0"),
@@ -543,6 +544,12 @@ def test_kernel_table_bad_input_is_config_error(tmp_path, extra):
      "t must be >= t0"),
     (["--mode", "reconstruct", "--snapshot", "missing.fdrc", "--t", "60"],
      "t must be >= t0 > 0 and t/t0 <= 50: t/t0 = 60.0 exceeds"),
+    # K1 and reconstruct start at --eps, so --t0 would only mislabel them
+    (["--kernel", "K1", "--t0", "0.5"], "--t0 applies only to --kernel E"),
+    (["--kernel", "K1", "--t0", "1.5"], "--t0 applies only to --kernel E"),
+    (["--kernel", "K1", "--t", "60", "--t0", "2"], "--t0 applies only to --kernel E"),
+    (["--mode", "reconstruct", "--snapshot", "missing.fdrc",
+      "--kernel", "E", "--t0", "1.5"], "--t0 applies only to --kernel E"),
 ])
 def test_kernel_bad_argument_is_config_error(tmp_path, capsys, extra, message):
     """Each fails at once, before any kernel is evaluated, naming the argument."""
@@ -570,6 +577,24 @@ def test_kernel_reconstruct_bad_snapshot_is_runtime_error(tmp_path):
         argv = ["kernel", "--mode", "reconstruct", "--ell", "0.5", "--t", "2.0",
                 "--snapshot", str(snap), "--out", str(tmp_path / "f.fdrc")]
         assert main(argv) == 2
+
+
+@pytest.mark.parametrize("cut, expected, actual", [
+    (lambda raw: b"", 32, 0),  # no header
+    (lambda raw: raw[:-1], 32800, 32799),  # truncated payload
+    (lambda raw: raw + b"\0", 32800, 32801),  # trailing bytes
+])
+def test_kernel_reconstruct_malformed_snapshot_names_its_size(tmp_path, capsys, cut,
+                                                               expected, actual):
+    snap, out = tmp_path / "f0.fdrc", tmp_path / "f.fdrc"
+    save_snapshot(compact_bump(Grid(3, 8, 12.0), width=3.0), snap)
+    snap.write_bytes(cut(snap.read_bytes()))
+    argv = ["kernel", "--mode", "reconstruct", "--ell", "0.5", "--t", "2.0",
+            "--snapshot", str(snap), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(snap) in err and f"needs {expected} bytes, file has {actual}" in err
+    assert not out.exists()
 
 
 # --- sweep, lifespan, classify ------------------------------------------------

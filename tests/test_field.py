@@ -7,6 +7,8 @@ from flrw_dirac.field import (
     Grid,
     SpinorField,
     _derivative_wavenumbers,
+    _fftn,
+    _ifftn,
     bilinear_densities,
     cone_mass,
     gamma2_bilinear,
@@ -240,6 +242,21 @@ def test_cone_mass(grid1d):
 
 
 @settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(1, 8), (1, 256), (3, 8)]))
+def test_transform_pair_equals_fftn_over_the_spatial_axes(seed, shape):
+    """_fftn and _ifftn give numpy's fftn / ifftn over the spatial axes,
+    bit for bit, on random complex data."""
+    dim, n = shape
+    grid = Grid(dim=dim, n=n, box_length=1.0)
+    rng = np.random.default_rng(seed)
+    size = (4,) + (n,) * dim
+    a = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    axes = grid.spatial_axes
+    assert np.array_equal(_fftn(a, grid), np.fft.fftn(a, axes=axes))
+    assert np.array_equal(_ifftn(a, grid), np.fft.ifftn(a, axes=axes))
+
+
+@settings(max_examples=40, deadline=None)
 @given(st.integers(0, 1000), st.floats(-3.0, 3.0),
        st.lists(st.floats(0.0, 4.0), min_size=2, max_size=2))
 def test_cone_mass_does_not_grow_with_the_radius(seed, x0, radii):
@@ -273,6 +290,23 @@ def test_snapshot_roundtrip(tmp_path, grid1d):
     bad.write_bytes(bytes(raw))
     with pytest.raises(ValueError):
         load_snapshot(bad)
+
+
+@pytest.mark.parametrize("cut, expected, actual", [
+    (lambda raw: b"", 32, 0),  # no header
+    (lambda raw: raw[:20], 32, 20),  # short header
+    (lambda raw: raw[:-16], 1056, 1040),  # truncated payload
+    (lambda raw: raw + b"\0" * 3, 1056, 1059),  # trailing bytes
+])
+def test_load_snapshot_rejects_a_file_of_the_wrong_size(tmp_path, cut, expected, actual):
+    """The error names the file and the byte counts its header asks for and
+    it has; a 1D n=16 snapshot is 32 + 4 * 16 * 16 bytes."""
+    path = tmp_path / "field.fdrc"
+    save_snapshot(compact_bump(Grid(1, 16, 12.0), amplitude=1.0, width=1.2), path)
+    path.write_bytes(cut(path.read_bytes()))
+    with pytest.raises(ValueError, match=f"needs {expected} bytes, file has {actual}") as exc:
+        load_snapshot(path)
+    assert str(path) in str(exc.value)
 
 
 def test_snapshot_roundtrip_3d(tmp_path):

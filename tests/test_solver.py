@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from flrw_dirac.blowup import BlowupCase, differential_inequality_check
 from flrw_dirac.field import Grid, SpinorField, _derivative_wavenumbers, l2_norm_sq
 from flrw_dirac.gamma import BASIS
 from flrw_dirac.initial_data import compact_bump, gaussian_bump, random_smooth
@@ -17,6 +18,7 @@ from flrw_dirac.models import (
 from flrw_dirac.solver import (
     CFLViolationError,
     ConeSafetyError,
+    TIME_AXIS,
     RunRecord,
     SolverConfig,
     propagate,
@@ -180,26 +182,103 @@ def test_step_carries_the_spectrum_of_its_result():
     assert np.array_equal(fresh.spectrum, np.fft.fftn(fresh.data, axes=(1, 2, 3)))
 
 
-def test_linear_propagate_makes_one_forward_fft(monkeypatch):
-    """A linear run transforms its start field once and each new state once
-    back; neither the steps nor the recorder recompute a spectrum."""
-    counts = {"fftn": 0, "ifftn": 0}
+def _count_transforms(monkeypatch) -> dict:
+    """Count the calls of the field transform pair, at every name it is
+    imported under, and of numpy's transforms; returns the live counts."""
+    import flrw_dirac.field as field_module
+    import flrw_dirac.solver as solver_module
 
-    def counted(name, fn):
+    counts = {"_fftn": 0, "_ifftn": 0, "numpy": 0}
+
+    def counted(key, fn):
         def wrapper(*args, **kwargs):
-            counts[name] += 1
+            counts[key] += 1
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in counts:
-        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
-    grid = Grid(dim=3, n=16, box_length=16.0)
-    f0 = compact_bump(grid, 1.0, 2.0, time=1.0)
-    cfg = SolverConfig(t_start=1.0, t_end=1.5, cfl=0.1, record_every=1, sobolev_order=2)
-    rec = propagate(f0, COSMO, ModelSpec(mass=Mass(0.5 + 0.1j)), cfg)
-    steps = len(rec.series["times"]) - 1
-    assert rec.completed and steps > 3
-    assert counts == {"fftn": 1, "ifftn": steps}
+    for name in ("_fftn", "_ifftn"):
+        wrapped = counted(name, getattr(field_module, name))
+        for module in (field_module, solver_module):
+            monkeypatch.setattr(module, name, wrapped)
+    for name in ("fft", "ifft", "fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, counted("numpy", getattr(np.fft, name)))
+    return counts
+
+
+def test_linear_propagate_makes_one_forward_fft(monkeypatch):
+    """A linear run transforms its start field once and each new state once
+    back; neither the steps nor the recorder recompute a spectrum, and no
+    transform bypasses the field pair."""
+    counts = _count_transforms(monkeypatch)
+    for grid in (Grid(dim=3, n=16, box_length=16.0), Grid(dim=1, n=64, box_length=16.0)):
+        f0 = compact_bump(grid, 1.0, 2.0, time=1.0)
+        cfg = SolverConfig(t_start=1.0, t_end=1.5, cfl=0.1, record_every=1, sobolev_order=2)
+        counts.update(_fftn=0, _ifftn=0, numpy=0)
+        rec = propagate(f0, COSMO, ModelSpec(mass=Mass(0.5 + 0.1j)), cfg)
+        steps = len(rec.series["times"]) - 1
+        assert rec.completed and steps > 3
+        assert counts == {"_fftn": 1, "_ifftn": steps, "numpy": 1 + steps}
+
+
+def test_nonlinear_1d_step_makes_eight_transforms(monkeypatch):
+    """On a field that carries its spectrum, an RK4 step with a local term
+    transforms that term at each of the 4 stages, the last 3 stage fields
+    back, and the result back."""
+    grid = Grid(dim=1, n=256, box_length=16.0)
+    f = compact_bump(grid, 2.0, 1.0, coeffs=(1, 0, 0, 0))
+    f.spectrum  # noqa: B018 -- computed before counting, as a carried spectrum
+    model = ModelSpec(nonlinearity=NonlinearitySpec(kind="blowup_G", alpha_exp=1.0, c0=1.0))
+    counts = _count_transforms(monkeypatch)
+    step(f, 0.01, Cosmology(0.5, 1.0), model)
+    assert counts == {"_fftn": 4, "_ifftn": 4, "numpy": 8}
+
+
+def _observable_run(case):
+    """A 1D focusing blowup_G run that blows up, or a 3D massive free run."""
+    if case == "1d_blowup":
+        f0 = compact_bump(Grid(dim=1, n=64, box_length=8.0), 1.0, 1.0, coeffs=(1, 0, 0, 0))
+        model = ModelSpec(mass=Mass(0.5j), nonlinearity=NonlinearitySpec(
+            kind="blowup_G", alpha_exp=2.0, c0=1.0))
+        cfg = SolverConfig(t_end=4.0, cfl=0.3, on_cone_violation="stop")
+        return f0, Cosmology(0.5, 1.0), model, cfg
+    f0 = compact_bump(Grid(dim=3, n=16, box_length=16.0), 1.0, 2.0)
+    cfg = SolverConfig(t_end=1.5, cfl=0.1, sobolev_order=2)
+    return f0, COSMO, ModelSpec(mass=Mass(0.5 + 0.1j)), cfg
+
+
+@pytest.mark.parametrize("case", ["1d_blowup", "3d_free"])
+def test_propagate_records_only_the_named_observables(monkeypatch, case):
+    """The named series (and the time axis) equal those of a full run, the
+    run itself is unchanged, and the densities are computed only for an
+    observable that reads them."""
+    import flrw_dirac.solver as solver_module
+
+    f0, cosmo, model, cfg = _observable_run(case)
+    full = propagate(f0, cosmo, model, cfg)
+    assert full.blown_up == (case == "1d_blowup")
+    densities = []
+    original = solver_module.bilinear_densities
+    monkeypatch.setattr(solver_module, "bilinear_densities",
+                        lambda f: densities.append(f.time) or original(f))
+    for names in [(), ("l2",), ("times", "rho_int", "cone_leak", "sobolev_k")]:
+        del densities[:]
+        part = propagate(f0, cosmo, model, cfg, observables=names)
+        assert list(part.series) == [n for n in full.series if n == TIME_AXIS or n in names]
+        for name, values in part.series.items():
+            assert np.array_equal(values, full.series[name])
+        for flag in ("completed", "blown_up", "blowup_time", "cone_violation"):
+            assert getattr(part, flag) == getattr(full, flag)
+        assert part.final.time == full.final.time
+        assert np.array_equal(part.final.data, full.final.data)
+        assert len(densities) == (len(part.series[TIME_AXIS]) if "rho_int" in names else 0)
+    if case == "1d_blowup":
+        bcase = BlowupCase(ell=0.5, alpha_exp=2.0, im_m_abs=0.5, e1=l2_norm_sq(f0))
+        part = propagate(f0, cosmo, model, cfg, observables=("l2",))
+        check = differential_inequality_check(full, bcase)
+        assert check["points_checked"] > 10
+        assert differential_inequality_check(part, bcase) == check
+    with pytest.raises(ValueError, match=r"unknown observables \['energy'\]"):
+        propagate(f0, cosmo, model, cfg, observables=("l2", "energy"))
 
 
 def test_step_matches_exact_solution_fourth_order():
