@@ -10,6 +10,11 @@ The module also holds the Dirac symbol of alpha.grad: i sigma.k on the
 off-diagonal 2x2 blocks (_dirac_symbol), and the one pass that applies an
 operator P + s B Q of its span to Fourier coefficients (_apply_span).  The
 RK4 solver and the closed-form propagator of kernels both end with it.
+
+Full-size arrays are allocated once per pass: a 3D transform runs per spinor
+component into one preallocated output, and the symbol pass writes each
+symbol product through one reused scratch plane.  Snapshots are written from
+and read into the field's own buffer.
 """
 from __future__ import annotations
 
@@ -89,13 +94,23 @@ class Grid:
 def _fftn(a: np.ndarray, grid: Grid) -> np.ndarray:
     """FFT of a 4-spinor array over the spatial axes.  In 1D, np.fft.fft
     along the last axis gives fftn's values without its per-call argument
-    handling, a large share of a transform of a few hundred points."""
-    return np.fft.fft(a) if grid.dim == 1 else np.fft.fftn(a, axes=grid.spatial_axes)
+    handling, a large share of a transform of a few hundred points.  In 3D
+    each component is transformed into its plane of one preallocated
+    output, so every axis pass writes in place; fftn over the spatial axes
+    of the whole array makes a new full-size array per pass."""
+    return np.fft.fft(a) if grid.dim == 1 else _per_component(np.fft.fftn, a)
 
 
 def _ifftn(a: np.ndarray, grid: Grid) -> np.ndarray:
     """Inverse of _fftn."""
-    return np.fft.ifft(a) if grid.dim == 1 else np.fft.ifftn(a, axes=grid.spatial_axes)
+    return np.fft.ifft(a) if grid.dim == 1 else _per_component(np.fft.ifftn, a)
+
+
+def _per_component(transform, a: np.ndarray) -> np.ndarray:
+    out = np.empty(a.shape, dtype=np.result_type(a.dtype, 1j))
+    for c in range(len(a)):
+        transform(a[c], out=out[c])
+    return out
 
 
 @lru_cache(maxsize=32)
@@ -139,22 +154,27 @@ def _apply_span(hat: np.ndarray, grid: Grid, p, q=None, s: complex = 1.0) -> np.
     """(P + s B Q) hat, per Fourier mode, for B = i sigma.k on the
     off-diagonal 2x2 blocks.  P and Q lie in the span of I and g0: p = (p_u,
     p_l) holds the factors on the upper and lower spinor pair, scalars or
-    arrays over the modes, and likewise q, with q None for Q = I."""
+    arrays over the modes, and likewise q, with q None for Q = I.
+
+    Besides the output, the pass allocates one scratch plane for the symbol
+    products and, with q given, one 2-plane buffer for the Q-weighted pair
+    feeding the other pair.  Each output component is p h, then plus the
+    k+- term, then plus or minus the k3 term, in that order."""
     ik3, ikp, ikm = (None if e is None else s * e for e in _dirac_symbol(grid))
-    hu, hl = hat[:2], hat[2:]
-    wu, wl = (hu, hl) if q is None else (q[0] * hu, q[1] * hl)
     out = np.empty_like(hat)
-    np.multiply(p[0], hu, out=out[:2])
-    np.multiply(p[1], hl, out=out[2:])
-    out[0] += ikp * wl[1]
-    out[1] += ikm * wl[0]
-    out[2] += ikp * wu[1]
-    out[3] += ikm * wu[0]
-    if ik3 is not None:
-        out[0] += ik3 * wl[0]
-        out[1] -= ik3 * wl[1]
-        out[2] += ik3 * wu[0]
-        out[3] -= ik3 * wu[1]
+    np.multiply(p[0], hat[:2], out=out[:2])
+    np.multiply(p[1], hat[2:], out=out[2:])
+    term = np.empty_like(out[0])
+    weighted = None if q is None else np.empty_like(out[:2])
+    qu, ql = (None, None) if q is None else q
+    # the upper output pair reads the lower input pair, and vice versa
+    for dst, src, qf in ((out[:2], hat[2:], ql), (out[2:], hat[:2], qu)):
+        w = src if q is None else np.multiply(qf, src, out=weighted)
+        dst[0] += np.multiply(ikp, w[1], out=term)
+        dst[1] += np.multiply(ikm, w[0], out=term)
+        if ik3 is not None:
+            dst[0] += np.multiply(ik3, w[0], out=term)
+            dst[1] -= np.multiply(ik3, w[1], out=term)
     return out
 
 
@@ -329,7 +349,9 @@ def save_snapshot(f: SpinorField, path) -> None:
         f.grid.box_length,
         f.time,
     )
-    payload = np.ascontiguousarray(f.data, dtype="<c16").tobytes()
+    # the array's own buffer is written; only a non-contiguous or
+    # non-complex128 field is copied
+    payload = np.ascontiguousarray(f.data, dtype="<c16")
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)
@@ -356,6 +378,10 @@ def load_snapshot(path) -> SpinorField:
             raise ValueError(
                 f"{path}: snapshot with dim {dim}, n {n} needs {expected} bytes, "
                 f"file has {size}")
-        data = np.frombuffer(fh.read(count * 16), dtype="<c16", count=count)
-    data = data.astype(complex).reshape((4,) + (n,) * dim)
+        data = np.empty((4,) + (n,) * dim, dtype="<c16")
+        got = fh.readinto(data)
+        if got != data.nbytes:
+            raise ValueError(f"{path}: read {got} of {data.nbytes} payload bytes")
+    # a no-op on little-endian hosts, where "<c16" is native complex128
+    data = data.astype(complex, copy=False)
     return SpinorField(grid=grid, data=data, time=time)

@@ -17,7 +17,10 @@ z = (D^2 - r^2) / w, the two kernels are
 with F the Gauss hypergeometric series.  In the usage domain z lies in
 [0, 1) and every power has a positive real base, so the principal branch
 is inert.  The module restricts itself to 0 < ell < 1, a0 = 1 and
-t / eps <= 50, which keeps z safely below the series guard.
+t / eps <= 50, which keeps z safely below the series guard.  K1 and its
+time derivative are evaluated together at each node and share one cone
+geometry, one w^(-i mu) and one F series; the derivative adds only the F'
+series.
 
 The r-integrals run on a composite Gauss-Legendre rule with P uniform
 panels of Q nodes, refined by doubling P.  Every node is a panel midpoint
@@ -204,17 +207,23 @@ def kernel_K1(r, t: float, ke: KernelEval):
 
 def kernel_K1_time_derivative(r, t: float, ke: KernelEval):
     """Partial derivative of K1 with respect to t at fixed r."""
+    return _k1_and_time_derivative(r, t, ke)[1]
+
+
+def _k1_and_time_derivative(r, t: float, ke: KernelEval):
+    """(K1, d/dt K1) at the nodes r: two series (F and F') where separate
+    kernel_K1 and kernel_K1_time_derivative calls take three.  The K1 value
+    is bit for bit kernel_K1's."""
     ke.check_time(t)
     mu = ke.mu
     pt, p0, num, den, z = _cone_geometry(ke, r, t, ke.epsilon)
     dphi = ke.cosmology.dphi(t)
-    pref = _cpow(2.0, 2j * mu) * _cpow(p0, 2j * mu - 1.0)
+    pref_w = _cpow(2.0, 2j * mu) * _cpow(p0, 2j * mu - 1.0) * _cpow(den, -1j * mu)
     f = hyp2f1(1j * mu, 1j * mu, 1.0, z)
     fp = hyp2f1_derivative(1j * mu, 1j * mu, 1.0, z)
     dden = 2.0 * (pt + p0) * dphi
     dz = 2.0 * dphi * ((pt - p0) * den - num * (pt + p0)) / den**2
-    w_pow = _cpow(den, -1j * mu)
-    return pref * w_pow * ((-1j * mu) * dden / den * f + fp * dz)
+    return pref_w * f, pref_w * ((-1j * mu) * dden / den * f + fp * dz)
 
 
 @lru_cache(maxsize=64)
@@ -330,12 +339,8 @@ def _k1_multipliers(ke: KernelEval, t: float, xi_abs, abs_tol: float,
         return pref_p * i_k_p, pref_m * i_k_m
 
     def fvals(r):
-        return (
-            kernel_K1(r, t, kp_ctx),
-            kernel_K1_time_derivative(r, t, kp_ctx),
-            kernel_K1(r, t, km_ctx),
-            kernel_K1_time_derivative(r, t, km_ctx),
-        )
+        return (*_k1_and_time_derivative(r, t, kp_ctx),
+                *_k1_and_time_derivative(r, t, km_ctx))
 
     i_k_p, i_dk_p, i_k_m, i_dk_m = _cos_integrals(fvals, upper, xi_abs, abs_tol)
     dphi = ke.cosmology.dphi(t)
@@ -436,7 +441,8 @@ def reconstruct_free(psi1: SpinorField, t: float, ke: KernelEval,
     if grid.dim != 3:
         raise KernelDomainError("reconstruction requires a dim = 3 grid")
     if abs(psi1.time - ke.epsilon) > 1e-9:
-        raise KernelDomainError("psi1.time must equal the kernel epsilon")
+        raise KernelDomainError(
+            f"psi1.time = {psi1.time!r} must equal the kernel epsilon {ke.epsilon!r}")
     ke.check_time(t)
     uniq, inverse = _unique_mode_magnitudes(grid)
     kp, kdp, km, kdm = free_mode_multipliers(ke, t, uniq, abs_tol)

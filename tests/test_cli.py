@@ -579,6 +579,17 @@ def test_kernel_reconstruct_bad_snapshot_is_runtime_error(tmp_path):
         assert main(argv) == 2
 
 
+def test_kernel_reconstruct_start_time_mismatch_names_both_times(tmp_path, capsys):
+    snap, out = tmp_path / "f0.fdrc", tmp_path / "f.fdrc"
+    save_snapshot(compact_bump(Grid(3, 8, 12.0), width=3.0, time=1.75), snap)
+    argv = ["kernel", "--mode", "reconstruct", "--ell", "0.5", "--eps", "1.25",
+            "--t", "2.0", "--snapshot", str(snap), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "1.75" in err and "1.25" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cut, expected, actual", [
     (lambda raw: b"", 32, 0),  # no header
     (lambda raw: raw[:-1], 32800, 32799),  # truncated payload

@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +9,9 @@ from hypothesis import strategies as st
 from flrw_dirac.field import (
     Grid,
     SpinorField,
+    _apply_span,
     _derivative_wavenumbers,
+    _dirac_symbol,
     _fftn,
     _ifftn,
     bilinear_densities,
@@ -254,6 +259,86 @@ def test_transform_pair_equals_fftn_over_the_spatial_axes(seed, shape):
     axes = grid.spatial_axes
     assert np.array_equal(_fftn(a, grid), np.fft.fftn(a, axes=axes))
     assert np.array_equal(_ifftn(a, grid), np.fft.ifftn(a, axes=axes))
+    if dim == 3:  # a field's data or spectrum is read-only
+        frozen = a.copy()
+        frozen.setflags(write=False)
+        assert np.array_equal(_fftn(frozen, grid), np.fft.fftn(a, axes=axes))
+        assert np.array_equal(_ifftn(frozen, grid), np.fft.ifftn(a, axes=axes))
+        assert np.array_equal(frozen, a)
+
+
+def _apply_span_reference(hat, grid, p, q=None, s=1.0):
+    """The symbol pass written out term by term, each product a fresh array:
+    the symbol is the left operand, and every output component adds its
+    k+- term before its k3 term."""
+    ik3, ikp, ikm = (None if e is None else s * e for e in _dirac_symbol(grid))
+    hu, hl = hat[:2], hat[2:]
+    wu, wl = (hu, hl) if q is None else (q[0] * hu, q[1] * hl)
+    out = np.empty_like(hat)
+    np.multiply(p[0], hu, out=out[:2])
+    np.multiply(p[1], hl, out=out[2:])
+    out[0] += ikp * wl[1]
+    out[1] += ikm * wl[0]
+    out[2] += ikp * wu[1]
+    out[3] += ikm * wu[0]
+    if ik3 is not None:
+        out[0] += ik3 * wl[0]
+        out[1] -= ik3 * wl[1]
+        out[2] += ik3 * wu[0]
+        out[3] -= ik3 * wu[1]
+    return out
+
+
+@pytest.mark.parametrize("dim, n", [(1, 32), (3, 8)])
+@pytest.mark.parametrize("p_kind", ["scalar", "array"])
+@pytest.mark.parametrize("with_q", [False, True])
+@pytest.mark.parametrize("s", [1.0, -1j, 0.3 - 0.2j])
+def test_apply_span_equals_the_term_by_term_formula(dim, n, p_kind, with_q, s):
+    grid = Grid(dim=dim, n=n, box_length=5.0)
+    rng = np.random.default_rng(7)
+    modes = (n,) * dim
+
+    def cplx(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    hat = cplx((4,) + modes)
+    hat.setflags(write=False)
+    before = hat.copy()
+    p = (0.7 - 0.1j, 1.3j) if p_kind == "scalar" else (cplx(modes), cplx(modes))
+    q = (cplx(modes), cplx(modes)) if with_q else None
+    got = _apply_span(hat, grid, p, q, s)
+    assert np.array_equal(got, _apply_span_reference(hat, grid, p, q, s))
+    assert np.array_equal(hat, before)
+
+
+def _peak_allocation(fn, *args) -> int:
+    """Peak bytes traced while fn(*args) runs, over what was held before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_field_passes_allocate_each_full_size_array_once(tmp_path):
+    """At 3D n=32 a transform allocates only its output, the symbol pass
+    its output plus one plane and one 2-plane buffer, load_snapshot only
+    the array it returns, and save_snapshot of a contiguous complex128
+    field no copy of the payload."""
+    grid = Grid(dim=3, n=32, box_length=8.0)
+    f = random_smooth(grid, amplitude=1.0, seed=3, time=1.5)
+    spinor = f.data.nbytes
+    planes = np.random.default_rng(5).standard_normal(f.data.shape) + 0j
+    p, q = (planes[0], planes[1]), (planes[2], planes[3])
+    _apply_span(f.data, grid, p, q, -1j)  # warm the symbol cache
+    path = tmp_path / "field.fdrc"
+    assert _peak_allocation(_fftn, f.data, grid) <= 1.05 * spinor
+    assert _peak_allocation(_ifftn, f.data, grid) <= 1.05 * spinor
+    assert _peak_allocation(_apply_span, f.data, grid, p, q, -1j) <= 1.9 * spinor
+    assert _peak_allocation(save_snapshot, f, path) <= 0.05 * spinor
+    assert _peak_allocation(load_snapshot, path) <= 1.05 * spinor
 
 
 @settings(max_examples=40, deadline=None)
@@ -284,6 +369,7 @@ def test_snapshot_roundtrip(tmp_path, grid1d):
     assert g.grid == f.grid
     assert g.time == f.time
     assert np.array_equal(g.data, f.data)
+    _assert_snapshot_format(path, f, g)
     raw = bytearray(path.read_bytes())
     raw[:4] = b"XXXX"
     bad = tmp_path / "bad.fdrc"
@@ -318,3 +404,15 @@ def test_snapshot_roundtrip_3d(tmp_path):
     assert np.array_equal(back.data, f.data)
     expected_size = 32 + 4 * 8**3 * 16
     assert path.stat().st_size == expected_size
+    _assert_snapshot_format(path, f, back)
+
+
+def _assert_snapshot_format(path, saved, loaded):
+    """The file is the little-endian header, then the data as <c16; the
+    loaded array is a writable native complex128 array owning its data."""
+    g = saved.grid
+    header = struct.pack("<4sIII dd", b"FDRC", 1, g.dim, g.n, g.box_length, saved.time)
+    assert path.read_bytes() == header + np.asarray(saved.data, "<c16").tobytes()
+    data = loaded.data
+    assert data.dtype == np.complex128 and data.dtype.isnative
+    assert data.flags.writeable and data.flags.owndata

@@ -451,13 +451,32 @@ def test_reconstruct_requires_matching_start_time():
         reconstruct_free(f1, 2.0, ke)
 
 
+@pytest.mark.parametrize("ell, m, t", [(0.5, 0.3, 3.0), (0.25, 0.5 - 0.2j, 40.0)])
+def test_joint_k1_evaluation_gives_kernel_k1_bit_for_bit(ell, m, t):
+    """The Cauchy quadrature integrates the K1 of the joint K1 / d/dt K1
+    evaluation, and its edge term uses kernel_K1: the two must agree exactly."""
+    ke = KernelEval(Cosmology(ell, 1.0), m, 1.0)
+    r = np.linspace(0.0, ke.cosmology.phi(t) - ke.cosmology.phi(1.0), 33)
+    k1, _ = kernels._k1_and_time_derivative(r, t, ke)
+    assert np.array_equal(k1, kernel_K1(r, t, ke))
+
+
+def _wrong_time_derivative(monkeypatch, scale):
+    """Scale the d/dt K1 that reconstruct_free integrates, leaving K1 exact."""
+    exact = kernels._k1_and_time_derivative
+
+    def scaled(r, t, ke):
+        k1, dk1 = exact(r, t, ke)
+        return k1, scale * dk1
+
+    monkeypatch.setattr(kernels, "_k1_and_time_derivative", scaled)
+
+
 def test_reconstruct_self_check_catches_a_wrong_time_derivative(monkeypatch):
     grid = Grid(dim=3, n=8, box_length=8.0)
     f0 = gaussian_bump(grid, amplitude=1.0, width=1.0, coeffs=(1, 0.5, 0.3j, -0.2))
     ke = KernelEval(Cosmology(0.5, 1.0), 0.3, 1.0)
-    exact = kernels.kernel_K1_time_derivative
-    monkeypatch.setattr(kernels, "kernel_K1_time_derivative",
-                        lambda r, t, ke: 1.001 * exact(r, t, ke))
+    _wrong_time_derivative(monkeypatch, 1.001)
     with pytest.raises(KernelConsistencyError):
         reconstruct_free(f0, 3.0, ke)
     reconstruct_free(f0, 3.0, ke, self_check=False)
@@ -471,9 +490,7 @@ def test_reconstruct_self_check_at_the_supported_time_limit(monkeypatch, scale, 
     f0 = gaussian_bump(grid, amplitude=1.0, width=1.0, coeffs=(1, 0.5, 0.3j, -0.2))
     ke = KernelEval(Cosmology(0.5, 1.0), 0.3, 1.0)
     t = kernels.TIME_RATIO_MAX * ke.epsilon
-    exact = kernels.kernel_K1_time_derivative
-    monkeypatch.setattr(kernels, "kernel_K1_time_derivative",
-                        lambda r, t, ke: scale * exact(r, t, ke))
+    _wrong_time_derivative(monkeypatch, scale)
     if raises:
         with pytest.raises(KernelConsistencyError):
             reconstruct_free(f0, t, ke)
