@@ -45,6 +45,13 @@ __all__ = [
 ANY_SIZE = "no_global_any_size"
 LARGE_DATA = "no_global_large_data"
 
+J_ABS_TOL = 1e-10  # absolute quadrature tolerance of J(t)
+TOTAL_J_ABS_TOL = 1e-12  # absolute quadrature tolerance of J over [1, infinity)
+LIFESPAN_XTOL = 1e-12  # root tolerance of the lifespan time
+INEQUALITY_SLACK = 1e-2  # relative slack of the discrete energy inequality
+ENERGY_CAP_FACTOR = 1e2  # inequality points above this multiple of E(1) are skipped
+BOUND_SLACK = 0.1  # relative slack of a numerical blow-up time against the bound
+
 
 @dataclass(frozen=True)
 class BlowupCase:
@@ -137,11 +144,10 @@ def _pieces(t: float) -> list[tuple[float, float]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def j_integral(case: BlowupCase, t: float, abs_tol: float = 1e-10, *,
-               decades: dict | None = None) -> float:
+def j_integral(case: BlowupCase, t: float, *, decades: dict | None = None) -> float:
     """Adaptive quadrature of the lifespan integrand over [1, t], one quad
     per _pieces piece, summed in order.  `decades` memoizes the complete
-    decades by left edge, for calls with the same case and abs_tol."""
+    decades by left edge, for calls with the same case."""
     if t < 1.0:
         raise ValueError("j_integral requires t >= 1")
     if t == 1.0:
@@ -152,12 +158,12 @@ def j_integral(case: BlowupCase, t: float, abs_tol: float = 1e-10, *,
     total = 0.0
     for lo, hi in complete:
         if lo not in memo:
-            memo[lo] = quad(f, lo, hi, epsabs=abs_tol, epsrel=1e-12, limit=400)[0]
+            memo[lo] = quad(f, lo, hi, epsabs=J_ABS_TOL, epsrel=1e-12, limit=400)[0]
         total += memo[lo]
-    return total + quad(f, a, b, epsabs=abs_tol, epsrel=1e-12, limit=400)[0]
+    return total + quad(f, a, b, epsabs=J_ABS_TOL, epsrel=1e-12, limit=400)[0]
 
 
-def total_j_mass(case: BlowupCase, abs_tol: float = 1e-12) -> float:
+def total_j_mass(case: BlowupCase) -> float:
     """Improper total of the lifespan integrand over [1, infinity).
 
     The integrand decays like t^(-q), q the classify threshold value (for
@@ -167,8 +173,8 @@ def total_j_mass(case: BlowupCase, abs_tol: float = 1e-12) -> float:
     if classify(case).regime == ANY_SIZE:
         return math.inf
     f = _integrand(case)
-    total, _ = quad(f, 1.0, 200.0, epsabs=abs_tol, epsrel=1e-12, limit=800)
-    tail, _ = quad(f, 200.0, np.inf, epsabs=abs_tol, epsrel=1e-10, limit=800)
+    total, _ = quad(f, 1.0, 200.0, epsabs=TOTAL_J_ABS_TOL, epsrel=1e-12, limit=800)
+    tail, _ = quad(f, 200.0, np.inf, epsabs=TOTAL_J_ABS_TOL, epsrel=1e-10, limit=800)
     return total + tail
 
 
@@ -180,7 +186,7 @@ def solvability_threshold(case: BlowupCase) -> float:
     return (0.5 * case.alpha_exp * case.c0 * mass) ** (-2.0 / case.alpha_exp)
 
 
-def lifespan(case: BlowupCase, xtol: float = 1e-12) -> float:
+def lifespan(case: BlowupCase) -> float:
     """Latest possible blow-up time, or infinity when inconclusive.
 
     Solves the lifespan equation by bracketing plus Brent root finding on
@@ -208,27 +214,22 @@ def lifespan(case: BlowupCase, xtol: float = 1e-12) -> float:
 
     if g(lo) > 0.0:
         lo = 1.0
-    return float(brentq(g, lo, hi, xtol=xtol, rtol=8.9e-16))
+    return float(brentq(g, lo, hi, xtol=LIFESPAN_XTOL, rtol=8.9e-16))
 
 
-def differential_inequality_check(
-    rec: RunRecord,
-    case: BlowupCase,
-    slack: float = 1e-2,
-    energy_cap_factor: float = 1e2,
-) -> dict:
+def differential_inequality_check(rec: RunRecord, case: BlowupCase) -> dict:
     """Discrete check of the energy growth inequality on a recorded run.
 
     Centered differences of the recorded squared norm must dominate
     c0 (R + A(t))^(-3 alpha/2) E^((2+alpha)/2) - (3 ell + 2 |Im m|) E / t
-    up to the stated relative slack.  Points where the energy exceeds
-    energy_cap_factor times its initial value are excluded (detector
-    granularity near the singular time).
+    up to the relative slack INEQUALITY_SLACK.  Points where the energy
+    exceeds ENERGY_CAP_FACTOR times its initial value are excluded
+    (detector granularity near the singular time).
     """
     tt = rec.series["times"]
     e = rec.series["l2"]
     cosmo = case.cosmology
-    cap = energy_cap_factor * e[0]
+    cap = ENERGY_CAP_FACTOR * e[0]
     ok = True
     worst = -math.inf
     checked = 0
@@ -244,7 +245,7 @@ def differential_inequality_check(
         )
         damp = (3.0 * case.ell + 2.0 * case.im_m_abs) * e[i] / tt[i]
         rhs = growth - damp
-        margin = slack * (abs(de) + abs(rhs)) + 1e-30
+        margin = INEQUALITY_SLACK * (abs(de) + abs(rhs)) + 1e-30
         violation = rhs - de - margin
         worst = max(worst, violation)
         if violation > 0:
@@ -264,7 +265,6 @@ def empirical_blowup(
     c0: float,
     cfg: SolverConfig,
     mass: complex = 0.0,
-    slack: float = 0.1,
 ) -> dict:
     """Run the focusing model on given data and compare against the bound.
 
@@ -294,7 +294,7 @@ def empirical_blowup(
 
     t_numerical = rec.blowup_time if rec.blown_up else None
     if rec.blown_up and math.isfinite(t_bound):
-        satisfied = t_numerical <= t_bound * (1.0 + slack)
+        satisfied = t_numerical <= t_bound * (1.0 + BOUND_SLACK)
     else:
         satisfied = None
     inconclusive = (not rec.blown_up) and verdict.regime == ANY_SIZE

@@ -32,7 +32,7 @@ import numpy as np
 from . import blowup as bup
 from . import diagnostics as diag
 from .field import Grid, l2_norm_sq, load_snapshot, save_snapshot
-from .initial_data import compact_bump, make_initial_data
+from .initial_data import _center3, compact_bump, make_initial_data
 from .kernels import (
     TIME_RATIO_MAX,
     KernelDomainError,
@@ -294,11 +294,6 @@ def _read_json(path: str):
         raise ConfigError(f"cannot read {path}: {exc}") from None
 
 
-def _point(coords: tuple) -> tuple:
-    """At most 3 coordinates, padded with zeros to a 3D point."""
-    return coords + (0.0,) * (3 - len(coords))
-
-
 def load_run_config(tree: dict):
     """Validate the config tree; returns (cosmo, model, grid, f0, cfg, outputs)."""
     v = _walk(tree, _RUN)
@@ -306,7 +301,7 @@ def load_run_config(tree: dict):
     grid = _build("grid", Grid, **v["grid"])
     potential, nonlinearity, ini = v["potential"], v["nonlinearity"], v["initial_data"]
     if "center" in potential:
-        potential["center"] = _point(potential["center"])
+        potential["center"] = _center3(potential["center"])
     coeffs = nonlinearity.pop("alpha_coeffs"), nonlinearity.pop("beta_coeffs")
     if nonlinearity.get("kind") == "lochak_form":
         nonlinearity["alpha_fn"], nonlinearity["beta_fn"] = (linear_form(*c) for c in coeffs)
@@ -319,7 +314,7 @@ def load_run_config(tree: dict):
     if ini.pop("lm_constrained"):
         family = "lm_gaussian"
     if "center" in ini:
-        ini["center"] = v["solver"]["cone_center"] = _point(ini["center"])
+        ini["center"] = v["solver"]["cone_center"] = _center3(ini["center"])
     cfg = _build("solver", SolverConfig, **v["solver"])
     if family == "random_smooth":
         ini.pop("center", None)

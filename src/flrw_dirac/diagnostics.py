@@ -14,7 +14,7 @@ import numpy as np
 
 from .field import SpinorField, l2_norm_sq, support_radius
 from .models import ModelSpec, hyperbolic_rhs_nonlinearity
-from .solver import RunRecord, SolverConfig, guard_cone, propagate
+from .solver import CONE_MASS_FRACTION, RunRecord, SolverConfig, guard_cone, propagate
 from .spacetime import Cosmology
 
 __all__ = [
@@ -35,6 +35,8 @@ __all__ = [
 
 # nonlinearity kinds whose right side preserves the L2 energy identity
 _A_FORM_KINDS = ("none", "lochak_form")
+
+NODES_PER_PANEL = 8  # Gauss nodes per checkpoint panel of scattering_profile
 
 
 class IncompatibleRunError(ValueError):
@@ -304,7 +306,6 @@ def scattering_profile(
     cfg: SolverConfig,
     checkpoints,
     tol: float = 1e-6,
-    nodes_per_panel: int = 8,
 ) -> ScatterResult:
     """Build the modified free datum and measure the approach to free flow.
 
@@ -319,7 +320,7 @@ def scattering_profile(
     Torus wraparound of the free comparison run is guarded once, up front:
     by finite propagation speed that run stays inside
     r0 + 2 cosmo.travel_distance(t_last, t_start), with r0 the support
-    radius of f0 at cfg.cone_mass_fraction.  With cfg.track_cone,
+    radius of f0 at solver.CONE_MASS_FRACTION.  With cfg.track_cone,
     solver.ConeSafetyError is raised when this reaches the torus limit.
     The free run itself does not track the cone: the modified datum carries
     far-field spectral noise that a support estimate at a tiny mass
@@ -330,18 +331,18 @@ def scattering_profile(
         raise ValueError("checkpoints must be strictly after t_start")
     t_last = checkpoints[-1]
     if cfg.track_cone:
-        r0 = support_radius(f0, cfg.cone_center, cfg.cone_mass_fraction)
+        r0 = support_radius(f0, cfg.cone_center, CONE_MASS_FRACTION)
         reach = r0 + 2.0 * cosmo.travel_distance(t_last, cfg.t_start)
         guard_cone(reach, f0.grid, t_last, "free comparison")
 
-    x_gl, w_gl = np.polynomial.legendre.leggauss(nodes_per_panel)
+    x_gl, w_gl = np.polynomial.legendre.leggauss(NODES_PER_PANEL)
     edges = [cfg.t_start] + checkpoints
     nodes, weights, panel_of = [], [], []
     for p in range(len(edges) - 1):
         a, b = edges[p], edges[p + 1]
         nodes.extend(0.5 * (a + b) + 0.5 * (b - a) * x_gl)
         weights.extend(0.5 * (b - a) * w_gl)
-        panel_of.extend([p] * nodes_per_panel)
+        panel_of.extend([p] * NODES_PER_PANEL)
 
     run_cfg = replace(cfg, t_end=t_last, on_cone_violation="error")
     capture = list(nodes) + checkpoints

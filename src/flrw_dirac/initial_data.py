@@ -41,10 +41,9 @@ def _envelope_compact(grid: Grid, width: float, center) -> np.ndarray:
 
 
 def _center3(center) -> tuple[float, float, float]:
+    """At most 3 coordinates as a 3D point padded with zeros; None is the origin."""
     if center is None:
         return (0.0, 0.0, 0.0)
-    if np.isscalar(center):
-        return (float(center), 0.0, 0.0)
     c = tuple(float(v) for v in center)
     return c + (0.0,) * (3 - len(c))
 

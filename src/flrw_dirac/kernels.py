@@ -59,8 +59,15 @@ __all__ = [
     "reconstruct_free",
 ]
 
-Z_MAX_DEFAULT = 0.95
 TIME_RATIO_MAX = 50.0
+Z_MAX = 0.95  # the largest |z| hyp2f1 sums
+SERIES_RTOL = 1e-12  # the relative tail hyp2f1's series must reach
+GL_ORDER = 16  # Gauss nodes per panel of every composite rule
+MAX_PANELS = 1 << 14  # panel cap of one r-integral
+OUTER_MAX_PANELS = 256  # panel cap of apply_G_operator's time quadrature
+MULTIPLIER_ABS_TOL = 1e-10  # absolute tolerance of the Cauchy multipliers
+SELF_CHECK_REL_TOL = 1e-6  # relative tolerance of their time-derivative audit
+SELF_CHECK_SAMPLES = 5  # number of |xi| the audit samples
 
 
 class Hyp2F1ConvergenceError(ArithmeticError):
@@ -87,12 +94,11 @@ def _cpow(base, exponent) -> np.ndarray:
     return np.exp(np.asarray(exponent, dtype=complex) * np.log(base))
 
 
-def hyp2f1(a, b, c, z, z_max: float = Z_MAX_DEFAULT, rtol: float = 1e-12,
-           max_terms: int = 200_000):
+def hyp2f1(a, b, c, z, max_terms: int = 200_000):
     """Gauss series sum_n (a)_n (b)_n / ((c)_n n!) z^n, vectorized over z.
 
-    Valid for |z| <= z_max < 1; raises outside that disc or when the series
-    fails to reach the requested relative tail.
+    Valid for |z| <= Z_MAX < 1; raises outside that disc or when the series
+    fails to reach the relative tail SERIES_RTOL within max_terms terms.
     """
     a = complex(a)
     b = complex(b)
@@ -103,9 +109,9 @@ def hyp2f1(a, b, c, z, z_max: float = Z_MAX_DEFAULT, rtol: float = 1e-12,
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
     q = float(np.max(np.abs(z))) if z.size else 0.0
-    if q > z_max:
+    if q > Z_MAX:
         raise KernelDomainError(
-            f"|z| = {q:.4f} exceeds the series guard z_max = {z_max}"
+            f"|z| = {q:.4f} exceeds the series guard z_max = {Z_MAX}"
         )
     total = np.ones_like(z)
     term = np.ones_like(z)
@@ -114,22 +120,19 @@ def hyp2f1(a, b, c, z, z_max: float = Z_MAX_DEFAULT, rtol: float = 1e-12,
         ratio = (a + n) * (b + n) / ((c + n) * (n + 1.0))
         term = term * ratio * z
         total = total + term
-        if np.all(np.abs(term) * max(tail_factor, 1.0) <= rtol * np.abs(total)):
+        if np.all(np.abs(term) * max(tail_factor, 1.0) <= SERIES_RTOL * np.abs(total)):
             break
     else:
         raise Hyp2F1ConvergenceError(
-            f"series did not reach rtol={rtol} within {max_terms} terms "
+            f"series did not reach rtol={SERIES_RTOL} within {max_terms} terms "
             f"(max |z| = {q:.4f})"
         )
     return complex(total[0]) if scalar else total
 
 
-def hyp2f1_derivative(a, b, c, z, **kwargs):
+def hyp2f1_derivative(a, b, c, z):
     """d/dz F(a, b; c; z) = (a b / c) F(a+1, b+1; c+1; z)."""
-    a = complex(a)
-    b = complex(b)
-    c = complex(c)
-    return (a * b / c) * hyp2f1(a + 1, b + 1, c + 1, z, **kwargs)
+    return (a * b / c) * hyp2f1(a + 1, b + 1, c + 1, z)
 
 
 @dataclass(frozen=True)
@@ -238,20 +241,14 @@ def _gl_rule(panels: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return (np.arange(panels) + 0.5) / panels, half * x, half * w
 
 
-def _cos_integrals(
-    fvals_fn,
-    upper: float,
-    xi_abs: np.ndarray,
-    abs_tol: float = 1e-10,
-    order: int = 16,
-    max_panels: int = 1 << 14,
-):
+def _cos_integrals(fvals_fn, upper: float, xi_abs: np.ndarray,
+                   abs_tol: float = MULTIPLIER_ABS_TOL):
     """Integrals of f_k(r) cos(r xi) over [0, upper] for each xi.
 
     `fvals_fn(r)` returns a tuple of complex arrays sampled at the nodes.
     Panels double until two successive composite rules agree to abs_tol.
 
-    The rule has P uniform panels of Q = order Gauss nodes each, so every
+    The rule has P uniform panels of Q = GL_ORDER Gauss nodes each, so every
     node is r = M_p + d_q: a panel midpoint plus a Gauss offset shared by
     all panels.  The sum uses cos(r xi) = cos(M_p xi) cos(d_q xi) -
     sin(M_p xi) sin(d_q xi).  The weighted samples of all n_f functions,
@@ -268,18 +265,18 @@ def _cos_integrals(
     xi_max = float(np.max(xi_abs)) if xi_abs.size else 0.0
     panels = max(4, int(np.ceil(upper * xi_max / (2.0 * np.pi))))
     prev = None
-    while panels <= max_panels:
-        mids01, offsets01, weights01 = _gl_rule(panels, order)
+    while panels <= MAX_PANELS:
+        mids01, offsets01, weights01 = _gl_rule(panels, GL_ORDER)
         mids = upper * mids01
         offsets = upper * offsets01
         fvals = np.stack(fvals_fn((mids[:, None] + offsets).ravel()))
-        fw = fvals.reshape(-1, panels, order) * (upper * weights01)
+        fw = fvals.reshape(-1, panels, GL_ORDER) * (upper * weights01)
         # rows (k, re/im, q), columns p
         rows = np.stack((fw.real, fw.imag), axis=1).transpose(0, 1, 3, 2)
         rows = rows.reshape(-1, panels)
         m_phase = np.outer(mids, xi_abs)
         d_phase = np.outer(offsets, xi_abs)
-        shape = (len(fw), 2, order, xi_abs.size)
+        shape = (len(fw), 2, GL_ORDER, xi_abs.size)
         c = (rows @ np.cos(m_phase)).reshape(shape)
         s = (rows @ np.sin(m_phase)).reshape(shape)
         parts = (np.einsum("kcqu,qu->kcu", c, np.cos(d_phase))
@@ -295,7 +292,7 @@ def _cos_integrals(
         prev = out
         panels *= 2
     raise QuadratureConvergenceError(
-        f"cos-integral did not converge to {abs_tol} within {max_panels} panels"
+        f"cos-integral did not converge to {abs_tol} within {MAX_PANELS} panels"
     )
 
 
@@ -307,19 +304,17 @@ def _k1_prefactor(ke: KernelEval) -> complex:
     )
 
 
-def free_mode_multipliers(ke: KernelEval, t: float, xi_abs: np.ndarray,
-                          abs_tol: float = 1e-10):
+def free_mode_multipliers(ke: KernelEval, t: float, xi_abs: np.ndarray):
     """Per-|xi| Cauchy multipliers and their time derivatives for +/-m.
 
     Returns (kp, kdp, km, kdm): the mode multiplier kappa(t; m, |xi|), its
     d/dt (boundary term plus differentiated integrand), and the same pair
     for the reflected mass -m.
     """
-    return _k1_multipliers(ke, t, xi_abs, abs_tol, time_derivative=True)
+    return _k1_multipliers(ke, t, xi_abs, time_derivative=True)
 
 
-def _k1_multipliers(ke: KernelEval, t: float, xi_abs, abs_tol: float,
-                    time_derivative: bool):
+def _k1_multipliers(ke: KernelEval, t: float, xi_abs, time_derivative: bool):
     """(kp, kdp, km, kdm) as in free_mode_multipliers; without
     time_derivative only K1(+/-m) is integrated and (kp, km) returned."""
     ke.check_time(t)
@@ -335,14 +330,14 @@ def _k1_multipliers(ke: KernelEval, t: float, xi_abs, abs_tol: float,
         def fvals(r):
             return kernel_K1(r, t, kp_ctx), kernel_K1(r, t, km_ctx)
 
-        i_k_p, i_k_m = _cos_integrals(fvals, upper, xi_abs, abs_tol)
+        i_k_p, i_k_m = _cos_integrals(fvals, upper, xi_abs)
         return pref_p * i_k_p, pref_m * i_k_m
 
     def fvals(r):
         return (*_k1_and_time_derivative(r, t, kp_ctx),
                 *_k1_and_time_derivative(r, t, km_ctx))
 
-    i_k_p, i_dk_p, i_k_m, i_dk_m = _cos_integrals(fvals, upper, xi_abs, abs_tol)
+    i_k_p, i_dk_p, i_k_m, i_dk_m = _cos_integrals(fvals, upper, xi_abs)
     dphi = ke.cosmology.dphi(t)
     if upper > 0.0:
         edge_p = complex(kernel_K1(np.array([upper]), t, kp_ctx)[0])
@@ -358,24 +353,26 @@ def _k1_multipliers(ke: KernelEval, t: float, xi_abs, abs_tol: float,
     return kp, kdp, km, kdm
 
 
-def _unique_mode_magnitudes(grid: Grid):
+@lru_cache(maxsize=32)
+def _unique_mode_magnitudes(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Distinct |k| of the derivative wavenumbers, and each mode's index.
 
     Every wavenumber is (2 pi / L) times an integer, so modes are grouped
     exactly by q = i^2 + j^2 + l^2 and the magnitudes are (2 pi / L) sqrt(q).
-    Returns (uniq, inverse) with uniq[inverse] = |k| on the grid.
+    Returns (uniq, inverse) with uniq[inverse] = |k| on the grid (read-only).
     """
     ks = _derivative_wavenumbers(grid)
     unit = 2.0 * np.pi / grid.box_length
     q = sum(np.rint(k / unit).astype(np.int64) ** 2 for k in ks)
     present = np.bincount(q.ravel()) > 0
-    inverse = (np.cumsum(present) - 1)[q]
-    return unit * np.sqrt(np.flatnonzero(present)), inverse
+    out = unit * np.sqrt(np.flatnonzero(present)), (np.cumsum(present) - 1)[q]
+    for e in out:
+        e.setflags(write=False)
+    return out
 
 
 def apply_G_operator(source_fn, grid: Grid, t: float, ke: KernelEval,
-                     abs_tol: float = 1e-10, order: int = 16,
-                     max_panels: int = 256) -> np.ndarray:
+                     abs_tol: float = MULTIPLIER_ABS_TOL) -> np.ndarray:
     """Apply the source integral operator to a time-indexed scalar field.
 
     source_fn(b) returns the scalar field at intermediate time b; the outer
@@ -394,7 +391,7 @@ def apply_G_operator(source_fn, grid: Grid, t: float, ke: KernelEval,
     m = complex(ke.m)
 
     def total(panels: int) -> np.ndarray:
-        mids01, offsets01, weights01 = _gl_rule(panels, order)
+        mids01, offsets01, weights01 = _gl_rule(panels, GL_ORDER)
         b_nodes = eps + (t - eps) * (mids01[:, None] + offsets01).ravel()
         b_weights = (t - eps) * np.tile(weights01, panels)
         out_hat = np.zeros((grid.n,) * 3, dtype=complex)
@@ -411,7 +408,7 @@ def apply_G_operator(source_fn, grid: Grid, t: float, ke: KernelEval,
 
     panels = 4
     prev = total(panels)
-    while panels <= max_panels:
+    while panels <= OUTER_MAX_PANELS:
         panels *= 2
         cur = total(panels)
         if float(np.max(np.abs(cur - prev))) <= abs_tol * grid.n**3:
@@ -424,7 +421,7 @@ def apply_G_operator(source_fn, grid: Grid, t: float, ke: KernelEval,
 
 
 def reconstruct_free(psi1: SpinorField, t: float, ke: KernelEval,
-                     abs_tol: float = 1e-10, self_check: bool = True) -> SpinorField:
+                     self_check: bool = True) -> SpinorField:
     """Evaluate the free solution at time t from its data at time eps.
 
     Every Fourier mode is propagated by the co-factor operator
@@ -445,10 +442,10 @@ def reconstruct_free(psi1: SpinorField, t: float, ke: KernelEval,
             f"psi1.time = {psi1.time!r} must equal the kernel epsilon {ke.epsilon!r}")
     ke.check_time(t)
     uniq, inverse = _unique_mode_magnitudes(grid)
-    kp, kdp, km, kdm = free_mode_multipliers(ke, t, uniq, abs_tol)
+    kp, kdp, km, kdm = free_mode_multipliers(ke, t, uniq)
     # the difference stencil needs room below t
     if self_check and t - 2.0 * 1e-4 * t > ke.epsilon:
-        _self_check_time_derivative(ke, t, uniq, kp, kdp, km, kdm, abs_tol)
+        _self_check_time_derivative(ke, t, uniq, kp, kdp, km, kdm)
 
     ell = ke.cosmology.ell
     m = complex(ke.m)
@@ -463,12 +460,11 @@ def reconstruct_free(psi1: SpinorField, t: float, ke: KernelEval,
     return psi1.with_spectrum(hat, time=t)
 
 
-def _self_check_time_derivative(ke, t, uniq, kp, kdp, km, kdm, abs_tol,
-                                rel_tol: float = 1e-6, samples: int = 5):
+def _self_check_time_derivative(ke, t, uniq, kp, kdp, km, kdm):
     """Audit the analytic d/dt multipliers with a 4th-order difference:
     central where t + 2 dt is a supported time, else backward from t, whose
     K1 values are kp and km."""
-    idx = np.unique(np.linspace(0, len(uniq) - 1, samples).astype(int))
+    idx = np.unique(np.linspace(0, len(uniq) - 1, SELF_CHECK_SAMPLES).astype(int))
     sub = uniq[idx]
     dt = 1e-4 * t
     if (t + 2.0 * dt) / ke.epsilon <= TIME_RATIO_MAX * (1.0 + 1e-12):
@@ -476,7 +472,7 @@ def _self_check_time_derivative(ke, t, uniq, kp, kdp, km, kdm, abs_tol,
     else:
         at_t, shifts, coeffs = 25 / 12, (-1, -2, -3, -4), (-4.0, 3.0, -4 / 3, 1 / 4)
     stencil = [
-        _k1_multipliers(ke, t + shift * dt, sub, abs_tol, time_derivative=False)
+        _k1_multipliers(ke, t + shift * dt, sub, time_derivative=False)
         for shift in shifts
     ]
     num_p = (at_t * kp[idx] + sum(c * kp_s for (kp_s, _), c in zip(stencil, coeffs))) / dt
@@ -486,7 +482,7 @@ def _self_check_time_derivative(ke, t, uniq, kp, kdp, km, kdm, abs_tol,
         float(np.max(np.abs(num_p - kdp[idx]))),
         float(np.max(np.abs(num_m - kdm[idx]))),
     )
-    if err > rel_tol * scale:
+    if err > SELF_CHECK_REL_TOL * scale:
         raise KernelConsistencyError(
             f"analytic time derivative disagrees with finite difference: "
             f"relative error {err / scale:.3e}"

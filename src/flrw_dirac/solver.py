@@ -19,7 +19,8 @@ r0 I + r1 B + r2 g0 + r3 B g0 of that span, whose coefficients are
 polynomials in |k|^2, applied in one pass.  That pass, field._apply_span,
 lives in field, and the closed-form propagator of kernels uses it too.  The
 x-dependent terms (potential, nonlinearity, source) are evaluated in
-physical space and transformed, stage by stage.
+physical space and transformed, stage by stage.  rhs returns that stage
+derivative, the one step integrates, as a field.
 
 Each field a step returns carries its Fourier coefficients
 (SpinorField.spectrum), so the next step and the recorder transform
@@ -41,6 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .field import (
+    MAX_SOBOLEV_ORDER,
     BilinearDensities,
     Grid,
     SpinorField,
@@ -60,6 +62,7 @@ from .models import ModelSpec, hyperbolic_rhs_nonlinearity, potential_field
 from .spacetime import Cosmology
 
 __all__ = [
+    "CONE_MASS_FRACTION",
     "SolverConfig",
     "RunRecord",
     "OBSERVABLES",
@@ -82,16 +85,19 @@ class ConeSafetyError(RuntimeError):
     pass
 
 
+CONE_MASS_FRACTION = 1e-12  # support_radius fraction of the tracked cone's apex r0
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Time-integration parameters.
 
-    A run blows up when its squared L2 norm exceeds blowup_factor times the
-    initial one (with math.inf, or zero data, only non-finite data count).
-    t_start and t_end are normalised to builtin float, so numpy scalar
-    times (quadrature nodes, say) behave like plain numbers downstream, and
-    lm_z, the phase of the recorded Majorana defect, to builtin complex on
-    the unit circle.
+    A run blows up when its squared L2 norm exceeds blowup_factor (>= 1)
+    times the initial one (with math.inf, or zero data, only non-finite
+    data count).  NaN is rejected in every float field.  t_start and t_end
+    are normalised to builtin float, so numpy scalar times (quadrature
+    nodes, say) behave like plain numbers downstream, and lm_z, the phase
+    of the recorded Majorana defect, to builtin complex on the unit circle.
     """
 
     t_start: float = 1.0
@@ -104,27 +110,31 @@ class SolverConfig:
     lm_z: complex | None = None
     track_cone: bool = True
     cone_center: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    cone_mass_fraction: float = 1e-12
     on_cone_violation: str = "error"  # "error" | "stop"
 
     def __post_init__(self):
         object.__setattr__(self, "t_start", float(self.t_start))
         object.__setattr__(self, "t_end", float(self.t_end))
-        if self.t_start < 1.0:
+        # each test is written so that NaN fails it
+        if not self.t_start >= 1.0:
             raise ValueError("t_start must be >= 1")
-        if self.t_end < 1.0:
+        if not self.t_end >= 1.0:
             raise ValueError("t_end must be >= 1")
         if not 0.0 < self.cfl < 1.0:
             raise ValueError("cfl must lie in (0, 1)")
-        if self.dt_max <= 0:
+        if not self.dt_max > 0:
             raise ValueError("dt_max must be positive")
+        if not self.blowup_factor >= 1.0:
+            raise ValueError("blowup_factor must be >= 1")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
+        if not 0 <= self.sobolev_order <= MAX_SOBOLEV_ORDER:
+            raise ValueError(f"sobolev_order must lie in [0, {MAX_SOBOLEV_ORDER}]")
         if self.on_cone_violation not in ("error", "stop"):
             raise ValueError("on_cone_violation must be 'error' or 'stop'")
         if self.lm_z is not None:
             object.__setattr__(self, "lm_z", complex(self.lm_z))
-            if abs(abs(self.lm_z) - 1.0) > 1e-12:
+            if not abs(abs(self.lm_z) - 1.0) <= 1e-12:
                 raise ValueError("lm_z must lie on the unit circle")
 
 
@@ -230,8 +240,10 @@ def _k_powers(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _free_coefficients(t: float, cosmo: Cosmology, m: complex) -> tuple[float, float, complex]:
-    """(d, s, mu) of the free operator d I + s B + mu g0 at time t."""
-    return -1.5 * cosmo.ell / t, -1.0 / cosmo.scale(t), -1j * m / t
+    """(d, s, mu) of the free operator d I + s B + mu g0 at time t; the
+    scale factor raises ValueError for t <= 0 before anything divides by t."""
+    s = -1.0 / cosmo.scale(t)
+    return -1.5 * cosmo.ell / t, s, -1j * m / t
 
 
 def _linear_symbol(hat: np.ndarray, t: float, cosmo: Cosmology, m: complex,
@@ -287,10 +299,15 @@ def _free_rk4(hat: np.ndarray, t: float, dt: float, cosmo: Cosmology, m: complex
     return _apply_span(hat, grid, p, q)
 
 
+def _is_free(model: ModelSpec, source) -> bool:
+    """True when the right side has no x-dependent term."""
+    return model.potential.is_zero and model.nonlinearity.is_none and source is None
+
+
 def _local_terms(f: SpinorField, t: float, model: ModelSpec,
-                 source: Callable[[float], np.ndarray] | None) -> np.ndarray | None:
+                 source: Callable[[float], np.ndarray] | None) -> np.ndarray:
     """The x-dependent part of the right side, i V psi + F(psi) + source(t),
-    in physical space; None when the model has none of these terms."""
+    in physical space, for a model that has some of these terms."""
     out = None
     vf = _static_potential_field(model.potential, f.grid)
     if vf is not None:
@@ -303,6 +320,16 @@ def _local_terms(f: SpinorField, t: float, model: ModelSpec,
     return out
 
 
+def _rhs_hat(f: SpinorField, t: float, cosmo: Cosmology, model: ModelSpec,
+             source: Callable[[float], np.ndarray] | None) -> np.ndarray:
+    """Fourier coefficients of the right side at time t: the free symbol on
+    f.spectrum, plus the transformed x-dependent terms when there are any."""
+    out = _linear_symbol(f.spectrum, t, cosmo, complex(model.mass.m), f.grid)
+    if not _is_free(model, source):
+        out += _fftn(_local_terms(f, t, model, source), f.grid)
+    return out
+
+
 def rhs(
     f: SpinorField,
     t: float,
@@ -310,15 +337,9 @@ def rhs(
     model: ModelSpec,
     source: Callable[[float], np.ndarray] | None = None,
 ) -> SpinorField:
-    """Right side of the semi-discrete system at time t."""
-    if t <= 0:
-        raise ValueError("rhs requires t > 0")
-    linear = _linear_symbol(f.spectrum, t, cosmo, complex(model.mass.m), f.grid)
-    out = _ifftn(linear, f.grid)
-    local = _local_terms(f, t, model, source)
-    if local is not None:
-        out += local
-    return f.with_data(out, time=t)
+    """Right side of the semi-discrete system at time t: the stage
+    derivative that step integrates, as a field carrying its spectrum."""
+    return f.with_spectrum(_rhs_hat(f, t, cosmo, model, source), time=t)
 
 
 @lru_cache(maxsize=32)
@@ -349,7 +370,8 @@ def step(
     """One classical RK4 step of size dt (dt < 0 integrates backward).
 
     Without x-dependent terms the step is the closed-form free RK4
-    amplification; the field returned carries its spectrum."""
+    amplification; otherwise each stage derivative is _rhs_hat, the right
+    side of rhs.  The field returned carries its spectrum."""
     t = f.time
     if cfl is not None:
         bound = cfl * f.grid.h * min(cosmo.scale(t), cosmo.scale(t + dt))
@@ -357,25 +379,15 @@ def step(
             raise CFLViolationError(
                 f"|dt|={abs(dt):.3e} exceeds cfl*h*a(t)={bound:.3e} at t={t:.6f}"
             )
-    grid = f.grid
-    m = complex(model.mass.m)
     hat = f.spectrum
-    local = _local_terms(f, t, model, source)
-    if local is None:
-        return f.with_spectrum(_free_rk4(hat, t, dt, cosmo, m, grid), time=t + dt)
-    k1 = _linear_symbol(hat, t, cosmo, m, grid)
-    k1 += _fftn(local, grid)
-
-    def deriv(stage_hat, t_stage):
-        out = _linear_symbol(stage_hat, t_stage, cosmo, m, grid)
-        g = f.with_data(_ifftn(stage_hat, grid))
-        out += _fftn(_local_terms(g, t_stage, model, source), grid)
-        return out
-
-    k2 = deriv(hat + 0.5 * dt * k1, t + 0.5 * dt)
-    k3 = deriv(hat + 0.5 * dt * k2, t + 0.5 * dt)
-    k4 = deriv(hat + dt * k3, t + dt)
-    new = hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if _is_free(model, source):
+        new = _free_rk4(hat, t, dt, cosmo, complex(model.mass.m), f.grid)
+        return f.with_spectrum(new, time=t + dt)
+    k = [_rhs_hat(f, t, cosmo, model, source)]
+    for frac in (0.5, 0.5, 1.0):
+        stage = f.with_spectrum(hat + frac * dt * k[-1])
+        k.append(_rhs_hat(stage, t + frac * dt, cosmo, model, source))
+    new = hat + (dt / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3])
     return f.with_spectrum(new, time=t + dt)
 
 
@@ -557,7 +569,7 @@ def propagate(
 
     r0 = 0.0
     if cfg.track_cone:
-        r0 = support_radius(f0, cfg.cone_center, cfg.cone_mass_fraction)
+        r0 = support_radius(f0, cfg.cone_center, CONE_MASS_FRACTION)
     recorder = _Recorder(cosmo, model, cfg, grid, source, r0, observables)
     tracked = cfg.track_cone and not backward
     if tracked and cfg.on_cone_violation == "error":

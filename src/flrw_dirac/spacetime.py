@@ -4,14 +4,20 @@ The scale factor is a(t) = a0 * t**ell with a general real exponent.  The
 comoving travel distance carries the whole causal structure: a signal
 emitted at (x0, t0) reaches at time t >= t0 the sphere
 |x - x0| = travel_distance(t, t0) = (phi(t) - phi(t0)) / a0.
+
+There is one evaluation path, for scalar times: quadratures, step rules
+and cone checks call the methods once per scalar time.  Every method
+converts its times with float(), so builtin floats, np.float64, ints and
+0-d arrays all work, and an array with ndim > 0 raises numpy's TypeError.
+The closed forms are evaluated with ``**`` and ``math.log`` and give
+builtin floats; a power past the float range is inf with a RuntimeWarning.
 """
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 __all__ = ["Cosmology"]
 
@@ -20,29 +26,28 @@ __all__ = ["Cosmology"]
 _ELL_ONE_TOL = 1e-12
 
 
-def _positive_times(t, what: str) -> np.ndarray:
-    """t as a float array (0-d for a scalar), checked to be > 0."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
+def _time(t, what: str) -> float:
+    """t as a builtin float, checked to be > 0 (which rejects NaN)."""
+    t = float(t)
+    if not t > 0:
         raise ValueError(f"{what} requires t > 0")
     return t
 
 
+def _pow(x: float, p: float) -> float:
+    """x**p for x > 0; inf, with a RuntimeWarning, past the float range."""
+    try:
+        return x**p
+    except OverflowError:
+        warnings.warn("overflow encountered in power", RuntimeWarning, stacklevel=3)
+        return math.inf
+
+
 @dataclass(frozen=True)
 class Cosmology:
-    """Spatially flat background with scale factor a(t) = a0 * t**ell.
-
-    Every method takes a scalar or an array of times.  A float time
-    (np.float64 included) is evaluated in builtin float arithmetic, with
-    ``**`` and ``math.log``, and gives a builtin float: quadratures, step
-    rules and cone checks call these once per scalar, where numpy's per-call
-    overhead would dominate.  Any other input (an array, a 0-d array, an
-    int) goes through numpy, and a 0-d result comes back as a float.  Both
-    paths evaluate the same closed form and agree to rounding (libm's pow
-    and log against numpy's ufuncs, about 1 ulp).  A float power that
-    overflows is handed to the numpy path, which gives inf with numpy's
-    overflow warning.  ell and a0 are stored as builtin floats.
-    """
+    """Spatially flat background with scale factor a(t) = a0 * t**ell, for
+    scalar times t > 0 (see the module docstring).  ell and a0 are stored
+    as builtin floats."""
 
     ell: float
     a0: float = 1.0
@@ -59,51 +64,22 @@ class Cosmology:
     def ell_is_one(self) -> bool:
         return abs(self.ell - 1.0) < _ELL_ONE_TOL
 
-    def scale(self, t):
+    def scale(self, t) -> float:
         """a(t) = a0 * t**ell for t > 0."""
-        if isinstance(t, float):
-            if t <= 0:
-                raise ValueError("scale factor requires t > 0")
-            try:
-                return self.a0 * float(t) ** self.ell
-            except OverflowError:
-                pass
-        t = _positive_times(t, "scale factor")
-        out = self.a0 * t**self.ell
-        return float(out) if out.ndim == 0 else out
+        return self.a0 * _pow(_time(t, "scale factor"), self.ell)
 
-    def phi(self, t):
+    def phi(self, t) -> float:
         """t**(1-ell)/(1-ell), or log(t) when ell = 1 (a0 = 1 convention)."""
-        if isinstance(t, float):
-            if t <= 0:
-                raise ValueError("phi requires t > 0")
-            if self.ell_is_one:
-                return math.log(t)
-            try:
-                return float(t) ** (1.0 - self.ell) / (1.0 - self.ell)
-            except OverflowError:
-                pass
-        t = _positive_times(t, "phi")
+        t = _time(t, "phi")
         if self.ell_is_one:
-            out = np.log(t)
-        else:
-            out = t ** (1.0 - self.ell) / (1.0 - self.ell)
-        return float(out) if out.ndim == 0 else out
+            return math.log(t)
+        return _pow(t, 1.0 - self.ell) / (1.0 - self.ell)
 
-    def dphi(self, t):
+    def dphi(self, t) -> float:
         """d phi / dt = t**(-ell)."""
-        if isinstance(t, float):
-            if t <= 0:
-                raise ValueError("dphi requires t > 0")
-            try:
-                return float(t) ** -self.ell
-            except OverflowError:
-                pass
-        t = _positive_times(t, "dphi")
-        out = t ** (-self.ell)
-        return float(out) if out.ndim == 0 else out
+        return _pow(_time(t, "dphi"), -self.ell)
 
-    def travel_distance(self, t, t0: float = 1.0):
+    def travel_distance(self, t, t0=1.0) -> float:
         """Comoving distance crossed by a null ray between times t0 and t.
 
         Closed form of the integral of 1/a over [t0, t]:
@@ -112,28 +88,12 @@ class Cosmology:
         supported within R of a point at t0 stay within R + this distance
         of it at t.  The t0 terms are exactly 0 for the default t0 = 1, and t
         and t0 go through the same arithmetic, so the distance is additive
-        over consecutive intervals up to rounding of the differences.  The
-        float path is taken when both t and t0 are floats.
+        over consecutive intervals up to rounding of the differences.
         """
-        if isinstance(t, float) and isinstance(t0, float):
-            if t <= 0:
-                raise ValueError("travel_distance requires t > 0")
-            if not t0 > 0 or t < t0:
-                raise ValueError("travel_distance requires t >= t0 > 0")
-            if self.ell_is_one:
-                return (math.log(t) - math.log(t0)) / self.a0
-            p = 1.0 - self.ell
-            try:
-                return (float(t) ** p - float(t0) ** p) / (self.a0 * p)
-            except OverflowError:
-                pass
-        t = _positive_times(t, "travel_distance")
-        if not t0 > 0 or (t < t0 if t.ndim == 0 else np.any(t < t0)):
+        t, t0 = _time(t, "travel_distance"), float(t0)
+        if not (t0 > 0 and t >= t0):
             raise ValueError("travel_distance requires t >= t0 > 0")
-        t0 = np.asarray(t0, dtype=float)
         if self.ell_is_one:
-            out = (np.log(t) - np.log(t0)) / self.a0
-        else:
-            p = 1.0 - self.ell
-            out = (t**p - t0**p) / (self.a0 * p)
-        return float(out) if out.ndim == 0 else out
+            return (math.log(t) - math.log(t0)) / self.a0
+        p = 1.0 - self.ell
+        return (_pow(t, p) - _pow(t0, p)) / (self.a0 * p)

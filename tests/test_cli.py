@@ -491,6 +491,22 @@ def test_simulate_center_is_padded_with_zeros(tmp_path):
     assert short.read_bytes() == full.read_bytes()
 
 
+def test_every_solver_config_field_is_settable_from_the_run_config():
+    """The run config's solver section sets every SolverConfig field, so no
+    field is an option only the Python API reaches.  cone_center is the one
+    exception: load_run_config fills it from initial_data.center."""
+    import dataclasses
+
+    from flrw_dirac.cli import _RUN
+    from flrw_dirac.solver import SolverConfig
+
+    fields = {f.name for f in dataclasses.fields(SolverConfig)}
+    kind, settable, _ = _RUN["solver"]
+    assert kind == "section"
+    assert fields - set(settable) == {"cone_center"}
+    assert set(settable) <= fields
+
+
 def test_simulate_plane_wave_is_a_unit_wavenumber_gaussian(tmp_path):
     tree = config()
     tree["initial_data"] = {"family": "plane_wave", "width": 2.0, "amplitude": 0.7}

@@ -315,6 +315,17 @@ def test_unique_mode_magnitudes_group_exactly(grid):
     np.testing.assert_allclose(uniq[inverse], mags, rtol=1e-14, atol=0.0)
 
 
+def test_unique_mode_magnitudes_are_cached_read_only():
+    """A second call on an equal grid returns the same read-only arrays."""
+    first = _unique_mode_magnitudes(Grid(3, 8, 8.0))
+    second = _unique_mode_magnitudes(Grid(3, 8, 8.0))
+    assert all(a is b for a, b in zip(first, second))
+    for e in first:
+        assert not e.flags.writeable
+        with pytest.raises(ValueError):
+            e[0] = 0
+
+
 # --- integral operators -----------------------------------------------------
 
 

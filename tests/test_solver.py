@@ -80,6 +80,13 @@ def test_rhs_single_mode_dispersion():
     assert set(np.round(eigvals, 12)) == {-1.0, 1.0}
 
 
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
+def test_rhs_rejects_a_time_outside_the_domain(t):
+    grid = Grid(dim=1, n=16, box_length=2 * np.pi)
+    with pytest.raises(ValueError, match="requires t > 0"):
+        rhs(constant_field(grid, (1, 0, 0, 0)), t, COSMO, ModelSpec())
+
+
 def reference_rhs(f, t, cosmo, model, source=None):
     """The evolved right side written out in physical space, term by term:
     transport through the alpha matrices, damping, mass through g0, then
@@ -500,6 +507,32 @@ def test_config_validation():
         SolverConfig(method="rk4")  # RK4 is the only integrator
     with pytest.raises(ValueError):
         SolverConfig(record_every=0)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("t_start", math.nan, "t_start must be >= 1"),
+    ("t_end", math.nan, "t_end must be >= 1"),
+    ("cfl", math.nan, "cfl must lie in"),
+    ("dt_max", math.nan, "dt_max must be positive"),
+    ("blowup_factor", math.nan, "blowup_factor must be >= 1"),
+    ("blowup_factor", 0.5, "blowup_factor must be >= 1"),
+    ("lm_z", complex(math.nan, 0.0), "unit circle"),
+    ("sobolev_order", 7, "sobolev_order must lie in"),
+    ("sobolev_order", -1, "sobolev_order must lie in"),
+])
+def test_config_rejects_what_the_run_config_rejects(field, value, message):
+    """NaN in a float field, a blow-up factor below 1 and a Sobolev order
+    outside [0, 6] are rejected, as the CLI's config table rejects them,
+    instead of running a wrong experiment (no steps for t_end = nan, a
+    blow-up at once for blowup_factor = 0.5) or failing at the first
+    recorded sample."""
+    with pytest.raises(ValueError, match=message):
+        SolverConfig(**{field: value})
+
+
+def test_config_accepts_an_infinite_blowup_factor():
+    assert SolverConfig(blowup_factor=math.inf).blowup_factor == math.inf
+    assert SolverConfig(blowup_factor=1.0).blowup_factor == 1.0
 
 
 def test_config_checks_the_defect_phase():
