@@ -156,7 +156,6 @@ _CHECK = _table(
     ("name", "string", tuple(diag.CHECKS), REQUIRED),
     ("tolerance", "number", None, 1e-6),
     # every check parameter; the ones given are bound to the check's signature
-    ("params.margin", "number", None, None),
     ("params.window", "list", ("number", None, 2, 2), None),
     ("params.expected", "number", None, None),
 )

@@ -229,7 +229,7 @@ def check_cone_containment(rec: RunRecord, tol: float) -> CheckReport:
     )
 
 
-def check_forward_bound(rec: RunRecord, margin: float = 0.2) -> CheckReport:
+def check_forward_bound(rec: RunRecord) -> CheckReport:
     """Minimal admissible constant in the weighted forward estimate.
 
     For every recorded pair s <= t the estimate reads
@@ -255,7 +255,7 @@ def check_forward_bound(rec: RunRecord, margin: float = 0.2) -> CheckReport:
         check="forward_bound",
         status="pass" if finite else "fail",
         max_mismatch=0.0,
-        fitted_constants={"c_min": c_min, "margin": margin},
+        fitted_constants={"c_min": c_min},
     )
 
 
@@ -354,15 +354,8 @@ def scattering_profile(
         for tau, w, p in zip(nodes, weights, panel_of):
             state = nonlinear.captured[tau]
             g = hyperbolic_rhs_nonlinearity(model.nonlinearity, state)
-            back_cfg = replace(
-                cfg,
-                t_start=tau,
-                t_end=cfg.t_start,
-                record_every=10**9,
-                track_cone=False,
-                blowup_factor=math.inf,
-                lm_z=None,
-            )
+            back_cfg = replace(cfg, t_start=tau, t_end=cfg.t_start, track_cone=False,
+                               blowup_factor=math.inf)
             back = propagate(g, cosmo, linear_model, back_cfg, observables=())
             contrib = w * back.final.data
             if panel_sums[p] is None:

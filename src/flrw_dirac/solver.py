@@ -35,6 +35,7 @@ computes the bilinear densities only when a recorded observable reads them.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 from typing import Callable
@@ -65,9 +66,9 @@ __all__ = [
     "CONE_MASS_FRACTION",
     "SolverConfig",
     "RunRecord",
+    "SCHEMA",
     "OBSERVABLES",
     "TIME_AXIS",
-    "CFLViolationError",
     "ConeSafetyError",
     "rhs",
     "step",
@@ -75,10 +76,6 @@ __all__ = [
     "cone_limit_radius",
     "guard_cone",
 ]
-
-
-class CFLViolationError(ValueError):
-    pass
 
 
 class ConeSafetyError(RuntimeError):
@@ -96,8 +93,10 @@ class SolverConfig:
     times the initial one (with math.inf, or zero data, only non-finite
     data count).  NaN is rejected in every float field.  t_start and t_end
     are normalised to builtin float, so numpy scalar times (quadrature
-    nodes, say) behave like plain numbers downstream, and lm_z, the phase
-    of the recorded Majorana defect, to builtin complex on the unit circle.
+    nodes, say) behave like plain numbers downstream; record_every and
+    sobolev_order to builtin int (any other type, bool and float included,
+    raises TypeError); and lm_z, the phase of the recorded Majorana defect,
+    to builtin complex on the unit circle.
     """
 
     t_start: float = 1.0
@@ -115,6 +114,11 @@ class SolverConfig:
     def __post_init__(self):
         object.__setattr__(self, "t_start", float(self.t_start))
         object.__setattr__(self, "t_end", float(self.t_end))
+        for name in ("record_every", "sobolev_order"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(value, "__index__"):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         # each test is written so that NaN fails it
         if not self.t_start >= 1.0:
             raise ValueError("t_start must be >= 1")
@@ -138,6 +142,15 @@ class SolverConfig:
                 raise ValueError("lm_z must lie on the unit circle")
 
 
+SCHEMA = "flrw-dirac-run/1"
+
+# RunRecord fields serialised as they are, _META at the top level and _FLAGS under
+# "flags"; cosmology, mass, cone_center, series and snapshots have their own shape.
+_META = ("potential_kind", "potential_gamma2_ok", "nonlinearity_kind", "sobolev_order",
+         "support_radius0")
+_FLAGS = ("completed", "blown_up", "blowup_time", "cone_violation")
+
+
 @dataclass
 class RunRecord:
     """Recorded series plus the metadata of the run that produced them.
@@ -147,18 +160,18 @@ class RunRecord:
     """
 
     series: dict[str, np.ndarray]
-    sobolev_order: int
     cosmology: Cosmology
     mass: complex
     potential_kind: str
-    nonlinearity_kind: str
-    completed: bool
-    blown_up: bool
-    blowup_time: float | None
-    cone_violation: bool
     potential_gamma2_ok: bool
+    nonlinearity_kind: str
+    sobolev_order: int
     support_radius0: float
     cone_center: tuple[float, float, float]
+    completed: bool = False
+    blown_up: bool = False
+    blowup_time: float | None = None
+    cone_violation: bool = False
     final: SpinorField | None = None
     captured: dict = dc_field(default_factory=dict)
     snapshots: list = dc_field(default_factory=list)
@@ -172,20 +185,11 @@ class RunRecord:
             else:
                 series[name] = values.tolist()
         return {
-            "schema": "flrw-dirac-run/1",
+            "schema": SCHEMA,
             "cosmology": {"ell": self.cosmology.ell, "a0": self.cosmology.a0},
             "mass": {"re": self.mass.real, "im": self.mass.imag},
-            "potential_kind": self.potential_kind,
-            "potential_gamma2_ok": self.potential_gamma2_ok,
-            "nonlinearity_kind": self.nonlinearity_kind,
-            "sobolev_order": self.sobolev_order,
-            "flags": {
-                "completed": self.completed,
-                "blown_up": self.blown_up,
-                "blowup_time": self.blowup_time,
-                "cone_violation": self.cone_violation,
-            },
-            "support_radius0": self.support_radius0,
+            **{key: getattr(self, key) for key in _META},
+            "flags": {key: getattr(self, key) for key in _FLAGS},
             "cone_center": list(self.cone_center),
             "series": series,
             "snapshots": list(self.snapshots),
@@ -193,15 +197,24 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
-        """Inverse of to_dict.  Raises ValueError when a series has a
-        different number of values than the time axis."""
+        """Inverse of to_dict; raises ValueError naming another schema, a
+        missing field, or a series whose length differs from the time axis."""
+        schema = d.get("schema") if isinstance(d, dict) else None
+        if schema != SCHEMA:
+            raise ValueError(f"record schema {schema!r} is not {SCHEMA!r}")
+        parts = {"cosmology": ("ell", "a0"), "mass": ("re", "im"), "flags": _FLAGS,
+                 "series": (TIME_AXIS,)}
+        missing = [key for key in (*_META, "cone_center") if key not in d] + [
+            f"{p}.{key}" for p, keys in parts.items() for key in keys
+            if not isinstance(d.get(p), dict) or key not in d[p]]
+        if missing:
+            raise ValueError(f"record lacks the fields {missing}")
         raw = d["series"]
         n = len(raw[TIME_AXIS])
         for key, values in raw.items():
             if len(values) != n:
-                raise ValueError(
-                    f"series {key!r} has {len(values)} values, but {TIME_AXIS!r} has {n}"
-                )
+                raise ValueError(f"series {key!r} has {len(values)} values, "
+                                 f"but {TIME_AXIS!r} has {n}")
         series = {}
         for name in OBSERVABLES:
             if name in raw:
@@ -209,22 +222,14 @@ class RunRecord:
             elif f"{name}_re" in raw:
                 real, imag = np.array(raw[f"{name}_re"]), np.array(raw[f"{name}_im"])
                 series[name] = real + 1j * imag
-        flags = d["flags"]
         return cls(
             series=series,
-            sobolev_order=d["sobolev_order"],
             cosmology=Cosmology(d["cosmology"]["ell"], d["cosmology"]["a0"]),
             mass=complex(d["mass"]["re"], d["mass"]["im"]),
-            potential_kind=d["potential_kind"],
-            nonlinearity_kind=d["nonlinearity_kind"],
-            completed=flags["completed"],
-            blown_up=flags["blown_up"],
-            blowup_time=flags["blowup_time"],
-            cone_violation=flags["cone_violation"],
-            potential_gamma2_ok=d["potential_gamma2_ok"],
-            support_radius0=d["support_radius0"],
             cone_center=tuple(d["cone_center"]),
             snapshots=list(d.get("snapshots", [])),
+            **{key: d[key] for key in _META},
+            **{key: d["flags"][key] for key in _FLAGS},
         )
 
 
@@ -359,26 +364,14 @@ def _static_im_potential_field(spec, grid):
     return imv
 
 
-def step(
-    f: SpinorField,
-    dt: float,
-    cosmo: Cosmology,
-    model: ModelSpec,
-    source: Callable[[float], np.ndarray] | None = None,
-    cfl: float | None = None,
-) -> SpinorField:
+def step(f: SpinorField, dt: float, cosmo: Cosmology, model: ModelSpec,
+         source: Callable[[float], np.ndarray] | None = None) -> SpinorField:
     """One classical RK4 step of size dt (dt < 0 integrates backward).
 
     Without x-dependent terms the step is the closed-form free RK4
     amplification; otherwise each stage derivative is _rhs_hat, the right
     side of rhs.  The field returned carries its spectrum."""
     t = f.time
-    if cfl is not None:
-        bound = cfl * f.grid.h * min(cosmo.scale(t), cosmo.scale(t + dt))
-        if abs(dt) > bound * (1.0 + 1e-9):
-            raise CFLViolationError(
-                f"|dt|={abs(dt):.3e} exceeds cfl*h*a(t)={bound:.3e} at t={t:.6f}"
-            )
     hat = f.spectrum
     if _is_free(model, source):
         new = _free_rk4(hat, t, dt, cosmo, complex(model.mass.m), f.grid)
@@ -488,13 +481,9 @@ class _Recorder:
                 f"unknown observables {sorted(unknown)}; options: {list(OBSERVABLES)}")
         self.observe = {name: fn for name, fn in OBSERVABLES.items()
                         if observables is None or name == TIME_AXIS or name in observables}
-        self.cosmo = cosmo
-        self.cfg = cfg
-        self.source = source
-        self.r0 = r0
+        self.cosmo, self.cfg, self.source, self.r0 = cosmo, cfg, source, r0
         self.imv = _static_im_potential_field(model.potential, grid)
         self.rows: dict[str, list] = {}
-        self.last_time = None
 
     def reach(self, t: float) -> float:
         """Forward-cone radius at t >= cfg.t_start: r0 plus the comoving
@@ -503,32 +492,27 @@ class _Recorder:
 
     def record(self, f: SpinorField, l2: float) -> None:
         """Sample f; l2 is its squared L2 norm, which propagate has already."""
-        if f.time == self.last_time:
-            return
-        self.last_time = f.time
         sample = _Sample(f, l2, self)
         for name, observe in self.observe.items():
             value = observe(sample)
             if value is not None:
                 self.rows.setdefault(name, []).append(value)
 
-    def build(self, cfg, cosmo, model, flags, final, captured) -> RunRecord:
+    def build(self, model, flags, final, captured) -> RunRecord:
+        """The run's record; flags holds the _FLAGS entries the run set."""
         return RunRecord(
             series={name: np.array(values) for name, values in self.rows.items()},
-            sobolev_order=cfg.sobolev_order,
-            cosmology=cosmo,
+            cosmology=self.cosmo,
             mass=complex(model.mass.m),
             potential_kind=model.potential.kind,
-            nonlinearity_kind=model.nonlinearity.kind,
-            completed=flags["completed"],
-            blown_up=flags["blown_up"],
-            blowup_time=flags["blowup_time"],
-            cone_violation=flags["cone_violation"],
             potential_gamma2_ok=model.potential.gamma2_ok,
+            nonlinearity_kind=model.nonlinearity.kind,
+            sobolev_order=self.cfg.sobolev_order,
             support_radius0=self.r0,
-            cone_center=cfg.cone_center,
+            cone_center=self.cfg.cone_center,
             final=final,
             captured=captured,
+            **flags,
         )
 
 
@@ -547,6 +531,12 @@ def propagate(
     operator between the two times (backward runs are allowed).  The run
     stops early on blow-up (norm threshold or non-finite data).
 
+    The run steps through one ordered list of stops, the capture times and
+    cfg.t_end: dt = min(dt_max, cfl h a(t), |next stop - t|), so it lands on
+    each stop, and `captured` maps each capture time it reached to the state
+    there.  A capture time that is not finite or lies outside [t_start,
+    t_end] (either order) raises ValueError before the first step.
+
     observables names the OBSERVABLES entries recorded besides TIME_AXIS
     (an unknown name raises ValueError); None records all, as `simulate`
     does.  empirical_blowup records ("l2",), and scattering_profile, which
@@ -560,6 +550,11 @@ def propagate(
     """
     if abs(f0.time - cfg.t_start) > 1e-9 * max(1.0, cfg.t_start):
         raise ValueError("f0.time must equal cfg.t_start")
+    lo, hi = sorted((cfg.t_start, cfg.t_end))
+    captures = {float(tc) for tc in capture_times}
+    outside = sorted(tc for tc in captures if not lo <= tc <= hi)  # NaN is outside
+    if outside:
+        raise ValueError(f"capture times must be finite and lie in [{lo}, {hi}]; got {outside}")
     grid = f0.grid
     backward = cfg.t_end < cfg.t_start
     direction = -1.0 if backward else 1.0
@@ -567,75 +562,50 @@ def propagate(
     e = l2_norm_sq(f0)  # squared L2 norm of the current state f
     threshold = cfg.blowup_factor * e if e > 0 else math.inf
 
-    r0 = 0.0
-    if cfg.track_cone:
-        r0 = support_radius(f0, cfg.cone_center, CONE_MASS_FRACTION)
+    r0 = support_radius(f0, cfg.cone_center, CONE_MASS_FRACTION) if cfg.track_cone else 0.0
     recorder = _Recorder(cosmo, model, cfg, grid, source, r0, observables)
     tracked = cfg.track_cone and not backward
     if tracked and cfg.on_cone_violation == "error":
         guard_cone(recorder.reach(cfg.t_end), grid, cfg.t_end, "forward cone")
     limit = cone_limit_radius(grid)
 
-    flags = {
-        "completed": False,
-        "blown_up": False,
-        "blowup_time": None,
-        "cone_violation": False,
-    }
-    pending = sorted(set(float(tc) for tc in capture_times), reverse=backward)
+    stops = sorted(captures | {cfg.t_end}, reverse=backward)
     captured: dict[float, SpinorField] = {}
+    flags = {}  # the _FLAGS entries that differ from RunRecord's defaults
 
-    def want_capture(t_now, t_next):
-        if not pending:
-            return None
-        tc = pending[0]
-        lo, hi = sorted((t_now, t_next))
-        if lo - 1e-12 <= tc <= hi + 1e-12:
-            return tc
-        return None
+    def arrive(f: SpinorField) -> None:
+        """Pop the stops f has reached (to 1e-12 relative; every time is >= 1),
+        storing f at the requested ones."""
+        while stops and direction * (stops[0] - f.time) <= 1e-12 * stops[0]:
+            tc = stops.pop(0)
+            if tc in captures:
+                captured[tc] = f.with_data(f.data)  # without its spectrum: half the memory
 
     f = f0
     recorder.record(f, e)
-    if pending and abs(pending[0] - f.time) <= 1e-12 * max(1.0, f.time):
-        captured[pending.pop(0)] = f
-
+    arrive(f)
     steps_since_record = 0
-    tiny = 1e-12 * max(1.0, abs(cfg.t_end))
-    while direction * (cfg.t_end - f.time) > tiny:
-        dt = min(cfg.dt_max, cfg.cfl * grid.h * cosmo.scale(f.time))
-        dt = min(dt, abs(cfg.t_end - f.time))
-        tc = want_capture(f.time, f.time + direction * dt)
-        if tc is not None and abs(tc - f.time) > tiny:
-            dt = abs(tc - f.time)
+    while stops:
+        dt = min(cfg.dt_max, cfg.cfl * grid.h * cosmo.scale(f.time), abs(stops[0] - f.time))
         f_new = step(f, direction * dt, cosmo, model, source)
 
         with np.errstate(over="ignore"):  # an overflowing norm is inf: blown up
             blown_up = not f_new.is_finite() or (e_new := l2_norm_sq(f_new)) > threshold
         if blown_up:
-            flags["blown_up"] = True
-            flags["blowup_time"] = f.time + 0.5 * direction * dt
-            recorder.record(f, e)  # last sub-threshold state
+            flags.update(blown_up=True, blowup_time=f.time + 0.5 * direction * dt)
             break
 
         f, e = f_new, e_new
+        arrive(f)
         steps_since_record += 1
-        if pending and direction * (f.time - pending[0]) > 1e-9:
-            raise RuntimeError(f"stepped past capture time {pending[0]}")
-        if tc is not None and abs(f.time - tc) <= 1e-9:
-            captured[tc] = f.with_data(f.data)  # without its spectrum: half the memory
-            pending.pop(0)
-
         if tracked and recorder.reach(f.time) >= limit:
             flags["cone_violation"] = True
-            recorder.record(f, e)
             break
-
-        at_end = direction * (cfg.t_end - f.time) <= tiny
-        if steps_since_record >= cfg.record_every or at_end:
+        if steps_since_record == cfg.record_every:
             recorder.record(f, e)
             steps_since_record = 0
+    if steps_since_record:  # the end, or the last state before a blow-up or the cone limit
+        recorder.record(f, e)
 
-    if direction * (cfg.t_end - f.time) <= tiny:
-        flags["completed"] = True
-
-    return recorder.build(cfg, cosmo, model, flags, f, captured)
+    flags["completed"] = not stops
+    return recorder.build(model, flags, f, captured)

@@ -42,7 +42,7 @@ ALL_CHECKS = [
     {"name": "gamma2", "tolerance": 1e-4},
     {"name": "lm", "tolerance": 1e-4},
     {"name": "cone", "tolerance": 1e-8},
-    {"name": "forward_bound", "params": {"margin": 0.3}},
+    {"name": "forward_bound"},
     {
         "name": "decay",
         "tolerance": 1e-2,
@@ -133,7 +133,6 @@ def test_verify_runs_every_check(tmp_path, lm_record):
         "decay",
     ]
     by_name = {r["check"]: r for r in tree["reports"]}
-    assert by_name["forward_bound"]["fitted_constants"]["margin"] == 0.3
     assert by_name["decay"]["window"] == [1.5, 3.0]
     assert by_name["decay"]["fitted_constants"]["exponent"] == pytest.approx(-1.0, abs=1e-2)
 
@@ -179,6 +178,24 @@ def test_verify_rejects_series_of_other_length(
     assert "cannot load inputs" in err and message in err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda tree: tree.update(schema="something-else/9"),
+     "record schema 'something-else/9' is not 'flrw-dirac-run/1'"),
+    (lambda tree: tree["flags"].pop("blown_up"), "'flags.blown_up'"),
+    (lambda tree: tree.update(flags=5), "'flags.completed'"),
+], ids=["other_schema", "missing_flag", "flags_not_an_object"])
+def test_verify_rejects_a_record_it_cannot_read(tmp_path, plain_record, capsys, edit, message):
+    """A record of another schema, or one that lacks a field, is a load
+    error naming what is wrong, not a verdict on a misread run."""
+    tree = json.loads(plain_record.read_text())
+    edit(tree)
+    record = write_json(tmp_path / "edited.json", tree)
+    assert verify(tmp_path, record, [{"name": "energy_identity", "tolerance": 1e-4}]) == 1
+    captured = capsys.readouterr()
+    assert "cannot load inputs" in captured.err and message in captured.err
+    assert captured.out == ""
+
+
 def test_verify_missing_series_is_runtime_error(tmp_path, plain_record, capsys):
     """A check whose series the record lacks fails as incompatible (exit 2);
     checks that do not need it still run."""
@@ -195,6 +212,7 @@ def test_verify_missing_series_is_runtime_error(tmp_path, plain_record, capsys):
     [
         ({"name": "energy_identity", "tolerence": 1e-4}, "'tolerence'"),
         ({"name": "decay", "params": {"windw": [2.0, 3.0]}}, "'windw'"),
+        ({"name": "forward_bound", "params": {"margin": 0.3}}, "'margin'"),
     ],
 )
 def test_verify_rejects_misspelled_keys(tmp_path, plain_record, capsys, spec, message):
@@ -214,10 +232,8 @@ def test_verify_rejects_misspelled_keys(tmp_path, plain_record, capsys, spec, me
      "field 'checks[0].params.window' must be a list of 2 numbers"),
     ({"name": "decay", "params": {"window": None}},
      "field 'checks[0].params.window' must be a list of 2 numbers"),
-    ({"name": "forward_bound", "params": {"margin": "x"}},
-     "field 'checks[0].params.margin' must be a number"),
-    ({"name": "cone", "tolerance": 1e-8, "params": {"margin": 0.3}},
-     "unexpected keyword argument 'margin'"),
+    ({"name": "cone", "tolerance": 1e-8, "params": {"window": [1.5, 3.0]}},
+     "unexpected keyword argument 'window'"),
 ])
 def test_verify_mistyped_params_are_config_errors(tmp_path, plain_record, capsys, spec,
                                                   message):

@@ -1,7 +1,11 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flrw_dirac.blowup import BlowupCase, differential_inequality_check
 from flrw_dirac.field import Grid, SpinorField, _derivative_wavenumbers, l2_norm_sq
@@ -15,9 +19,12 @@ from flrw_dirac.models import (
     hyperbolic_rhs_nonlinearity,
     potential_field,
 )
+import flrw_dirac.solver as solver_module
 from flrw_dirac.solver import (
-    CFLViolationError,
+    _FLAGS,
+    _META,
     ConeSafetyError,
+    SCHEMA,
     TIME_AXIS,
     RunRecord,
     SolverConfig,
@@ -319,13 +326,6 @@ def test_step_dt_to_zero_is_identity():
     assert np.allclose(out.data, f.data, atol=1e-10)
 
 
-def test_step_cfl_guard():
-    grid = Grid(dim=1, n=16, box_length=2 * np.pi)
-    f = random_smooth(grid, amplitude=1.0, seed=1)
-    with pytest.raises(CFLViolationError):
-        step(f, 10.0, COSMO, ModelSpec(), cfl=0.5)
-
-
 def test_propagate_zero_data():
     grid = Grid(dim=1, n=16, box_length=2 * np.pi)
     cfg = SolverConfig(t_start=1.0, t_end=2.0, cfl=0.4, track_cone=False)
@@ -484,18 +484,120 @@ def test_capture_times():
         assert f.time == pytest.approx(tc, abs=1e-9)
 
 
-def test_record_roundtrip_through_json():
+STOP_GRID = Grid(dim=1, n=16, box_length=8.0)
+STOP_F0 = random_smooth(STOP_GRID, amplitude=0.3, seed=5)
+
+
+@settings(max_examples=30, deadline=None)
+@given(backward=st.booleans(), fractions=st.lists(
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), max_size=4))
+def test_a_capture_is_the_end_state_of_a_run_to_it(backward, fractions):
+    """The end time is one stop among the capture times: the state captured
+    at tc equals, bit for bit, the final state of the same run ended at tc
+    with the capture times it passed on the way."""
+    t_start, t_end = (3.0, 1.0) if backward else (1.0, 3.0)
+    captures = [t_start + q * (t_end - t_start) for q in fractions]
+    f0 = STOP_F0.with_data(STOP_F0.data, time=t_start)
+    model = ModelSpec(mass=Mass(0.5 + 0.1j))
+    cfg = SolverConfig(t_start=t_start, t_end=t_end, cfl=0.5, record_every=3,
+                       track_cone=False)
+    rec = propagate(f0, COSMO, model, cfg, capture_times=captures)
+    assert rec.completed and set(rec.captured) == set(captures)
+    for tc, state in rec.captured.items():
+        passed = [c for c in captures if (c - tc) * (t_end - t_start) <= 0]
+        ref = propagate(f0, COSMO, model, dataclasses.replace(cfg, t_end=tc),
+                        capture_times=passed).final
+        assert state.time == ref.time
+        assert np.array_equal(state.data, ref.data)
+
+
+@pytest.mark.parametrize("t_start, t_end, capture", [
+    (1.0, 2.0, 0.5),
+    (1.0, 2.0, 2.5),
+    (1.0, 2.0, math.nan),
+    (1.0, 2.0, math.inf),
+    (2.0, 1.0, 2.5),
+    (2.0, 1.0, 1.0 - 1e-9),
+])
+def test_capture_time_outside_the_run_is_rejected_before_stepping(
+        monkeypatch, t_start, t_end, capture):
+    """A capture time before the start, after the end or not finite would
+    never be reached; it raises before the first step instead of failing
+    after it or being dropped from a run reported as completed."""
+    calls = []
+    monkeypatch.setattr(solver_module, "step", lambda *args, **kwargs: calls.append(args))
+    f0 = STOP_F0.with_data(STOP_F0.data, time=t_start)
+    cfg = SolverConfig(t_start=t_start, t_end=t_end, cfl=0.3, track_cone=False)
+    with pytest.raises(ValueError, match="capture times must be finite and lie in"):
+        propagate(f0, COSMO, ModelSpec(), cfg, capture_times=[1.5, capture])
+    assert calls == []
+
+
+@pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+def test_captures_at_the_start_and_the_end_are_stored(backward):
+    t_start, t_end = (2.0, 1.0) if backward else (1.0, 2.0)
+    f0 = STOP_F0.with_data(STOP_F0.data, time=t_start)
+    cfg = SolverConfig(t_start=t_start, t_end=t_end, cfl=0.3, track_cone=False)
+    rec = propagate(f0, COSMO, ModelSpec(mass=Mass(0.5)), cfg,
+                    capture_times=[t_start, t_end])
+    assert set(rec.captured) == {t_start, t_end}
+    assert np.array_equal(rec.captured[t_start].data, f0.data)
+    assert rec.captured[t_start].time == t_start
+    assert np.array_equal(rec.captured[t_end].data, rec.final.data)
+    assert rec.captured[t_end].time == rec.final.time == t_end
+
+
+def test_record_fields_are_all_declared():
+    """Every RunRecord field is serialised through _META or _FLAGS, has its
+    own shape in to_dict, or stays in memory, so a new field cannot be left
+    out of record.json unnoticed."""
+    shaped = {"series", "cosmology", "mass", "cone_center", "snapshots"}
+    in_memory = {"final", "captured"}
+    names = [f.name for f in dataclasses.fields(RunRecord)]
+    groups = [set(_META), set(_FLAGS), shaped, in_memory]
+    assert sorted(names) == sorted(n for g in groups for n in g)
+    rec = RunRecord(series={TIME_AXIS: np.array([1.0])}, cosmology=COSMO, mass=0j,
+                    potential_kind="none", potential_gamma2_ok=True,
+                    nonlinearity_kind="none", sobolev_order=1, support_radius0=0.0,
+                    cone_center=(0.0, 0.0, 0.0))
+    d = rec.to_dict()
+    assert set(d) == {"schema", "flags"} | set(_META) | shaped
+    assert d["schema"] == SCHEMA and set(d["flags"]) == set(_FLAGS)
+
+
+def _roundtrip_runs():
+    """A free run with every series, a blow-up run and a cone-stopped run."""
     grid = Grid(dim=1, n=32, box_length=8.0)
     f0 = random_smooth(grid, amplitude=0.3, seed=2)
     cfg = SolverConfig(t_start=1.0, t_end=2.0, cfl=0.3, record_every=2,
                        track_cone=False, lm_z=1.0 + 0j)
-    rec = propagate(f0, COSMO, ModelSpec(mass=Mass(0.5 + 0.1j)), cfg)
-    back = RunRecord.from_dict(rec.to_dict())
-    assert np.array_equal(back.series["times"], rec.series["times"])
-    assert np.array_equal(back.series["gamma2"], rec.series["gamma2"])
-    assert np.array_equal(back.series["lm_defect"], rec.series["lm_defect"])
-    assert back.mass == rec.mass
-    assert back.cosmology == rec.cosmology
+    yield propagate(f0, COSMO, ModelSpec(mass=Mass(0.5 + 0.1j)), cfg)
+    grid = Grid(dim=1, n=64, box_length=8.0)
+    bump = compact_bump(grid, amplitude=3.0, width=1.0, coeffs=(1, 0, 0, 0))
+    nl = NonlinearitySpec(kind="blowup_G", alpha_exp=2.0, c0=1.0)
+    cfg = SolverConfig(t_end=4.0, cfl=0.3, sobolev_order=2, on_cone_violation="stop")
+    yield propagate(bump, Cosmology(0.0, 1.0), ModelSpec(nonlinearity=nl), cfg)
+    bump = compact_bump(grid, amplitude=1.0, width=1.5, coeffs=(1, 0, 0, 0))
+    cfg = SolverConfig(t_end=9.0, cfl=0.3, record_every=5, on_cone_violation="stop")
+    yield propagate(bump, Cosmology(0.0, 1.0), ModelSpec(), cfg)
+
+
+def test_record_roundtrip_through_json():
+    """to_dict, json and from_dict give back every serialised field exactly."""
+    runs = list(_roundtrip_runs())
+    assert "lm_defect" in runs[0].series
+    assert runs[1].blown_up and runs[1].blowup_time is not None
+    assert runs[2].cone_violation and not runs[2].completed
+    for rec in runs:
+        back = RunRecord.from_dict(json.loads(json.dumps(rec.to_dict())))
+        assert back.series.keys() == rec.series.keys()
+        for name, values in rec.series.items():
+            assert back.series[name].dtype == values.dtype
+            assert np.array_equal(back.series[name], values)
+        for f in dataclasses.fields(RunRecord):
+            if f.name not in ("series", "final", "captured"):
+                assert getattr(back, f.name) == getattr(rec, f.name), f.name
+                assert type(getattr(back, f.name)) is type(getattr(rec, f.name)), f.name
 
 
 def test_config_validation():
@@ -528,6 +630,25 @@ def test_config_rejects_what_the_run_config_rejects(field, value, message):
     recorded sample."""
     with pytest.raises(ValueError, match=message):
         SolverConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["record_every", "sobolev_order"])
+@pytest.mark.parametrize("value", [2.5, 2.0, np.float64(2.0), True, "2", None],
+                         ids=["float", "integral_float", "numpy_float", "bool", "str", "none"])
+def test_config_rejects_a_non_integer_count(field, value):
+    """record_every = 2.5 would record every third step, and a bool would be
+    written to record.json as true."""
+    with pytest.raises(TypeError, match=f"{field} must be an integer"):
+        SolverConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["record_every", "sobolev_order"])
+def test_config_normalises_an_integer_count_to_int(field):
+    """A numpy integer is stored as a builtin int, so the record serialises."""
+    cfg = SolverConfig(t_end=1.1, track_cone=False, **{field: np.int64(2)})
+    assert type(getattr(cfg, field)) is int and getattr(cfg, field) == 2
+    rec = propagate(STOP_F0, COSMO, ModelSpec(), cfg)
+    assert json.loads(json.dumps(rec.to_dict()))["sobolev_order"] == cfg.sobolev_order
 
 
 def test_config_accepts_an_infinite_blowup_factor():
