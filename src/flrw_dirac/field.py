@@ -13,8 +13,13 @@ RK4 solver and the closed-form propagator of kernels both end with it.
 
 Full-size arrays are allocated once per pass: a 3D transform runs per spinor
 component into one preallocated output, and the symbol pass writes each
-symbol product through one reused scratch plane.  Snapshots are written from
-and read into the field's own buffer.
+symbol product through one reused scratch plane.  The symbol pass
+(in_place=True) and the inverse transform (out=a) also run in place, so
+kernels.reconstruct_free goes from spectrum to field in one buffer.  The
+in-place pass allocates only a 2-plane copy of one spinor pair and the
+scratch plane, gives the same bits as the pass into a new array, and
+refuses a read-only hat, such as a field's cached spectrum.  Snapshots are
+written from and read into the field's own buffer.
 """
 from __future__ import annotations
 
@@ -101,13 +106,14 @@ def _fftn(a: np.ndarray, grid: Grid) -> np.ndarray:
     return np.fft.fft(a) if grid.dim == 1 else _per_component(np.fft.fftn, a)
 
 
-def _ifftn(a: np.ndarray, grid: Grid) -> np.ndarray:
-    """Inverse of _fftn."""
-    return np.fft.ifft(a) if grid.dim == 1 else _per_component(np.fft.ifftn, a)
+def _ifftn(a: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of _fftn, into `out` when given (out=a transforms in place)."""
+    return np.fft.ifft(a, out=out) if grid.dim == 1 else _per_component(np.fft.ifftn, a, out)
 
 
-def _per_component(transform, a: np.ndarray) -> np.ndarray:
-    out = np.empty(a.shape, dtype=np.result_type(a.dtype, 1j))
+def _per_component(transform, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    if out is None:
+        out = np.empty(a.shape, dtype=np.result_type(a.dtype, 1j))
     for c in range(len(a)):
         transform(a[c], out=out[c])
     return out
@@ -150,31 +156,62 @@ def _dirac_symbol(grid: Grid) -> tuple[np.ndarray | None, np.ndarray, np.ndarray
     return entries
 
 
-def _apply_span(hat: np.ndarray, grid: Grid, p, q=None, s: complex = 1.0) -> np.ndarray:
+def _apply_span(hat: np.ndarray, grid: Grid, p, q=None, s: complex = 1.0,
+                in_place: bool = False) -> np.ndarray:
     """(P + s B Q) hat, per Fourier mode, for B = i sigma.k on the
     off-diagonal 2x2 blocks.  P and Q lie in the span of I and g0: p = (p_u,
     p_l) holds the factors on the upper and lower spinor pair, scalars or
     arrays over the modes, and likewise q, with q None for Q = I.
 
-    Besides the output, the pass allocates one scratch plane for the symbol
-    products and, with q given, one 2-plane buffer for the Q-weighted pair
-    feeding the other pair.  Each output component is p h, then plus the
-    k+- term, then plus or minus the k3 term, in that order."""
-    ik3, ikp, ikm = (None if e is None else s * e for e in _dirac_symbol(grid))
-    out = np.empty_like(hat)
-    np.multiply(p[0], hat[:2], out=out[:2])
-    np.multiply(p[1], hat[2:], out=out[2:])
-    term = np.empty_like(out[0])
-    weighted = None if q is None else np.empty_like(out[:2])
+    Each output component is p h, then plus the k+- term, then plus or
+    minus the k3 term, in that order, with the symbol as the left operand of
+    every symbol product; the upper output pair reads the lower input pair,
+    and vice versa.  In 1D, where i k3 is absent and the k+ and k- entries
+    are equal, the four symbol terms are one product with the rows of Q hat
+    reversed.
+
+    In 3D the lower input pair, Q-weighted, is saved first in a 2-plane
+    buffer (a copy for q None when in place); the lower output pair is
+    written next, each q_u-weighted upper component formed in one scratch
+    plane, and the upper output pair last, from the saved pair.  So the pass
+    allocates, besides its output, the scratch plane and at most the 2-plane
+    buffer.  With in_place it writes its output over hat, which must be
+    writable (ValueError otherwise), with the same bits."""
+    if in_place and not hat.flags.writeable:
+        raise ValueError("the in-place symbol pass needs a writable hat")
+    ik3, ikp, ikm = _dirac_symbol(grid)
     qu, ql = (None, None) if q is None else q
-    # the upper output pair reads the lower input pair, and vice versa
-    for dst, src, qf in ((out[:2], hat[2:], ql), (out[2:], hat[:2], qu)):
-        w = src if q is None else np.multiply(qf, src, out=weighted)
-        dst[0] += np.multiply(ikp, w[1], out=term)
-        dst[1] += np.multiply(ikm, w[0], out=term)
-        if ik3 is not None:
-            dst[0] += np.multiply(ik3, w[0], out=term)
-            dst[1] -= np.multiply(ik3, w[1], out=term)
+    out = hat if in_place else np.empty_like(hat)
+    if ik3 is None:
+        if q is None:
+            term = np.multiply(s * ikp, hat[::-1])
+        else:  # the rows (q_l h3, q_l h2, q_u h1, q_u h0)
+            term = np.empty_like(hat)
+            np.multiply(ql, hat[:1:-1], out=term[:2])
+            np.multiply(qu, hat[1::-1], out=term[2:])
+            np.multiply(s * ikp, term, out=term)
+        np.multiply(p[0], hat[:2], out=out[:2])
+        np.multiply(p[1], hat[2:], out=out[2:])
+        out += term
+        return out
+    ik3, ikp, ikm = s * ik3, s * ikp, s * ikm
+    term = np.empty_like(hat[0])
+
+    def add_symbol_terms(dst, pair, qf):
+        def w(j):
+            return pair[j] if qf is None else np.multiply(qf, pair[j], out=term)
+
+        dst[0] += np.multiply(ikp, w(1), out=term)
+        dst[1] += np.multiply(ikm, w(0), out=term)
+        dst[0] += np.multiply(ik3, w(0), out=term)
+        dst[1] -= np.multiply(ik3, w(1), out=term)
+
+    hu, hl = hat[:2], hat[2:]
+    wl = (hl.copy() if in_place else hl) if q is None else np.multiply(ql, hl)
+    np.multiply(p[1], hl, out=out[2:])
+    add_symbol_terms(out[2:], hu, qu)
+    np.multiply(p[0], hu, out=out[:2])
+    add_symbol_terms(out[:2], wl, None)
     return out
 
 

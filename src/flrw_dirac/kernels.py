@@ -40,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import Grid, SpinorField, _apply_span, _derivative_wavenumbers
+from .field import Grid, SpinorField, _apply_span, _derivative_wavenumbers, _fftn, _ifftn
 from .spacetime import Cosmology
 
 __all__ = [
@@ -304,19 +304,15 @@ def _k1_prefactor(ke: KernelEval) -> complex:
     )
 
 
-def free_mode_multipliers(ke: KernelEval, t: float, xi_abs: np.ndarray):
+def free_mode_multipliers(ke: KernelEval, t: float, xi_abs: np.ndarray,
+                          time_derivative: bool = True):
     """Per-|xi| Cauchy multipliers and their time derivatives for +/-m.
 
     Returns (kp, kdp, km, kdm): the mode multiplier kappa(t; m, |xi|), its
     d/dt (boundary term plus differentiated integrand), and the same pair
-    for the reflected mass -m.
+    for the reflected mass -m.  Without time_derivative only K1(+/-m) is
+    integrated and (kp, km) returned.
     """
-    return _k1_multipliers(ke, t, xi_abs, time_derivative=True)
-
-
-def _k1_multipliers(ke: KernelEval, t: float, xi_abs, time_derivative: bool):
-    """(kp, kdp, km, kdm) as in free_mode_multipliers; without
-    time_derivative only K1(+/-m) is integrated and (kp, km) returned."""
     ke.check_time(t)
     xi_abs = np.asarray(xi_abs, dtype=float)
     phi = ke.cosmology.phi
@@ -427,10 +423,17 @@ def reconstruct_free(psi1: SpinorField, t: float, ke: KernelEval,
     Every Fourier mode is propagated by the co-factor operator
     diag(a_up, a_lo) + diag(b_up, b_lo) sigma.k built from the Cauchy
     multipliers, applied to the spectrum in one field._apply_span pass;
-    the time derivative under the integral sign is analytic.  With self_check
-    on, the analytic time derivative is audited against a 4th-order
-    difference on a subsample of mode magnitudes: the stencil integrates
-    only K1(+/-m), never the time-derivative kernel it audits, at
+    the time derivative under the integral sign is analytic.
+
+    The work runs in one spectrum buffer: psi1.data is transformed into it,
+    the pass overwrites it, and each component is inverse-transformed in
+    place.  The returned field holds that buffer as its data and carries no
+    spectrum, and no spectrum is cached on psi1.
+
+    With self_check on, the analytic time derivative is audited against a
+    4th-order difference on a subsample of mode magnitudes: the stencil
+    integrates only K1(+/-m), through free_mode_multipliers without
+    time_derivative, never the time-derivative kernel it audits, at
     t +/- dt and t +/- 2 dt (dt = 1e-4 t), or at t - dt, ..., t - 4 dt
     where t + 2 dt is past the supported ratio TIME_RATIO_MAX.
     """
@@ -455,9 +458,11 @@ def reconstruct_free(psi1: SpinorField, t: float, ke: KernelEval,
     a_lo = (1j * t ** (-0.5 * ell) * tm) * kdm[inverse]
     b_up = (t ** (-1.5 * ell) * tm) * km[inverse]
     b_lo = (t ** (-1.5 * ell) * tp) * kp[inverse]
+    # one buffer: the spectrum, then the propagated spectrum, then the field
+    hat = _fftn(psi1.data, grid)
     # s = -i turns B = i sigma.k into sigma.k
-    hat = _apply_span(psi1.spectrum, grid, (a_up, a_lo), (b_lo, b_up), s=-1j)
-    return psi1.with_spectrum(hat, time=t)
+    _apply_span(hat, grid, (a_up, a_lo), (b_lo, b_up), s=-1j, in_place=True)
+    return psi1.with_data(_ifftn(hat, grid, out=hat), time=t)
 
 
 def _self_check_time_derivative(ke, t, uniq, kp, kdp, km, kdm):
@@ -472,7 +477,7 @@ def _self_check_time_derivative(ke, t, uniq, kp, kdp, km, kdm):
     else:
         at_t, shifts, coeffs = 25 / 12, (-1, -2, -3, -4), (-4.0, 3.0, -4 / 3, 1 / 4)
     stencil = [
-        _k1_multipliers(ke, t + shift * dt, sub, time_derivative=False)
+        free_mode_multipliers(ke, t + shift * dt, sub, time_derivative=False)
         for shift in shifts
     ]
     num_p = (at_t * kp[idx] + sum(c * kp_s for (kp_s, _), c in zip(stencil, coeffs))) / dt

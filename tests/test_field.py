@@ -1,5 +1,4 @@
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,7 +249,7 @@ def test_cone_mass(grid1d):
 @given(st.integers(0, 2**32 - 1), st.sampled_from([(1, 8), (1, 256), (3, 8)]))
 def test_transform_pair_equals_fftn_over_the_spatial_axes(seed, shape):
     """_fftn and _ifftn give numpy's fftn / ifftn over the spatial axes,
-    bit for bit, on random complex data."""
+    bit for bit, on random complex data; so does _ifftn in place."""
     dim, n = shape
     grid = Grid(dim=dim, n=n, box_length=1.0)
     rng = np.random.default_rng(seed)
@@ -259,6 +258,9 @@ def test_transform_pair_equals_fftn_over_the_spatial_axes(seed, shape):
     axes = grid.spatial_axes
     assert np.array_equal(_fftn(a, grid), np.fft.fftn(a, axes=axes))
     assert np.array_equal(_ifftn(a, grid), np.fft.ifftn(a, axes=axes))
+    work = a.copy()
+    assert _ifftn(work, grid, out=work) is work
+    assert np.array_equal(work, np.fft.ifftn(a, axes=axes))
     if dim == 3:  # a field's data or spectrum is read-only
         frozen = a.copy()
         frozen.setflags(write=False)
@@ -292,8 +294,9 @@ def _apply_span_reference(hat, grid, p, q=None, s=1.0):
 @pytest.mark.parametrize("dim, n", [(1, 32), (3, 8)])
 @pytest.mark.parametrize("p_kind", ["scalar", "array"])
 @pytest.mark.parametrize("with_q", [False, True])
-@pytest.mark.parametrize("s", [1.0, -1j, 0.3 - 0.2j])
+@pytest.mark.parametrize("s", [1.0, -1j, 0.3 - 0.2j, -0.61])
 def test_apply_span_equals_the_term_by_term_formula(dim, n, p_kind, with_q, s):
+    """Into a new array and in place (on a writable copy), bit for bit."""
     grid = Grid(dim=dim, n=n, box_length=5.0)
     rng = np.random.default_rng(7)
     modes = (n,) * dim
@@ -306,27 +309,30 @@ def test_apply_span_equals_the_term_by_term_formula(dim, n, p_kind, with_q, s):
     before = hat.copy()
     p = (0.7 - 0.1j, 1.3j) if p_kind == "scalar" else (cplx(modes), cplx(modes))
     q = (cplx(modes), cplx(modes)) if with_q else None
+    expected = _apply_span_reference(hat, grid, p, q, s)
     got = _apply_span(hat, grid, p, q, s)
-    assert np.array_equal(got, _apply_span_reference(hat, grid, p, q, s))
+    assert np.array_equal(got, expected)
     assert np.array_equal(hat, before)
+    work = hat.copy()
+    assert _apply_span(work, grid, p, q, s, in_place=True) is work
+    assert np.array_equal(work, expected)
 
 
-def _peak_allocation(fn, *args) -> int:
-    """Peak bytes traced while fn(*args) runs, over what was held before."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+def test_apply_span_in_place_rejects_a_read_only_spectrum():
+    grid = Grid(dim=3, n=8, box_length=5.0)
+    f = random_smooth(grid, amplitude=1.0, seed=2, time=1.0)
+    before = f.spectrum.copy()
+    with pytest.raises(ValueError):
+        _apply_span(f.spectrum, grid, (1.0, 2.0), in_place=True)
+    assert np.array_equal(f.spectrum, before)
 
 
-def test_field_passes_allocate_each_full_size_array_once(tmp_path):
+def test_field_passes_allocate_each_full_size_array_once(tmp_path, peak_allocation):
     """At 3D n=32 a transform allocates only its output, the symbol pass
-    its output plus one plane and one 2-plane buffer, load_snapshot only
-    the array it returns, and save_snapshot of a contiguous complex128
-    field no copy of the payload."""
+    its output plus one plane and one 2-plane buffer, the in-place pass
+    only the plane and the 2-plane buffer, load_snapshot only the array it
+    returns, and save_snapshot of a contiguous complex128 field no copy of
+    the payload."""
     grid = Grid(dim=3, n=32, box_length=8.0)
     f = random_smooth(grid, amplitude=1.0, seed=3, time=1.5)
     spinor = f.data.nbytes
@@ -334,11 +340,13 @@ def test_field_passes_allocate_each_full_size_array_once(tmp_path):
     p, q = (planes[0], planes[1]), (planes[2], planes[3])
     _apply_span(f.data, grid, p, q, -1j)  # warm the symbol cache
     path = tmp_path / "field.fdrc"
-    assert _peak_allocation(_fftn, f.data, grid) <= 1.05 * spinor
-    assert _peak_allocation(_ifftn, f.data, grid) <= 1.05 * spinor
-    assert _peak_allocation(_apply_span, f.data, grid, p, q, -1j) <= 1.9 * spinor
-    assert _peak_allocation(save_snapshot, f, path) <= 0.05 * spinor
-    assert _peak_allocation(load_snapshot, path) <= 1.05 * spinor
+    work = f.data.copy()
+    assert peak_allocation(_fftn, f.data, grid) <= 1.05 * spinor
+    assert peak_allocation(_ifftn, f.data, grid) <= 1.05 * spinor
+    assert peak_allocation(_apply_span, f.data, grid, p, q, -1j) <= 1.9 * spinor
+    assert peak_allocation(_apply_span, work, grid, p, q, -1j, True) <= 1.05 * spinor
+    assert peak_allocation(save_snapshot, f, path) <= 0.05 * spinor
+    assert peak_allocation(load_snapshot, path) <= 1.05 * spinor
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,7 +7,15 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 
 from flrw_dirac import kernels
-from flrw_dirac.field import Grid, SpinorField, _derivative_wavenumbers, l2_norm_sq
+from flrw_dirac.field import (
+    Grid,
+    SpinorField,
+    _apply_span,
+    _derivative_wavenumbers,
+    _fftn,
+    _ifftn,
+    l2_norm_sq,
+)
 from flrw_dirac.gamma import BASIS
 from flrw_dirac.initial_data import gaussian_bump
 from flrw_dirac.kernels import (
@@ -460,6 +468,44 @@ def test_reconstruct_requires_matching_start_time():
     f1 = gaussian_bump(grid1, amplitude=1.0, width=1.0)
     with pytest.raises(KernelDomainError):
         reconstruct_free(f1, 2.0, ke)
+
+
+def test_reconstruct_equals_the_pass_into_new_arrays_bit_for_bit(monkeypatch):
+    """The one-buffer reconstruction gives _ifftn(_apply_span(_fftn(data)))
+    with the same multipliers, whether or not the input carries its
+    spectrum; it caches no spectrum on the input or on the result."""
+    grid = Grid(dim=3, n=8, box_length=8.0)
+    f0 = gaussian_bump(grid, amplitude=1.0, width=1.0, coeffs=(1, 0.5, 0.3j, -0.2))
+    ke = KernelEval(Cosmology(0.5, 1.0), 0.3, 1.0)
+    calls = []
+
+    def recording_pass(hat, grid, p, q=None, s=1.0, in_place=False):
+        calls.append((p, q, s))
+        return _apply_span(hat, grid, p, q, s, in_place)
+
+    monkeypatch.setattr(kernels, "_apply_span", recording_pass)
+    plain = f0.with_data(f0.data)
+    with_spectrum = f0.with_data(f0.data)
+    assert with_spectrum.spectrum is not None
+    for psi1 in (plain, with_spectrum):
+        calls.clear()
+        out = reconstruct_free(psi1, 3.0, ke)
+        ((p, q, s),) = calls
+        expected = _ifftn(_apply_span(_fftn(f0.data, grid), grid, p, q, s), grid)
+        assert np.array_equal(out.data, expected)
+        assert "spectrum" not in vars(out)
+    assert "spectrum" not in vars(plain)
+
+
+def test_reconstruct_runs_in_one_spectrum_buffer(peak_allocation):
+    """With the caches warm, a 3D n=32 reconstruction allocates the
+    spectrum buffer it returns, the four gathered multipliers and the
+    in-place pass's scratch: at most 3.2 times the spinor's bytes."""
+    grid = Grid(dim=3, n=32, box_length=8.0)
+    f0 = gaussian_bump(grid, amplitude=1.0, width=1.0, coeffs=(1, 0.5, 0.3j, -0.2))
+    ke = KernelEval(Cosmology(0.5, 1.0), 0.3, 1.0)
+    reconstruct_free(f0.with_data(f0.data), 3.0, ke)
+    assert peak_allocation(reconstruct_free, f0, 3.0, ke) <= 3.2 * f0.data.nbytes
 
 
 @pytest.mark.parametrize("ell, m, t", [(0.5, 0.3, 3.0), (0.25, 0.5 - 0.2j, 40.0)])
