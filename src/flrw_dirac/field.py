@@ -11,15 +11,18 @@ off-diagonal 2x2 blocks (_dirac_symbol), and the one pass that applies an
 operator P + s B Q of its span to Fourier coefficients (_apply_span).  The
 RK4 solver and the closed-form propagator of kernels both end with it.
 
-Full-size arrays are allocated once per pass: a 3D transform runs per spinor
-component into one preallocated output, and the symbol pass writes each
-symbol product through one reused scratch plane.  The symbol pass
+Full-size arrays are allocated once per pass.  A 3D transform runs per
+spinor component into one preallocated output.  The 3D symbol pass runs
+slab by slab along the first spatial axis, and its scratch is sized to a
+slab (_SLAB_BYTES per component), not to the grid.  Its factors may be
+radial, arrays over the distinct mode magnitudes (_unique_mode_magnitudes)
+gathered per slab, so the closed-form propagator of kernels never builds a
+full-size multiplier.  The symbol pass
 (in_place=True) and the inverse transform (out=a) also run in place, so
 kernels.reconstruct_free goes from spectrum to field in one buffer.  The
-in-place pass allocates only a 2-plane copy of one spinor pair and the
-scratch plane, gives the same bits as the pass into a new array, and
-refuses a read-only hat, such as a field's cached spectrum.  Snapshots are
-written from and read into the field's own buffer.
+in-place pass gives the same bits as the pass into a new array, and refuses
+a read-only hat, such as a field's cached spectrum.  Snapshots are written
+from and read into the field's own buffer.
 """
 from __future__ import annotations
 
@@ -156,12 +159,46 @@ def _dirac_symbol(grid: Grid) -> tuple[np.ndarray | None, np.ndarray, np.ndarray
     return entries
 
 
+@lru_cache(maxsize=32)
+def _unique_mode_magnitudes(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct |k| of the derivative wavenumbers, and each mode's index.
+
+    Every wavenumber is (2 pi / L) times an integer, so modes are grouped
+    exactly by q = i^2 + j^2 + l^2 and the magnitudes are (2 pi / L) sqrt(q).
+    Returns (uniq, inverse) with uniq[inverse] = |k| on the grid (read-only).
+    """
+    ks = _derivative_wavenumbers(grid)
+    unit = 2.0 * np.pi / grid.box_length
+    q = sum(np.rint(k / unit).astype(np.int64) ** 2 for k in ks)
+    present = np.bincount(q.ravel()) > 0
+    out = unit * np.sqrt(np.flatnonzero(present)), (np.cumsum(present) - 1)[q]
+    for e in out:
+        e.setflags(write=False)
+    return out
+
+
+_SLAB_BYTES = 1 << 18  # bytes of one component's slab in the 3D symbol pass
+
+
+def _slab_entry(e, grid: Grid, sl: slice, buf):
+    """The factor e of the 3D symbol pass on the modes of the slab sl: a
+    scalar or None as it is, a full-size array sliced, and a radial factor
+    (1-D, over the distinct mode magnitudes) gathered into buf through the
+    magnitude index."""
+    if np.ndim(e) == 1:
+        idx = _unique_mode_magnitudes(grid)[1][sl]
+        return np.take(e, idx, out=buf[:len(idx)])
+    return e[sl] if np.ndim(e) else e
+
+
 def _apply_span(hat: np.ndarray, grid: Grid, p, q=None, s: complex = 1.0,
                 in_place: bool = False) -> np.ndarray:
     """(P + s B Q) hat, per Fourier mode, for B = i sigma.k on the
     off-diagonal 2x2 blocks.  P and Q lie in the span of I and g0: p = (p_u,
-    p_l) holds the factors on the upper and lower spinor pair, scalars or
-    arrays over the modes, and likewise q, with q None for Q = I.
+    p_l) holds the factors on the upper and lower spinor pair, and likewise
+    q, with q None for Q = I.  A factor is a scalar or an array over the
+    modes; in 3D it may also be radial, a 1-D array u over the distinct
+    mode magnitudes of _unique_mode_magnitudes, which stands for u[inverse].
 
     Each output component is p h, then plus the k+- term, then plus or
     minus the k3 term, in that order, with the symbol as the left operand of
@@ -170,22 +207,25 @@ def _apply_span(hat: np.ndarray, grid: Grid, p, q=None, s: complex = 1.0,
     are equal, the four symbol terms are one product with the rows of Q hat
     reversed.
 
-    In 3D the lower input pair, Q-weighted, is saved first in a 2-plane
-    buffer (a copy for q None when in place); the lower output pair is
-    written next, each q_u-weighted upper component formed in one scratch
-    plane, and the upper output pair last, from the saved pair.  So the pass
-    allocates, besides its output, the scratch plane and at most the 2-plane
-    buffer.  With in_place it writes its output over hat, which must be
-    writable (ValueError otherwise), with the same bits."""
+    In 3D the pass runs slab by slab along the first spatial axis, each slab
+    _SLAB_BYTES per component (at least one plane).  Every step acts on each
+    mode alone, so the slab size changes no bit.  Per slab, a radial factor
+    is gathered into a slab buffer; the lower input pair, Q-weighted, is
+    saved in a 2-slab buffer (a copy for q None when in place); the lower
+    output pair is written next, each q_u-weighted upper component formed
+    in one scratch slab, and the upper output pair last, from the saved
+    pair.  So the pass allocates, besides its output, a few slabs and no
+    full-size array.  With in_place it writes its output over hat, which
+    must be writable (ValueError otherwise), with the same bits."""
     if in_place and not hat.flags.writeable:
         raise ValueError("the in-place symbol pass needs a writable hat")
     ik3, ikp, ikm = _dirac_symbol(grid)
-    qu, ql = (None, None) if q is None else q
     out = hat if in_place else np.empty_like(hat)
     if ik3 is None:
         if q is None:
             term = np.multiply(s * ikp, hat[::-1])
         else:  # the rows (q_l h3, q_l h2, q_u h1, q_u h0)
+            qu, ql = q
             term = np.empty_like(hat)
             np.multiply(ql, hat[:1:-1], out=term[:2])
             np.multiply(qu, hat[1::-1], out=term[2:])
@@ -195,23 +235,40 @@ def _apply_span(hat: np.ndarray, grid: Grid, p, q=None, s: complex = 1.0,
         out += term
         return out
     ik3, ikp, ikm = s * ik3, s * ikp, s * ikm
-    term = np.empty_like(hat[0])
+    factors = (*p, *((None, None) if q is None else q))
+    n = grid.n
+    planes = min(n, max(1, _SLAB_BYTES // (n * n * hat.itemsize)))
+    bufs = [np.empty((planes, n, n), e.dtype) if np.ndim(e) == 1 else None
+            for e in factors]
+    term_buf = np.empty((planes, n, n), hat.dtype)
+    saved_buf = None if q is None and not in_place else np.empty((2, planes, n, n), hat.dtype)
 
-    def add_symbol_terms(dst, pair, qf):
+    def add_symbol_terms(dst, pair, qf, sl, term):
         def w(j):
             return pair[j] if qf is None else np.multiply(qf, pair[j], out=term)
 
-        dst[0] += np.multiply(ikp, w(1), out=term)
-        dst[1] += np.multiply(ikm, w(0), out=term)
+        dst[0] += np.multiply(ikp[sl], w(1), out=term)
+        dst[1] += np.multiply(ikm[sl], w(0), out=term)
         dst[0] += np.multiply(ik3, w(0), out=term)
         dst[1] -= np.multiply(ik3, w(1), out=term)
 
-    hu, hl = hat[:2], hat[2:]
-    wl = (hl.copy() if in_place else hl) if q is None else np.multiply(ql, hl)
-    np.multiply(p[1], hl, out=out[2:])
-    add_symbol_terms(out[2:], hu, qu)
-    np.multiply(p[0], hu, out=out[:2])
-    add_symbol_terms(out[:2], wl, None)
+    for start in range(0, n, planes):
+        sl = slice(start, start + planes)
+        pu, pl, qu, ql = (_slab_entry(e, grid, sl, b) for e, b in zip(factors, bufs))
+        hu, hl = hat[:2, sl], hat[2:, sl]
+        term = term_buf[:len(hu[0])]
+        if saved_buf is None:
+            wl = hl
+        else:
+            wl = saved_buf[:, :len(term)]
+            if ql is None:
+                wl[...] = hl
+            else:
+                np.multiply(ql, hl, out=wl)
+        np.multiply(pl, hl, out=out[2:, sl])
+        add_symbol_terms(out[2:, sl], hu, qu, sl, term)
+        np.multiply(pu, hu, out=out[:2, sl])
+        add_symbol_terms(out[:2, sl], wl, None, sl, term)
     return out
 
 

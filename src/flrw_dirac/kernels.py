@@ -29,7 +29,13 @@ cos(M_p xi) cos(d_q xi) - sin(M_p xi) sin(d_q xi): each doubling costs
 one real GEMM pair against P x U cosine and sine tables (U distinct
 |xi|) and 2 P U + 2 Q U trig evaluations instead of Q P U.  Modes are
 grouped by the exact integer |k|^2 L^2 / (2 pi)^2, so each distinct |xi|
-is integrated once.
+is integrated once, and the multipliers reach the symbol pass in that
+radial form, arrays over the distinct |xi| that the pass gathers per
+slab.
+
+For a real mass, phi, w and z are real and positive, so the -m kernels
+are the complex conjugates of the +m kernels at every node, bit for bit:
+only the +m series are summed, and the -m samples are their conjugates.
 """
 from __future__ import annotations
 
@@ -40,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import Grid, SpinorField, _apply_span, _derivative_wavenumbers, _fftn, _ifftn
+from .field import Grid, SpinorField, _apply_span, _fftn, _ifftn, _unique_mode_magnitudes
 from .spacetime import Cosmology
 
 __all__ = [
@@ -312,6 +318,14 @@ def free_mode_multipliers(ke: KernelEval, t: float, xi_abs: np.ndarray,
     d/dt (boundary term plus differentiated integrand), and the same pair
     for the reflected mass -m.  Without time_derivative only K1(+/-m) is
     integrated and (kp, km) returned.
+
+    For a real mass only the +m kernels are evaluated: phi, w and z are real
+    and positive, so K1(r, t; -m) = conj K1(r, t; m), and likewise d/dt K1,
+    bit for bit at every node.  The -m samples are those conjugates, and
+    they still enter the one quadrature as rows of their own: conjugating
+    the +m integrals instead would halve the GEMM, which sums in another
+    order and moves the last bits.  The prefactors and edge terms stay per
+    mass.  A complex mass evaluates all four kernels.
     """
     ke.check_time(t)
     xi_abs = np.asarray(xi_abs, dtype=float)
@@ -321,17 +335,22 @@ def free_mode_multipliers(ke: KernelEval, t: float, xi_abs: np.ndarray,
     km_ctx = ke.with_mass(-complex(ke.m))
     pref_p = _k1_prefactor(kp_ctx)
     pref_m = _k1_prefactor(km_ctx)
+    real_mass = complex(ke.m).imag == 0.0
 
-    if not time_derivative:
-        def fvals(r):
-            return kernel_K1(r, t, kp_ctx), kernel_K1(r, t, km_ctx)
-
-        i_k_p, i_k_m = _cos_integrals(fvals, upper, xi_abs)
-        return pref_p * i_k_p, pref_m * i_k_m
+    def samples(r, ctx):
+        if time_derivative:
+            return _k1_and_time_derivative(r, t, ctx)
+        return (kernel_K1(r, t, ctx),)
 
     def fvals(r):
-        return (*_k1_and_time_derivative(r, t, kp_ctx),
-                *_k1_and_time_derivative(r, t, km_ctx))
+        """The +m samples, then the -m ones: for a real mass their conjugates."""
+        plus = samples(r, kp_ctx)
+        minus = tuple(np.conj(v) for v in plus) if real_mass else samples(r, km_ctx)
+        return plus + minus
+
+    if not time_derivative:
+        i_k_p, i_k_m = _cos_integrals(fvals, upper, xi_abs)
+        return pref_p * i_k_p, pref_m * i_k_m
 
     i_k_p, i_dk_p, i_k_m, i_dk_m = _cos_integrals(fvals, upper, xi_abs)
     dphi = ke.cosmology.dphi(t)
@@ -347,24 +366,6 @@ def free_mode_multipliers(ke: KernelEval, t: float, xi_abs: np.ndarray,
     kdp = pref_p * (edge_p * cos_edge * dphi + i_dk_p)
     kdm = pref_m * (edge_m * cos_edge * dphi + i_dk_m)
     return kp, kdp, km, kdm
-
-
-@lru_cache(maxsize=32)
-def _unique_mode_magnitudes(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct |k| of the derivative wavenumbers, and each mode's index.
-
-    Every wavenumber is (2 pi / L) times an integer, so modes are grouped
-    exactly by q = i^2 + j^2 + l^2 and the magnitudes are (2 pi / L) sqrt(q).
-    Returns (uniq, inverse) with uniq[inverse] = |k| on the grid (read-only).
-    """
-    ks = _derivative_wavenumbers(grid)
-    unit = 2.0 * np.pi / grid.box_length
-    q = sum(np.rint(k / unit).astype(np.int64) ** 2 for k in ks)
-    present = np.bincount(q.ravel()) > 0
-    out = unit * np.sqrt(np.flatnonzero(present)), (np.cumsum(present) - 1)[q]
-    for e in out:
-        e.setflags(write=False)
-    return out
 
 
 def apply_G_operator(source_fn, grid: Grid, t: float, ke: KernelEval,
@@ -423,7 +424,10 @@ def reconstruct_free(psi1: SpinorField, t: float, ke: KernelEval,
     Every Fourier mode is propagated by the co-factor operator
     diag(a_up, a_lo) + diag(b_up, b_lo) sigma.k built from the Cauchy
     multipliers, applied to the spectrum in one field._apply_span pass;
-    the time derivative under the integral sign is analytic.
+    the time derivative under the integral sign is analytic.  Each of the
+    four factors is radial, a multiplier over the distinct mode magnitudes
+    scaled by a time-dependent scalar, which the pass gathers per slab: no
+    full-size multiplier is built.
 
     The work runs in one spectrum buffer: psi1.data is transformed into it,
     the pass overwrites it, and each component is inverse-transformed in
@@ -444,7 +448,7 @@ def reconstruct_free(psi1: SpinorField, t: float, ke: KernelEval,
         raise KernelDomainError(
             f"psi1.time = {psi1.time!r} must equal the kernel epsilon {ke.epsilon!r}")
     ke.check_time(t)
-    uniq, inverse = _unique_mode_magnitudes(grid)
+    uniq, _ = _unique_mode_magnitudes(grid)
     kp, kdp, km, kdm = free_mode_multipliers(ke, t, uniq)
     # the difference stencil needs room below t
     if self_check and t - 2.0 * 1e-4 * t > ke.epsilon:
@@ -454,10 +458,13 @@ def reconstruct_free(psi1: SpinorField, t: float, ke: KernelEval,
     m = complex(ke.m)
     tp = complex(_cpow(t, 1j * m))
     tm = complex(_cpow(t, -1j * m))
-    a_up = (1j * t ** (-0.5 * ell) * tp) * kdp[inverse]
-    a_lo = (1j * t ** (-0.5 * ell) * tm) * kdm[inverse]
-    b_up = (t ** (-1.5 * ell) * tm) * km[inverse]
-    b_lo = (t ** (-1.5 * ell) * tp) * kp[inverse]
+    # radial factors, gathered per slab by the pass; u * c scales with the
+    # array as the left operand, as numpy's in-place product on a full-size
+    # temporary c * u[inverse] does (c * u rounds differently)
+    a_up = kdp * (1j * t ** (-0.5 * ell) * tp)
+    a_lo = kdm * (1j * t ** (-0.5 * ell) * tm)
+    b_up = km * (t ** (-1.5 * ell) * tm)
+    b_lo = kp * (t ** (-1.5 * ell) * tp)
     # one buffer: the spectrum, then the propagated spectrum, then the field
     hat = _fftn(psi1.data, grid)
     # s = -i turns B = i sigma.k into sigma.k

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flrw_dirac import field
 from flrw_dirac.field import (
     Grid,
     SpinorField,
@@ -13,6 +14,7 @@ from flrw_dirac.field import (
     _dirac_symbol,
     _fftn,
     _ifftn,
+    _unique_mode_magnitudes,
     bilinear_densities,
     cone_mass,
     gamma2_bilinear,
@@ -291,31 +293,80 @@ def _apply_span_reference(hat, grid, p, q=None, s=1.0):
     return out
 
 
-@pytest.mark.parametrize("dim, n", [(1, 32), (3, 8)])
+def _span_factors(grid, kind, with_q, rng):
+    """(p, q) with p of one kind ("scalar", "array" or "radial") and q None,
+    or radial for radial p and arrays otherwise; then the same factors as
+    full-size arrays for the reference, a radial u as u[inverse]."""
+    def cplx(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def factor(kind, c):
+        if kind == "scalar":
+            return c
+        if kind == "radial":
+            return c * cplx(_unique_mode_magnitudes(grid)[0].size)
+        return cplx((grid.n,) * grid.dim)
+
+    def full(e):
+        return e[_unique_mode_magnitudes(grid)[1]] if kind == "radial" else e
+
+    p = factor(kind, 0.7 - 0.1j), factor(kind, 1.3j)
+    q_kind = "radial" if kind == "radial" else "array"
+    q = (factor(q_kind, -0.4 + 0.9j), factor(q_kind, 0.61)) if with_q else None
+    return p, q, tuple(map(full, p)), q and tuple(map(full, q))
+
+
+@pytest.mark.parametrize("dim, n", [(1, 32), (3, 8), (3, 32), (3, 64)])
 @pytest.mark.parametrize("p_kind", ["scalar", "array"])
 @pytest.mark.parametrize("with_q", [False, True])
 @pytest.mark.parametrize("s", [1.0, -1j, 0.3 - 0.2j, -0.61])
 def test_apply_span_equals_the_term_by_term_formula(dim, n, p_kind, with_q, s):
-    """Into a new array and in place (on a writable copy), bit for bit."""
-    grid = Grid(dim=dim, n=n, box_length=5.0)
+    """Into a new array and in place (on a writable copy), bit for bit; in
+    3D at n = 32 and 64 the pass runs over several slabs."""
+    _check_against_the_reference(Grid(dim=dim, n=n, box_length=5.0), p_kind, with_q, s)
+
+
+@pytest.mark.parametrize("n", [8, 32, 64])
+@pytest.mark.parametrize("with_q", [False, True])
+@pytest.mark.parametrize("s", [1.0, -1j, 0.3 - 0.2j, -0.61])
+def test_apply_span_radial_factors_give_the_gathered_arrays_bits(n, with_q, s):
+    """Radial p and q, gathered per slab, give the bits of the full-size
+    arrays u[inverse], into a new array and in place."""
+    _check_against_the_reference(Grid(dim=3, n=n, box_length=5.0), "radial", with_q, s)
+
+
+def _check_against_the_reference(grid, kind, with_q, s):
     rng = np.random.default_rng(7)
-    modes = (n,) * dim
-
-    def cplx(shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    hat = cplx((4,) + modes)
+    shape = (4,) + (grid.n,) * grid.dim
+    hat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     hat.setflags(write=False)
     before = hat.copy()
-    p = (0.7 - 0.1j, 1.3j) if p_kind == "scalar" else (cplx(modes), cplx(modes))
-    q = (cplx(modes), cplx(modes)) if with_q else None
-    expected = _apply_span_reference(hat, grid, p, q, s)
+    p, q, p_full, q_full = _span_factors(grid, kind, with_q, rng)
+    expected = _apply_span_reference(hat, grid, p_full, q_full, s)
     got = _apply_span(hat, grid, p, q, s)
     assert np.array_equal(got, expected)
     assert np.array_equal(hat, before)
     work = hat.copy()
     assert _apply_span(work, grid, p, q, s, in_place=True) is work
     assert np.array_equal(work, expected)
+
+
+@pytest.mark.parametrize("kind", ["scalar", "array", "radial"])
+@pytest.mark.parametrize("with_q", [False, True])
+def test_apply_span_output_does_not_depend_on_the_slab_size(monkeypatch, kind, with_q):
+    """One plane per slab, three (the last slab shorter), and the whole grid
+    in one slab give the bits of the default slabs."""
+    grid = Grid(dim=3, n=32, box_length=5.0)
+    rng = np.random.default_rng(11)
+    hat = rng.standard_normal((4, 32, 32, 32)) + 1j * rng.standard_normal((4, 32, 32, 32))
+    p, q, _, _ = _span_factors(grid, kind, with_q, rng)
+    default = _apply_span(hat, grid, p, q, -1j)
+    plane = 32 * 32 * hat.itemsize
+    for slab_bytes in (1, 3 * plane, 1 << 40):
+        monkeypatch.setattr(field, "_SLAB_BYTES", slab_bytes)
+        assert np.array_equal(_apply_span(hat, grid, p, q, -1j), default)
+        work = hat.copy()
+        assert np.array_equal(_apply_span(work, grid, p, q, -1j, in_place=True), default)
 
 
 def test_apply_span_in_place_rejects_a_read_only_spectrum():
@@ -329,10 +380,11 @@ def test_apply_span_in_place_rejects_a_read_only_spectrum():
 
 def test_field_passes_allocate_each_full_size_array_once(tmp_path, peak_allocation):
     """At 3D n=32 a transform allocates only its output, the symbol pass
-    its output plus one plane and one 2-plane buffer, the in-place pass
-    only the plane and the 2-plane buffer, load_snapshot only the array it
-    returns, and save_snapshot of a contiguous complex128 field no copy of
-    the payload."""
+    its output plus a scratch slab and a 2-slab saved pair (a slab is half
+    the grid here, 0.125 of the spinor's bytes per component), the
+    in-place pass only the two slab buffers, load_snapshot only the array
+    it returns, and save_snapshot of a contiguous complex128 field no copy
+    of the payload."""
     grid = Grid(dim=3, n=32, box_length=8.0)
     f = random_smooth(grid, amplitude=1.0, seed=3, time=1.5)
     spinor = f.data.nbytes
@@ -343,8 +395,8 @@ def test_field_passes_allocate_each_full_size_array_once(tmp_path, peak_allocati
     work = f.data.copy()
     assert peak_allocation(_fftn, f.data, grid) <= 1.05 * spinor
     assert peak_allocation(_ifftn, f.data, grid) <= 1.05 * spinor
-    assert peak_allocation(_apply_span, f.data, grid, p, q, -1j) <= 1.9 * spinor
-    assert peak_allocation(_apply_span, work, grid, p, q, -1j, True) <= 1.05 * spinor
+    assert peak_allocation(_apply_span, f.data, grid, p, q, -1j) <= 1.5 * spinor
+    assert peak_allocation(_apply_span, work, grid, p, q, -1j, True) <= 0.5 * spinor
     assert peak_allocation(save_snapshot, f, path) <= 0.05 * spinor
     assert peak_allocation(load_snapshot, path) <= 1.05 * spinor
 

@@ -14,6 +14,7 @@ from flrw_dirac.field import (
     _derivative_wavenumbers,
     _fftn,
     _ifftn,
+    _unique_mode_magnitudes,
     l2_norm_sq,
 )
 from flrw_dirac.gamma import BASIS
@@ -26,7 +27,6 @@ from flrw_dirac.kernels import (
     _cos_integrals,
     _cpow,
     _gl_rule,
-    _unique_mode_magnitudes,
     apply_G_operator,
     free_mode_multipliers,
     hyp2f1,
@@ -472,16 +472,23 @@ def test_reconstruct_requires_matching_start_time():
 
 def test_reconstruct_equals_the_pass_into_new_arrays_bit_for_bit(monkeypatch):
     """The one-buffer reconstruction gives _ifftn(_apply_span(_fftn(data)))
-    with the same multipliers, whether or not the input carries its
-    spectrum; it caches no spectrum on the input or on the result."""
+    with the same multipliers gathered to full-size arrays, whether or not
+    the input carries its spectrum; its pass gets only radial factors, over
+    the distinct mode magnitudes, and it caches no spectrum on the input or
+    on the result."""
     grid = Grid(dim=3, n=8, box_length=8.0)
     f0 = gaussian_bump(grid, amplitude=1.0, width=1.0, coeffs=(1, 0.5, 0.3j, -0.2))
     ke = KernelEval(Cosmology(0.5, 1.0), 0.3, 1.0)
+    uniq, inverse = _unique_mode_magnitudes(grid)
     calls = []
 
     def recording_pass(hat, grid, p, q=None, s=1.0, in_place=False):
         calls.append((p, q, s))
         return _apply_span(hat, grid, p, q, s, in_place)
+
+    def gathered(pair):
+        assert all(u.shape == uniq.shape for u in pair)
+        return tuple(u[inverse] for u in pair)
 
     monkeypatch.setattr(kernels, "_apply_span", recording_pass)
     plain = f0.with_data(f0.data)
@@ -491,21 +498,96 @@ def test_reconstruct_equals_the_pass_into_new_arrays_bit_for_bit(monkeypatch):
         calls.clear()
         out = reconstruct_free(psi1, 3.0, ke)
         ((p, q, s),) = calls
-        expected = _ifftn(_apply_span(_fftn(f0.data, grid), grid, p, q, s), grid)
-        assert np.array_equal(out.data, expected)
+        hat = _apply_span(_fftn(f0.data, grid), grid, gathered(p), gathered(q), s)
+        assert np.array_equal(out.data, _ifftn(hat, grid))
         assert "spectrum" not in vars(out)
     assert "spectrum" not in vars(plain)
 
 
-def test_reconstruct_runs_in_one_spectrum_buffer(peak_allocation):
-    """With the caches warm, a 3D n=32 reconstruction allocates the
-    spectrum buffer it returns, the four gathered multipliers and the
-    in-place pass's scratch: at most 3.2 times the spinor's bytes."""
-    grid = Grid(dim=3, n=32, box_length=8.0)
+def _reconstruct_peak(peak_allocation, n):
+    """The traced peak of one warm 3D reconstruction over the spinor's bytes."""
+    grid = Grid(dim=3, n=n, box_length=8.0)
     f0 = gaussian_bump(grid, amplitude=1.0, width=1.0, coeffs=(1, 0.5, 0.3j, -0.2))
     ke = KernelEval(Cosmology(0.5, 1.0), 0.3, 1.0)
     reconstruct_free(f0.with_data(f0.data), 3.0, ke)
-    assert peak_allocation(reconstruct_free, f0, 3.0, ke) <= 3.2 * f0.data.nbytes
+    return peak_allocation(reconstruct_free, f0, 3.0, ke) / f0.data.nbytes
+
+
+def test_reconstruct_runs_in_one_spectrum_buffer(peak_allocation):
+    """With the caches warm, a 3D n=32 reconstruction allocates the
+    spectrum buffer it returns, the multipliers over the distinct mode
+    magnitudes and the pass's seven slab buffers (a slab is half of one
+    component here, so together 0.875 of the spinor): at most 2.2 times the
+    spinor's bytes."""
+    assert _reconstruct_peak(peak_allocation, 32) <= 2.2
+
+
+def test_reconstruct_at_n64_allocates_little_beside_its_buffer(peak_allocation):
+    """At n=64 a slab is a sixteenth of one component: the same allocations
+    stay below 1.25 times the spinor's bytes."""
+    assert _reconstruct_peak(peak_allocation, 64) <= 1.25
+
+
+def _four_kernel_multipliers(ke, t, xi_abs, time_derivative):
+    """free_mode_multipliers with every kernel evaluated at its own mass:
+    K1 and d/dt K1 at +m and at -m in one _cos_integrals call."""
+    minus = ke.with_mass(-complex(ke.m))
+    phi = ke.cosmology.phi
+    upper = phi(t) - phi(ke.epsilon)
+    pref_p, pref_m = kernels._k1_prefactor(ke), kernels._k1_prefactor(minus)
+    if not time_derivative:
+        i_p, i_m = _cos_integrals(
+            lambda r: (kernel_K1(r, t, ke), kernel_K1(r, t, minus)), upper, xi_abs)
+        return pref_p * i_p, pref_m * i_m
+    i_p, di_p, i_m, di_m = _cos_integrals(
+        lambda r: (*kernels._k1_and_time_derivative(r, t, ke),
+                   *kernels._k1_and_time_derivative(r, t, minus)), upper, xi_abs)
+    if upper > 0.0:
+        edge_p, edge_m = (complex(kernel_K1(np.array([upper]), t, c)[0]) for c in (ke, minus))
+    else:
+        edge_p = edge_m = 1.0 / phi(ke.epsilon)
+    cos_edge, dphi = np.cos(upper * xi_abs), ke.cosmology.dphi(t)
+    return (pref_p * i_p, pref_p * (edge_p * cos_edge * dphi + di_p),
+            pref_m * i_m, pref_m * (edge_m * cos_edge * dphi + di_m))
+
+
+@pytest.mark.parametrize("m", [0.0, 0.3, -0.7])
+@pytest.mark.parametrize("time_derivative", [True, False])
+def test_real_mass_multipliers_pair_the_reflected_kernels_bit_for_bit(m, time_derivative):
+    """For a real mass the -m kernels are the conjugates of the +m ones, so
+    evaluating only +m gives the four-kernel integrals bit for bit, from
+    t = eps to t = TIME_RATIO_MAX * eps.  The 32^3 grid's magnitudes are
+    enough for conjugated integrals, from a quadrature of half the rows, to
+    move bits."""
+    uniq, _ = _unique_mode_magnitudes(Grid(3, 32, 8.0))
+    for ell in (0.25, 0.5, 0.8):
+        ke = KernelEval(Cosmology(ell, 1.0), m, 1.0)
+        for t in (1.0, 1.7, 9.0, kernels.TIME_RATIO_MAX):
+            got = free_mode_multipliers(ke, t, uniq, time_derivative=time_derivative)
+            expected = _four_kernel_multipliers(ke, t, uniq, time_derivative)
+            assert all(np.array_equal(g, e) for g, e in zip(got, expected, strict=True))
+
+
+@pytest.mark.parametrize("m, masses", [(0.3, {0.3}), (0.3 + 0.2j, {0.3 + 0.2j, -0.3 - 0.2j})])
+@pytest.mark.parametrize("time_derivative", [True, False])
+def test_only_a_complex_mass_evaluates_the_reflected_kernels(monkeypatch, m, masses,
+                                                             time_derivative):
+    """The integrands are evaluated at +m alone for a real mass and at both
+    masses for a complex one (the edge terms evaluate K1 at both masses)."""
+    seen = set()
+
+    def spy(exact):
+        def evaluate(r, t, ke):
+            if r.size > 1:
+                seen.add(complex(ke.m))
+            return exact(r, t, ke)
+        return evaluate
+
+    monkeypatch.setattr(kernels, "_k1_and_time_derivative", spy(kernels._k1_and_time_derivative))
+    monkeypatch.setattr(kernels, "kernel_K1", spy(kernels.kernel_K1))
+    ke = KernelEval(Cosmology(0.5, 1.0), m, 1.0)
+    free_mode_multipliers(ke, 3.0, np.array([0.0, 0.5, 2.0]), time_derivative=time_derivative)
+    assert seen == masses
 
 
 @pytest.mark.parametrize("ell, m, t", [(0.5, 0.3, 3.0), (0.25, 0.5 - 0.2j, 40.0)])
