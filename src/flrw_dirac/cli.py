@@ -19,6 +19,7 @@ importing it again.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import inspect
 import json
@@ -57,6 +58,11 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
 
 
+class _NotFinite(ConfigError):
+    """A NaN or infinite number where its entry admits none; a list passes
+    it on, so the message names the item."""
+
+
 # --- config tables and their walker -------------------------------------------
 #
 # An entry is (dotted path, kind, bounds, default).  Kinds and their bounds:
@@ -71,7 +77,8 @@ class ConfigError(ValueError):
 #                     entries below it, to take any keys
 # default is REQUIRED, None (absent: the dataclass default applies) or the
 # value used when the key is absent.  Bools and strings are never numbers and
-# null is never a value.
+# null is never a value.  json reads NaN and Infinity, but a number or complex
+# value must be finite; only the bounds (lo, INF), closed at INF, admit inf.
 
 REQUIRED = object()
 INF = math.inf
@@ -113,10 +120,10 @@ _RUN = _table(
     ("solver.t_start", "number", (1.0, None), None),
     ("solver.t_end", "number", (1.0, None), REQUIRED),
     ("solver.cfl", "number", (0.0, 1.0, "open"), None),
-    ("solver.dt_max", "number", (0.0, None), None),
+    ("solver.dt_max", "number", (0.0, INF), None),
     ("solver.record_every", "integer", (1, None), None),
     ("solver.sobolev_order", "integer", (0, 6), None),
-    ("solver.blowup_factor", "number", (1.0, None), None),
+    ("solver.blowup_factor", "number", (1.0, INF), None),
     ("solver.track_cone", "bool", None, None),
     ("solver.on_cone_violation", "string", None, None),
     ("solver.lm_z", "complex", None, None),
@@ -229,13 +236,19 @@ def _value(val, kind: str, bounds, path: str):
         item, item_bounds, lo, hi = bounds
         if isinstance(val, list) and lo <= len(val) <= hi:
             try:
-                return tuple(_value(v, item, item_bounds, path) for v in val)
+                return tuple(_value(v, item, item_bounds, f"{path}[{i}]")
+                             for i, v in enumerate(val))
+            except _NotFinite:
+                raise
             except ConfigError:
                 pass
         raise ConfigError(f"field {path!r} must be {_noun(kind, bounds)}")
     out = _KINDS[kind][0](val)
     if out is None:
         raise ConfigError(f"field {path!r} must be {_noun(kind, bounds)}")
+    if kind in ("number", "complex") and not cmath.isfinite(out) and not (
+            out == INF and bounds is not None and bounds[1:] == (INF,)):
+        raise _NotFinite(f"field {path!r} must be finite")
     if bounds is None:
         return out
     if kind == "string":

@@ -16,16 +16,17 @@ spinor component into one preallocated output.  The 3D symbol pass runs
 slab by slab along the first spatial axis, and its scratch is sized to a
 slab (_SLAB_BYTES per component), not to the grid.  Its factors may be
 radial, arrays over the distinct mode magnitudes (_unique_mode_magnitudes)
-gathered per slab, so the closed-form propagator of kernels never builds a
-full-size multiplier.  The symbol pass
-(in_place=True) and the inverse transform (out=a) also run in place, so
-kernels.reconstruct_free goes from spectrum to field in one buffer.  The
-in-place pass gives the same bits as the pass into a new array, and refuses
-a read-only hat, such as a field's cached spectrum.  Snapshots are written
-from and read into the field's own buffer.
+gathered per slab, so neither the solver's free RK4 step nor the
+closed-form propagator of kernels builds a full-size multiplier.  The
+symbol pass (in_place=True) and the inverse transform (out=a) also run in
+place, so kernels.reconstruct_free goes from spectrum to field in one
+buffer.  The in-place pass gives the same bits as the pass into a new
+array, and refuses a read-only hat, such as a field's cached spectrum.
+Snapshots are written from and read into the field's own buffer.
 """
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -68,8 +69,8 @@ class Grid:
             raise ValueError("dim must be 1 or 3")
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise ValueError("n must be a power of two >= 8")
-        if not self.box_length > 0:
-            raise ValueError("box_length must be positive")
+        if not 0 < self.box_length < math.inf:
+            raise ValueError("box_length must be positive and finite")
 
     @property
     def h(self) -> float:
@@ -305,8 +306,8 @@ class SpinorField:
         expected = (4,) + (self.grid.n,) * self.grid.dim
         if self.data.shape != expected:
             raise ValueError(f"data shape {self.data.shape} != {expected}")
-        if self.time <= 0:
-            raise ValueError("field time must be positive")
+        if not 0 < self.time < math.inf:
+            raise ValueError(f"field time must be positive and finite, got {self.time!r}")
 
     def with_data(self, data: np.ndarray, time: float | None = None) -> "SpinorField":
         return SpinorField(self.grid, data, self.time if time is None else time)
@@ -452,9 +453,10 @@ def save_snapshot(f: SpinorField, path) -> None:
 
 
 def load_snapshot(path) -> SpinorField:
-    """Read a field written by save_snapshot.  A file that is not exactly
-    as long as its header says raises ValueError naming the file and the
-    expected and actual byte counts."""
+    """Read a field written by save_snapshot.  A time that is not positive
+    and finite, or a file that is not exactly as long as its header says,
+    raises ValueError naming the file and the time or the expected and
+    actual byte counts."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size < _HEADER.size:
@@ -465,6 +467,8 @@ def load_snapshot(path) -> SpinorField:
             raise ValueError("not a spinor snapshot file")
         if version != SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {version}")
+        if not 0 < time < math.inf:
+            raise ValueError(f"{path}: snapshot time {time!r} is not positive and finite")
         grid = Grid(dim=dim, n=n, box_length=L)
         count = 4 * n**dim
         expected = _HEADER.size + 16 * count

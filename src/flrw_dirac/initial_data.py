@@ -141,11 +141,16 @@ _FAMILIES = {
 
 
 def make_initial_data(grid: Grid, family: str, time: float = 1.0, **kwargs) -> SpinorField:
-    """Dispatch on the configured family name."""
+    """Dispatch on the configured family name.  A field that is not finite
+    (a zero width, say) raises ValueError naming the family and kwargs."""
     try:
         builder = _FAMILIES[family]
     except KeyError:
         raise ValueError(
             f"unknown initial data family {family!r}; options: {sorted(_FAMILIES)}"
         ) from None
-    return builder(grid, time=time, **kwargs)
+    with np.errstate(all="ignore"):  # a non-finite field is rejected below
+        f = builder(grid, time=time, **kwargs)
+    if not f.is_finite():
+        raise ValueError(f"{family!r} initial data with {kwargs} is not finite")
+    return f

@@ -15,9 +15,10 @@ three terms) is L(t) = d I + s B + mu g0 per mode, with B = i sigma.k on the
 off-diagonal 2x2 blocks, s = -1/a(t), d = -3 ell / 2t and mu = -i m / t (g0
 flips the sign of the lower spinor pair).  B^2 = -|k|^2, g0^2 = I and
 B g0 = -g0 B, so without x-dependent terms a whole step is one element
-r0 I + r1 B + r2 g0 + r3 B g0 of that span, whose coefficients are
-polynomials in |k|^2, applied in one pass.  That pass, field._apply_span,
-lives in field, and the closed-form propagator of kernels uses it too.  The
+r0 I + r1 B + r2 g0 + r3 B g0 of that span, whose coefficients depend on
+the mode through |k|^2 only.  They are evaluated on the distinct mode
+magnitudes (3D) and applied in one pass, field._apply_span, which the
+closed-form propagator of kernels uses with radial factors too.  The
 x-dependent terms (potential, nonlinearity, source) are evaluated in
 physical space and transformed, stage by stage.  rhs returns that stage
 derivative, the one step integrates, as a field.
@@ -51,6 +52,7 @@ from .field import (
     _derivative_wavenumbers,
     _fftn,
     _ifftn,
+    _unique_mode_magnitudes,
     bilinear_densities,
     cone_mass,
     gamma2_bilinear,
@@ -233,17 +235,6 @@ class RunRecord:
         )
 
 
-@lru_cache(maxsize=32)
-def _k_powers(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """K = |k|^2 and K^2 on the odd-derivative wavenumbers, so that
-    B^2 = -K for the B = i sigma.k of field._dirac_symbol (read-only)."""
-    k_sq = sum(k**2 for k in _derivative_wavenumbers(grid))
-    out = k_sq, k_sq**2
-    for e in out:
-        e.setflags(write=False)
-    return out
-
-
 def _free_coefficients(t: float, cosmo: Cosmology, m: complex) -> tuple[float, float, complex]:
     """(d, s, mu) of the free operator d I + s B + mu g0 at time t; the
     scale factor raises ValueError for t <= 0 before anything divides by t."""
@@ -259,49 +250,38 @@ def _linear_symbol(hat: np.ndarray, t: float, cosmo: Cosmology, m: complex,
     return _apply_span(hat, grid, (d + mu, d - mu), s=s)  # g0 = diag(1, 1, -1, -1)
 
 
-def _times_free(x: list, d: float, s: float, mu: complex) -> list:
+def _times_free(x, d: float, s: float, mu: complex, k_sq) -> tuple:
     """L x for L = d I + s B + mu g0 and x = r0 I + r1 B + r2 g0 + r3 B g0,
-    where x lists the coefficients of K^0, K^1, K^2 in r0, then in r1, r2
-    and r3.  B^2 = -K, g0^2 = I and B g0 = -g0 B close the span under
-    products; the K^3 terms of K r1 and K r3 are dropped, because every
-    x passed in has r1 and r3 of degree < 2."""
-    a0, a1, a2, b0, b1, b2, c0, c1, c2, e0, e1, e2 = x
-    return [
-        d * a0 + mu * c0, d * a1 + mu * c1 - s * b0, d * a2 + mu * c2 - s * b1,
-        d * b0 + s * a0 - mu * e0, d * b1 + s * a1 - mu * e1, d * b2 + s * a2 - mu * e2,
-        d * c0 + mu * a0, d * c1 + mu * a1 - s * e0, d * c2 + mu * a2 - s * e1,
-        d * e0 + s * c0 - mu * b0, d * e1 + s * c1 - mu * b1, d * e2 + s * c2 - mu * b2,
-    ]
+    where each r_i is a scalar or an array over K = |k|^2.  B^2 = -K,
+    g0^2 = I and B g0 = -g0 B close the span under products."""
+    r0, r1, r2, r3 = x
+    return (d * r0 - s * k_sq * r1 + mu * r2,
+            d * r1 + s * r0 - mu * r3,
+            d * r2 - s * k_sq * r3 + mu * r0,
+            d * r3 + s * r2 - mu * r1)
 
 
 def _free_rk4(hat: np.ndarray, t: float, dt: float, cosmo: Cosmology, m: complex,
               grid: Grid) -> np.ndarray:
     """One classical RK4 step of the free flow, taken as its amplification
     R = I + (dt/6)(K1 + 2 K2 + 2 K3 + K4) = r0 I + r1 B + r2 g0 + r3 B g0,
-    whose r_i are polynomials of degree <= 2 in K = |k|^2 built with scalar
-    arithmetic, then applied in one symbol pass."""
+    evaluated on K = |k|^2 and applied in one symbol pass.  In 3D K runs
+    over the distinct mode magnitudes, so the factors are radial and no
+    full-size multiplier is built; in 1D it runs over the modes."""
     l1 = _free_coefficients(t, cosmo, m)
     l2 = _free_coefficients(t + 0.5 * dt, cosmo, m)
     l4 = _free_coefficients(t + dt, cosmo, m)
-    one = [1.0] + [0.0] * 11
-    k1 = _times_free(one, *l1)
-    k2 = _times_free([o + 0.5 * dt * k for o, k in zip(one, k1)], *l2)
-    k3 = _times_free([o + 0.5 * dt * k for o, k in zip(one, k2)], *l2)
-    k4 = _times_free([o + dt * k for o, k in zip(one, k3)], *l4)
-    r = [o + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + e)
-         for o, a, b, c, e in zip(one, k1, k2, k3, k4)]
-    r0, r1, r2, r3 = r[0:3], r[3:6], r[6:9], r[9:12]
-    k_sq, k_4 = _k_powers(grid)
-
-    def on_modes(u, v, sign):
-        """The polynomial u + sign v in K, on every mode."""
-        c0, c1, c2 = (a + sign * b for a, b in zip(u, v))
-        return c0 + c1 * k_sq + c2 * k_4
-
+    k_abs = _unique_mode_magnitudes(grid)[0] if grid.dim == 3 else _derivative_wavenumbers(grid)[0]
+    k_sq = k_abs**2
+    one = (1.0, 0.0, 0.0, 0.0)
+    k1 = _times_free(one, *l1, k_sq)
+    k2 = _times_free([o + 0.5 * dt * k for o, k in zip(one, k1)], *l2, k_sq)
+    k3 = _times_free([o + 0.5 * dt * k for o, k in zip(one, k2)], *l2, k_sq)
+    k4 = _times_free([o + dt * k for o, k in zip(one, k3)], *l4, k_sq)
+    r0, r1, r2, r3 = (o + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + e)
+                      for o, a, b, c, e in zip(one, k1, k2, k3, k4))
     # g0 is +1 on the upper and -1 on the lower spinor pair
-    p = on_modes(r0, r2, 1.0), on_modes(r0, r2, -1.0)
-    q = on_modes(r1, r3, 1.0), on_modes(r1, r3, -1.0)
-    return _apply_span(hat, grid, p, q)
+    return _apply_span(hat, grid, (r0 + r2, r0 - r2), (r1 + r3, r1 - r3))
 
 
 def _is_free(model: ModelSpec, source) -> bool:

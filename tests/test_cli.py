@@ -8,6 +8,7 @@ exit codes.
 import csv
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -485,6 +486,47 @@ def test_simulate_null_number_is_config_error(tmp_path, capsys, path):
     assert f"config error: field {path!r} must be a number" in capsys.readouterr().err
 
 
+_SCALAR_BUMP = {"kind": "scalar_bump", "amplitude": 0.5, "width": 1.0}
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("initial_data", "amplitude", float("nan"), "field 'initial_data.amplitude' must be finite"),
+    ("initial_data", "amplitude", float("inf"), "field 'initial_data.amplitude' must be finite"),
+    ("initial_data", "width", 0.0, "field 'initial_data': 'gaussian' initial data with "
+                                   "{'width': 0.0} is not finite"),
+    ("initial_data", "width", float("nan"), "field 'initial_data.width' must be finite"),
+    ("initial_data", "center", [float("nan")], "field 'initial_data.center[0]' must be finite"),
+    ("grid", "box_length", float("inf"), "field 'grid.box_length' must be finite"),
+    ("potential", "amplitude", float("nan"), "field 'potential.amplitude' must be finite"),
+    ("potential", "amplitude", float("inf"), "field 'potential.amplitude' must be finite"),
+    ("potential", "width", float("nan"), "field 'potential.width' must be finite"),
+    ("potential", "center", [float("nan")], "field 'potential.center[0]' must be finite"),
+])
+def test_simulate_non_finite_number_is_config_error(tmp_path, capsys, section, key, value,
+                                                    message):
+    """json reads NaN and Infinity; each used to run into a 'numerical
+    blow-up' with exit 0.  They fail before the run, naming the field."""
+    tree = config()
+    if section == "potential":
+        tree["potential"] = dict(_SCALAR_BUMP)
+    tree[section][key] = value
+    code, record = simulate(tmp_path, tree)
+    assert code == 1
+    assert not record.exists()
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["dt_max", "blowup_factor"])
+def test_simulate_infinite_solver_bound_is_accepted(tmp_path, key):
+    """dt_max and blowup_factor keep inf: no step cap, or only non-finite
+    data count as a blow-up."""
+    tree = config()
+    tree["solver"][key] = float("inf")
+    code, record = simulate(tmp_path, tree)
+    assert code == 0
+    assert json.loads(record.read_text())["flags"]["completed"]
+
+
 @pytest.mark.parametrize("center", [5, "x", [1.0, 2.0, 3.0, 4.0], [1.0, "a"], [True], None])
 def test_simulate_malformed_center_is_config_error(tmp_path, capsys, center):
     tree = config()
@@ -609,6 +651,22 @@ def test_kernel_reconstruct_bad_snapshot_is_runtime_error(tmp_path):
         argv = ["kernel", "--mode", "reconstruct", "--ell", "0.5", "--t", "2.0",
                 "--snapshot", str(snap), "--out", str(tmp_path / "f.fdrc")]
         assert main(argv) == 2
+
+
+def test_kernel_reconstruct_nan_time_snapshot_is_runtime_error(tmp_path, capsys):
+    """A snapshot stamped with a NaN time is rejected, not reconstructed as
+    if it started at --eps."""
+    snap, out = tmp_path / "f0.fdrc", tmp_path / "f.fdrc"
+    save_snapshot(compact_bump(Grid(3, 8, 12.0), width=3.0), snap)
+    raw = bytearray(snap.read_bytes())
+    raw[24:32] = struct.pack("<d", float("nan"))  # the header's time
+    snap.write_bytes(bytes(raw))
+    argv = ["kernel", "--mode", "reconstruct", "--ell", "0.5", "--t", "2.0",
+            "--snapshot", str(snap), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(snap) in err and "snapshot time nan is not positive and finite" in err
+    assert not out.exists()
 
 
 def test_kernel_reconstruct_start_time_mismatch_names_both_times(tmp_path, capsys):

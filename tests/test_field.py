@@ -61,8 +61,15 @@ def test_grid_validation():
         Grid(dim=1, n=12, box_length=1.0)
     with pytest.raises(ValueError):
         Grid(dim=1, n=4, box_length=1.0)
-    with pytest.raises(ValueError):
-        Grid(dim=1, n=16, box_length=0.0)
+    for box in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="box_length must be positive and finite"):
+            Grid(dim=1, n=16, box_length=box)
+
+
+@pytest.mark.parametrize("time", [0.0, -1.0, float("nan"), float("inf")])
+def test_field_time_must_be_positive_and_finite(grid1d, time):
+    with pytest.raises(ValueError, match="field time must be positive and finite"):
+        SpinorField(grid1d, np.zeros((4, grid1d.n), dtype=complex), time)
 
 
 def test_l2_examples(grid1d):
@@ -451,6 +458,20 @@ def test_load_snapshot_rejects_a_file_of_the_wrong_size(tmp_path, cut, expected,
     save_snapshot(compact_bump(Grid(1, 16, 12.0), amplitude=1.0, width=1.2), path)
     path.write_bytes(cut(path.read_bytes()))
     with pytest.raises(ValueError, match=f"needs {expected} bytes, file has {actual}") as exc:
+        load_snapshot(path)
+    assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("time", [float("nan"), float("inf"), 0.0])
+def test_load_snapshot_rejects_a_time_that_is_not_positive_and_finite(tmp_path, time):
+    """The header's time is checked before the payload is read; the error
+    names the file and the time."""
+    path = tmp_path / "field.fdrc"
+    save_snapshot(compact_bump(Grid(1, 16, 12.0), amplitude=1.0, width=1.2), path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<d", raw, 24, time)  # after magic, version, dim, n, box length
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=f"snapshot time {time!r} is not positive") as exc:
         load_snapshot(path)
     assert str(path) in str(exc.value)
 

@@ -138,7 +138,8 @@ def _rel_max(a, b):
 
 
 _GRIDS = {
-    "3d": Grid(dim=3, n=16, box_length=8.0),
+    "3d": Grid(dim=3, n=16, box_length=8.0),  # one slab of the symbol pass
+    "3d32": Grid(dim=3, n=32, box_length=8.0),  # two slabs: radial factors gathered per slab
     "1d": Grid(dim=1, n=64, box_length=16.0),
 }
 
@@ -158,7 +159,7 @@ def _reference_case(dim, terms):
     return f, ModelSpec(**kwargs), source
 
 
-@pytest.mark.parametrize("dim", ["3d", "1d"])
+@pytest.mark.parametrize("dim", ["3d", "3d32", "1d"])
 @pytest.mark.parametrize("terms, ell", [
     pytest.param(terms, 0.5, id=terms)
     for terms in ("mass", "potential", "nonlinear", "source", "all")
@@ -169,7 +170,8 @@ def test_rhs_and_step_match_the_physical_space_formula(dim, terms, ell):
     """rhs and one RK4 step (forward and backward) agree with the term-by-term
     physical-space formula to rounding, for a complex mass alone and with a
     potential, a nonlinearity, a source, or all of them.  The mass-only
-    cases take the closed-form free step, so they also run at ell = 1, 2."""
+    cases take the closed-form free step, so they also run at ell = 1, 2;
+    at n = 32 its radial factors are gathered over two slabs."""
     f, model, source = _reference_case(dim, terms)
     cosmo = Cosmology(ell, 1.0)
     expected = reference_rhs(f, 1.7, cosmo, model, source)
@@ -179,6 +181,19 @@ def test_rhs_and_step_match_the_physical_space_formula(dim, terms, ell):
         out = step(f, h, cosmo, model, source)
         assert out.time == f.time + h
         assert _rel_max(out.data, reference_step(f, h, cosmo, model, source)) < 1e-12
+
+
+def test_free_step_builds_no_full_size_multiplier(peak_allocation):
+    """With the caches warm, one free 3D step at n=32 allocates the spectrum
+    it returns and the field's data (two spinors), plus the symbol pass's
+    slab scratch and the inverse transform's: at most 2.25 times the
+    spinor's bytes.  Its factors are radial; the four full-size multipliers
+    of a per-mode amplification would add a spinor's bytes."""
+    grid = Grid(dim=3, n=32, box_length=8.0)
+    f = random_smooth(grid, amplitude=0.5, seed=21, time=1.5)
+    model, cosmo = ModelSpec(mass=Mass(0.5)), Cosmology(0.5, 1.0)
+    step(f, 0.01, cosmo, model)  # warms the caches, f.spectrum included
+    assert peak_allocation(step, f, 0.01, cosmo, model) <= 2.25 * f.data.nbytes
 
 
 def test_step_carries_the_spectrum_of_its_result():
