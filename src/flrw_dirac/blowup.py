@@ -207,13 +207,11 @@ def lifespan(case: BlowupCase) -> float:
         hi *= 2.0
         if hi > 1e12:
             return math.inf
-    lo = max(1.0, hi / 2.0)
+    lo = max(1.0, hi / 2.0)  # 1, where J = 0, or the last hi with J < target
 
     def g(t: float) -> float:
         return j_integral(case, t, decades=decades) - target
 
-    if g(lo) > 0.0:
-        lo = 1.0
     return float(brentq(g, lo, hi, xtol=LIFESPAN_XTOL, rtol=8.9e-16))
 
 

@@ -324,15 +324,15 @@ def load_run_config(tree: dict):
     )
     family = ini.pop("family")
     if ini.pop("lm_constrained"):
+        if family not in ("gaussian", "lm_gaussian"):
+            raise ConfigError("field 'initial_data.lm_constrained' needs family "
+                              f"'gaussian' or 'lm_gaussian', not {family!r}")
         family = "lm_gaussian"
     if "center" in ini:
         ini["center"] = v["solver"]["cone_center"] = _center3(ini["center"])
     cfg = _build("solver", SolverConfig, **v["solver"])
-    if family == "random_smooth":
+    if family == "random_smooth":  # its center is the cone centre only
         ini.pop("center", None)
-        ini.pop("coeffs", None)
-    else:
-        ini.pop("seed", None)
     f0 = _build("initial_data", make_initial_data, grid, family, time=cfg.t_start, **ini)
     return cosmo, model, grid, f0, cfg, v["outputs"]
 

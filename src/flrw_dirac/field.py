@@ -453,10 +453,9 @@ def save_snapshot(f: SpinorField, path) -> None:
 
 
 def load_snapshot(path) -> SpinorField:
-    """Read a field written by save_snapshot.  A time that is not positive
-    and finite, or a file that is not exactly as long as its header says,
-    raises ValueError naming the file and the time or the expected and
-    actual byte counts."""
+    """Read a field written by save_snapshot.  A bad magic or version, a
+    grid or time the header gives that is not valid, or a file that is not
+    exactly as long as its header says raises ValueError naming the file."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size < _HEADER.size:
@@ -464,12 +463,15 @@ def load_snapshot(path) -> SpinorField:
                 f"{path}: snapshot header needs {_HEADER.size} bytes, file has {size}")
         magic, version, dim, n, L, time = _HEADER.unpack(fh.read(_HEADER.size))
         if magic != SNAPSHOT_MAGIC:
-            raise ValueError("not a spinor snapshot file")
+            raise ValueError(f"{path}: not a spinor snapshot file")
         if version != SNAPSHOT_VERSION:
-            raise ValueError(f"unsupported snapshot version {version}")
+            raise ValueError(f"{path}: unsupported snapshot version {version}")
         if not 0 < time < math.inf:
             raise ValueError(f"{path}: snapshot time {time!r} is not positive and finite")
-        grid = Grid(dim=dim, n=n, box_length=L)
+        try:
+            grid = Grid(dim=dim, n=n, box_length=L)
+        except ValueError as exc:
+            raise ValueError(f"{path}: snapshot header: {exc}") from None
         count = 4 * n**dim
         expected = _HEADER.size + 16 * count
         if size != expected:

@@ -14,7 +14,9 @@ z = (D^2 - r^2) / w, the two kernels are
     K1(r, t; m; eps) = 2^(2 i mu) phi(eps)^(2 i mu - 1) w^(-i mu)
                       F(i mu, i mu; 1; z)        (with t0 = eps)
 
-with F the Gauss hypergeometric series.  In the usage domain z lies in
+with F the Gauss hypergeometric series.  K1 carries the Cauchy data and
+E a source; the program reaches K1 through reconstruct_free and the kernel
+tables, and E through the tables only.  In the usage domain z lies in
 [0, 1) and every power has a positive real base, so the principal branch
 is inert.  The module restricts itself to 0 < ell < 1, a0 = 1 and
 t / eps <= 50, which keeps z safely below the series guard.  K1 and its
@@ -46,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import Grid, SpinorField, _apply_span, _fftn, _ifftn, _unique_mode_magnitudes
+from .field import SpinorField, _apply_span, _fftn, _ifftn, _unique_mode_magnitudes
 from .spacetime import Cosmology
 
 __all__ = [
@@ -61,16 +63,15 @@ __all__ = [
     "kernel_K1",
     "kernel_K1_time_derivative",
     "free_mode_multipliers",
-    "apply_G_operator",
     "reconstruct_free",
 ]
 
 TIME_RATIO_MAX = 50.0
 Z_MAX = 0.95  # the largest |z| hyp2f1 sums
 SERIES_RTOL = 1e-12  # the relative tail hyp2f1's series must reach
+HYP2F1_MAX_TERMS = 200_000  # the most terms hyp2f1 sums before it gives up
 GL_ORDER = 16  # Gauss nodes per panel of every composite rule
 MAX_PANELS = 1 << 14  # panel cap of one r-integral
-OUTER_MAX_PANELS = 256  # panel cap of apply_G_operator's time quadrature
 MULTIPLIER_ABS_TOL = 1e-10  # absolute tolerance of the Cauchy multipliers
 SELF_CHECK_REL_TOL = 1e-6  # relative tolerance of their time-derivative audit
 SELF_CHECK_SAMPLES = 5  # number of |xi| the audit samples
@@ -100,11 +101,12 @@ def _cpow(base, exponent) -> np.ndarray:
     return np.exp(np.asarray(exponent, dtype=complex) * np.log(base))
 
 
-def hyp2f1(a, b, c, z, max_terms: int = 200_000):
+def hyp2f1(a, b, c, z):
     """Gauss series sum_n (a)_n (b)_n / ((c)_n n!) z^n, vectorized over z.
 
-    Valid for |z| <= Z_MAX < 1; raises outside that disc or when the series
-    fails to reach the relative tail SERIES_RTOL within max_terms terms.
+    Valid for |z| <= Z_MAX < 1; raises outside that disc, for a NaN z, or
+    when the series does not reach the relative tail SERIES_RTOL within
+    HYP2F1_MAX_TERMS terms.
     """
     a = complex(a)
     b = complex(b)
@@ -115,14 +117,14 @@ def hyp2f1(a, b, c, z, max_terms: int = 200_000):
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
     q = float(np.max(np.abs(z))) if z.size else 0.0
-    if q > Z_MAX:
+    if not q <= Z_MAX:  # a NaN z fails too
         raise KernelDomainError(
             f"|z| = {q:.4f} exceeds the series guard z_max = {Z_MAX}"
         )
     total = np.ones_like(z)
     term = np.ones_like(z)
     tail_factor = q / (1.0 - q) if q > 0 else 0.0
-    for n in range(max_terms):
+    for n in range(HYP2F1_MAX_TERMS):
         ratio = (a + n) * (b + n) / ((c + n) * (n + 1.0))
         term = term * ratio * z
         total = total + term
@@ -130,7 +132,7 @@ def hyp2f1(a, b, c, z, max_terms: int = 200_000):
             break
     else:
         raise Hyp2F1ConvergenceError(
-            f"series did not reach rtol={SERIES_RTOL} within {max_terms} terms "
+            f"series did not reach rtol={SERIES_RTOL} within {HYP2F1_MAX_TERMS} terms "
             f"(max |z| = {q:.4f})"
         )
     return complex(total[0]) if scalar else total
@@ -155,8 +157,8 @@ class KernelEval:
             raise KernelDomainError("kernel formulas require 0 < ell < 1")
         if abs(self.cosmology.a0 - 1.0) > 1e-12:
             raise KernelDomainError("kernel formulas require a0 = 1")
-        if not self.epsilon > 0:
-            raise KernelDomainError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise KernelDomainError("epsilon must be positive and finite")
         if not cmath.isfinite(self.m):
             raise KernelDomainError("m must be finite")
 
@@ -171,7 +173,7 @@ class KernelEval:
         t0 = self.epsilon if t0 is None else t0
         if not t >= t0 > 0:
             raise KernelDomainError("kernels require t >= t0 > 0")
-        if t / t0 > TIME_RATIO_MAX * (1.0 + 1e-12):
+        if not t / t0 <= TIME_RATIO_MAX * (1.0 + 1e-12):  # NaN (t = t0 = inf) fails
             raise KernelDomainError(
                 f"t/t0 = {t / t0:.1f} exceeds the supported ratio "
                 f"{TIME_RATIO_MAX} (series argument too close to 1)"
@@ -247,12 +249,11 @@ def _gl_rule(panels: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return (np.arange(panels) + 0.5) / panels, half * x, half * w
 
 
-def _cos_integrals(fvals_fn, upper: float, xi_abs: np.ndarray,
-                   abs_tol: float = MULTIPLIER_ABS_TOL):
+def _cos_integrals(fvals_fn, upper: float, xi_abs: np.ndarray):
     """Integrals of f_k(r) cos(r xi) over [0, upper] for each xi.
 
     `fvals_fn(r)` returns a tuple of complex arrays sampled at the nodes.
-    Panels double until two successive composite rules agree to abs_tol.
+    Panels double until two successive rules agree to MULTIPLIER_ABS_TOL.
 
     The rule has P uniform panels of Q = GL_ORDER Gauss nodes each, so every
     node is r = M_p + d_q: a panel midpoint plus a Gauss offset shared by
@@ -293,12 +294,13 @@ def _cos_integrals(fvals_fn, upper: float, xi_abs: np.ndarray,
                 float(np.max(np.abs(o - p))) if o.size else 0.0
                 for o, p in zip(out, prev)
             )
-            if change <= abs_tol:
+            if change <= MULTIPLIER_ABS_TOL:
                 return out
         prev = out
         panels *= 2
     raise QuadratureConvergenceError(
-        f"cos-integral did not converge to {abs_tol} within {MAX_PANELS} panels"
+        f"cos-integral did not converge to {MULTIPLIER_ABS_TOL} within "
+        f"{MAX_PANELS} panels"
     )
 
 
@@ -368,57 +370,7 @@ def free_mode_multipliers(ke: KernelEval, t: float, xi_abs: np.ndarray,
     return kp, kdp, km, kdm
 
 
-def apply_G_operator(source_fn, grid: Grid, t: float, ke: KernelEval,
-                     abs_tol: float = MULTIPLIER_ABS_TOL) -> np.ndarray:
-    """Apply the source integral operator to a time-indexed scalar field.
-
-    source_fn(b) returns the scalar field at intermediate time b; the outer
-    b-integral uses an adaptive composite Gauss-Legendre rule, the inner
-    r-integral the same cos-weighted machinery as the Cauchy operator.
-    """
-    if grid.dim != 3:
-        raise KernelDomainError("the integral operators act on dim = 3 grids")
-    ke.check_time(t)
-    eps = ke.epsilon
-    if t <= eps:
-        return np.zeros((grid.n,) * 3, dtype=complex)
-    uniq, inverse = _unique_mode_magnitudes(grid)
-    phi = ke.cosmology.phi
-    ell = ke.cosmology.ell
-    m = complex(ke.m)
-
-    def total(panels: int) -> np.ndarray:
-        mids01, offsets01, weights01 = _gl_rule(panels, GL_ORDER)
-        b_nodes = eps + (t - eps) * (mids01[:, None] + offsets01).ravel()
-        b_weights = (t - eps) * np.tile(weights01, panels)
-        out_hat = np.zeros((grid.n,) * 3, dtype=complex)
-        for b, wb in zip(b_nodes, b_weights):
-            upper = phi(t) - phi(b)
-
-            def fvals(r, b=b):
-                return (kernel_E(r, t, b, ke),)
-
-            (i_e,) = _cos_integrals(fvals, upper, uniq, abs_tol)
-            f_hat = np.fft.fftn(np.asarray(source_fn(b), dtype=complex))
-            out_hat += wb * complex(_cpow(b, 0.5 * ell - 1j * m)) * i_e[inverse] * f_hat
-        return out_hat
-
-    panels = 4
-    prev = total(panels)
-    while panels <= OUTER_MAX_PANELS:
-        panels *= 2
-        cur = total(panels)
-        if float(np.max(np.abs(cur - prev))) <= abs_tol * grid.n**3:
-            prev = cur
-            break
-        prev = cur
-    else:
-        raise QuadratureConvergenceError("outer time quadrature did not converge")
-    return -2.0 * np.fft.ifftn(prev)
-
-
-def reconstruct_free(psi1: SpinorField, t: float, ke: KernelEval,
-                     self_check: bool = True) -> SpinorField:
+def reconstruct_free(psi1: SpinorField, t: float, ke: KernelEval) -> SpinorField:
     """Evaluate the free solution at time t from its data at time eps.
 
     Every Fourier mode is propagated by the co-factor operator
@@ -434,12 +386,13 @@ def reconstruct_free(psi1: SpinorField, t: float, ke: KernelEval,
     place.  The returned field holds that buffer as its data and carries no
     spectrum, and no spectrum is cached on psi1.
 
-    With self_check on, the analytic time derivative is audited against a
-    4th-order difference on a subsample of mode magnitudes: the stencil
-    integrates only K1(+/-m), through free_mode_multipliers without
-    time_derivative, never the time-derivative kernel it audits, at
-    t +/- dt and t +/- 2 dt (dt = 1e-4 t), or at t - dt, ..., t - 4 dt
-    where t + 2 dt is past the supported ratio TIME_RATIO_MAX.
+    Whenever t lies more than 2 dt above eps, the analytic time derivative
+    is audited against a 4th-order difference on a subsample of mode
+    magnitudes: the stencil integrates only K1(+/-m), through
+    free_mode_multipliers without time_derivative, never the
+    time-derivative kernel it audits, at t +/- dt and t +/- 2 dt
+    (dt = 1e-4 t), or at t - dt, ..., t - 4 dt where t + 2 dt is past the
+    supported ratio TIME_RATIO_MAX.
     """
     grid = psi1.grid
     if grid.dim != 3:
@@ -451,7 +404,7 @@ def reconstruct_free(psi1: SpinorField, t: float, ke: KernelEval,
     uniq, _ = _unique_mode_magnitudes(grid)
     kp, kdp, km, kdm = free_mode_multipliers(ke, t, uniq)
     # the difference stencil needs room below t
-    if self_check and t - 2.0 * 1e-4 * t > ke.epsilon:
+    if t - 2.0 * 1e-4 * t > ke.epsilon:
         _self_check_time_derivative(ke, t, uniq, kp, kdp, km, kdm)
 
     ell = ke.cosmology.ell

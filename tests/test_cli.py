@@ -538,6 +538,30 @@ def test_simulate_malformed_center_is_config_error(tmp_path, capsys, center):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("initial_data, message", [
+    ({"family": "compact_bump", "lm_constrained": True},
+     "field 'initial_data.lm_constrained' needs family 'gaussian' or 'lm_gaussian', "
+     "not 'compact_bump'"),
+    ({"family": "plane_wave", "lm_constrained": True},
+     "field 'initial_data.lm_constrained' needs family"),
+    ({"family": "random_smooth", "lm_constrained": True},
+     "field 'initial_data.lm_constrained' needs family"),
+    ({"family": "gaussian", "seed": 7},
+     "field 'initial_data': gaussian_bump() got an unexpected keyword argument 'seed'"),
+    ({"family": "random_smooth", "coeffs": [1.0, 0.0, 0.0, 0.0]},
+     "field 'initial_data': random_smooth() got an unexpected keyword argument 'coeffs'"),
+])
+def test_simulate_initial_data_key_the_family_ignores_is_config_error(
+        tmp_path, capsys, initial_data, message):
+    """A key the family would override or drop is rejected, not run past."""
+    tree = config()
+    tree["initial_data"] = initial_data
+    code, record = simulate(tmp_path, tree)
+    assert code == 1
+    assert not record.exists()
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 def test_simulate_center_is_padded_with_zeros(tmp_path):
     tree = config()
     tree["initial_data"]["center"] = [1]
@@ -624,6 +648,10 @@ def test_kernel_table_bad_input_is_config_error(tmp_path, extra):
     (["--kernel", "K1", "--t", "60", "--t0", "2"], "--t0 applies only to --kernel E"),
     (["--mode", "reconstruct", "--snapshot", "missing.fdrc",
       "--kernel", "E", "--t0", "1.5"], "--t0 applies only to --kernel E"),
+    # non-finite arguments fail before a series is summed on NaN
+    (["--eps", "inf", "--t", "inf"], "epsilon must be positive and finite"),
+    (["--kernel", "E", "--t0", "inf", "--t", "inf"],
+     "t must be >= t0 > 0 and t/t0 <= 50: t/t0 = nan exceeds"),
 ])
 def test_kernel_bad_argument_is_config_error(tmp_path, capsys, extra, message):
     """Each fails at once, before any kernel is evaluated, naming the argument."""

@@ -437,12 +437,19 @@ def test_snapshot_roundtrip(tmp_path, grid1d):
     assert g.time == f.time
     assert np.array_equal(g.data, f.data)
     _assert_snapshot_format(path, f, g)
-    raw = bytearray(path.read_bytes())
-    raw[:4] = b"XXXX"
-    bad = tmp_path / "bad.fdrc"
-    bad.write_bytes(bytes(raw))
-    with pytest.raises(ValueError):
-        load_snapshot(bad)
+    # each header error names the file: magic, version, then box length
+    for offset, fmt, value, message in [
+        (0, "4s", b"XXXX", "not a spinor snapshot file"),
+        (4, "<I", 2, "unsupported snapshot version 2"),
+        (16, "<d", float("nan"), "snapshot header: box_length must be positive"),
+    ]:
+        raw = bytearray(path.read_bytes())
+        struct.pack_into(fmt, raw, offset, value)
+        bad = tmp_path / "bad.fdrc"
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=message) as exc:
+            load_snapshot(bad)
+        assert str(exc.value).startswith(f"{bad}: ")
 
 
 @pytest.mark.parametrize("cut, expected, actual", [

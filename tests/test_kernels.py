@@ -27,7 +27,6 @@ from flrw_dirac.kernels import (
     _cos_integrals,
     _cpow,
     _gl_rule,
-    apply_G_operator,
     free_mode_multipliers,
     hyp2f1,
     hyp2f1_derivative,
@@ -68,15 +67,18 @@ def test_hyp2f1_vectorized_matches_scalar():
         assert vi == pytest.approx(hyp2f1(0.5j, 0.5j, 1.0, float(zi)), rel=1e-14)
 
 
-def test_hyp2f1_domain_guards():
+def test_hyp2f1_domain_guards(monkeypatch):
     with pytest.raises(KernelDomainError):
         hyp2f1(0.3j, 0.3j, 1.0, 0.97)
+    with pytest.raises(KernelDomainError, match=r"\|z\| = nan exceeds"):
+        hyp2f1(0.3j, 0.3j, 1.0, np.array([0.5, math.nan]))
     with pytest.raises(KernelDomainError):
         hyp2f1(0.3j, 0.3j, 0.0, 0.5)
     with pytest.raises(KernelDomainError):
         hyp2f1(0.3j, 0.3j, -2.0, 0.5)
+    monkeypatch.setattr(kernels, "HYP2F1_MAX_TERMS", 3)
     with pytest.raises(Hyp2F1ConvergenceError):
-        hyp2f1(0.3j, 0.3j, 1.0, 0.9, max_terms=3)
+        hyp2f1(0.3j, 0.3j, 1.0, 0.9)
 
 
 @pytest.mark.parametrize("z", [0.1, 0.5, 0.9 * 0.95])
@@ -122,25 +124,35 @@ def test_kernel_cone_edge_drops_hypergeometric_factor():
     assert kernel_K1(np.array([edge]), t, ke)[0] == pytest.approx(expected, rel=1e-12)
 
 
-def _mp_kernel_k1(r, t, ell, m, eps) -> complex:
-    """Independent arbitrary-precision evaluation of the Cauchy kernel."""
+def _mp_kernel(kind, r, t, t0, ell, m) -> complex:
+    """Independent arbitrary-precision evaluation of the Cauchy kernel K1
+    (with t0 = eps) or of the source kernel E."""
     phi = lambda s: mpmath.mpf(s) ** (1 - ell) / (1 - ell)
     mu = mpmath.mpc(m) / (1 - ell)
-    num = (phi(t) - phi(eps)) ** 2 - mpmath.mpf(r) ** 2
-    den = (phi(t) + phi(eps)) ** 2 - mpmath.mpf(r) ** 2
+    num = (phi(t) - phi(t0)) ** 2 - mpmath.mpf(r) ** 2
+    den = (phi(t) + phi(t0)) ** 2 - mpmath.mpf(r) ** 2
     z = num / den
-    pref = mpmath.mpf(2) ** (2j * mu) * phi(eps) ** (2j * mu - 1)
+    if kind == "K1":
+        pref = mpmath.mpf(2) ** (2j * mu) * phi(t0) ** (2j * mu - 1)
+    else:
+        pref = (mpmath.mpf(2) ** (2j * mu - 1)
+                * mpmath.mpf(1 - ell) ** (mpmath.mpf(ell) / (1 - ell))
+                * phi(t0) ** ((ell + 2j * mpmath.mpc(m)) / (1 - ell)))
     return complex(pref * den ** (-1j * mu) * mpmath.hyp2f1(1j * mu, 1j * mu, 1, z))
 
 
 @pytest.mark.parametrize("m", [0.2j, 0.3, 0.5 + 0.1j])
 def test_kernel_k1_against_arbitrary_precision(m):
+    """K1 from eps = 1, and E from a source time t0 = 1.5 != eps."""
     ell = 0.5
     ke = KernelEval(Cosmology(ell, 1.0), m, 1.0)
-    for r in (0.0, 0.3, 0.7):
-        got = complex(kernel_K1(np.array([r]), 2.0, ke)[0])
-        ref = _mp_kernel_k1(r, 2.0, ell, m, 1.0)
-        assert abs(got - ref) <= 1e-10 * abs(ref)
+    cases = (("K1", 2.0, 1.0, lambda r: kernel_K1(r, 2.0, ke)),
+             ("E", 3.0, 1.5, lambda r: kernel_E(r, 3.0, 1.5, ke)))
+    for kind, t, t0, kernel in cases:
+        for r in (0.0, 0.3, 0.7):
+            got = complex(kernel(np.array([r]))[0])
+            ref = _mp_kernel(kind, r, t, t0, ell, m)
+            assert abs(got - ref) <= 1e-10 * abs(ref)
 
 
 def test_kernel_domain_guards():
@@ -360,54 +372,6 @@ def test_apply_k1_massless_closed_form_multiplier():
     assert np.allclose(kp[1], expected0, atol=1e-10)
 
 
-def test_apply_g_zero_source_and_degenerate_interval():
-    grid = Grid(dim=3, n=8, box_length=8.0)
-    ke = KernelEval(Cosmology(0.5, 1.0), 0.3, 1.0)
-    zero = lambda b: np.zeros((8, 8, 8), dtype=complex)
-    assert np.max(np.abs(apply_G_operator(zero, grid, 2.0, ke))) < 1e-12
-    one = lambda b: np.ones((8, 8, 8), dtype=complex)
-    assert np.max(np.abs(apply_G_operator(one, grid, 1.0, ke))) == 0.0
-
-
-def test_apply_g_single_mode_against_quadrature_oracle():
-    """Time-independent single-mode source: compare with a direct nested
-    scipy quadrature of the same kernel."""
-    grid = Grid(dim=3, n=8, box_length=8.0)
-    ell = 0.5
-    cos = Cosmology(ell, 1.0)
-    m = 0.2
-    ke = KernelEval(cos, m, 1.0)
-    t = 2.0
-    x = grid.axis_coordinates()
-    q = 2.0 * np.pi / grid.box_length
-    mode = (np.exp(1j * q * x)[:, None, None] * np.ones((1, 8, 8))).astype(complex)
-
-    got = apply_G_operator(lambda b: mode, grid, t, ke, abs_tol=1e-11)
-
-    def inner(b):
-        upper = cos.phi(t) - cos.phi(b)
-        re, _ = quad(
-            lambda r: (kernel_E(np.array([r]), t, b, ke)[0] * math.cos(q * r)).real,
-            0.0, upper, epsabs=1e-12, limit=300,
-        )
-        im, _ = quad(
-            lambda r: (kernel_E(np.array([r]), t, b, ke)[0] * math.cos(q * r)).imag,
-            0.0, upper, epsabs=1e-12, limit=300,
-        )
-        return complex(re, im)
-
-    def outer_part(selector):
-        val, _ = quad(
-            lambda b: selector(complex(_cpow(b, 0.5 * ell - 1j * m)) * inner(b)),
-            1.0, t, epsabs=1e-12, limit=200,
-        )
-        return val
-
-    mult = -2.0 * complex(outer_part(lambda v: v.real), outer_part(lambda v: v.imag))
-    ratio = got[tuple([0] * 3)] / mode[tuple([0] * 3)]
-    assert abs(ratio - mult) < 1e-8 * max(1.0, abs(mult))
-
-
 # --- reconstruction ---------------------------------------------------------
 
 
@@ -618,7 +582,8 @@ def test_reconstruct_self_check_catches_a_wrong_time_derivative(monkeypatch):
     _wrong_time_derivative(monkeypatch, 1.001)
     with pytest.raises(KernelConsistencyError):
         reconstruct_free(f0, 3.0, ke)
-    reconstruct_free(f0, 3.0, ke, self_check=False)
+    monkeypatch.setattr(kernels, "_self_check_time_derivative", lambda *args: None)
+    reconstruct_free(f0, 3.0, ke)
 
 
 @pytest.mark.parametrize("scale, raises", [(1.0, False), (1.001, True)])
@@ -635,4 +600,5 @@ def test_reconstruct_self_check_at_the_supported_time_limit(monkeypatch, scale, 
             reconstruct_free(f0, t, ke)
     else:
         out = reconstruct_free(f0, t, ke)
-        assert np.array_equal(out.data, reconstruct_free(f0, t, ke, self_check=False).data)
+        monkeypatch.setattr(kernels, "_self_check_time_derivative", lambda *args: None)
+        assert np.array_equal(out.data, reconstruct_free(f0, t, ke).data)
