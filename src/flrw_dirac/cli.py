@@ -11,7 +11,8 @@ nearest valid key; a value of the wrong kind or out of its bounds; a
 missing required field; a required potential flag that fails, an lm_z off
 the unit circle, a forward cone that would wrap around the torus by t_end,
 or a kernel argument out of range, among others), 2 runtime error,
-3 verification failure.  FLRW_DIRAC_THREADS caps sweep parallelism
+3 verification failure.  simulate runs forward: a solver.t_end before
+solver.t_start is a config error.  FLRW_DIRAC_THREADS caps sweep parallelism
 (0 or unset: all cores); with more than one worker the parent loads scipy
 before it forks the pool, so the workers inherit it instead of each
 importing it again.
@@ -97,6 +98,10 @@ def _table(*entries) -> dict:
     return root
 
 
+# the keys each nonlinearity kind reads; a given key its kind does not read is an error
+_NONLINEARITY_KEYS = {"none": (), "power_abs": ("alpha_exp", "sign"),
+                      "blowup_G": ("alpha_exp", "c0"), "lochak_form": ("alpha_coeffs", "beta_coeffs")}
+
 _RUN = _table(
     ("cosmology.ell", "number", None, REQUIRED),
     ("cosmology.a0", "number", (1e-300, None), None),
@@ -111,7 +116,7 @@ _RUN = _table(
     ("potential.matrix", "list", ("list", ("complex", None, 0, INF), 0, INF), None),
     ("potential.hermitian_required", "bool", None, None),
     ("potential.gamma2_condition_required", "bool", None, None),
-    ("nonlinearity.kind", "string", None, None),
+    ("nonlinearity.kind", "string", tuple(_NONLINEARITY_KEYS), "none"),
     ("nonlinearity.alpha_exp", "number", None, None),
     ("nonlinearity.sign", "integer", None, None),
     ("nonlinearity.c0", "number", None, None),
@@ -314,8 +319,12 @@ def load_run_config(tree: dict):
     potential, nonlinearity, ini = v["potential"], v["nonlinearity"], v["initial_data"]
     if "center" in potential:
         potential["center"] = _center3(potential["center"])
+    kind = nonlinearity["kind"]
+    unread = sorted(tree.get("nonlinearity", {}).keys() - {"kind", *_NONLINEARITY_KEYS[kind]})
+    if unread:
+        raise ConfigError(f"field 'nonlinearity.{unread[0]}' is not read by kind {kind!r}")
     coeffs = nonlinearity.pop("alpha_coeffs"), nonlinearity.pop("beta_coeffs")
-    if nonlinearity.get("kind") == "lochak_form":
+    if kind == "lochak_form":
         nonlinearity["alpha_fn"], nonlinearity["beta_fn"] = (linear_form(*c) for c in coeffs)
     model = ModelSpec(
         mass=_build("mass", Mass, v["mass"]),
@@ -331,6 +340,9 @@ def load_run_config(tree: dict):
     if "center" in ini:
         ini["center"] = v["solver"]["cone_center"] = _center3(ini["center"])
     cfg = _build("solver", SolverConfig, **v["solver"])
+    if cfg.t_end < cfg.t_start:
+        raise ConfigError(f"field 'solver.t_end' ({cfg.t_end}) lies before solver.t_start "
+                          f"({cfg.t_start}); simulate runs forward")
     if family == "random_smooth":  # its center is the cone centre only
         ini.pop("center", None)
     f0 = _build("initial_data", make_initial_data, grid, family, time=cfg.t_start, **ini)
@@ -566,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="run a configured simulation")
+    p = sub.add_parser("simulate", help="run a configured simulation forward in time")
     p.add_argument("config")
     p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(fn=cmd_simulate)

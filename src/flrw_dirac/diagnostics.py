@@ -315,7 +315,8 @@ def scattering_profile(
     start time with the linear solver).  Convergence is declared when the
     last panel increment falls below tol.  The modified datum then seeds a
     free run whose distance to the nonlinear run is recorded at the
-    checkpoints.
+    checkpoints.  The construction covers the nonlinear forcing only, so a
+    model with a source raises ValueError.
 
     Torus wraparound of the free comparison run is guarded once, up front:
     by finite propagation speed that run stays inside
@@ -326,6 +327,8 @@ def scattering_profile(
     far-field spectral noise that a support estimate at a tiny mass
     fraction reads as the whole box.
     """
+    if model.source is not None:
+        raise ValueError("scattering_profile covers the nonlinear forcing only, not a source")
     checkpoints = sorted(float(c) for c in checkpoints)
     if not checkpoints or checkpoints[0] <= cfg.t_start:
         raise ValueError("checkpoints must be strictly after t_start")
@@ -353,7 +356,7 @@ def scattering_profile(
     if not model.nonlinearity.is_none:
         for tau, w, p in zip(nodes, weights, panel_of):
             state = nonlinear.captured[tau]
-            g = hyperbolic_rhs_nonlinearity(model.nonlinearity, state)
+            g = state.with_data(hyperbolic_rhs_nonlinearity(model.nonlinearity, state))
             back_cfg = replace(cfg, t_start=tau, t_end=cfg.t_start, track_cone=False,
                                blowup_factor=math.inf)
             back = propagate(g, cosmo, linear_model, back_cfg, observables=())

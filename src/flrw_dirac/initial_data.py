@@ -10,7 +10,7 @@ from functools import partial
 
 import numpy as np
 
-from .field import Grid, SpinorField, _ifftn
+from .field import Grid, SpinorField, _ifftn, _torus_distance_sq
 
 __all__ = [
     "gaussian_bump",
@@ -21,19 +21,24 @@ __all__ = [
 ]
 
 DEFAULT_COEFFS = (1.0, 0.6, 0.4j, 0.8)
+CORR_MODES = 4.0  # random_smooth's damping scale, in integer mode units
+
+
+def _radius_sq(grid: Grid, width: float, center) -> np.ndarray:
+    """|x - center|^2 / width^2 on the torus; a width <= 0 raises, where the
+    envelopes would run the |width| profile."""
+    if not width > 0:
+        raise ValueError(f"width must be positive, got {width!r}")
+    return _torus_distance_sq(grid, center) / width**2
 
 
 def _envelope_gaussian(grid: Grid, width: float, center) -> np.ndarray:
-    from .field import _torus_distance_sq
-
-    return np.exp(-_torus_distance_sq(grid, center) / width**2)
+    return np.exp(-_radius_sq(grid, width, center))
 
 
 def _envelope_compact(grid: Grid, width: float, center) -> np.ndarray:
     """Smooth mollifier profile: exactly zero outside radius `width`."""
-    from .field import _torus_distance_sq
-
-    r2 = _torus_distance_sq(grid, center) / width**2
+    r2 = _radius_sq(grid, width, center)
     out = np.zeros_like(r2)
     inside = r2 < 1.0
     out[inside] = np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
@@ -104,28 +109,20 @@ def random_smooth(
     grid: Grid,
     amplitude: float = 1.0,
     seed: int = 0,
-    corr_modes: float = 4.0,
     time: float = 1.0,
 ) -> SpinorField:
     """Random band-limited field from a Philox stream.
 
     Fourier coefficients are complex Gaussians damped by
-    exp(-(|k| h_mode / corr_modes)^2) with |k| in integer mode units.
+    exp(-(|k| / CORR_MODES)^2) with |k| in integer mode units.
     """
     rng = np.random.Generator(np.random.Philox(key=seed))
     shape = (4,) + (grid.n,) * grid.dim
     coeff = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    modes = np.fft.fftfreq(grid.n) * grid.n
-    m2 = np.zeros((grid.n,) * grid.dim)
-    if grid.dim == 1:
-        m2 = modes**2
-    else:
-        m2 = (
-            modes[:, None, None] ** 2
-            + modes[None, :, None] ** 2
-            + modes[None, None, :] ** 2
-        )
-    coeff *= np.exp(-m2 / corr_modes**2)
+    m2 = (np.fft.fftfreq(grid.n) * grid.n) ** 2
+    if grid.dim == 3:
+        m2 = m2[:, None, None] + m2[None, :, None] + m2[None, None, :]
+    coeff *= np.exp(-m2 / CORR_MODES**2)
     data = _ifftn(coeff, grid)
     scale = amplitude / max(np.max(np.abs(data)), 1e-300)
     return SpinorField(grid, (scale * data).astype(complex), time)

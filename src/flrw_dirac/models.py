@@ -1,4 +1,5 @@
-"""Model terms: complex mass, matrix potentials and nonlinearity families.
+"""Model terms: complex mass, matrix potentials, nonlinearities and a
+forcing, all declared by ModelSpec, the one place the solver reads them from.
 
 Nonlinearities come in two flavours.  The Lipschitz family (power_abs) is
 stated directly as the right side of the first-order symmetric hyperbolic
@@ -11,14 +12,14 @@ side, with the left factor -i g0 of the covariant ones written out.
 """
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .field import Grid, SpinorField, bilinear_densities
+from .field import Grid, SpinorField, _torus_distance_sq, bilinear_densities
 from .gamma import BASIS
 
 __all__ = [
@@ -115,17 +116,19 @@ class PotentialSpec:
         return bool(np.allclose(v.T @ BASIS.g2 + BASIS.g2 @ v, 0.0, atol=1e-12))
 
 
+@lru_cache(maxsize=32)
 def potential_field(spec: PotentialSpec, grid: Grid) -> np.ndarray | None:
-    """V sampled on the whole grid, shape (4, 4, *spatial); None when V = 0."""
+    """V sampled on the whole grid, shape (4, 4, *spatial), once per (spec,
+    grid) since every family is static, read-only; None when V = 0."""
     if spec.is_zero:
         return None
-    from .field import _torus_distance_sq
-
     env = spec.amplitude * np.exp(
         -_torus_distance_sq(grid, spec.center) / spec.width**2
     )
     m = spec.constant_matrix()
-    return m.reshape((4, 4) + (1,) * grid.dim) * env
+    vf = m.reshape((4, 4) + (1,) * grid.dim) * env
+    vf.setflags(write=False)
+    return vf
 
 
 @dataclass(frozen=True)
@@ -189,15 +192,22 @@ def linear_form(c_xi: float, c_eta: float) -> Callable:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Everything entering the equation besides the background geometry."""
+    """Everything entering the equation besides the background geometry: the
+    mass and the x-dependent terms i V psi + F(psi) + source(t)."""
 
     mass: Mass = Mass(0.0 + 0.0j)
     potential: PotentialSpec = PotentialSpec()
     nonlinearity: NonlinearitySpec = NonlinearitySpec()
+    source: Callable[[float], np.ndarray] | None = None  # t -> forcing shaped like f.data
+
+    @property
+    def is_free(self) -> bool:
+        """True when the right side has no x-dependent term."""
+        return self.potential.is_zero and self.nonlinearity.is_none and self.source is None
 
 
-def hyperbolic_rhs_nonlinearity(spec: NonlinearitySpec, f: SpinorField) -> SpinorField:
-    """Nonlinear term as the right side of the first-order system.
+def hyperbolic_rhs_nonlinearity(spec: NonlinearitySpec, f: SpinorField) -> np.ndarray:
+    """Nonlinear term as the right side of the first-order system (an array).
 
     The covariant families carry the left factor -i g0 written out:
     -i g0 (alpha I + i beta g5) psi = -i alpha g0 psi + beta g0 g5 psi for
@@ -219,5 +229,5 @@ def hyperbolic_rhs_nonlinearity(spec: NonlinearitySpec, f: SpinorField) -> Spino
         c = spec.sign if spec.kind == "power_abs" else spec.c0
         mag = np.sqrt(np.sum(np.abs(p) ** 2, axis=0))
         out = c * mag**spec.alpha_exp * p
-    return f.with_data(out.astype(complex, copy=False))
+    return out.astype(complex, copy=False)
 

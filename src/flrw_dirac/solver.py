@@ -18,8 +18,9 @@ B g0 = -g0 B, so without x-dependent terms a whole step is one element
 r0 I + r1 B + r2 g0 + r3 B g0 of that span, whose coefficients depend on
 the mode through |k|^2 only.  They are evaluated on the distinct mode
 magnitudes (3D) and applied in one pass, field._apply_span, which the
-closed-form propagator of kernels uses with radial factors too.  The
-x-dependent terms (potential, nonlinearity, source) are evaluated in
+closed-form propagator of kernels uses with radial factors too.  Only a
+model with x-dependent terms (a potential, a nonlinearity or a source, all
+declared by the ModelSpec) runs the staged RK4 loop: they are evaluated in
 physical space and transformed, stage by stage.  rhs returns that stage
 derivative, the one step integrates, as a field.
 
@@ -284,58 +285,39 @@ def _free_rk4(hat: np.ndarray, t: float, dt: float, cosmo: Cosmology, m: complex
     return _apply_span(hat, grid, (r0 + r2, r0 - r2), (r1 + r3, r1 - r3))
 
 
-def _is_free(model: ModelSpec, source) -> bool:
-    """True when the right side has no x-dependent term."""
-    return model.potential.is_zero and model.nonlinearity.is_none and source is None
-
-
-def _local_terms(f: SpinorField, t: float, model: ModelSpec,
-                 source: Callable[[float], np.ndarray] | None) -> np.ndarray:
+def _local_terms(f: SpinorField, t: float, model: ModelSpec) -> np.ndarray:
     """The x-dependent part of the right side, i V psi + F(psi) + source(t),
     in physical space, for a model that has some of these terms."""
     out = None
-    vf = _static_potential_field(model.potential, f.grid)
+    vf = potential_field(model.potential, f.grid)
     if vf is not None:
         out = 1j * np.einsum("ab...,b...->a...", vf, f.data)
     if not model.nonlinearity.is_none:
-        nl = hyperbolic_rhs_nonlinearity(model.nonlinearity, f).data
+        nl = hyperbolic_rhs_nonlinearity(model.nonlinearity, f)
         out = nl if out is None else out + nl
-    if source is not None:
-        out = source(t) if out is None else out + source(t)
+    if model.source is not None:
+        out = model.source(t) if out is None else out + model.source(t)
     return out
 
 
-def _rhs_hat(f: SpinorField, t: float, cosmo: Cosmology, model: ModelSpec,
-             source: Callable[[float], np.ndarray] | None) -> np.ndarray:
+def _rhs_hat(f: SpinorField, t: float, cosmo: Cosmology, model: ModelSpec) -> np.ndarray:
     """Fourier coefficients of the right side at time t: the free symbol on
     f.spectrum, plus the transformed x-dependent terms when there are any."""
     out = _linear_symbol(f.spectrum, t, cosmo, complex(model.mass.m), f.grid)
-    if not _is_free(model, source):
-        out += _fftn(_local_terms(f, t, model, source), f.grid)
+    if not model.is_free:
+        out += _fftn(_local_terms(f, t, model), f.grid)
     return out
 
 
-def rhs(
-    f: SpinorField,
-    t: float,
-    cosmo: Cosmology,
-    model: ModelSpec,
-    source: Callable[[float], np.ndarray] | None = None,
-) -> SpinorField:
+def rhs(f: SpinorField, t: float, cosmo: Cosmology, model: ModelSpec) -> SpinorField:
     """Right side of the semi-discrete system at time t: the stage
     derivative that step integrates, as a field carrying its spectrum."""
-    return f.with_spectrum(_rhs_hat(f, t, cosmo, model, source), time=t)
-
-
-@lru_cache(maxsize=32)
-def _static_potential_field(spec, grid):
-    # shipped potential families are time independent; sample once per grid
-    return potential_field(spec, grid)
+    return f.with_spectrum(_rhs_hat(f, t, cosmo, model), time=t)
 
 
 @lru_cache(maxsize=32)
 def _static_im_potential_field(spec, grid):
-    vf = _static_potential_field(spec, grid)
+    vf = potential_field(spec, grid)
     if vf is None:
         return None
     imv = (vf - np.conj(np.swapaxes(vf, 0, 1))) / 2j
@@ -344,8 +326,7 @@ def _static_im_potential_field(spec, grid):
     return imv
 
 
-def step(f: SpinorField, dt: float, cosmo: Cosmology, model: ModelSpec,
-         source: Callable[[float], np.ndarray] | None = None) -> SpinorField:
+def step(f: SpinorField, dt: float, cosmo: Cosmology, model: ModelSpec) -> SpinorField:
     """One classical RK4 step of size dt (dt < 0 integrates backward).
 
     Without x-dependent terms the step is the closed-form free RK4
@@ -353,13 +334,13 @@ def step(f: SpinorField, dt: float, cosmo: Cosmology, model: ModelSpec,
     side of rhs.  The field returned carries its spectrum."""
     t = f.time
     hat = f.spectrum
-    if _is_free(model, source):
+    if model.is_free:
         new = _free_rk4(hat, t, dt, cosmo, complex(model.mass.m), f.grid)
         return f.with_spectrum(new, time=t + dt)
-    k = [_rhs_hat(f, t, cosmo, model, source)]
+    k = [_rhs_hat(f, t, cosmo, model)]
     for frac in (0.5, 0.5, 1.0):
         stage = f.with_spectrum(hat + frac * dt * k[-1])
-        k.append(_rhs_hat(stage, t + frac * dt, cosmo, model, source))
+        k.append(_rhs_hat(stage, t + frac * dt, cosmo, model))
     new = hat + (dt / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3])
     return f.with_spectrum(new, time=t + dt)
 
@@ -383,8 +364,8 @@ def guard_cone(radius: float, grid: Grid, t: float, what: str) -> None:
 class _Sample:
     """What an observable reads at one recorded time: the field f, its
     squared L2 norm l2, its cell volume vol, its bilinear densities dens
-    (computed on first read) and the run's fixed inputs (cfg, cosmo, r0,
-    source and imv = Im V, as attributes of run)."""
+    (computed on first read) and the run's fixed inputs (cfg, cosmo, model,
+    r0 and imv = Im V, as attributes of run)."""
 
     def __init__(self, f: SpinorField, l2: float, run: "_Recorder"):
         self.f, self.l2, self.run, self.vol = f, l2, run, f.grid.cell_volume
@@ -409,9 +390,9 @@ def _imv_int(s: _Sample) -> float:
 
 
 def _source_k(s: _Sample) -> float:
-    if s.run.source is None:
+    if s.run.model.source is None:
         return 0.0
-    sf = s.f.with_data(np.asarray(s.run.source(s.f.time), dtype=complex))
+    sf = s.f.with_data(np.asarray(s.run.model.source(s.f.time), dtype=complex))
     return sobolev_norm(sf, s.run.cfg.sobolev_order)
 
 
@@ -454,14 +435,14 @@ OBSERVABLES: dict[str, Callable[[_Sample], float | complex | None]] = {
 class _Recorder:
     """Samples OBSERVABLES along a run and holds the run's fixed inputs."""
 
-    def __init__(self, cosmo, model, cfg, grid, source, r0, observables=None):
+    def __init__(self, cosmo, model, cfg, grid, r0, observables=None):
         unknown = set(observables or ()) - OBSERVABLES.keys()
         if unknown:
             raise ValueError(
                 f"unknown observables {sorted(unknown)}; options: {list(OBSERVABLES)}")
         self.observe = {name: fn for name, fn in OBSERVABLES.items()
                         if observables is None or name == TIME_AXIS or name in observables}
-        self.cosmo, self.cfg, self.source, self.r0 = cosmo, cfg, source, r0
+        self.cosmo, self.model, self.cfg, self.r0 = cosmo, model, cfg, r0
         self.imv = _static_im_potential_field(model.potential, grid)
         self.rows: dict[str, list] = {}
 
@@ -478,15 +459,15 @@ class _Recorder:
             if value is not None:
                 self.rows.setdefault(name, []).append(value)
 
-    def build(self, model, flags, final, captured) -> RunRecord:
+    def build(self, flags, final, captured) -> RunRecord:
         """The run's record; flags holds the _FLAGS entries the run set."""
         return RunRecord(
             series={name: np.array(values) for name, values in self.rows.items()},
             cosmology=self.cosmo,
-            mass=complex(model.mass.m),
-            potential_kind=model.potential.kind,
-            potential_gamma2_ok=model.potential.gamma2_ok,
-            nonlinearity_kind=model.nonlinearity.kind,
+            mass=complex(self.model.mass.m),
+            potential_kind=self.model.potential.kind,
+            potential_gamma2_ok=self.model.potential.gamma2_ok,
+            nonlinearity_kind=self.model.nonlinearity.kind,
             sobolev_order=self.cfg.sobolev_order,
             support_radius0=self.r0,
             cone_center=self.cfg.cone_center,
@@ -501,15 +482,14 @@ def propagate(
     cosmo: Cosmology,
     model: ModelSpec,
     cfg: SolverConfig,
-    source: Callable[[float], np.ndarray] | None = None,
     capture_times=(),
     observables=None,
 ) -> RunRecord:
     """Integrate from cfg.t_start to cfg.t_end, recording diagnostics.
 
-    With no nonlinearity and no source this realizes the linear solution
-    operator between the two times (backward runs are allowed).  The run
-    stops early on blow-up (norm threshold or non-finite data).
+    For a model with no nonlinearity and no source this realizes the linear
+    solution operator between the two times (backward runs are allowed).
+    The run stops early on blow-up (norm threshold or non-finite data).
 
     The run steps through one ordered list of stops, the capture times and
     cfg.t_end: dt = min(dt_max, cfl h a(t), |next stop - t|), so it lands on
@@ -543,7 +523,7 @@ def propagate(
     threshold = cfg.blowup_factor * e if e > 0 else math.inf
 
     r0 = support_radius(f0, cfg.cone_center, CONE_MASS_FRACTION) if cfg.track_cone else 0.0
-    recorder = _Recorder(cosmo, model, cfg, grid, source, r0, observables)
+    recorder = _Recorder(cosmo, model, cfg, grid, r0, observables)
     tracked = cfg.track_cone and not backward
     if tracked and cfg.on_cone_violation == "error":
         guard_cone(recorder.reach(cfg.t_end), grid, cfg.t_end, "forward cone")
@@ -567,7 +547,7 @@ def propagate(
     steps_since_record = 0
     while stops:
         dt = min(cfg.dt_max, cfg.cfl * grid.h * cosmo.scale(f.time), abs(stops[0] - f.time))
-        f_new = step(f, direction * dt, cosmo, model, source)
+        f_new = step(f, direction * dt, cosmo, model)
 
         with np.errstate(over="ignore"):  # an overflowing norm is inf: blown up
             blown_up = not f_new.is_finite() or (e_new := l2_norm_sq(f_new)) > threshold
@@ -588,4 +568,4 @@ def propagate(
         recorder.record(f, e)
 
     flags["completed"] = not stops
-    return recorder.build(model, flags, f, captured)
+    return recorder.build(flags, f, captured)

@@ -492,8 +492,7 @@ _SCALAR_BUMP = {"kind": "scalar_bump", "amplitude": 0.5, "width": 1.0}
 @pytest.mark.parametrize("section, key, value, message", [
     ("initial_data", "amplitude", float("nan"), "field 'initial_data.amplitude' must be finite"),
     ("initial_data", "amplitude", float("inf"), "field 'initial_data.amplitude' must be finite"),
-    ("initial_data", "width", 0.0, "field 'initial_data': 'gaussian' initial data with "
-                                   "{'width': 0.0} is not finite"),
+    ("initial_data", "width", 0.0, "field 'initial_data': width must be positive, got 0.0"),
     ("initial_data", "width", float("nan"), "field 'initial_data.width' must be finite"),
     ("initial_data", "center", [float("nan")], "field 'initial_data.center[0]' must be finite"),
     ("grid", "box_length", float("inf"), "field 'grid.box_length' must be finite"),
@@ -560,6 +559,72 @@ def test_simulate_initial_data_key_the_family_ignores_is_config_error(
     assert code == 1
     assert not record.exists()
     assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("nonlinearity, key", [
+    ({"kind": "power_abs", "c0": -1.0}, "c0"),
+    ({"kind": "power_abs", "c0": 7.0}, "c0"),
+    ({"kind": "blowup_G", "sign": -1}, "sign"),
+    ({"kind": "none", "alpha_exp": 3.0}, "alpha_exp"),
+    ({"alpha_exp": 3.0}, "alpha_exp"),
+    ({"kind": "lochak_form", "alpha_exp": 2.0}, "alpha_exp"),
+    ({"kind": "power_abs", "alpha_coeffs": [1.0, 0.0]}, "alpha_coeffs"),
+])
+def test_simulate_nonlinearity_key_the_kind_ignores_is_config_error(
+        tmp_path, capsys, nonlinearity, key):
+    """A nonlinearity key that its kind does not read used to run the
+    record of the base config byte for byte; it is rejected, naming it."""
+    tree = config()
+    tree["nonlinearity"] = nonlinearity
+    code, record = simulate(tmp_path, tree)
+    assert code == 1
+    assert not record.exists()
+    kind = nonlinearity.get("kind", "none")
+    assert (f"config error: field 'nonlinearity.{key}' is not read by kind {kind!r}"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("nonlinearity", [
+    {"kind": "none"},
+    {"kind": "power_abs", "alpha_exp": 2.0, "sign": -1},
+    {"kind": "blowup_G", "alpha_exp": 2.0, "c0": 0.5},
+    {"kind": "lochak_form", "alpha_coeffs": [0.1, 0.0], "beta_coeffs": [0.0, 0.1]},
+], ids=lambda nl: nl["kind"])
+def test_simulate_every_key_a_nonlinearity_kind_reads_is_accepted(tmp_path, nonlinearity):
+    tree = config()
+    tree["nonlinearity"] = nonlinearity
+    code, record = simulate(tmp_path, tree)
+    assert code == 0
+    assert json.loads(record.read_text())["nonlinearity_kind"] == nonlinearity["kind"]
+
+
+@pytest.mark.parametrize("family, width", [
+    ("gaussian", -1.0), ("compact_bump", -1.0), ("compact_bump", 0.0), ("lm_gaussian", -2.0),
+])
+def test_simulate_non_positive_width_is_config_error(tmp_path, capsys, family, width):
+    """A negative width used to run the |width| profile, and a zero
+    compact_bump width a zero field."""
+    tree = config()
+    tree["initial_data"] = {"family": family, "width": width}
+    code, record = simulate(tmp_path, tree)
+    assert code == 1
+    assert not record.exists()
+    assert (f"config error: field 'initial_data': width must be positive, got {width}"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("t_start, t_end", [(2.0, 1.5), (1e300, 1.05)])
+def test_simulate_end_before_start_is_config_error(tmp_path, capsys, t_start, t_end):
+    """simulate runs forward; it used to run backward and report completion
+    or, from t_start 1e300, a blow-up after an overflow."""
+    tree = config()
+    tree["nonlinearity"] = {"kind": "power_abs"}
+    tree["solver"].update(t_start=t_start, t_end=t_end, track_cone=False)
+    code, record = simulate(tmp_path, tree)
+    assert code == 1
+    assert not record.exists()
+    assert (f"config error: field 'solver.t_end' ({t_end}) lies before solver.t_start "
+            f"({t_start}); simulate runs forward" in capsys.readouterr().err)
 
 
 def test_simulate_center_is_padded_with_zeros(tmp_path):

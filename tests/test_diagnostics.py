@@ -226,7 +226,7 @@ def test_forward_bound_with_decaying_source():
         return (profile / t**2).astype(complex)
 
     cfg = SolverConfig(t_end=6.0, cfl=0.2, record_every=2, track_cone=False)
-    rec = propagate(f0, COSMO, ModelSpec(mass=Mass(1.0)), cfg, source=source)
+    rec = propagate(f0, COSMO, ModelSpec(mass=Mass(1.0), source=source), cfg)
     rep = check_forward_bound(rec)
     assert rep.passed
     assert rep.fitted_constants["c_min"] < 3.0
@@ -245,6 +245,16 @@ def test_scattering_free_run_is_trivial():
     assert np.all(res.increments == 0.0)
     assert np.array_equal(res.psi_plus.data, f0.data)
     assert np.max(res.tail_norms) < 1e-7 * math.sqrt(l2_norm_sq(f0))
+
+
+def test_scattering_rejects_a_model_with_a_source():
+    """The modified datum covers the nonlinear forcing only; a source would
+    be dropped from the linear runs, so it is refused before any run."""
+    grid = Grid(dim=1, n=32, box_length=16.0)
+    f0 = gaussian_bump(grid, amplitude=0.1, width=2.0)
+    model = ModelSpec(source=lambda t: np.zeros_like(f0.data))
+    with pytest.raises(ValueError, match="source"):
+        scattering_profile(f0, COSMO, model, SolverConfig(t_end=2.0), checkpoints=[2.0])
 
 
 def test_scattering_small_data_cubic():

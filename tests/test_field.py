@@ -26,7 +26,12 @@ from flrw_dirac.field import (
     support_radius,
 )
 from flrw_dirac.gamma import BASIS
-from flrw_dirac.initial_data import compact_bump, random_smooth
+from flrw_dirac.initial_data import (
+    compact_bump,
+    gaussian_bump,
+    lm_constrained_bump,
+    random_smooth,
+)
 from flrw_dirac.models import ModelSpec
 from flrw_dirac.solver import rhs
 from flrw_dirac.spacetime import Cosmology
@@ -141,7 +146,7 @@ def test_derivative_axes_commute_3d():
     {alpha^i, alpha^j} d_i d_j cancel because the alphas anticommute and the
     derivatives along different axes commute."""
     g = Grid(dim=3, n=8, box_length=TWO_PI)
-    f = random_smooth(g, amplitude=1.0, seed=11, corr_modes=2.0)
+    f = random_smooth(g, amplitude=1.0, seed=11)
     twice = free_transport(f.with_data(free_transport(f)))
     k_sq = sum(k**2 for k in _derivative_wavenumbers(g))
     laplacian = np.fft.ifftn(-k_sq * np.fft.fftn(f.data, axes=(1, 2, 3)), axes=(1, 2, 3))
@@ -252,6 +257,15 @@ def test_cone_mass(grid1d):
     got = cone_mass(uniform, ORIGIN, grid1d.box_length / 4)
     assert got == pytest.approx(0.5 * l2_norm_sq(uniform), rel=4.0 / grid1d.n)
     assert cone_mass(uniform, ORIGIN, grid1d.box_length / 2) == 0.0
+
+
+@pytest.mark.parametrize("builder", [gaussian_bump, compact_bump, lm_constrained_bump])
+@pytest.mark.parametrize("width", [0.0, -1.0, float("nan")])
+def test_initial_data_width_must_be_positive(grid1d, builder, width):
+    """Every envelope squares the width, so a negative one would run the
+    |width| profile; the builders reject it before sampling."""
+    with pytest.raises(ValueError, match="width must be positive"):
+        builder(grid1d, width=width)
 
 
 @settings(max_examples=40, deadline=None)

@@ -94,7 +94,7 @@ def test_rhs_rejects_a_time_outside_the_domain(t):
         rhs(constant_field(grid, (1, 0, 0, 0)), t, COSMO, ModelSpec())
 
 
-def reference_rhs(f, t, cosmo, model, source=None):
+def reference_rhs(f, t, cosmo, model):
     """The evolved right side written out in physical space, term by term:
     transport through the alpha matrices, damping, mass through g0, then
     potential, nonlinearity and source."""
@@ -114,17 +114,17 @@ def reference_rhs(f, t, cosmo, model, source=None):
     if vf is not None:
         out += 1j * np.einsum("ab...,b...->a...", vf, f.data)
     if not model.nonlinearity.is_none:
-        out += hyperbolic_rhs_nonlinearity(model.nonlinearity, f).data
-    if source is not None:
-        out += source(t)
+        out += hyperbolic_rhs_nonlinearity(model.nonlinearity, f)
+    if model.source is not None:
+        out += model.source(t)
     return out
 
 
-def reference_step(f, dt, cosmo, model, source=None):
+def reference_step(f, dt, cosmo, model):
     t = f.time
 
     def k(data, t_stage):
-        return reference_rhs(f.with_data(data), t_stage, cosmo, model, source)
+        return reference_rhs(f.with_data(data), t_stage, cosmo, model)
 
     k1 = k(f.data, t)
     k2 = k(f.data + 0.5 * dt * k1, t + 0.5 * dt)
@@ -152,11 +152,10 @@ def _reference_case(dim, terms):
         kwargs["potential"] = PotentialSpec(kind="scalar_bump", amplitude=0.7, width=1.5)
     if terms in ("nonlinear", "all"):
         kwargs["nonlinearity"] = NonlinearitySpec(kind="blowup_G", alpha_exp=2.0, c0=1.0)
-    source = None
     if terms in ("source", "all"):
         shape = random_smooth(grid, amplitude=0.3, seed=22).data
-        source = lambda t: math.sin(2.0 * t) * shape
-    return f, ModelSpec(**kwargs), source
+        kwargs["source"] = lambda t: math.sin(2.0 * t) * shape
+    return f, ModelSpec(**kwargs)
 
 
 @pytest.mark.parametrize("dim", ["3d", "3d32", "1d"])
@@ -172,15 +171,15 @@ def test_rhs_and_step_match_the_physical_space_formula(dim, terms, ell):
     potential, a nonlinearity, a source, or all of them.  The mass-only
     cases take the closed-form free step, so they also run at ell = 1, 2;
     at n = 32 its radial factors are gathered over two slabs."""
-    f, model, source = _reference_case(dim, terms)
+    f, model = _reference_case(dim, terms)
     cosmo = Cosmology(ell, 1.0)
-    expected = reference_rhs(f, 1.7, cosmo, model, source)
-    assert _rel_max(rhs(f, 1.7, cosmo, model, source).data, expected) < 1e-12
+    expected = reference_rhs(f, 1.7, cosmo, model)
+    assert _rel_max(rhs(f, 1.7, cosmo, model).data, expected) < 1e-12
     dt = 0.2 * f.grid.h * cosmo.scale(f.time)
     for h in (dt, -dt):
-        out = step(f, h, cosmo, model, source)
+        out = step(f, h, cosmo, model)
         assert out.time == f.time + h
-        assert _rel_max(out.data, reference_step(f, h, cosmo, model, source)) < 1e-12
+        assert _rel_max(out.data, reference_step(f, h, cosmo, model)) < 1e-12
 
 
 def test_free_step_builds_no_full_size_multiplier(peak_allocation):
@@ -200,8 +199,8 @@ def test_step_carries_the_spectrum_of_its_result():
     """The field step returns holds its Fourier coefficients, with and without
     local terms; with_data drops them."""
     for terms in ("mass", "all"):
-        f, model, source = _reference_case("3d", terms)
-        out = step(f, 0.01, COSMO, model, source)
+        f, model = _reference_case("3d", terms)
+        out = step(f, 0.01, COSMO, model)
         assert "spectrum" in vars(out)
         expected = np.fft.fftn(out.data, axes=out.grid.spatial_axes)
         assert _rel_max(out.spectrum, expected) < 1e-13
@@ -426,7 +425,7 @@ def test_duhamel_manufactured_solution():
     f0 = SpinorField(grid, manufactured(1.0), 1.0)
     cfg = SolverConfig(t_start=1.0, t_end=3.0, cfl=0.1, record_every=1000,
                        track_cone=False)
-    rec = propagate(f0, COSMO, ModelSpec(mass=Mass(m)), cfg, source=source)
+    rec = propagate(f0, COSMO, ModelSpec(mass=Mass(m), source=source), cfg)
     expected = manufactured(3.0)
     rel = np.sqrt(
         np.sum(np.abs(rec.final.data - expected) ** 2) / np.sum(np.abs(expected) ** 2)
@@ -441,7 +440,8 @@ def test_duhamel_zero_source_reduces_to_propagate():
     cfg = SolverConfig(t_start=1.0, t_end=2.0, cfl=0.3, record_every=1000,
                        track_cone=False)
     a = propagate(f0, COSMO, model, cfg).final
-    b = propagate(f0, COSMO, model, cfg, source=lambda t: np.zeros_like(f0.data)).final
+    zero = dataclasses.replace(model, source=lambda t: np.zeros_like(f0.data))
+    b = propagate(f0, COSMO, zero, cfg).final
     assert np.allclose(a.data, b.data, atol=1e-14)
 
 
@@ -455,9 +455,8 @@ def test_duhamel_linearity():
     s1 = lambda t: (np.sin(x) / t)[None, :] * np.array([1, 0, 0, 0])[:, None]
     s2 = lambda t: (np.cos(2 * x) * t)[None, :] * np.array([0, 1j, 0, 0])[:, None]
     both = lambda t: s1(t) + s2(t)
-    r1 = propagate(f0, COSMO, model, cfg, source=s1).final
-    r2 = propagate(f0, COSMO, model, cfg, source=s2).final
-    r12 = propagate(f0, COSMO, model, cfg, source=both).final
+    r1, r2, r12 = (propagate(f0, COSMO, dataclasses.replace(model, source=s), cfg).final
+                   for s in (s1, s2, both))
     assert np.allclose(r12.data, r1.data + r2.data, atol=1e-12)
 
 
