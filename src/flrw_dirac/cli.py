@@ -33,8 +33,8 @@ import numpy as np
 
 from . import blowup as bup
 from . import diagnostics as diag
-from .field import Grid, l2_norm_sq, load_snapshot, save_snapshot
-from .initial_data import _center3, compact_bump, make_initial_data
+from .field import Grid, load_snapshot, save_snapshot
+from .initial_data import _center3, make_initial_data
 from .kernels import (
     TIME_RATIO_MAX,
     KernelDomainError,
@@ -166,7 +166,7 @@ _SWEEP = _table(
 _SUITE = _table(("checks", "list", ("section", None, 1, INF), REQUIRED))
 _CHECK = _table(
     ("name", "string", tuple(diag.CHECKS), REQUIRED),
-    ("tolerance", "number", None, 1e-6),
+    ("tolerance", "number", (0.0, None), 1e-6),
     # every check parameter; the ones given are bound to the check's signature
     ("params.window", "list", ("number", None, 2, 2), None),
     ("params.expected", "number", None, None),
@@ -396,6 +396,10 @@ def cmd_verify(args) -> int:
         path = f"checks[{i}]"
         try:
             spec = _walk(spec, _CHECK, path)
+            window = spec["params"].get("window")
+            if window is not None and not window[0] < window[1]:
+                raise ConfigError(f"field '{path}.params.window' must satisfy t_lo < t_hi, "
+                                  f"got {list(window)}")
             check = diag.CHECKS[spec["name"]]
             signature = inspect.signature(check)
             positional = [rec, spec["tolerance"]] if "tol" in signature.parameters else [rec]
@@ -468,7 +472,8 @@ def cmd_kernel(args) -> int:
 
 def _sweep_case(case: bup.BlowupCase, empirical: tuple[Grid, SolverConfig] | None) -> dict:
     """One CSV row; empirical holds the grid and solver settings of the
-    blow-up run, or is None when the runs are not enabled."""
+    blow-up run, or is None when the runs are not enabled.  satisfied and
+    the ineq_* columns test the run against the row's T_bu."""
     verdict = bup.classify(case)
     row = {
         "ell": case.ell,
@@ -482,24 +487,27 @@ def _sweep_case(case: bup.BlowupCase, empirical: tuple[Grid, SolverConfig] | Non
         "T_bu": "",
         "t_numerical": "",
         "satisfied": "",
+        "ineq_holds": "",
+        "ineq_worst": "",
+        "ineq_points": "",
         "error": "",
     }
     try:
-        t_bu = bup.lifespan(case)
-        row["T_bu"] = repr(t_bu) if math.isfinite(t_bu) else "inf"
-        if empirical is not None:
-            grid, cfg = empirical
-            probe = compact_bump(grid, 1.0, case.r_support, coeffs=(1, 0, 0, 0))
-            amp = math.sqrt(case.e1 / l2_norm_sq(probe))
-            f0 = compact_bump(grid, amp, case.r_support, coeffs=(1, 0, 0, 0))
-            rep = bup.empirical_blowup(
-                f0, Cosmology(case.ell, 1.0), case.alpha_exp, case.c0, cfg,
-                mass=1j * case.im_m_abs,
-            )
+        if empirical is None:
+            t_bu = bup.lifespan(case)
+        else:
+            rep = bup.empirical_blowup(case, *empirical)
+            t_bu = rep["t_bound"]
             if rep["t_numerical"] is not None:
                 row["t_numerical"] = repr(rep["t_numerical"])
             if rep["satisfied"] is not None:
                 row["satisfied"] = str(rep["satisfied"]).lower()
+            ineq = rep["differential_inequality"]
+            row["ineq_points"] = str(ineq["points_checked"])
+            if ineq["points_checked"]:  # a check of no point decides nothing
+                row["ineq_holds"] = str(ineq["holds"]).lower()
+                row["ineq_worst"] = repr(float(ineq["worst_violation"]))
+        row["T_bu"] = repr(t_bu) if math.isfinite(t_bu) else "inf"
     except Exception as exc:  # keep the sweep going, record the failure
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row

@@ -14,7 +14,7 @@ import numpy as np
 
 from .field import SpinorField, l2_norm_sq, support_radius
 from .models import ModelSpec, hyperbolic_rhs_nonlinearity
-from .solver import CONE_MASS_FRACTION, RunRecord, SolverConfig, guard_cone, propagate
+from .solver import RunRecord, SolverConfig, guard_cone, propagate
 from .spacetime import Cosmology
 
 __all__ = [
@@ -321,7 +321,7 @@ def scattering_profile(
     Torus wraparound of the free comparison run is guarded once, up front:
     by finite propagation speed that run stays inside
     r0 + 2 cosmo.travel_distance(t_last, t_start), with r0 the support
-    radius of f0 at solver.CONE_MASS_FRACTION.  With cfg.track_cone,
+    radius of f0 at field.SUPPORT_MASS_FRACTION.  With cfg.track_cone,
     solver.ConeSafetyError is raised when this reaches the torus limit.
     The free run itself does not track the cone: the modified datum carries
     far-field spectral noise that a support estimate at a tiny mass
@@ -334,7 +334,7 @@ def scattering_profile(
         raise ValueError("checkpoints must be strictly after t_start")
     t_last = checkpoints[-1]
     if cfg.track_cone:
-        r0 = support_radius(f0, cfg.cone_center, CONE_MASS_FRACTION)
+        r0 = support_radius(f0, cfg.cone_center)
         reach = r0 + 2.0 * cosmo.travel_distance(t_last, cfg.t_start)
         guard_cone(reach, f0.grid, t_last, "free comparison")
 

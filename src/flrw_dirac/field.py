@@ -54,6 +54,7 @@ SNAPSHOT_VERSION = 1
 _HEADER = struct.Struct("<4sIII dd")
 
 MAX_SOBOLEV_ORDER = 6
+SUPPORT_MASS_FRACTION = 1e-12  # share of the L2 mass support_radius leaves outside
 
 
 @dataclass(frozen=True)
@@ -414,9 +415,9 @@ def cone_mass(f: SpinorField, center, radius: float) -> float:
     return float(np.sum(dens[outside])) * f.grid.cell_volume
 
 
-def support_radius(f: SpinorField, center, mass_fraction: float = 1e-5) -> float:
-    """Smallest torus radius around `center` holding all but `mass_fraction`
-    of the L2 mass."""
+def support_radius(f: SpinorField, center) -> float:
+    """Smallest torus radius around `center` holding all but
+    SUPPORT_MASS_FRACTION of the L2 mass."""
     dist_sq = _torus_distance_sq(f.grid, center)
     dens = (np.sum(np.abs(f.data) ** 2, axis=0)).ravel()
     order = np.argsort(dist_sq.ravel())
@@ -424,7 +425,7 @@ def support_radius(f: SpinorField, center, mass_fraction: float = 1e-5) -> float
     total = cum[-1]
     if total == 0.0:
         return 0.0
-    idx = np.searchsorted(cum, (1.0 - mass_fraction) * total)
+    idx = np.searchsorted(cum, (1.0 - SUPPORT_MASS_FRACTION) * total)
     idx = min(idx, len(cum) - 1)
     return float(np.sqrt(dist_sq.ravel()[order[idx]]))
 

@@ -69,7 +69,7 @@ class PotentialSpec:
     amplitude: float = 0.0
     center: tuple[float, float, float] = (0.0, 0.0, 0.0)
     width: float = 1.0
-    matrix: tuple | None = None  # nested 4x4 tuple for custom_matrix
+    matrix: tuple | None = None  # custom_matrix: 4x4, stored as a nested tuple of complex
     hermitian_required: bool = False
     gamma2_condition_required: bool = False
 
@@ -80,11 +80,13 @@ class PotentialSpec:
             if self.matrix is None:
                 raise ValueError("custom_matrix potential needs a matrix")
             try:
-                ok = np.asarray(self.matrix, dtype=complex).shape == (4, 4)
+                m = np.asarray(self.matrix, dtype=complex)
             except (TypeError, ValueError):  # ragged rows or non-numbers
-                ok = False
-            if not ok:
+                m = None
+            if m is None or m.shape != (4, 4):
                 raise ValueError("'matrix' must be a 4x4 matrix of numbers")
+            # a nested tuple of complex, so every form gives one hashable spec
+            object.__setattr__(self, "matrix", tuple(map(tuple, m.tolist())))
         if self.kind != "zero" and self.width <= 0:
             raise ValueError("potential width must be positive")
         if self.hermitian_required and not self.hermitian:

@@ -66,7 +66,6 @@ from .models import ModelSpec, hyperbolic_rhs_nonlinearity, potential_field
 from .spacetime import Cosmology
 
 __all__ = [
-    "CONE_MASS_FRACTION",
     "SolverConfig",
     "RunRecord",
     "SCHEMA",
@@ -83,9 +82,6 @@ __all__ = [
 
 class ConeSafetyError(RuntimeError):
     pass
-
-
-CONE_MASS_FRACTION = 1e-12  # support_radius fraction of the tracked cone's apex r0
 
 
 @dataclass(frozen=True)
@@ -522,7 +518,7 @@ def propagate(
     e = l2_norm_sq(f0)  # squared L2 norm of the current state f
     threshold = cfg.blowup_factor * e if e > 0 else math.inf
 
-    r0 = support_radius(f0, cfg.cone_center, CONE_MASS_FRACTION) if cfg.track_cone else 0.0
+    r0 = support_radius(f0, cfg.cone_center) if cfg.track_cone else 0.0
     recorder = _Recorder(cosmo, model, cfg, grid, r0, observables)
     tracked = cfg.track_cone and not backward
     if tracked and cfg.on_cone_violation == "error":

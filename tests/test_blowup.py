@@ -296,10 +296,12 @@ def _blowup_setup(e_target=4.0):
 
 
 def test_empirical_blowup_matches_bound():
-    _, f0 = _blowup_setup(4.0)
+    grid, _ = _blowup_setup(4.0)
     cfg = SolverConfig(t_start=1.0, t_end=3.0, cfl=0.3, record_every=1,
                        on_cone_violation="stop")
-    rep = empirical_blowup(f0, Cosmology(0.0, 1.0), alpha_exp=2.0, c0=1.0, cfg=cfg)
+    case = BlowupCase(ell=0.0, alpha_exp=2.0, c0=1.0, r_support=1.0, e1=4.0)
+    rep = empirical_blowup(case, grid, cfg)
+    assert rep["t_bound"] == lifespan(case)
     assert rep["t_numerical"] is not None
     assert rep["satisfied"] is True
     assert rep["t_numerical"] <= math.sqrt(2.0) * 1.1
@@ -307,13 +309,9 @@ def test_empirical_blowup_matches_bound():
 
 
 def test_empirical_blowup_zero_data():
-    grid = Grid(dim=1, n=64, box_length=8.0)
-    f0 = compact_bump(grid, amplitude=0.0, width=1.0)
-    cfg = SolverConfig(t_start=1.0, t_end=2.0, cfl=0.3, record_every=1,
-                       track_cone=False)
     with pytest.raises(ValueError):
-        # zero energy is not an admissible case for the bound
-        empirical_blowup(f0, Cosmology(0.0, 1.0), alpha_exp=2.0, c0=1.0, cfg=cfg)
+        # zero energy is not an admissible case for the bound, nor data to scale
+        BlowupCase(ell=0.0, alpha_exp=2.0, c0=1.0, e1=0.0)
 
 
 def test_linear_run_never_flags_blowup():
@@ -325,10 +323,11 @@ def test_linear_run_never_flags_blowup():
 
 
 def test_differential_inequality_on_blowup_run():
-    _, f0 = _blowup_setup(4.0)
+    grid, _ = _blowup_setup(4.0)
     cfg = SolverConfig(t_start=1.0, t_end=3.0, cfl=0.2, record_every=1,
                        on_cone_violation="stop")
-    rep = empirical_blowup(f0, Cosmology(0.0, 1.0), alpha_exp=2.0, c0=1.0, cfg=cfg)
+    case = BlowupCase(ell=0.0, alpha_exp=2.0, c0=1.0, r_support=1.0, e1=4.0)
+    rep = empirical_blowup(case, grid, cfg)
     ineq = rep["differential_inequality"]
     assert ineq["holds"] and ineq["points_checked"] > 10
 
@@ -337,10 +336,11 @@ def test_blowup_detection_emits_no_overflow_warning():
     """A focusing run that blows up overflows its squared norm; the detector
     reads that as blow-up without a RuntimeWarning."""
     grid = Grid(dim=1, n=64, box_length=8.0)
-    f0 = compact_bump(grid, amplitude=3.0, width=1.0, coeffs=(1, 0, 0, 0))
+    e1 = l2_norm_sq(compact_bump(grid, amplitude=3.0, width=1.0, coeffs=(1, 0, 0, 0)))
     cfg = SolverConfig(t_start=1.0, t_end=4.0, cfl=0.3, record_every=1,
                        on_cone_violation="stop")
+    case = BlowupCase(ell=0.5, alpha_exp=2.0, c0=1.0, r_support=1.0, e1=e1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = empirical_blowup(f0, Cosmology(0.5, 1.0), alpha_exp=2.0, c0=1.0, cfg=cfg)
+        rep = empirical_blowup(case, grid, cfg)
     assert rep["t_numerical"] is not None

@@ -7,6 +7,7 @@ exit codes.
 """
 import csv
 import json
+import math
 import os
 import struct
 import subprocess
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 import flrw_dirac
+from flrw_dirac.blowup import BOUND_SLACK
 from flrw_dirac.cli import main
 from flrw_dirac.field import Grid, load_snapshot, save_snapshot
 from flrw_dirac.initial_data import compact_bump, gaussian_bump
@@ -235,11 +237,19 @@ def test_verify_rejects_misspelled_keys(tmp_path, plain_record, capsys, spec, me
      "field 'checks[0].params.window' must be a list of 2 numbers"),
     ({"name": "cone", "tolerance": 1e-8, "params": {"window": [1.5, 3.0]}},
      "unexpected keyword argument 'window'"),
+    ({"name": "decay", "params": {"window": [4.0, 2.0], "expected": -1.0}},
+     "field 'checks[0].params.window' must satisfy t_lo < t_hi, got [4.0, 2.0]"),
+    ({"name": "decay", "params": {"window": [1.0, 1.0], "expected": -1.0}},
+     "field 'checks[0].params.window' must satisfy t_lo < t_hi, got [1.0, 1.0]"),
+    ({"name": "energy_identity", "tolerance": -1},
+     "field 'checks[0].tolerance' must be >= 0.0"),
 ])
 def test_verify_mistyped_params_are_config_errors(tmp_path, plain_record, capsys, spec,
                                                   message):
     """Each check parameter has a declared kind, and a check is passed only
-    the parameters it takes; anything else fails before any check runs."""
+    the parameters it takes; anything else fails before any check runs.  So
+    does a value that means nothing for any record: a window holding no
+    interval, or a negative tolerance."""
     assert verify(tmp_path, plain_record, [spec]) == 1
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
@@ -807,6 +817,45 @@ def test_sweep_two_points(tmp_path, monkeypatch):
     ]
     assert float(rows[0]["T_bu"]) == pytest.approx(16.05, rel=1e-3)
     assert all(r["error"] == "" and r["t_numerical"] == "" for r in rows)
+    assert all(r[k] == "" for r in rows for k in ("ineq_holds", "ineq_worst", "ineq_points"))
+
+
+def test_sweep_row_tests_the_bound_it_reports(tmp_path, monkeypatch):
+    """satisfied compares the run with the row's own T_bu: it is empty when
+    that bound is infinite, and the inequality columns report the check."""
+    monkeypatch.setenv("FLRW_DIRAC_THREADS", "1")
+    grid = write_json(tmp_path / "sweep.json", {
+        "ell": [1.0], "alpha": [2.0], "im_m": [0.0], "R": 1.0, "E1": 4.0,
+        "empirical": {"enabled": True, "dim": 1, "n": 256, "box_length": 16.0,
+                      "t_end": 4.0, "cfl": 0.3},
+    })
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", str(grid), "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["error"] == "" and row["t_numerical"] != ""
+    t_bu = float(row["T_bu"])
+    assert (row["satisfied"] != "") == math.isfinite(t_bu)
+    if math.isfinite(t_bu):
+        expected = float(row["t_numerical"]) <= t_bu * (1.0 + BOUND_SLACK)
+        assert row["satisfied"] == str(expected).lower()
+    assert int(row["ineq_points"]) > 0
+    assert row["ineq_holds"] == str(float(row["ineq_worst"]) <= 0.0).lower()
+
+
+def test_sweep_inequality_over_no_point_is_empty(tmp_path, monkeypatch):
+    """A run that records no interior point checks no inequality point, so
+    ineq_holds and ineq_worst stay empty instead of reading true."""
+    monkeypatch.setenv("FLRW_DIRAC_THREADS", "1")
+    grid = write_json(tmp_path / "sweep.json", {
+        "ell": [1.0], "alpha": [2.0], "E1": 4.0,
+        "empirical": {"enabled": True, "n": 64, "box_length": 16.0, "t_end": 1.0},
+    })
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", str(grid), "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["ineq_points"], row["ineq_holds"], row["ineq_worst"]) == ("0", "", "")
 
 
 def test_sweep_pool_writes_the_serial_csv(tmp_path, monkeypatch):

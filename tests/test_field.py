@@ -437,7 +437,7 @@ def test_cone_mass_does_not_grow_with_the_radius(seed, x0, radii):
 
 def test_support_radius(grid1d):
     f = compact_bump(grid1d, amplitude=1.0, width=1.2)
-    r = support_radius(f, (0.0, 0.0, 0.0), mass_fraction=1e-12)
+    r = support_radius(f, (0.0, 0.0, 0.0))
     assert 0.9 <= r <= 1.2
     assert support_radius(constant_field(grid1d, (0, 0, 0, 0)), (0, 0, 0)) == 0.0
 

@@ -718,3 +718,20 @@ def test_propagate_with_potential_records_its_invariants():
     assert rec.completed
     assert np.all(rec.series["imv_int"] > 0.0)
     assert check_energy_identity(rec, 1e-4).passed
+
+
+@pytest.mark.parametrize("form", [np.eye(4).tolist(), np.eye(4), tuple(map(tuple, np.eye(4)))],
+                         ids=["list", "ndarray", "tuple"])
+def test_custom_matrix_in_any_form_gives_one_hashable_spec(form):
+    """A custom_matrix potential given as a list, an array or a tuple is
+    stored as one nested tuple of complex, so the spec hashes, the cached
+    potential field takes it and the run completes."""
+    spec = PotentialSpec(kind="custom_matrix", amplitude=0.1, matrix=form)
+    reference = PotentialSpec(kind="custom_matrix", amplitude=0.1,
+                              matrix=tuple(tuple(complex(i == j) for j in range(4))
+                                           for i in range(4)))
+    assert spec == reference and hash(spec) == hash(reference)
+    grid = Grid(dim=1, n=32, box_length=8.0)
+    cfg = SolverConfig(t_start=1.0, t_end=1.1, cfl=0.3, track_cone=False)
+    rec = propagate(gaussian_bump(grid), COSMO, ModelSpec(potential=spec), cfg)
+    assert rec.completed
