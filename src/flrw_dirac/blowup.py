@@ -97,10 +97,10 @@ class RegimeVerdict:
     threshold_value: float  # the quantity compared against 1
 
 
-def _ell_class(ell: float) -> str:
-    if abs(ell - 1.0) < 1e-12:
+def _ell_class(case: BlowupCase) -> str:
+    if case.cosmology.ell_is_one:
         return "ell=1"
-    return "ell<1" if ell < 1.0 else "ell>1"
+    return "ell<1" if case.ell < 1.0 else "ell>1"
 
 
 def classify(case: BlowupCase) -> RegimeVerdict:
@@ -111,7 +111,7 @@ def classify(case: BlowupCase) -> RegimeVerdict:
     for data of arbitrary size, values > 1 only for large data.
     """
     a = case.alpha_exp
-    cls = _ell_class(case.ell)
+    cls = _ell_class(case)
     if cls == "ell>1":
         q = 1.5 * a * case.ell + a * case.im_m_abs
     else:

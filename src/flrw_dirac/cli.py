@@ -33,8 +33,8 @@ import numpy as np
 
 from . import blowup as bup
 from . import diagnostics as diag
-from .field import Grid, load_snapshot, save_snapshot
-from .initial_data import _center3, make_initial_data
+from .field import MAX_SOBOLEV_ORDER, Grid, _center3, load_snapshot, save_snapshot
+from .initial_data import make_initial_data
 from .kernels import (
     TIME_RATIO_MAX,
     KernelDomainError,
@@ -43,7 +43,7 @@ from .kernels import (
     kernel_K1,
     reconstruct_free,
 )
-from .models import Mass, ModelSpec, NonlinearitySpec, PotentialSpec, linear_form
+from .models import Mass, ModelSpec, NonlinearitySpec, PotentialSpec
 from .solver import ConeSafetyError, RunRecord, SolverConfig, propagate
 from .spacetime import Cosmology
 
@@ -98,9 +98,13 @@ def _table(*entries) -> dict:
     return root
 
 
-# the keys each nonlinearity kind reads; a given key its kind does not read is an error
-_NONLINEARITY_KEYS = {"none": (), "power_abs": ("alpha_exp", "sign"),
-                      "blowup_G": ("alpha_exp", "c0"), "lochak_form": ("alpha_coeffs", "beta_coeffs")}
+# the keys each kind of a model section reads; a given key its kind does not read is an error
+_BUMP_KEYS = ("amplitude", "center", "width", "hermitian_required", "gamma2_condition_required")
+_KIND_KEYS = {
+    "potential": {"zero": (), "scalar_bump": _BUMP_KEYS, "custom_matrix": (*_BUMP_KEYS, "matrix")},
+    "nonlinearity": {"none": (), "power_abs": ("alpha_exp", "sign"), "blowup_G": ("alpha_exp", "c0"),
+                     "lochak_form": ("alpha_coeffs", "beta_coeffs")},
+}
 
 _RUN = _table(
     ("cosmology.ell", "number", None, REQUIRED),
@@ -109,25 +113,25 @@ _RUN = _table(
     ("grid.dim", "integer", None, REQUIRED),
     ("grid.n", "integer", None, REQUIRED),
     ("grid.box_length", "number", (1e-12, None), REQUIRED),
-    ("potential.kind", "string", None, None),
+    ("potential.kind", "string", tuple(_KIND_KEYS["potential"]), "zero"),
     ("potential.amplitude", "number", None, None),
     ("potential.center", "list", ("number", None, 0, 3), None),
     ("potential.width", "number", None, None),
     ("potential.matrix", "list", ("list", ("complex", None, 0, INF), 0, INF), None),
     ("potential.hermitian_required", "bool", None, None),
     ("potential.gamma2_condition_required", "bool", None, None),
-    ("nonlinearity.kind", "string", tuple(_NONLINEARITY_KEYS), "none"),
+    ("nonlinearity.kind", "string", tuple(_KIND_KEYS["nonlinearity"]), "none"),
     ("nonlinearity.alpha_exp", "number", None, None),
     ("nonlinearity.sign", "integer", None, None),
     ("nonlinearity.c0", "number", None, None),
-    ("nonlinearity.alpha_coeffs", "list", ("number", None, 2, 2), (0.0, 0.0)),
-    ("nonlinearity.beta_coeffs", "list", ("number", None, 2, 2), (0.0, 0.0)),
+    ("nonlinearity.alpha_coeffs", "list", ("number", None, 2, 2), None),
+    ("nonlinearity.beta_coeffs", "list", ("number", None, 2, 2), None),
     ("solver.t_start", "number", (1.0, None), None),
     ("solver.t_end", "number", (1.0, None), REQUIRED),
     ("solver.cfl", "number", (0.0, 1.0, "open"), None),
     ("solver.dt_max", "number", (0.0, INF), None),
     ("solver.record_every", "integer", (1, None), None),
-    ("solver.sobolev_order", "integer", (0, 6), None),
+    ("solver.sobolev_order", "integer", (0, MAX_SOBOLEV_ORDER), None),
     ("solver.blowup_factor", "number", (1.0, INF), None),
     ("solver.track_cone", "bool", None, None),
     ("solver.on_cone_violation", "string", None, None),
@@ -316,21 +320,17 @@ def load_run_config(tree: dict):
     v = _walk(tree, _RUN)
     cosmo = _build("cosmology", Cosmology, **v["cosmology"])
     grid = _build("grid", Grid, **v["grid"])
-    potential, nonlinearity, ini = v["potential"], v["nonlinearity"], v["initial_data"]
-    if "center" in potential:
-        potential["center"] = _center3(potential["center"])
-    kind = nonlinearity["kind"]
-    unread = sorted(tree.get("nonlinearity", {}).keys() - {"kind", *_NONLINEARITY_KEYS[kind]})
-    if unread:
-        raise ConfigError(f"field 'nonlinearity.{unread[0]}' is not read by kind {kind!r}")
-    coeffs = nonlinearity.pop("alpha_coeffs"), nonlinearity.pop("beta_coeffs")
-    if kind == "lochak_form":
-        nonlinearity["alpha_fn"], nonlinearity["beta_fn"] = (linear_form(*c) for c in coeffs)
+    for section, kinds in _KIND_KEYS.items():
+        kind = v[section]["kind"]
+        unread = sorted(tree.get(section, {}).keys() - {"kind", *kinds[kind]})
+        if unread:
+            raise ConfigError(f"field '{section}.{unread[0]}' is not read by kind {kind!r}")
     model = ModelSpec(
         mass=_build("mass", Mass, v["mass"]),
-        potential=_build("potential", PotentialSpec, **potential),
-        nonlinearity=_build("nonlinearity", NonlinearitySpec, **nonlinearity),
+        potential=_build("potential", PotentialSpec, **v["potential"]),
+        nonlinearity=_build("nonlinearity", NonlinearitySpec, **v["nonlinearity"]),
     )
+    ini = v["initial_data"]
     family = ini.pop("family")
     if ini.pop("lm_constrained"):
         if family not in ("gaussian", "lm_gaussian"):

@@ -386,6 +386,14 @@ def majorana_defect(f: SpinorField, z: complex) -> float:
     return float(np.sum(np.abs(w) ** 2)) * f.grid.cell_volume
 
 
+def _center3(center) -> tuple[float, float, float]:
+    """At most 3 coordinates as a 3D point padded with zeros; None is the origin."""
+    if center is None:
+        return (0.0, 0.0, 0.0)
+    c = tuple(float(v) for v in center)
+    return c + (0.0,) * (3 - len(c))
+
+
 def _torus_distance_sq(grid: Grid, center) -> np.ndarray:
     """Squared distance to `center` in the torus metric (read-only, cached)."""
     center = tuple(float(center[j]) for j in range(grid.dim))

@@ -10,7 +10,7 @@ from functools import partial
 
 import numpy as np
 
-from .field import Grid, SpinorField, _ifftn, _torus_distance_sq
+from .field import Grid, SpinorField, _center3, _ifftn, _torus_distance_sq
 
 __all__ = [
     "gaussian_bump",
@@ -25,11 +25,11 @@ CORR_MODES = 4.0  # random_smooth's damping scale, in integer mode units
 
 
 def _radius_sq(grid: Grid, width: float, center) -> np.ndarray:
-    """|x - center|^2 / width^2 on the torus; a width <= 0 raises, where the
-    envelopes would run the |width| profile."""
+    """|x - center|^2 / width^2 on the torus; a width <= 0 raises (the envelopes
+    would run the |width| profile).  width^2 is a numpy power: inf, not OverflowError."""
     if not width > 0:
         raise ValueError(f"width must be positive, got {width!r}")
-    return _torus_distance_sq(grid, center) / width**2
+    return _torus_distance_sq(grid, center) / np.float64(width) ** 2
 
 
 def _envelope_gaussian(grid: Grid, width: float, center) -> np.ndarray:
@@ -43,14 +43,6 @@ def _envelope_compact(grid: Grid, width: float, center) -> np.ndarray:
     inside = r2 < 1.0
     out[inside] = np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
     return out
-
-
-def _center3(center) -> tuple[float, float, float]:
-    """At most 3 coordinates as a 3D point padded with zeros; None is the origin."""
-    if center is None:
-        return (0.0, 0.0, 0.0)
-    c = tuple(float(v) for v in center)
-    return c + (0.0,) * (3 - len(c))
 
 
 def gaussian_bump(

@@ -1,5 +1,7 @@
 """Model terms: complex mass, matrix potentials, nonlinearities and a
 forcing, all declared by ModelSpec, the one place the solver reads them from.
+Every term but the forcing is a plain, hashable value that normalises its
+inputs where declared, and a run config maps onto its fields key for key.
 
 Nonlinearities come in two flavours.  The Lipschitz family (power_abs) is
 stated directly as the right side of the first-order symmetric hyperbolic
@@ -19,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .field import Grid, SpinorField, _torus_distance_sq, bilinear_densities
+from .field import Grid, SpinorField, _center3, _torus_distance_sq, bilinear_densities
 from .gamma import BASIS
 
 __all__ = [
@@ -28,7 +30,6 @@ __all__ = [
     "NonlinearitySpec",
     "ModelSpec",
     "PotentialFlagError",
-    "linear_form",
     "potential_field",
     "hyperbolic_rhs_nonlinearity",
 ]
@@ -62,7 +63,10 @@ class PotentialSpec:
     The envelope is a positive real scalar, so V(x) is self-adjoint, or
     satisfies V^T g2 + g2 V = 0, at every x exactly when amplitude * M
     does.  Construction raises PotentialFlagError when a required flag
-    fails.
+    fails, and ValueError on an unknown kind, a width <= 0 (but for zero),
+    a custom_matrix without a 4x4 matrix or a matrix for another kind.
+    center (at most 3 coordinates) is stored as a zero-padded 3-tuple of
+    floats and matrix as a nested tuple of complex: one hashable spec per V.
     """
 
     kind: str = "zero"
@@ -76,6 +80,9 @@ class PotentialSpec:
     def __post_init__(self):
         if self.kind not in ("zero", "scalar_bump", "custom_matrix"):
             raise ValueError(f"unknown potential kind {self.kind!r}")
+        object.__setattr__(self, "center", _center3(self.center))
+        if self.matrix is not None and self.kind != "custom_matrix":
+            raise ValueError(f"'matrix' is read only by kind 'custom_matrix', not {self.kind!r}")
         if self.kind == "custom_matrix":
             if self.matrix is None:
                 raise ValueError("custom_matrix potential needs a matrix")
@@ -85,7 +92,6 @@ class PotentialSpec:
                 m = None
             if m is None or m.shape != (4, 4):
                 raise ValueError("'matrix' must be a 4x4 matrix of numbers")
-            # a nested tuple of complex, so every form gives one hashable spec
             object.__setattr__(self, "matrix", tuple(map(tuple, m.tolist())))
         if self.kind != "zero" and self.width <= 0:
             raise ValueError("potential width must be positive")
@@ -124,9 +130,9 @@ def potential_field(spec: PotentialSpec, grid: Grid) -> np.ndarray | None:
     grid) since every family is static, read-only; None when V = 0."""
     if spec.is_zero:
         return None
-    env = spec.amplitude * np.exp(
-        -_torus_distance_sq(grid, spec.center) / spec.width**2
-    )
+    with np.errstate(over="ignore"):  # a numpy power: inf past the float range, the flat limit
+        width_sq = np.float64(spec.width) ** 2
+    env = spec.amplitude * np.exp(-_torus_distance_sq(grid, spec.center) / width_sq)
     m = spec.constant_matrix()
     vf = m.reshape((4, 4) + (1,) * grid.dim) * env
     vf.setflags(write=False)
@@ -138,17 +144,20 @@ class NonlinearitySpec:
     """Selected nonlinear term.
 
     kinds: none, power_abs (sign * |psi|^alpha psi), lochak_form
-    ((alpha_fn I + i beta_fn g5) psi with real alpha_fn(xi, eta),
-    beta_fn(xi, eta)), blowup_G (c0 |psi|^alpha I as G, contributing
-    G(psi) i g0 psi).
+    ((alpha I + i beta g5) psi with alpha = a_xi xi + a_eta eta from
+    alpha_coeffs = (a_xi, a_eta) and beta likewise from beta_coeffs),
+    blowup_G (c0 |psi|^alpha I as G, contributing G(psi) i g0 psi).
+    Coefficients are stored as 2-tuples of floats, so alpha and beta vanish
+    at the origin by construction; other than 2 finite numbers they raise
+    ValueError, as do an unknown kind and an out-of-range alpha_exp, c0 or sign.
     """
 
     kind: str = "none"
     alpha_exp: float = 1.0
     sign: int = 1
     c0: float = 1.0
-    alpha_fn: Callable | None = None
-    beta_fn: Callable | None = None
+    alpha_coeffs: tuple[float, float] = (0.0, 0.0)
+    beta_coeffs: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         kinds = ("none", "power_abs", "lochak_form", "blowup_G")
@@ -160,36 +169,15 @@ class NonlinearitySpec:
             raise ValueError("sign must be +1 or -1")
         if self.kind == "blowup_G" and not self.c0 > 0:
             raise ValueError("c0 must be positive")
-        if self.kind == "lochak_form":
-            if self.alpha_fn is None or self.beta_fn is None:
-                raise ValueError("lochak_form needs alpha_fn and beta_fn")
-            _check_vanishing_at_origin(self.alpha_fn, "alpha_fn")
-            _check_vanishing_at_origin(self.beta_fn, "beta_fn")
+        for name in ("alpha_coeffs", "beta_coeffs"):
+            coeffs = tuple(float(c) for c in getattr(self, name))
+            if len(coeffs) != 2 or not all(map(math.isfinite, coeffs)):
+                raise ValueError(f"{name} must be 2 finite numbers, got {coeffs}")
+            object.__setattr__(self, name, coeffs)
 
     @property
     def is_none(self) -> bool:
         return self.kind == "none"
-
-
-def _check_vanishing_at_origin(fn: Callable, name: str) -> None:
-    """Numerical check that fn(xi, eta) = O(|xi| + |eta|) near the origin."""
-    z = np.array(0.0)
-    if abs(float(fn(z, z))) > 1e-14:
-        raise ValueError(f"{name}(0, 0) must vanish")
-    for s in (1e-3, 1e-6, 1e-9):
-        for xi, eta in ((s, 0.0), (0.0, s), (s, s), (-s, s)):
-            val = float(fn(np.array(xi), np.array(eta)))
-            if abs(val) > 1e3 * (abs(xi) + abs(eta)):
-                raise ValueError(f"{name} does not vanish linearly at the origin")
-
-
-def linear_form(c_xi: float, c_eta: float) -> Callable:
-    """Real linear form c_xi * xi + c_eta * eta (vanishes at the origin)."""
-
-    def fn(xi, eta):
-        return c_xi * xi + c_eta * eta
-
-    return fn
 
 
 @dataclass(frozen=True)
@@ -222,8 +210,9 @@ def hyperbolic_rhs_nonlinearity(spec: NonlinearitySpec, f: SpinorField) -> np.nd
     p = f.data
     if spec.kind == "lochak_form":
         dens = bilinear_densities(f)
-        ia = 1j * np.asarray(spec.alpha_fn(dens.xi, dens.eta), dtype=float)
-        b = np.asarray(spec.beta_fn(dens.xi, dens.eta), dtype=float)
+        (a_xi, a_eta), (b_xi, b_eta) = spec.alpha_coeffs, spec.beta_coeffs
+        ia = 1j * (a_xi * dens.xi + a_eta * dens.eta)
+        b = b_xi * dens.xi + b_eta * dens.eta
         # g0 = diag(1, 1, -1, -1); g0 g5 maps (u, l) to (-l, u)
         up, lo = p[:2], p[2:]
         out = np.concatenate((-ia * up - b * lo, ia * lo + b * up))

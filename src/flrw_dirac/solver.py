@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -311,17 +311,6 @@ def rhs(f: SpinorField, t: float, cosmo: Cosmology, model: ModelSpec) -> SpinorF
     return f.with_spectrum(_rhs_hat(f, t, cosmo, model), time=t)
 
 
-@lru_cache(maxsize=32)
-def _static_im_potential_field(spec, grid):
-    vf = potential_field(spec, grid)
-    if vf is None:
-        return None
-    imv = (vf - np.conj(np.swapaxes(vf, 0, 1))) / 2j
-    if np.max(np.abs(imv)) == 0.0:
-        return None
-    return imv
-
-
 def step(f: SpinorField, dt: float, cosmo: Cosmology, model: ModelSpec) -> SpinorField:
     """One classical RK4 step of size dt (dt < 0 integrates backward).
 
@@ -360,8 +349,8 @@ def guard_cone(radius: float, grid: Grid, t: float, what: str) -> None:
 class _Sample:
     """What an observable reads at one recorded time: the field f, its
     squared L2 norm l2, its cell volume vol, its bilinear densities dens
-    (computed on first read) and the run's fixed inputs (cfg, cosmo, model,
-    r0 and imv = Im V, as attributes of run)."""
+    (computed on first read) and the run's fixed inputs (cfg, cosmo, model
+    and r0, as attributes of run)."""
 
     def __init__(self, f: SpinorField, l2: float, run: "_Recorder"):
         self.f, self.l2, self.run, self.vol = f, l2, run, f.grid.cell_volume
@@ -379,10 +368,13 @@ def _cone_leak(s: _Sample) -> float:
 
 
 def _imv_int(s: _Sample) -> float:
-    if s.run.imv is None:
+    potential = s.run.model.potential
+    if potential.is_zero or potential.hermitian:
         return 0.0
-    v = np.einsum("a...,ab...,b...->...", np.conj(s.f.data), s.run.imv, s.f.data)
-    return float(np.sum(v.real)) * s.vol
+    # psi^dag V psi = psi^dag Re(V) psi + i psi^dag Im(V) psi, both forms real
+    vf = potential_field(potential, s.f.grid)
+    v = np.einsum("a...,ab...,b...->...", np.conj(s.f.data), vf, s.f.data)
+    return float(np.sum(v).imag) * s.vol
 
 
 def _source_k(s: _Sample) -> float:
@@ -431,7 +423,7 @@ OBSERVABLES: dict[str, Callable[[_Sample], float | complex | None]] = {
 class _Recorder:
     """Samples OBSERVABLES along a run and holds the run's fixed inputs."""
 
-    def __init__(self, cosmo, model, cfg, grid, r0, observables=None):
+    def __init__(self, cosmo, model, cfg, r0, observables=None):
         unknown = set(observables or ()) - OBSERVABLES.keys()
         if unknown:
             raise ValueError(
@@ -439,7 +431,6 @@ class _Recorder:
         self.observe = {name: fn for name, fn in OBSERVABLES.items()
                         if observables is None or name == TIME_AXIS or name in observables}
         self.cosmo, self.model, self.cfg, self.r0 = cosmo, model, cfg, r0
-        self.imv = _static_im_potential_field(model.potential, grid)
         self.rows: dict[str, list] = {}
 
     def reach(self, t: float) -> float:
@@ -519,7 +510,7 @@ def propagate(
     threshold = cfg.blowup_factor * e if e > 0 else math.inf
 
     r0 = support_radius(f0, cfg.cone_center) if cfg.track_cone else 0.0
-    recorder = _Recorder(cosmo, model, cfg, grid, r0, observables)
+    recorder = _Recorder(cosmo, model, cfg, r0, observables)
     tracked = cfg.track_cone and not backward
     if tracked and cfg.on_cone_violation == "error":
         guard_cone(recorder.reach(cfg.t_end), grid, cfg.t_end, "forward cone")

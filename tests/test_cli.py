@@ -608,6 +608,88 @@ def test_simulate_every_key_a_nonlinearity_kind_reads_is_accepted(tmp_path, nonl
     assert json.loads(record.read_text())["nonlinearity_kind"] == nonlinearity["kind"]
 
 
+_IDENTITY = [[float(i == j) for j in range(4)] for i in range(4)]
+
+
+@pytest.mark.parametrize("potential, key", [
+    ({"kind": "scalar_bump", "amplitude": 0.5, "matrix": _IDENTITY}, "matrix"),
+    ({"kind": "zero", "amplitude": 0.5}, "amplitude"),
+    ({"kind": "zero", "width": -1.0}, "width"),
+    ({"kind": "zero", "matrix": _IDENTITY}, "matrix"),
+    ({"amplitude": 0.5}, "amplitude"),
+    ({"kind": "zero", "center": [1.0]}, "center"),
+    ({"kind": "zero", "hermitian_required": True}, "hermitian_required"),
+])
+def test_simulate_potential_key_the_kind_ignores_is_config_error(
+        tmp_path, capsys, potential, key):
+    """A potential key that its kind does not read used to run the record
+    of the config without it byte for byte; it is rejected, naming it."""
+    tree = config()
+    tree["potential"] = potential
+    code, record = simulate(tmp_path, tree)
+    assert code == 1
+    assert not record.exists()
+    kind = potential.get("kind", "zero")
+    assert (f"config error: field 'potential.{key}' is not read by kind {kind!r}"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("potential", [
+    {"kind": "zero"},
+    {"kind": "scalar_bump", "amplitude": 0.5, "center": [1.0], "width": 2.0,
+     "hermitian_required": True, "gamma2_condition_required": False},
+    {"kind": "custom_matrix", "amplitude": 0.5, "center": [1.0], "width": 2.0,
+     "hermitian_required": True, "gamma2_condition_required": False, "matrix": _IDENTITY},
+], ids=lambda p: p["kind"])
+def test_simulate_every_key_a_potential_kind_reads_is_accepted(tmp_path, potential):
+    tree = config()
+    tree["potential"] = potential
+    code, record = simulate(tmp_path, tree)
+    assert code == 0
+    assert json.loads(record.read_text())["potential_kind"] == potential["kind"]
+
+
+def test_one_config_gives_one_hashable_model():
+    """The model specs are plain values: loading one config twice gives
+    equal specs with equal hashes, Lochak coefficients and potential included."""
+    from flrw_dirac.cli import load_run_config
+
+    tree = config()
+    tree["potential"] = {"kind": "custom_matrix", "amplitude": 0.5, "center": [1.0],
+                         "matrix": [[[0.0, 0.2] if i == j else 0.0 for j in range(4)]
+                                    for i in range(4)]}
+    tree["nonlinearity"] = {"kind": "lochak_form", "alpha_coeffs": [0.1, 0.0],
+                            "beta_coeffs": [0.0, 0.1]}
+    first, second = (load_run_config(json.loads(json.dumps(tree)))[1] for _ in range(2))
+    assert first == second and hash(first) == hash(second)
+    assert first.nonlinearity.alpha_coeffs == (0.1, 0.0)
+    assert first.potential.center == (1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("section, value", [
+    ("initial_data", {"family": "gaussian", "amplitude": 0.5}),
+    ("initial_data", {"family": "lm_gaussian", "amplitude": 0.5, "second_amplitude": 0.3}),
+    ("potential", {"kind": "scalar_bump", "amplitude": 0.5}),
+])
+def test_simulate_width_whose_square_overflows_runs_the_flat_envelope(
+        tmp_path, capsys, section, value):
+    """A finite width past the square root of the float range used to exit 2
+    on an OverflowError from width**2.  Its square is inf, so the envelope is
+    its flat limit: the run writes the record of a width of 1e150, whose
+    envelope is 1.0 to the last bit.  Flat data fill the box, which the
+    forward cone guard refuses, so the cone is not tracked."""
+    tree = config()
+    tree["solver"]["track_cone"] = False
+    records = []
+    for width in (1e150, 1e300):
+        tree[section] = dict(value, width=width)
+        code, record = simulate(tmp_path, tree, name=f"w{width:g}")
+        assert code == 0
+        records.append(record.read_bytes())
+    assert records[0] == records[1]
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("family, width", [
     ("gaussian", -1.0), ("compact_bump", -1.0), ("compact_bump", 0.0), ("lm_gaussian", -2.0),
 ])

@@ -16,7 +16,7 @@ from flrw_dirac.diagnostics import (
 )
 from flrw_dirac.field import Grid, l2_norm_sq
 from flrw_dirac.initial_data import gaussian_bump, lm_constrained_bump, random_smooth
-from flrw_dirac.models import Mass, ModelSpec, NonlinearitySpec, linear_form
+from flrw_dirac.models import Mass, ModelSpec, NonlinearitySpec
 from flrw_dirac.solver import ConeSafetyError, SolverConfig, propagate
 from flrw_dirac.spacetime import Cosmology
 
@@ -150,8 +150,8 @@ def test_lm_defect_free_data_stays_defect_free():
     f0 = lm_constrained_bump(GRID, amplitude=0.8, width=2.0, second_amplitude=0.5)
     nl = NonlinearitySpec(
         kind="lochak_form",
-        alpha_fn=linear_form(1.0, 0.3),
-        beta_fn=linear_form(0.2, 1.0),
+        alpha_coeffs=(1.0, 0.3),
+        beta_coeffs=(0.2, 1.0),
     )
     rec = free_run(mass=1.0, cfl=0.25, lm_z=1.0 + 0j, f0=f0, nonlinearity=nl)
     assert np.max(rec.series["lm_defect"]) < 1e-8 * rec.series["l2"][0]

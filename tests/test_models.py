@@ -18,7 +18,6 @@ from flrw_dirac.models import (
     PotentialFlagError,
     PotentialSpec,
     hyperbolic_rhs_nonlinearity,
-    linear_form,
     potential_field,
 )
 
@@ -52,8 +51,8 @@ def test_power_abs_on_unit_spinor():
         NonlinearitySpec(kind="power_abs", alpha_exp=0.5, sign=-1),
         NonlinearitySpec(
             kind="lochak_form",
-            alpha_fn=linear_form(1.0, 0.0),
-            beta_fn=linear_form(0.0, 1.0),
+            alpha_coeffs=(1.0, 0.0),
+            beta_coeffs=(0.0, 1.0),
         ),
         NonlinearitySpec(kind="blowup_G", alpha_exp=1.0, c0=2.0),
     ],
@@ -80,12 +79,12 @@ def test_lochak_form_is_the_stated_covariant_term():
     bilinear densities."""
     spec = NonlinearitySpec(
         kind="lochak_form",
-        alpha_fn=linear_form(1.3, -0.4),
-        beta_fn=linear_form(0.2, 0.9),
+        alpha_coeffs=(1.3, -0.4),
+        beta_coeffs=(0.2, 0.9),
     )
     f = random_smooth(GRID, amplitude=1.0, seed=29)
     dens = bilinear_densities(f)
-    alpha, beta = spec.alpha_fn(dens.xi, dens.eta), spec.beta_fn(dens.xi, dens.eta)
+    alpha, beta = 1.3 * dens.xi - 0.4 * dens.eta, 0.2 * dens.xi + 0.9 * dens.eta
     expected = alpha * f.data + 1j * beta * apply(BASIS.g5, f.data)
     assert np.allclose(covariant(spec, f), expected, rtol=0, atol=1e-14)
 
@@ -104,20 +103,21 @@ def test_power_abs_phase_equivariance(theta):
 def test_lochak_form_vanishes_on_lm_states():
     spec = NonlinearitySpec(
         kind="lochak_form",
-        alpha_fn=linear_form(1.0, 0.0),
-        beta_fn=linear_form(0.0, 1.0),
+        alpha_coeffs=(1.0, 0.0),
+        beta_coeffs=(0.0, 1.0),
     )
     out = hyperbolic_rhs_nonlinearity(spec, constant_field((1, 0, 1, 0)))
     assert np.max(np.abs(out)) < 1e-14
 
 
-def test_lochak_requires_vanishing_coefficients():
-    with pytest.raises(ValueError):
-        NonlinearitySpec(
-            kind="lochak_form",
-            alpha_fn=lambda xi, eta: xi + 1.0,
-            beta_fn=linear_form(0.0, 1.0),
-        )
+@pytest.mark.parametrize("coeffs", [(1.0,), (1.0, 0.0, 0.0), (np.nan, 0.0), (0.0, np.inf)],
+                         ids=["one", "three", "nan", "inf"])
+@pytest.mark.parametrize("name", ["alpha_coeffs", "beta_coeffs"])
+def test_lochak_coefficients_must_be_two_finite_numbers(name, coeffs):
+    """alpha and beta are linear forms, so they vanish at the origin by
+    construction; what is left to check is the two coefficients."""
+    with pytest.raises(ValueError, match=f"{name} must be 2 finite numbers"):
+        NonlinearitySpec(kind="lochak_form", **{name: coeffs})
 
 
 def test_induced_potential():
@@ -125,8 +125,8 @@ def test_induced_potential():
     potential alpha I + i beta g5 with alpha = xi and beta = eta is I."""
     spec = NonlinearitySpec(
         kind="lochak_form",
-        alpha_fn=linear_form(1.0, 0.0),
-        beta_fn=linear_form(0.0, 1.0),
+        alpha_coeffs=(1.0, 0.0),
+        beta_coeffs=(0.0, 1.0),
     )
     f = constant_field((1, 0, 0, 0))
     assert np.allclose(covariant(spec, f), f.data)
@@ -137,8 +137,8 @@ def test_hyperbolic_form_energy_neutral_for_lochak():
     pointwise L2 growth: Re(psi^* r) = 0 identically."""
     spec = NonlinearitySpec(
         kind="lochak_form",
-        alpha_fn=linear_form(1.3, -0.4),
-        beta_fn=linear_form(0.2, 0.9),
+        alpha_coeffs=(1.3, -0.4),
+        beta_coeffs=(0.2, 0.9),
     )
     f = random_smooth(GRID, amplitude=1.0, seed=17)
     r = hyperbolic_rhs_nonlinearity(spec, f)
@@ -212,6 +212,13 @@ def test_custom_ig5_satisfies_gamma2_not_hermitian():
             matrix=matrix,
             hermitian_required=True,
         )
+
+
+@pytest.mark.parametrize("kind", ["zero", "scalar_bump"])
+def test_matrix_is_read_only_by_custom_matrix(kind):
+    """A matrix another kind would ignore is rejected, not stored."""
+    with pytest.raises(ValueError, match="'matrix' is read only by kind 'custom_matrix'"):
+        PotentialSpec(kind=kind, amplitude=0.1, matrix=np.eye(4).tolist())
 
 
 # --- Lipschitz probe ------------------------------------------------------

@@ -735,3 +735,20 @@ def test_custom_matrix_in_any_form_gives_one_hashable_spec(form):
     cfg = SolverConfig(t_start=1.0, t_end=1.1, cfl=0.3, track_cone=False)
     rec = propagate(gaussian_bump(grid), COSMO, ModelSpec(potential=spec), cfg)
     assert rec.completed
+
+
+@pytest.mark.parametrize("center", [[0.5, 0.0, 0.0], np.array([0.5, 0.0, 0.0]), (0.5,),
+                                    (0.5, 0.0, 0.0)],
+                         ids=["list", "ndarray", "1-tuple", "3-tuple"])
+def test_potential_center_in_any_form_gives_one_hashable_spec(center):
+    """A potential center given as a list, an array or a short tuple is
+    stored as a 3-tuple of floats padded with zeros, so the spec hashes and
+    a 3D run completes (a list was unhashable in the potential-field cache,
+    and a 1-tuple ran out of coordinates on a 3D grid)."""
+    spec = PotentialSpec(kind="scalar_bump", amplitude=0.1, center=center)
+    reference = PotentialSpec(kind="scalar_bump", amplitude=0.1, center=(0.5, 0.0, 0.0))
+    assert spec == reference and hash(spec) == hash(reference)
+    grid = Grid(dim=3, n=16, box_length=8.0)
+    cfg = SolverConfig(t_start=1.0, t_end=1.1, cfl=0.3, track_cone=False)
+    rec = propagate(gaussian_bump(grid), COSMO, ModelSpec(potential=spec), cfg)
+    assert rec.completed
