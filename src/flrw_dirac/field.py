@@ -188,8 +188,8 @@ def _slab_entry(e, grid: Grid, sl: slice, buf):
     (1-D, over the distinct mode magnitudes) gathered into buf through the
     magnitude index."""
     if np.ndim(e) == 1:
-        idx = _unique_mode_magnitudes(grid)[1][sl]
-        return np.take(e, idx, out=buf[:len(idx)])
+        idx = _unique_mode_magnitudes(grid)[1][sl]  # in range by construction
+        return np.take(e, idx, out=buf[:len(idx)], mode="clip")
     return e[sl] if np.ndim(e) else e
 
 
@@ -387,10 +387,13 @@ def majorana_defect(f: SpinorField, z: complex) -> float:
 
 
 def _center3(center) -> tuple[float, float, float]:
-    """At most 3 coordinates as a 3D point padded with zeros; None is the origin."""
+    """At most 3 coordinates as a 3D point padded with zeros; None is the
+    origin, and more than 3 coordinates raise ValueError."""
     if center is None:
         return (0.0, 0.0, 0.0)
     c = tuple(float(v) for v in center)
+    if len(c) > 3:
+        raise ValueError(f"a center has at most 3 coordinates, got {len(c)}")
     return c + (0.0,) * (3 - len(c))
 
 

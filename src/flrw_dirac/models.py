@@ -11,6 +11,9 @@ alpha(xi, eta) I + i beta(xi, eta) g5 and blowup_G contributes
 G(psi) i g0 psi, both on the i-g0-d/dt side of the equation.
 hyperbolic_rhs_nonlinearity returns every family as a first-order right
 side, with the left factor -i g0 of the covariant ones written out.
+nonlinearity_flow is the exact flow of that right side alone for the two
+families of the form c |psi|^alpha psi (power_abs and blowup_G), the
+pointwise piece of the solver's split step.
 """
 from __future__ import annotations
 
@@ -32,6 +35,7 @@ __all__ = [
     "PotentialFlagError",
     "potential_field",
     "hyperbolic_rhs_nonlinearity",
+    "nonlinearity_flow",
 ]
 
 
@@ -222,3 +226,21 @@ def hyperbolic_rhs_nonlinearity(spec: NonlinearitySpec, f: SpinorField) -> np.nd
         out = c * mag**spec.alpha_exp * p
     return out.astype(complex, copy=False)
 
+
+FLOW_KINDS = ("power_abs", "blowup_G")  # the kinds nonlinearity_flow runs
+
+
+def nonlinearity_flow(spec: NonlinearitySpec, data: np.ndarray, tau: float) -> np.ndarray:
+    """psi advanced by time tau (either sign) under d/dt psi = c |psi|^a psi
+    alone, with c = sign (power_abs) or c0 (blowup_G).  |psi|^(-a) falls at
+    the constant rate a c, so psi(tau) = psi (1 - a c tau |psi|^a)^(-1/a):
+    each spinor keeps its direction.  Where the base is <= 0, at or past the
+    pointwise blow-up time, it is taken as 0 and the value is not finite
+    (numpy warns of the division by zero unless the caller silences it);
+    a negative base would give a finite power for an integral 1/a."""
+    if spec.kind not in FLOW_KINDS:
+        raise ValueError(f"nonlinearity kind {spec.kind!r} has no pointwise flow")
+    a = spec.alpha_exp
+    c = spec.sign if spec.kind == "power_abs" else spec.c0
+    mag_a = np.sum(data.real**2 + data.imag**2, axis=0) ** (0.5 * a)
+    return data * np.maximum(1.0 - a * c * tau * mag_a, 0.0) ** (-1.0 / a)

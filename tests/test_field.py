@@ -268,6 +268,13 @@ def test_initial_data_width_must_be_positive(grid1d, builder, width):
         builder(grid1d, width=width)
 
 
+@pytest.mark.parametrize("builder", [gaussian_bump, compact_bump, lm_constrained_bump])
+def test_initial_data_center_has_at_most_three_coordinates(grid1d, builder):
+    """A 4th coordinate was kept and silently ignored by the torus distance."""
+    with pytest.raises(ValueError, match="at most 3 coordinates, got 4"):
+        builder(grid1d, center=(1.0, 2.0, 3.0, 4.0))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([(1, 8), (1, 256), (3, 8)]))
 def test_transform_pair_equals_fftn_over_the_spatial_axes(seed, shape):

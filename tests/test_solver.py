@@ -11,12 +11,14 @@ from flrw_dirac.blowup import BlowupCase, differential_inequality_check
 from flrw_dirac.field import Grid, SpinorField, _derivative_wavenumbers, l2_norm_sq
 from flrw_dirac.gamma import BASIS
 from flrw_dirac.initial_data import compact_bump, gaussian_bump, random_smooth
+from flrw_dirac.kernels import KernelEval, reconstruct_free
 from flrw_dirac.models import (
     Mass,
     ModelSpec,
     NonlinearitySpec,
     PotentialSpec,
     hyperbolic_rhs_nonlinearity,
+    nonlinearity_flow,
     potential_field,
 )
 import flrw_dirac.solver as solver_module
@@ -131,6 +133,33 @@ def reference_step(f, dt, cosmo, model):
     k3 = k(f.data + 0.5 * dt * k2, t + 0.5 * dt)
     k4 = k(f.data + dt * k3, t + dt)
     return f.data + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def reference_split_step(f, dt, cosmo, model):
+    """The Strang step composed from its pieces written out per mode: the
+    transport and damping, then the mass, as matrix exponentials of their
+    generators (scipy's expm over the alpha matrices and g0), around the
+    pointwise flow of the nonlinearity."""
+    from scipy.linalg import expm
+
+    axes = f.grid.spatial_axes
+    ks = np.broadcast_arrays(*_derivative_wavenumbers(f.grid))
+    m = complex(model.mass.m)
+
+    def transport(data, ta, tb):
+        c = math.copysign(cosmo.travel_distance(max(ta, tb), min(ta, tb)), tb - ta)
+        gen = sum(-1j * c * k[..., None, None] * BASIS.alphas[j] for j, k in enumerate(ks))
+        hat = np.einsum("...ab,b...->a...", expm(gen), np.fft.fftn(data, axes=axes))
+        return (ta / tb) ** (1.5 * cosmo.ell) * np.fft.ifftn(hat, axes=axes)
+
+    def mass(data, ta, tb):
+        return np.einsum("ab,b...->a...", expm(-1j * m * math.log(tb / ta) * BASIS.g0), data)
+
+    t, mid = f.time, f.time + 0.5 * dt
+    data = mass(transport(f.data, t, mid), t, mid)
+    if not model.nonlinearity.is_none:
+        data = nonlinearity_flow(model.nonlinearity, data, dt)
+    return transport(mass(data, mid, t + dt), mid, t + dt)
 
 
 def _rel_max(a, b):
@@ -262,6 +291,106 @@ def test_nonlinear_1d_step_makes_eight_transforms(monkeypatch):
     counts = _count_transforms(monkeypatch)
     step(f, 0.01, Cosmology(0.5, 1.0), model)
     assert counts == {"_fftn": 4, "_ifftn": 4, "numpy": 8}
+
+
+# --- the split step ------------------------------------------------------------
+
+
+def _split_case(kind):
+    """A 1D Gaussian on n=128 with a complex mass and a defocusing power_abs
+    or a focusing blowup_G term, small enough not to blow up by t = 2."""
+    grid = Grid(dim=1, n=128, box_length=16.0)
+    f0 = gaussian_bump(grid, amplitude=1.0, width=1.0, coeffs=(1, 0.5, 0.2j, 0.3))
+    nonlinearity = (NonlinearitySpec(kind="power_abs", sign=-1, alpha_exp=1.0)
+                    if kind == "power_abs"
+                    else NonlinearitySpec(kind="blowup_G", c0=0.5, alpha_exp=2.0))
+    return f0, ModelSpec(mass=Mass(0.3 + 0.2j), nonlinearity=nonlinearity)
+
+
+def _run_to(f0, model, t_end, dt_max, method):
+    cfg = SolverConfig(t_start=f0.time, t_end=t_end, cfl=0.9, dt_max=dt_max,
+                       track_cone=False, method=method)
+    return propagate(f0, Cosmology(0.5, 1.0), model, cfg, observables=()).final
+
+
+@pytest.mark.parametrize("kind", ["power_abs", "blowup_G"])
+def test_split_step_is_second_order(kind):
+    """Against a fine RK4 run, the split error shrinks about 4x per halving
+    of dt_max (binding over the whole run)."""
+    f0, model = _split_case(kind)
+    reference = _run_to(f0, model, 2.0, 1e-3, "rk4").data
+    errs = [np.linalg.norm(_run_to(f0, model, 2.0, dt, "split").data - reference)
+            for dt in (0.02, 0.01, 0.005)]
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 3.5 < coarse / fine < 4.5
+
+
+@pytest.mark.parametrize("dim", ["3d", "1d"])
+@pytest.mark.parametrize("terms", ["mass", "nonlinear"])
+def test_split_step_is_the_stated_composition(dim, terms):
+    """One split step, forward and backward, is transport dt/2, mass dt/2,
+    the nonlinearity dt, mass dt/2 and transport dt/2, in that order: mass
+    and transport do not commute, so another order gives another step."""
+    f, model = _reference_case(dim, terms)
+    cosmo = Cosmology(0.5, 1.0)
+    dt = 0.2 * f.grid.h * cosmo.scale(f.time)
+    for h in (dt, -dt):
+        out = step(f, h, cosmo, model, "split")
+        assert out.time == f.time + h
+        assert _rel_max(out.data, reference_split_step(f, h, cosmo, model)) < 1e-12
+
+
+def test_split_backward_run_returns_to_the_start():
+    """Each split step is undone by the step back over the same interval, so
+    with dt_max binding (the same time grid both ways) a defocusing run
+    forward and back returns to its start to rounding."""
+    f0, model = _split_case("power_abs")
+    back = _run_to(_run_to(f0, model, 2.0, 1 / 64, "split"), model, 1.0, 1 / 64, "split")
+    assert back.time == 1.0
+    assert _rel_max(back.data, f0.data) < 1e-12
+
+
+@pytest.mark.parametrize("ell", [0.5, 0.25])
+def test_massless_free_split_run_is_the_closed_form(ell):
+    """Without mass and local terms each piece of the split step is exact,
+    so the run equals the closed-form propagator of kernels, whatever the
+    step."""
+    grid = Grid(dim=3, n=16, box_length=16.0)
+    f0 = compact_bump(grid, 1.0, 3.0, coeffs=(1.0, 0.6, 0.4j, 0.8))
+    cosmo = Cosmology(ell, 1.0)
+    cfg = SolverConfig(t_start=1.0, t_end=3.0, track_cone=False, method="split")
+    out = propagate(f0, cosmo, ModelSpec(), cfg, observables=()).final
+    expected = reconstruct_free(f0, 3.0, KernelEval(cosmo, 0.0, 1.0)).data
+    assert np.linalg.norm(out.data - expected) < 1e-13 * np.linalg.norm(expected)
+
+
+def test_split_step_makes_three_transforms(monkeypatch):
+    """On a field that carries its spectrum, a split step transforms into
+    physical space and back around the pointwise map, and the result back."""
+    grid = Grid(dim=1, n=256, box_length=16.0)
+    f = compact_bump(grid, 2.0, 1.0, coeffs=(1, 0, 0, 0))
+    f.spectrum  # noqa: B018 -- computed before counting, as a carried spectrum
+    model = ModelSpec(nonlinearity=NonlinearitySpec(kind="blowup_G", alpha_exp=1.0, c0=1.0))
+    counts = _count_transforms(monkeypatch)
+    step(f, 0.01, Cosmology(0.5, 1.0), model, "split")
+    assert counts == {"_fftn": 1, "_ifftn": 2, "numpy": 3}
+
+
+@pytest.mark.parametrize("model, what", [
+    (ModelSpec(nonlinearity=NonlinearitySpec(kind="lochak_form", alpha_coeffs=(1.0, 0.0))),
+     "the nonlinearity 'lochak_form'"),
+    (ModelSpec(potential=PotentialSpec(kind="scalar_bump", amplitude=0.1)), "a potential"),
+    (ModelSpec(source=lambda t: np.zeros((4, 32), dtype=complex)), "a source"),
+])
+def test_split_rejects_a_term_without_an_exact_flow(model, what):
+    f0 = gaussian_bump(Grid(dim=1, n=32, box_length=8.0))
+    message = f"method 'split' cannot run a model with {what}"
+    with pytest.raises(ValueError, match=message):
+        propagate(f0, COSMO, model, SolverConfig(t_end=1.1, method="split"))
+    with pytest.raises(ValueError, match=message):
+        step(f0, 0.01, COSMO, model, "split")
+    with pytest.raises(ValueError, match="method must be one of"):
+        step(f0, 0.01, COSMO, model, "euler")
 
 
 def _observable_run(case):
@@ -619,8 +748,8 @@ def test_config_validation():
         SolverConfig(t_start=0.5, t_end=2.0)
     with pytest.raises(ValueError):
         SolverConfig(cfl=1.5)
-    with pytest.raises(TypeError):
-        SolverConfig(method="rk4")  # RK4 is the only integrator
+    with pytest.raises(ValueError, match="method must be one of"):
+        SolverConfig(method="rk2")
     with pytest.raises(ValueError):
         SolverConfig(record_every=0)
 
