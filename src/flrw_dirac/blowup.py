@@ -267,11 +267,10 @@ def empirical_blowup(case: BlowupCase, grid: Grid, cfg: SolverConfig) -> dict:
     case states, to numerical blow-up or cfg.t_end, and test it against
     lifespan(case); satisfied is None unless it blew up under a finite bound.
 
-    The run steps with cfg.method; the sweep passes its empirical.method,
-    "split" by default (every term of blowup_G has an exact flow, and a
-    Strang step costs 3 FFTs to RK4's 8).  With either method t_numerical is
-    the midpoint of the step in which the run blew up, so it is known only
-    to dt/2.
+    The run steps with propagate's method "split": every term of blowup_G
+    has an exact flow, and a Strang step costs 3 FFTs to RK4's 8.  With
+    either method t_numerical is the midpoint of the step in which the run
+    blew up, so it is known only to dt/2.
 
     The data are a compact bump of radius case.r_support around
     cfg.cone_center, coefficients (1, 0, 0, 0), scaled to energy case.e1 at
@@ -286,7 +285,7 @@ def empirical_blowup(case: BlowupCase, grid: Grid, cfg: SolverConfig) -> dict:
         mass=Mass(1j * case.im_m_abs),
         nonlinearity=NonlinearitySpec(kind="blowup_G", alpha_exp=case.alpha_exp, c0=case.c0),
     )
-    rec = propagate(f0, case.cosmology, model, cfg, observables=("l2",))
+    rec = propagate(f0, case.cosmology, model, cfg, observables=("l2",), method="split")
     t_bound = lifespan(case)
     t_numerical = rec.blowup_time if rec.blown_up else None
     if rec.blown_up and math.isfinite(t_bound):

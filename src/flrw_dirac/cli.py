@@ -10,11 +10,11 @@ dotted path.  Exit codes: 0 success (including a detected blow-up),
 nearest valid key; a value of the wrong kind or out of its bounds; a
 missing required field; a required potential flag that fails, an lm_z off
 the unit circle, a forward cone that would wrap around the torus by t_end,
-a solver.method "split" on a model with a term it has no exact flow for, or
-a kernel argument out of range, among others), 2 runtime error,
+or a kernel argument out of range, among others), 2 runtime error,
 3 verification failure.  simulate runs forward: a solver.t_end before
-solver.t_start is a config error.  A sweep's empirical blow-up runs take
-empirical.method, "split" by default.  FLRW_DIRAC_THREADS caps sweep parallelism
+solver.t_start is a config error, and it steps with RK4; a sweep's empirical
+blow-up runs step with the split method (blowup.empirical_blowup).
+FLRW_DIRAC_THREADS caps sweep parallelism
 (0 or unset: all cores); with more than one worker the parent loads scipy
 before it forks the pool, so the workers inherit it instead of each
 importing it again.
@@ -46,7 +46,7 @@ from .kernels import (
     reconstruct_free,
 )
 from .models import Mass, ModelSpec, NonlinearitySpec, PotentialSpec
-from .solver import METHODS, ConeSafetyError, RunRecord, SolverConfig, _check_method, propagate
+from .solver import ConeSafetyError, RunRecord, SolverConfig, propagate
 from .spacetime import Cosmology
 
 __all__ = ["main", "ConfigError", "load_run_config", "run_simulation"]
@@ -138,7 +138,6 @@ _RUN = _table(
     ("solver.track_cone", "bool", None, None),
     ("solver.on_cone_violation", "string", None, None),
     ("solver.lm_z", "complex", None, None),
-    ("solver.method", "string", METHODS, None),
     ("initial_data", "section", None, REQUIRED),
     ("initial_data.family", "string", None, "gaussian"),
     ("initial_data.lm_constrained", "bool", None, False),
@@ -166,7 +165,6 @@ _SWEEP = _table(
     ("empirical.box_length", "number", (1e-12, None), 8.0),
     ("empirical.t_end", "number", (1.0, None), 4.0),
     ("empirical.cfl", "number", (0.0, 1.0, "open"), 0.3),
-    ("empirical.method", "string", METHODS, "split"),
 )
 
 # A suite's checks are walked one by one against _CHECK, so an error can
@@ -347,7 +345,6 @@ def load_run_config(tree: dict):
     if cfg.t_end < cfg.t_start:
         raise ConfigError(f"field 'solver.t_end' ({cfg.t_end}) lies before solver.t_start "
                           f"({cfg.t_start}); simulate runs forward")
-    _build("solver.method", _check_method, cfg.method, model)
     if family == "random_smooth":  # its center is the cone centre only
         ini.pop("center", None)
     f0 = _build("initial_data", make_initial_data, grid, family, time=cfg.t_start, **ini)
@@ -534,7 +531,7 @@ def cmd_sweep(args) -> int:
     empirical = None
     if emp["enabled"]:
         empirical = grid, SolverConfig(t_end=emp["t_end"], cfl=emp["cfl"],
-                                       on_cone_violation="stop", method=emp["method"])
+                                       on_cone_violation="stop")
     cases = [
         _build(None, bup.BlowupCase, e, a, i, v["c0"], v["R"], v["E1"])
         for e in sorted(v["ell"])

@@ -183,6 +183,12 @@ class NonlinearitySpec:
     def is_none(self) -> bool:
         return self.kind == "none"
 
+    @property
+    def power_coefficient(self) -> float | None:
+        """c of the families whose right side is c |psi|^alpha psi: sign for
+        power_abs, c0 for blowup_G; None for none and lochak_form."""
+        return {"power_abs": self.sign, "blowup_G": self.c0}.get(self.kind)
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -221,26 +227,24 @@ def hyperbolic_rhs_nonlinearity(spec: NonlinearitySpec, f: SpinorField) -> np.nd
         up, lo = p[:2], p[2:]
         out = np.concatenate((-ia * up - b * lo, ia * lo + b * up))
     else:  # power_abs, blowup_G: c |psi|^a psi
-        c = spec.sign if spec.kind == "power_abs" else spec.c0
+        c = spec.power_coefficient
         mag = np.sqrt(np.sum(np.abs(p) ** 2, axis=0))
         out = c * mag**spec.alpha_exp * p
     return out.astype(complex, copy=False)
 
 
-FLOW_KINDS = ("power_abs", "blowup_G")  # the kinds nonlinearity_flow runs
-
-
 def nonlinearity_flow(spec: NonlinearitySpec, data: np.ndarray, tau: float) -> np.ndarray:
     """psi advanced by time tau (either sign) under d/dt psi = c |psi|^a psi
-    alone, with c = sign (power_abs) or c0 (blowup_G).  |psi|^(-a) falls at
-    the constant rate a c, so psi(tau) = psi (1 - a c tau |psi|^a)^(-1/a):
-    each spinor keeps its direction.  Where the base is <= 0, at or past the
-    pointwise blow-up time, it is taken as 0 and the value is not finite
-    (numpy warns of the division by zero unless the caller silences it);
-    a negative base would give a finite power for an integral 1/a."""
-    if spec.kind not in FLOW_KINDS:
+    alone, with c = spec.power_coefficient (ValueError where it is None).
+    |psi|^(-a) falls at the constant rate a c, so psi(tau) =
+    psi (1 - a c tau |psi|^a)^(-1/a): each spinor keeps its direction.  Where
+    the base is <= 0, at or past the pointwise blow-up time, it is taken as
+    0 and the value is not finite (numpy warns of the division by zero unless
+    the caller silences it); a negative base would give a finite power for
+    an integral 1/a."""
+    c = spec.power_coefficient
+    if c is None:
         raise ValueError(f"nonlinearity kind {spec.kind!r} has no pointwise flow")
     a = spec.alpha_exp
-    c = spec.sign if spec.kind == "power_abs" else spec.c0
     mag_a = np.sum(data.real**2 + data.imag**2, axis=0) ** (0.5 * a)
     return data * np.maximum(1.0 - a * c * tau * mag_a, 0.0) ** (-1.0 / a)

@@ -31,7 +31,7 @@ FFT per free step.  A step with x-dependent terms adds an inverse FFT for
 each of the last three stage fields and a forward FFT of those terms at
 every stage (8 FFTs).
 
-SolverConfig.method "split" takes instead one symmetric Strang step of
+propagate's method "split" takes instead one symmetric Strang step of
 exact flows (Strang 1968, SINUM 5): transport dt/2, mass dt/2, the
 nonlinearity dt, mass dt/2, transport dt/2.  From ta to tb the transport,
 damping included, is (ta/tb)^(3 ell/2) [cos(c|k|) I - (sin(c|k|)/|k|) B]
@@ -44,8 +44,9 @@ back around the pointwise map, and the inverse of the result), 2 symbol
 passes and 1 pointwise map, on the same step size rule as RK4.  It is
 second order, exact for a massless free model, and accepts only models
 whose every term has such a flow: no potential, no source, and a
-nonlinearity that is none, power_abs or blowup_G.  RK4 stays the default:
-on smooth runs it is far more accurate at the same step.
+nonlinearity that is none, power_abs or blowup_G.  RK4 stays the default,
+which simulate runs: on smooth runs it is far more accurate at the same
+step.  blowup.empirical_blowup runs split.
 
 The recorder samples only the OBSERVABLES named by propagate's caller, and
 computes the bilinear densities only when a recorded observable reads them.
@@ -79,18 +80,11 @@ from .field import (
     sobolev_norm,
     support_radius,
 )
-from .models import (
-    FLOW_KINDS,
-    ModelSpec,
-    hyperbolic_rhs_nonlinearity,
-    nonlinearity_flow,
-    potential_field,
-)
+from .models import ModelSpec, hyperbolic_rhs_nonlinearity, nonlinearity_flow, potential_field
 from .spacetime import Cosmology
 
 __all__ = [
     "SolverConfig",
-    "METHODS",
     "RunRecord",
     "SCHEMA",
     "OBSERVABLES",
@@ -108,9 +102,6 @@ class ConeSafetyError(RuntimeError):
     pass
 
 
-METHODS = ("rk4", "split")
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Time-integration parameters.
@@ -122,8 +113,7 @@ class SolverConfig:
     nodes, say) behave like plain numbers downstream; record_every and
     sobolev_order to builtin int (any other type, bool and float included,
     raises TypeError); and lm_z, the phase of the recorded Majorana defect,
-    to builtin complex on the unit circle.  method is one of METHODS: "rk4"
-    (the default) or "split" (see the module docstring).
+    to builtin complex on the unit circle.
     """
 
     t_start: float = 1.0
@@ -137,7 +127,6 @@ class SolverConfig:
     track_cone: bool = True
     cone_center: tuple[float, float, float] = (0.0, 0.0, 0.0)
     on_cone_violation: str = "error"  # "error" | "stop"
-    method: str = "rk4"
 
     def __post_init__(self):
         object.__setattr__(self, "t_start", float(self.t_start))
@@ -164,8 +153,6 @@ class SolverConfig:
             raise ValueError(f"sobolev_order must lie in [0, {MAX_SOBOLEV_ORDER}]")
         if self.on_cone_violation not in ("error", "stop"):
             raise ValueError("on_cone_violation must be 'error' or 'stop'")
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.lm_z is not None:
             object.__setattr__(self, "lm_z", complex(self.lm_z))
             if not abs(abs(self.lm_z) - 1.0) <= 1e-12:
@@ -394,14 +381,13 @@ def rhs(f: SpinorField, t: float, cosmo: Cosmology, model: ModelSpec) -> SpinorF
 def step(f: SpinorField, dt: float, cosmo: Cosmology, model: ModelSpec,
          method: str = "rk4") -> SpinorField:
     """One step of size dt (dt < 0 integrates backward): classical RK4, or
-    with method "split" the Strang step, which raises ValueError on a model
-    it cannot run.
+    with method "split" the Strang step, for a model propagate accepts for
+    it.
 
     Without x-dependent terms the RK4 step is the closed-form free RK4
     amplification; otherwise each stage derivative is _rhs_hat, the right
     side of rhs.  The field returned carries its spectrum."""
-    if method != "rk4":
-        _check_method(method, model)
+    if method == "split":
         return _split_step(f, dt, cosmo, model)
     t = f.time
     hat = f.spectrum
@@ -414,21 +400,6 @@ def step(f: SpinorField, dt: float, cosmo: Cosmology, model: ModelSpec,
         k.append(_rhs_hat(stage, t + frac * dt, cosmo, model))
     new = hat + (dt / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3])
     return f.with_spectrum(new, time=t + dt)
-
-
-def _check_method(method: str, model: ModelSpec) -> None:
-    """Raise ValueError for a method outside METHODS, or for "split" on a
-    model with a term that has no exact flow."""
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    if method == "split":
-        kind = model.nonlinearity.kind
-        why = ("a potential" if not model.potential.is_zero
-               else "a source" if model.source is not None
-               else f"the nonlinearity {kind!r}" if kind not in ("none", *FLOW_KINDS)
-               else None)
-        if why:
-            raise ValueError(f"method 'split' cannot run a model with {why}")
 
 
 def cone_limit_radius(grid: Grid) -> float:
@@ -572,6 +543,7 @@ def propagate(
     cfg: SolverConfig,
     capture_times=(),
     observables=None,
+    method: str = "rk4",
 ) -> RunRecord:
     """Integrate from cfg.t_start to cfg.t_end, recording diagnostics.
 
@@ -595,10 +567,23 @@ def propagate(
     When that radius would reach cone_limit_radius by cfg.t_end,
     on_cone_violation="error" raises ConeSafetyError before the first step
     and "stop" ends the run at the first step that reaches it.
+
+    method is "rk4" (the default) or "split", the Strang step of the module
+    docstring; another method, or "split" on a model with a potential, a
+    source or a nonlinearity other than power_abs and blowup_G, raises
+    ValueError before the first step.
     """
     if abs(f0.time - cfg.t_start) > 1e-9 * max(1.0, cfg.t_start):
         raise ValueError("f0.time must equal cfg.t_start")
-    _check_method(cfg.method, model)
+    if method not in ("rk4", "split"):
+        raise ValueError(f"method must be 'rk4' or 'split', got {method!r}")
+    nl = model.nonlinearity
+    why = ("a potential" if not model.potential.is_zero
+           else "a source" if model.source is not None
+           else f"the nonlinearity {nl.kind!r}" if not nl.is_none and nl.power_coefficient is None
+           else None)
+    if method == "split" and why:
+        raise ValueError(f"method 'split' cannot run a model with {why}")
     lo, hi = sorted((cfg.t_start, cfg.t_end))
     captures = {float(tc) for tc in capture_times}
     outside = sorted(tc for tc in captures if not lo <= tc <= hi)  # NaN is outside
@@ -636,7 +621,7 @@ def propagate(
     steps_since_record = 0
     while stops:
         dt = min(cfg.dt_max, cfg.cfl * grid.h * cosmo.scale(f.time), abs(stops[0] - f.time))
-        f_new = step(f, direction * dt, cosmo, model, cfg.method)
+        f_new = step(f, direction * dt, cosmo, model, method)
 
         with np.errstate(over="ignore"):  # an overflowing norm is inf: blown up
             blown_up = not f_new.is_finite() or (e_new := l2_norm_sq(f_new)) > threshold

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
+import flrw_dirac.blowup as blowup_module
 from flrw_dirac.blowup import (
     ANY_SIZE,
     LARGE_DATA,
@@ -332,9 +333,17 @@ def test_differential_inequality_on_blowup_run():
     assert ineq["holds"] and ineq["points_checked"] > 10
 
 
-def test_blowup_detection_emits_no_overflow_warning():
-    """A focusing run that blows up overflows its squared norm; the detector
-    reads that as blow-up without a RuntimeWarning."""
+def _force_method(monkeypatch, method):
+    """Make empirical_blowup step with method in place of its split."""
+    monkeypatch.setattr(blowup_module, "propagate",
+                        lambda *args, **kwargs: propagate(*args, **{**kwargs, "method": method}))
+
+
+def test_blowup_detection_emits_no_overflow_warning(monkeypatch):
+    """A focusing RK4 run that blows up overflows its squared norm; the
+    detector reads that as blow-up without a RuntimeWarning.  (Split runs:
+    test_split_blowup_detection_emits_no_warning.)"""
+    _force_method(monkeypatch, "rk4")
     grid = Grid(dim=1, n=64, box_length=8.0)
     e1 = l2_norm_sq(compact_bump(grid, amplitude=3.0, width=1.0, coeffs=(1, 0, 0, 0)))
     cfg = SolverConfig(t_start=1.0, t_end=4.0, cfl=0.3, record_every=1,
@@ -352,10 +361,28 @@ def test_split_blowup_detection_emits_no_warning(alpha):
     returns non-finite data, which the detector reads as blow-up, without a
     RuntimeWarning on the way."""
     grid = Grid(dim=1, n=256, box_length=16.0)
-    cfg = SolverConfig(t_start=1.0, t_end=4.0, cfl=0.3, on_cone_violation="stop",
-                       method="split")
+    cfg = SolverConfig(t_start=1.0, t_end=4.0, cfl=0.3, on_cone_violation="stop")
     case = BlowupCase(ell=0.5, alpha_exp=alpha, c0=1.0, r_support=1.0, e1=4.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = empirical_blowup(case, grid, cfg)
     assert rep["t_numerical"] is not None and rep["satisfied"] is True
+
+
+@pytest.mark.parametrize("method, t_numerical", [
+    ("rk4", 1.17109875154531), ("split", 1.1495447867929423),
+])
+def test_empirical_blowup_on_the_sweep_settings(monkeypatch, method, t_numerical):
+    """The sweep's case (ell 1, alpha 2, Im m 0) on the benchmark's empirical
+    settings.  empirical_blowup runs split; RK4, forced here through its
+    propagate, is the regression oracle and reads the time the sweep gave
+    before split.  Split detects the blow-up one step earlier, nearer the
+    time a dt_max 2e-3 RK4 run gives (about 1.157)."""
+    _force_method(monkeypatch, method)
+    grid = Grid(dim=1, n=256, box_length=16.0)
+    cfg = SolverConfig(t_end=4.0, cfl=0.3, on_cone_violation="stop")
+    case = BlowupCase(ell=1.0, alpha_exp=2.0, im_m_abs=0.0, c0=1.0, r_support=1.0, e1=4.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = empirical_blowup(case, grid, cfg)
+    assert rep["t_numerical"] == t_numerical

@@ -730,42 +730,6 @@ def test_simulate_center_is_padded_with_zeros(tmp_path):
     assert short.read_bytes() == full.read_bytes()
 
 
-@pytest.mark.parametrize("section, value, message", [
-    ("nonlinearity", {"kind": "lochak_form", "alpha_coeffs": [0.1, 0.0]},
-     "method 'split' cannot run a model with the nonlinearity 'lochak_form'"),
-    ("potential", {"kind": "scalar_bump", "amplitude": 0.5},
-     "method 'split' cannot run a model with a potential"),
-    ("solver", {"t_end": 3.0, "method": "euler"}, "has unknown value 'euler'"),
-])
-def test_simulate_split_on_a_model_it_cannot_run_is_config_error(
-        tmp_path, capsys, section, value, message):
-    tree = config()
-    tree["solver"]["method"] = "split"
-    tree[section] = value
-    code, record = simulate(tmp_path, tree)
-    assert code == 1
-    assert not record.exists()
-    err = capsys.readouterr().err
-    assert "config error: field 'solver.method'" in err and message in err
-
-
-def test_simulate_split_runs_power_abs_close_to_rk4(tmp_path):
-    """solver.method selects the integrator; both give the same run to the
-    split's second-order error."""
-    tree = config()
-    tree["nonlinearity"] = {"kind": "power_abs", "alpha_exp": 2.0, "sign": -1}
-    tree["initial_data"]["amplitude"] = 0.5
-    series = {}
-    for method in ("rk4", "split"):
-        tree["solver"]["method"] = method
-        code, record = simulate(tmp_path, tree, name=method)
-        assert code == 0
-        series[method] = json.loads(record.read_text())["series"]
-    assert series["rk4"]["times"] == series["split"]["times"]
-    assert np.allclose(series["split"]["l2"], series["rk4"]["l2"], rtol=1e-3)
-    assert series["split"]["l2"] != series["rk4"]["l2"]
-
-
 def test_every_solver_config_field_is_settable_from_the_run_config():
     """The run config's solver section sets every SolverConfig field, so no
     field is an option only the Python API reaches.  cone_center is the one
@@ -1032,7 +996,6 @@ def test_sweep_bad_scalar_is_config_error(tmp_path, capsys, key, value):
     ({"enabled": True, "t_end": 0.5}, "'empirical.t_end' must be >= 1.0"),
     ({"enabled": True, "cfl": 1.5}, "'empirical.cfl' must lie in (0.0, 1.0)"),
     ({"enabled": False, "n": "x"}, "'empirical.n' must be an integer"),
-    ({"enabled": True, "method": "euler"}, "'empirical.method' has unknown value 'euler'"),
 ])
 def test_sweep_bad_empirical_section_is_config_error(tmp_path, capsys, empirical, field):
     grid = write_json(tmp_path / "sweep.json",
@@ -1063,19 +1026,13 @@ def test_sweep_empirical_defaults_match_explicit_values(tmp_path, monkeypatch):
     assert row["error"] == "" and row["t_numerical"] != ""
 
 
-@pytest.mark.parametrize("method, t_numerical", [
-    ("rk4", "1.17109875154531"), ("split", "1.1495447867929423"), (None, "1.1495447867929423"),
-])
-def test_sweep_empirical_method(tmp_path, monkeypatch, method, t_numerical):
-    """empirical.method picks the blow-up runs' integrator, split by default.
-    On the benchmark's empirical settings at (ell 1, alpha 2, Im m 0) the
-    split run detects the blow-up one step earlier, nearer the time a
-    dt_max 2e-3 RK4 run gives (about 1.157)."""
+def test_sweep_empirical_runs_split(tmp_path, monkeypatch):
+    """The blow-up runs step with the split method: on the benchmark's
+    empirical settings at (ell 1, alpha 2, Im m 0) the sweep reads split's
+    time (RK4 reads 1.17109875154531, test_blowup)."""
     monkeypatch.setenv("FLRW_DIRAC_THREADS", "1")
     empirical = {"enabled": True, "dim": 1, "n": 256, "box_length": 16.0,
                  "t_end": 4.0, "cfl": 0.3}
-    if method is not None:
-        empirical["method"] = method
     grid = write_json(tmp_path / "sweep.json", {
         "ell": [1.0], "alpha": [2.0], "im_m": [0.0], "R": 1.0, "E1": 4.0,
         "empirical": empirical})
@@ -1083,7 +1040,7 @@ def test_sweep_empirical_method(tmp_path, monkeypatch, method, t_numerical):
     assert main(["sweep", str(grid), "--out", str(out)]) == 0
     with open(out, newline="") as fh:
         (row,) = csv.DictReader(fh)
-    assert row["t_numerical"] == t_numerical
+    assert row["t_numerical"] == "1.1495447867929423"
 
 
 def test_lifespan(capsys):

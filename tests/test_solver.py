@@ -308,9 +308,8 @@ def _split_case(kind):
 
 
 def _run_to(f0, model, t_end, dt_max, method):
-    cfg = SolverConfig(t_start=f0.time, t_end=t_end, cfl=0.9, dt_max=dt_max,
-                       track_cone=False, method=method)
-    return propagate(f0, Cosmology(0.5, 1.0), model, cfg, observables=()).final
+    cfg = SolverConfig(t_start=f0.time, t_end=t_end, cfl=0.9, dt_max=dt_max, track_cone=False)
+    return propagate(f0, Cosmology(0.5, 1.0), model, cfg, observables=(), method=method).final
 
 
 @pytest.mark.parametrize("kind", ["power_abs", "blowup_G"])
@@ -358,8 +357,8 @@ def test_massless_free_split_run_is_the_closed_form(ell):
     grid = Grid(dim=3, n=16, box_length=16.0)
     f0 = compact_bump(grid, 1.0, 3.0, coeffs=(1.0, 0.6, 0.4j, 0.8))
     cosmo = Cosmology(ell, 1.0)
-    cfg = SolverConfig(t_start=1.0, t_end=3.0, track_cone=False, method="split")
-    out = propagate(f0, cosmo, ModelSpec(), cfg, observables=()).final
+    cfg = SolverConfig(t_start=1.0, t_end=3.0, track_cone=False)
+    out = propagate(f0, cosmo, ModelSpec(), cfg, observables=(), method="split").final
     expected = reconstruct_free(f0, 3.0, KernelEval(cosmo, 0.0, 1.0)).data
     assert np.linalg.norm(out.data - expected) < 1e-13 * np.linalg.norm(expected)
 
@@ -384,13 +383,11 @@ def test_split_step_makes_three_transforms(monkeypatch):
 ])
 def test_split_rejects_a_term_without_an_exact_flow(model, what):
     f0 = gaussian_bump(Grid(dim=1, n=32, box_length=8.0))
-    message = f"method 'split' cannot run a model with {what}"
-    with pytest.raises(ValueError, match=message):
-        propagate(f0, COSMO, model, SolverConfig(t_end=1.1, method="split"))
-    with pytest.raises(ValueError, match=message):
-        step(f0, 0.01, COSMO, model, "split")
-    with pytest.raises(ValueError, match="method must be one of"):
-        step(f0, 0.01, COSMO, model, "euler")
+    cfg = SolverConfig(t_end=1.1)
+    with pytest.raises(ValueError, match=f"method 'split' cannot run a model with {what}"):
+        propagate(f0, COSMO, model, cfg, method="split")
+    with pytest.raises(ValueError, match="method must be 'rk4' or 'split', got 'euler'"):
+        propagate(f0, COSMO, model, cfg, method="euler")
 
 
 def _observable_run(case):
@@ -748,8 +745,8 @@ def test_config_validation():
         SolverConfig(t_start=0.5, t_end=2.0)
     with pytest.raises(ValueError):
         SolverConfig(cfl=1.5)
-    with pytest.raises(ValueError, match="method must be one of"):
-        SolverConfig(method="rk2")
+    with pytest.raises(TypeError):
+        SolverConfig(method="rk4")  # the integrator is propagate's argument
     with pytest.raises(ValueError):
         SolverConfig(record_every=0)
 
