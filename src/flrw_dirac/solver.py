@@ -577,13 +577,14 @@ def propagate(
         raise ValueError("f0.time must equal cfg.t_start")
     if method not in ("rk4", "split"):
         raise ValueError(f"method must be 'rk4' or 'split', got {method!r}")
-    nl = model.nonlinearity
-    why = ("a potential" if not model.potential.is_zero
-           else "a source" if model.source is not None
-           else f"the nonlinearity {nl.kind!r}" if not nl.is_none and nl.power_coefficient is None
-           else None)
-    if method == "split" and why:
-        raise ValueError(f"method 'split' cannot run a model with {why}")
+    if method == "split":
+        nl = model.nonlinearity
+        why = ("a potential" if not model.potential.is_zero
+               else "a source" if model.source is not None
+               else None if nl.is_none or nl.power_coefficient is not None
+               else f"the nonlinearity {nl.kind!r}")
+        if why:
+            raise ValueError(f"method 'split' cannot run a model with {why}")
     lo, hi = sorted((cfg.t_start, cfg.t_end))
     captures = {float(tc) for tc in capture_times}
     outside = sorted(tc for tc in captures if not lo <= tc <= hi)  # NaN is outside
