@@ -475,7 +475,8 @@ def cmd_kernel(args) -> int:
 def _sweep_case(case: bup.BlowupCase, empirical: tuple[Grid, SolverConfig] | None) -> dict:
     """One CSV row; empirical holds the grid and solver settings of the
     blow-up run, or is None when the runs are not enabled.  satisfied and
-    the ineq_* columns test the run against the row's T_bu."""
+    the ineq_* columns (blowup.comparison_check: E >= Y, with lifespan's J,
+    where Y's bracket vanishes at T_bu) test the run against the row's T_bu."""
     verdict = bup.classify(case)
     row = {
         "ell": case.ell,
@@ -504,7 +505,7 @@ def _sweep_case(case: bup.BlowupCase, empirical: tuple[Grid, SolverConfig] | Non
                 row["t_numerical"] = repr(rep["t_numerical"])
             if rep["satisfied"] is not None:
                 row["satisfied"] = str(rep["satisfied"]).lower()
-            ineq = rep["differential_inequality"]
+            ineq = rep["comparison"]
             row["ineq_points"] = str(ineq["points_checked"])
             if ineq["points_checked"]:  # a check of no point decides nothing
                 row["ineq_holds"] = str(ineq["holds"]).lower()

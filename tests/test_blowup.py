@@ -12,10 +12,11 @@ from scipy.integrate import trapezoid
 import flrw_dirac.blowup as blowup_module
 from flrw_dirac.blowup import (
     ANY_SIZE,
+    COMPARISON_RTOL,
     LARGE_DATA,
     BlowupCase,
     classify,
-    differential_inequality_check,
+    comparison_check,
     empirical_blowup,
     j_integral,
     lifespan,
@@ -24,8 +25,8 @@ from flrw_dirac.blowup import (
 )
 from flrw_dirac.field import Grid, l2_norm_sq
 from flrw_dirac.initial_data import compact_bump
-from flrw_dirac.models import ModelSpec
-from flrw_dirac.solver import SolverConfig, propagate
+from flrw_dirac.models import ModelSpec, NonlinearitySpec
+from flrw_dirac.solver import RunRecord, SolverConfig, propagate
 from flrw_dirac.spacetime import Cosmology
 
 
@@ -259,9 +260,9 @@ def test_any_size_lifespan_is_finite(ell, alpha, im_m, t_bu):
 
 
 # lifespan doubles its bracket from 2 while J stays below the target and
-# gives up (returns inf) once the bracket passes 1e12; 2**39 is its last
-# bracket end
-_LAST_BRACKET = 2.0**39
+# gives up (returns inf) once the bracket leaves the float range; 2**1023
+# is its last bracket end
+_LAST_BRACKET = 2.0**1023
 
 
 @settings(max_examples=30, deadline=None)
@@ -284,9 +285,22 @@ def test_any_size_regime_has_no_energy_threshold(ell, v, im_m, c0, r_support, e1
     assert solvability_threshold(case) == 0.0
     target = e1 ** (-0.5 * alpha) / (0.5 * alpha * c0)
     t_bu = lifespan(case)
-    assert math.isfinite(t_bu) == (j_integral(case, _LAST_BRACKET) >= target)
     if math.isfinite(t_bu):
         assert j_integral(case, t_bu) == pytest.approx(target, rel=1e-6)
+    else:
+        assert j_integral(case, _LAST_BRACKET) < target
+
+
+def test_lifespan_is_finite_far_beyond_1e12():
+    """Any-size data at the log-growth edge (J ~ log(t) / 2) with a small
+    energy: the root lies near e^600, and lifespan finds it instead of giving
+    up at a fixed bracket end."""
+    case = BlowupCase(0.5, 2 / 3, 0.0, 1.0, 1.0, 1e-6)
+    assert classify(case).regime == ANY_SIZE
+    target = case.e1 ** (-0.5 * case.alpha_exp) / (0.5 * case.alpha_exp * case.c0)
+    t_bu = lifespan(case)
+    assert 1e250 < t_bu < math.inf
+    assert j_integral(case, t_bu) == pytest.approx(target, rel=1e-9)
 
 
 def _blowup_setup(e_target=4.0):
@@ -306,7 +320,7 @@ def test_empirical_blowup_matches_bound():
     assert rep["t_numerical"] is not None
     assert rep["satisfied"] is True
     assert rep["t_numerical"] <= math.sqrt(2.0) * 1.1
-    assert rep["differential_inequality"]["holds"]
+    assert rep["comparison"]["holds"]
 
 
 def test_empirical_blowup_zero_data():
@@ -324,13 +338,82 @@ def test_linear_run_never_flags_blowup():
 
 
 def test_differential_inequality_on_blowup_run():
+    """The run obeys the integrated inequality E >= Y at every recorded time
+    after the start (it blows up before T_bu, so each one is checked)."""
     grid, _ = _blowup_setup(4.0)
     cfg = SolverConfig(t_start=1.0, t_end=3.0, cfl=0.2, record_every=1,
                        on_cone_violation="stop")
     case = BlowupCase(ell=0.0, alpha_exp=2.0, c0=1.0, r_support=1.0, e1=4.0)
     rep = empirical_blowup(case, grid, cfg)
-    ineq = rep["differential_inequality"]
+    ineq = rep["comparison"]
     assert ineq["holds"] and ineq["points_checked"] > 10
+    assert ineq["worst_violation"] <= 0.0
+
+
+def _blowup_record(record_every=1):
+    grid, f0 = _blowup_setup(4.0)
+    cfg = SolverConfig(t_start=1.0, t_end=3.0, cfl=0.2, record_every=record_every,
+                       on_cone_violation="stop")
+    model = ModelSpec(nonlinearity=NonlinearitySpec(kind="blowup_G", alpha_exp=2.0, c0=1.0))
+    case = BlowupCase(ell=0.0, alpha_exp=2.0, c0=1.0, r_support=1.0, e1=l2_norm_sq(f0))
+    return propagate(f0, Cosmology(0.0, 1.0), model, cfg, observables=("l2",),
+                     method="split"), case
+
+
+def test_comparison_check_fails_a_tampered_record():
+    """Halving E after the first step puts it below Y: the bound fails."""
+    rec, case = _blowup_record()
+    assert comparison_check(rec, case)["holds"]
+    rec.series["l2"][1:] *= 0.5
+    tampered = comparison_check(rec, case)
+    assert not tampered["holds"] and tampered["worst_violation"] > 0.5
+
+
+def test_comparison_check_verdict_is_independent_of_the_record_cadence():
+    """Y is exact at each recorded time, so thinning the record drops points
+    but changes no verdict."""
+    dense, case = _blowup_record(record_every=1)
+    sparse, _ = _blowup_record(record_every=4)
+    d, s = comparison_check(dense, case), comparison_check(sparse, case)
+    assert d["holds"] and s["holds"]
+    assert d["points_checked"] > s["points_checked"] > 0
+    assert s["worst_violation"] <= d["worst_violation"] + 1e-12  # a subset of the times
+
+
+def test_comparison_check_rejects_a_record_not_starting_at_one():
+    rec, case = _blowup_record()
+    rec.series["times"] = rec.series["times"] + 0.5
+    with pytest.raises(ValueError, match="starts at t = 1"):
+        comparison_check(rec, case)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    alpha=st.one_of(st.floats(0.1, 0.55), st.floats(0.8, 3.0)),
+    r_support=st.floats(0.2, 5.0),
+    e1=st.floats(0.1, 10.0),
+)
+def test_comparison_check_against_the_closed_form(alpha, r_support, e1):
+    """ell = 0 and Im m = 0: A(t) = t - 1, D = 0 and
+    J(t) = [(R + t - 1)^(1 - 3 alpha/2) - R^(1 - 3 alpha/2)] / (1 - 3 alpha/2).
+    A record with E = Y from that closed form sits on the bound: its gap
+    (Y - E) / E = (worst + COMPARISON_RTOL) / (1 - COMPARISON_RTOL) is round-off."""
+    case = BlowupCase(ell=0.0, alpha_exp=alpha, r_support=r_support, e1=e1)
+    k = 1.0 - 1.5 * alpha
+    target = e1 ** (-0.5 * alpha) / (0.5 * alpha)
+    reach = target if k > 0 else min(target, r_support**k / -k)  # J's total if k < 0
+    j = np.linspace(0.0, 0.9 * reach, 12)  # J at the recorded times
+    times = (r_support**k + k * j) ** (1.0 / k) - r_support + 1.0
+    times[0] = 1.0
+    j_exact = ((r_support + times - 1.0) ** k - r_support**k) / k
+    energy = (0.5 * alpha * (target - j_exact)) ** (-2.0 / alpha)
+    rec = RunRecord(series={"times": times, "l2": energy}, cosmology=case.cosmology,
+                    mass=0j, potential_kind="none", potential_gamma2_ok=True,
+                    nonlinearity_kind="blowup_G", sobolev_order=1, support_radius0=r_support,
+                    cone_center=(0.0, 0.0, 0.0))
+    check = comparison_check(rec, case)
+    assert check["holds"] and check["points_checked"] == 11
+    assert abs(check["worst_violation"] + COMPARISON_RTOL) <= 1e-10
 
 
 def _force_method(monkeypatch, method):

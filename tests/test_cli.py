@@ -904,7 +904,8 @@ def test_sweep_two_points(tmp_path, monkeypatch):
 
 def test_sweep_row_tests_the_bound_it_reports(tmp_path, monkeypatch):
     """satisfied compares the run with the row's own T_bu: it is empty when
-    that bound is infinite, and the inequality columns report the check."""
+    that bound is infinite, and the inequality columns report the
+    comparison bound E >= Y, which holds on this blow-up run."""
     monkeypatch.setenv("FLRW_DIRAC_THREADS", "1")
     grid = write_json(tmp_path / "sweep.json", {
         "ell": [1.0], "alpha": [2.0], "im_m": [0.0], "R": 1.0, "E1": 4.0,
@@ -922,12 +923,13 @@ def test_sweep_row_tests_the_bound_it_reports(tmp_path, monkeypatch):
         expected = float(row["t_numerical"]) <= t_bu * (1.0 + BOUND_SLACK)
         assert row["satisfied"] == str(expected).lower()
     assert int(row["ineq_points"]) > 0
-    assert row["ineq_holds"] == str(float(row["ineq_worst"]) <= 0.0).lower()
+    assert row["ineq_holds"] == str(float(row["ineq_worst"]) <= 0.0).lower() == "true"
 
 
 def test_sweep_inequality_over_no_point_is_empty(tmp_path, monkeypatch):
-    """A run that records no interior point checks no inequality point, so
-    ineq_holds and ineq_worst stay empty instead of reading true."""
+    """A run that records no time after its start checks no point of the
+    comparison bound, so ineq_holds and ineq_worst stay empty instead of
+    reading true."""
     monkeypatch.setenv("FLRW_DIRAC_THREADS", "1")
     grid = write_json(tmp_path / "sweep.json", {
         "ell": [1.0], "alpha": [2.0], "E1": 4.0,
@@ -938,6 +940,26 @@ def test_sweep_inequality_over_no_point_is_empty(tmp_path, monkeypatch):
     with open(out, newline="") as fh:
         (row,) = csv.DictReader(fh)
     assert (row["ineq_points"], row["ineq_holds"], row["ineq_worst"]) == ("0", "", "")
+
+
+def test_sweep_row_2_1_0_holds_the_comparison_bound(tmp_path, monkeypatch):
+    """Row (ell 2, alpha 1, Im m 0) of the benchmark's sweep never blows up
+    before t_end and has an infinite bound.  A centred difference of its
+    recorded energy broke the inequality by step error; the comparison bound
+    holds at every recorded time."""
+    monkeypatch.setenv("FLRW_DIRAC_THREADS", "1")
+    grid = write_json(tmp_path / "sweep.json", {
+        "ell": [2.0], "alpha": [1.0], "im_m": [0.0], "c0": 1.0, "R": 1.0, "E1": 4.0,
+        "empirical": {"enabled": True, "dim": 1, "n": 256, "box_length": 16.0,
+                      "t_end": 4.0, "cfl": 0.3},
+    })
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", str(grid), "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["T_bu"], row["t_numerical"], row["satisfied"], row["error"]) == ("inf", "", "", "")
+    assert row["ineq_holds"] == "true" and int(row["ineq_points"]) > 0
+    assert float(row["ineq_worst"]) < 0.0
 
 
 def test_sweep_pool_writes_the_serial_csv(tmp_path, monkeypatch):

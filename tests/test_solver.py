@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flrw_dirac.blowup import BlowupCase, differential_inequality_check
+from flrw_dirac.blowup import BlowupCase, comparison_check
 from flrw_dirac.field import Grid, SpinorField, _derivative_wavenumbers, l2_norm_sq
 from flrw_dirac.gamma import BASIS
 from flrw_dirac.initial_data import compact_bump, gaussian_bump, random_smooth
@@ -431,9 +431,9 @@ def test_propagate_records_only_the_named_observables(monkeypatch, case):
     if case == "1d_blowup":
         bcase = BlowupCase(ell=0.5, alpha_exp=2.0, im_m_abs=0.5, e1=l2_norm_sq(f0))
         part = propagate(f0, cosmo, model, cfg, observables=("l2",))
-        check = differential_inequality_check(full, bcase)
+        check = comparison_check(full, bcase)
         assert check["points_checked"] > 10
-        assert differential_inequality_check(part, bcase) == check
+        assert comparison_check(part, bcase) == check
     with pytest.raises(ValueError, match=r"unknown observables \['energy'\]"):
         propagate(f0, cosmo, model, cfg, observables=("l2", "energy"))
 
