@@ -8,11 +8,11 @@ D = 3 ell + 2 |Im m|, integrates (with F = E t^D) to the comparison bound
     J(t) = integral over [1, t] of (R + A(s))^(-3 alpha / 2)
            * s^(-3 alpha ell / 2 - alpha |Im m|) ds
 
-where A(s) is the comoving travel distance (log s for ell = 1).  J is
-strictly increasing, and the lifespan bound T_bu is the time the bracket
-vanishes; when J's improper total mass stays below E(1)^(-alpha/2) /
-((alpha/2) c0) the bound is inconclusive for this energy and infinity is
-returned.  comparison_check tests a run against Y with lifespan's J.
+where A(s) is the comoving travel distance (log s for ell = 1).  J is strictly
+increasing, and the lifespan bound T_bu is the time the bracket vanishes; when
+J's improper total mass stays below E(1)^(-alpha/2) / ((alpha/2) c0) the bound
+is inconclusive for this energy and infinity is returned.  comparison_check
+tests a run against Y with lifespan's J, read through j_integral: J(t) only.
 
 empirical_blowup runs the data a BlowupCase states (support radius R,
 energy E(1)) and tests the run against lifespan(case), the bound a sweep row
@@ -22,8 +22,8 @@ theorem states no bound for that radius with these data.
 scipy is loaded on the first quadrature, not at import: the simulate,
 verify and kernel paths never integrate and should not pay for it.
 `quad` stays a module attribute that forwards to scipy's, so callers and
-tools that wrap `flrw_dirac.blowup.quad` see every quad of `j_integral`,
-`total_j_mass` and `comparison_check`.
+tools that wrap `flrw_dirac.blowup.quad` see every quad: `total_j_mass`'s and
+`j_integral`'s, which `lifespan` and `comparison_check` call.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from .field import Grid, l2_norm_sq
 from .initial_data import compact_bump
 from .models import Mass, ModelSpec, NonlinearitySpec
 from .solver import RunRecord, SolverConfig, propagate
-from .spacetime import Cosmology
+from .spacetime import Cosmology, _pow
 
 __all__ = [
     "BlowupCase",
@@ -123,19 +123,19 @@ def classify(case: BlowupCase) -> RegimeVerdict:
 
 
 def _integrand(case: BlowupCase):
-    travel_distance = case.cosmology.travel_distance
+    """s -> (R + A(s))^q s^p, with A = travel_distance from t0 = 1 in its own
+    arithmetic (so its bits) but without its checks: every node is in [1, t]."""
     r = case.r_support
     q = -1.5 * case.alpha_exp
     p = -1.5 * case.alpha_exp * case.ell - case.alpha_exp * case.im_m_abs
-
-    def f(t: float) -> float:
-        return (r + travel_distance(t)) ** q * t**p
-
-    return f
+    if case.cosmology.ell_is_one:
+        return lambda s: (r + math.log(s)) ** q * s**p
+    k = 1.0 - case.ell
+    return lambda s: (r + (_pow(s, k) - 1.0) / k) ** q * s**p
 
 
 def quad(*args, **kwargs):
-    """scipy.integrate.quad, imported on the first call."""
+    """scipy.integrate.quad, imported on the first call (comparison_check's J via j_integral)."""
     from scipy.integrate import quad as scipy_quad
 
     return scipy_quad(*args, **kwargs)
@@ -228,24 +228,24 @@ def comparison_check(rec: RunRecord, case: BlowupCase) -> dict:
     """The comparison bound E >= Y (module docstring) on a recorded run that
     starts at t = 1, with E(1) = case.e1.
 
-    J accumulates one J_QUAD quad per recorded interval.  Each recorded time
-    after the start with a positive bracket (before lifespan(case)) is
-    checked to E >= Y (1 - COMPARISON_RTOL); worst_violation is the largest
-    (Y (1 - COMPARISON_RTOL) - E) / E, so the bound holds when it is <= 0.
+    J at each recorded time t is j_integral(case, t), lifespan's J: it depends
+    on t only.  Each recorded time after the start with a positive bracket
+    (before lifespan(case)) is checked to E >= Y (1 - COMPARISON_RTOL);
+    worst_violation is the largest (Y (1 - COMPARISON_RTOL) - E) / E, so the
+    bound holds when it is <= 0.
     """
     tt = rec.series["times"]
     e = rec.series["l2"]
     if tt[0] != 1.0:
         raise ValueError(f"the comparison bound starts at t = 1, the record at {tt[0]}")
-    f = _integrand(case)
     half = 0.5 * case.alpha_exp
     damping = 3.0 * case.ell + 2.0 * case.im_m_abs
     target = case.e1 ** (-half) / (half * case.c0)  # lifespan's
-    j = 0.0
+    decades: dict[float, float] = {}
     worst = -math.inf
     checked = 0
     for i in range(1, len(tt)):
-        j += quad(f, tt[i - 1], tt[i], **J_QUAD)[0]
+        j = j_integral(case, tt[i], decades=decades)
         if not j < target:  # t >= T_bu: Y is infinite from here on
             break
         y = tt[i] ** (-damping) * (half * case.c0 * (target - j)) ** (-1.0 / half)
@@ -275,8 +275,7 @@ def empirical_blowup(case: BlowupCase, grid: Grid, cfg: SolverConfig) -> dict:
     """
     coeffs = (1, 0, 0, 0)
     probe = compact_bump(grid, 1.0, case.r_support, cfg.cone_center, coeffs)
-    amp = math.sqrt(case.e1 / l2_norm_sq(probe))
-    f0 = compact_bump(grid, amp, case.r_support, cfg.cone_center, coeffs)
+    f0 = probe.with_data(math.sqrt(case.e1 / l2_norm_sq(probe)) * probe.data)
     model = ModelSpec(
         mass=Mass(1j * case.im_m_abs),
         nonlinearity=NonlinearitySpec(kind="blowup_G", alpha_exp=case.alpha_exp, c0=case.c0),

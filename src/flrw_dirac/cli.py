@@ -475,8 +475,9 @@ def cmd_kernel(args) -> int:
 def _sweep_case(case: bup.BlowupCase, empirical: tuple[Grid, SolverConfig] | None) -> dict:
     """One CSV row; empirical holds the grid and solver settings of the
     blow-up run, or is None when the runs are not enabled.  satisfied and
-    the ineq_* columns (blowup.comparison_check: E >= Y, with lifespan's J,
-    where Y's bracket vanishes at T_bu) test the run against the row's T_bu."""
+    the ineq_* columns (blowup.comparison_check: E >= Y, J read through
+    lifespan's j_integral, so J depends on t only and Y's bracket vanishes at
+    T_bu) test the run against the row's T_bu."""
     verdict = bup.classify(case)
     row = {
         "ell": case.ell,

@@ -96,19 +96,33 @@ def test_lifespan_inconclusive_below_threshold():
 
 def test_quad_is_the_module_attribute_every_quadrature_calls(monkeypatch):
     """Tools that wrap flrw_dirac.blowup.quad (the benchmark tracer counts
-    IntegrationWarnings this way) see every call, and results are unchanged."""
+    IntegrationWarnings this way) see every call, and results are unchanged.
+    comparison_check reaches quad only through j_integral: one (1, t_i)
+    piece per recorded time it reads below 10."""
     import flrw_dirac.blowup as bup
 
     case = BlowupCase(ell=0.5, alpha_exp=1.0, e1=4.0)
-    expected = (j_integral(case, 50.0), total_j_mass(case), lifespan(case))
-    calls = []
-    original = bup.quad
+    rec, rec_case = _blowup_record()
+    expected = (j_integral(case, 50.0), total_j_mass(case), lifespan(case),
+                comparison_check(rec, rec_case))
+    calls, inside, outside = [], [], []  # outside: quads made outside j_integral
+    original_quad, original_j = bup.quad, bup.j_integral
 
     def counted(*args, **kwargs):
         calls.append(args[1:3])
-        return original(*args, **kwargs)
+        if not inside:
+            outside.append(args[1:3])
+        return original_quad(*args, **kwargs)
+
+    def traced_j(*args, **kwargs):
+        inside.append(True)
+        try:
+            return original_j(*args, **kwargs)
+        finally:
+            inside.pop()
 
     monkeypatch.setattr(bup, "quad", counted)
+    monkeypatch.setattr(bup, "j_integral", traced_j)
     assert j_integral(case, 50.0) == expected[0]
     assert calls == [(1.0, 10.0), (10.0, 50.0)]
     assert total_j_mass(case) == expected[1]
@@ -117,6 +131,12 @@ def test_quad_is_the_module_attribute_every_quadrature_calls(monkeypatch):
     assert lifespan(case) == expected[2]
     assert calls[:2] == [(1.0, 200.0), (200.0, np.inf)] and len(calls) > 2
     assert math.isfinite(expected[2])
+    del calls[:], outside[:]
+    assert comparison_check(rec, rec_case) == expected[3]
+    assert outside == []
+    times, checked = rec.series["times"], expected[3]["points_checked"]
+    assert times[-1] < 10.0 and checked > 10 and len(calls) in (checked, checked + 1)
+    assert calls == [(1.0, t) for t in times[1:len(calls) + 1]]
 
 
 # (ell, alpha, im_m) at the sweep's E1 = 4: T_bu is about 6710 (four decade
@@ -142,6 +162,38 @@ def test_lifespan_integrates_each_complete_decade_once(monkeypatch, ell, alpha, 
     below = {(10.0**k, 10.0 ** (k + 1)) for k in range(int(math.log10(t_bu)))}
     assert len(below) >= 3
     assert len(decades) == len(set(decades)) and below <= set(decades)
+
+
+def _travel_distance_integrand(case):
+    """The lifespan integrand written with Cosmology.travel_distance."""
+    travel_distance = case.cosmology.travel_distance
+    q = -1.5 * case.alpha_exp
+    p = -1.5 * case.alpha_exp * case.ell - case.alpha_exp * case.im_m_abs
+    return lambda s: (case.r_support + travel_distance(s)) ** q * s**p
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    ell=st.one_of(st.sampled_from([1.0, 1.0 + 1e-13, 1.0 - 1e-13]), st.floats(-1.0, 3.0)),
+    alpha=st.floats(0.1, 3.0),
+    im_m=st.floats(0.0, 2.0),
+    r_support=st.floats(0.1, 10.0),
+    s=st.one_of(st.just(1.0), st.floats(1.0, 1e8)),
+)
+def test_integrand_is_the_travel_distance_formula_bit_for_bit(ell, alpha, im_m, r_support, s):
+    """The integrand restates travel_distance from t0 = 1 without its checks;
+    the restatement keeps every bit of (R + A(s))^q s^p."""
+    case = BlowupCase(ell=ell, alpha_exp=alpha, im_m_abs=im_m, r_support=r_support)
+    assert blowup_module._integrand(case)(s) == _travel_distance_integrand(case)(s)
+
+
+@pytest.mark.parametrize("ell, alpha, im_m", MEMO_CASES)
+def test_lifespan_and_total_mass_keep_their_bits_with_the_travel_distance_integrand(
+        monkeypatch, ell, alpha, im_m):
+    case = BlowupCase(ell=ell, alpha_exp=alpha, im_m_abs=im_m, e1=4.0)
+    expected = (lifespan(case), total_j_mass(case))
+    monkeypatch.setattr(blowup_module, "_integrand", _travel_distance_integrand)
+    assert (lifespan(case), total_j_mass(case)) == expected
 
 
 @pytest.mark.parametrize("ell, alpha, im_m", MEMO_CASES)
@@ -370,14 +422,16 @@ def test_comparison_check_fails_a_tampered_record():
 
 
 def test_comparison_check_verdict_is_independent_of_the_record_cadence():
-    """Y is exact at each recorded time, so thinning the record drops points
-    but changes no verdict."""
+    """J, and so Y, depends on the recorded time only, so thinning the record
+    drops points but changes no verdict: the sparse record's times are a
+    subset of the dense record's, with the same E and Y there."""
     dense, case = _blowup_record(record_every=1)
     sparse, _ = _blowup_record(record_every=4)
+    assert set(sparse.series["times"]) <= set(dense.series["times"])
     d, s = comparison_check(dense, case), comparison_check(sparse, case)
     assert d["holds"] and s["holds"]
     assert d["points_checked"] > s["points_checked"] > 0
-    assert s["worst_violation"] <= d["worst_violation"] + 1e-12  # a subset of the times
+    assert s["worst_violation"] <= d["worst_violation"]
 
 
 def test_comparison_check_rejects_a_record_not_starting_at_one():
