@@ -264,9 +264,10 @@ def empirical_blowup(case: BlowupCase, grid: Grid, cfg: SolverConfig) -> dict:
     lifespan(case); satisfied is None unless it blew up under a finite bound.
 
     The run steps with propagate's method "split": every term of blowup_G
-    has an exact flow, and a Strang step costs 3 FFTs to RK4's 8.  With
-    either method t_numerical is the midpoint of the step in which the run
-    blew up, so it is known only to dt/2.
+    has an exact flow, and a step of a split run costs 2 FFTs to RK4's 8
+    (it records l2 alone, read off the data, so the only field it builds
+    is the final one).  With either method t_numerical is the midpoint of
+    the step in which the run blew up, so it is known only to dt/2.
 
     The data are a compact bump of radius case.r_support around
     cfg.cone_center, coefficients (1, 0, 0, 0), scaled to energy case.e1 at

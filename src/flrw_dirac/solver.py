@@ -37,16 +37,23 @@ nonlinearity dt, mass dt/2, transport dt/2.  From ta to tb the transport,
 damping included, is (ta/tb)^(3 ell/2) [cos(c|k|) I - (sin(c|k|)/|k|) B]
 with c the signed comoving travel distance, and the mass is
 exp(-i m log(tb/ta) g0): one factor on the upper spinor pair and its
-inverse on the lower.  Each half (transport and mass) is one _apply_span
-pass on the radial factors; c |psi|^alpha psi flows pointwise
-(models.nonlinearity_flow).  A step makes 3 FFTs (into physical space and
-back around the pointwise map, and the inverse of the result), 2 symbol
-passes and 1 pointwise map, on the same step size rule as RK4.  It is
-second order, exact for a massless free model, and accepts only models
-whose every term has such a flow: no potential, no source, and a
-nonlinearity that is none, power_abs or blowup_G.  RK4 stays the default,
-which simulate runs: on smooth runs it is far more accurate at the same
-step.  blowup.empirical_blowup runs split.
+inverse on the lower.  Mass, transport and mass again are one _apply_span
+pass on the radial factors (_split_pass); c |psi|^alpha psi flows
+pointwise (models.nonlinearity_flow).  Exact transports compose, so a run
+fuses the closing half of each step with the opening half of the next
+into one pass from mid-step to mid-step (the "first same as last" trick,
+McLachlan & Quispel 2002, Acta Numerica 11): it carries the spectrum of
+the data after the pointwise map, reads the squared L2 norm at the step
+boundary off it, and builds the field at a boundary only when something
+reads it.  A run step makes 2 FFTs (into physical space and back around
+the pointwise map), 1 symbol pass and 1 pointwise map, on the same step
+size rule as RK4; a built field costs one more pass and one inverse FFT.
+A single step (step(..., "split")) opens and closes: 3 FFTs and 2 passes.
+The method is second order, exact for a massless free model, and accepts
+only models whose every term has such a flow: no potential, no source, and
+a nonlinearity that is none, power_abs or blowup_G.  RK4 stays the
+default, which simulate runs: on smooth runs it is far more accurate at
+the same step.  blowup.empirical_blowup runs split.
 
 The recorder samples only the OBSERVABLES named by propagate's caller, and
 computes the bilinear densities only when a recorded observable reads them.
@@ -56,6 +63,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import sys
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 from typing import Callable
@@ -107,13 +115,13 @@ class SolverConfig:
     """Time-integration parameters.
 
     A run blows up when its squared L2 norm exceeds blowup_factor (>= 1)
-    times the initial one (with math.inf, or zero data, only non-finite
-    data count).  NaN is rejected in every float field.  t_start and t_end
-    are normalised to builtin float, so numpy scalar times (quadrature
-    nodes, say) behave like plain numbers downstream; record_every and
-    sobolev_order to builtin int (any other type, bool and float included,
-    raises TypeError); and lm_z, the phase of the recorded Majorana defect,
-    to builtin complex on the unit circle.
+    times the initial one, or is not finite (with math.inf, or zero data,
+    only a norm that is not finite counts).  NaN is rejected in every float
+    field.  t_start and t_end are normalised to builtin float, so numpy
+    scalar times (quadrature nodes, say) behave like plain numbers
+    downstream; record_every and sobolev_order to builtin int (any other
+    type, bool and float included, raises TypeError); and lm_z, the phase
+    of the recorded Majorana defect, to builtin complex on the unit circle.
     """
 
     t_start: float = 1.0
@@ -314,38 +322,89 @@ def _free_rk4(hat: np.ndarray, t: float, dt: float, cosmo: Cosmology, m: complex
     return _apply_span(hat, grid, (r0 + r2, r0 - r2), (r1 + r3, r1 - r3))
 
 
-def _transport_and_mass(hat: np.ndarray, ta: float, tb: float, cosmo: Cosmology, m: complex,
-                        grid: Grid, mass_first: bool) -> np.ndarray:
-    """hat carried from ta to tb (either order) by the exact transport flow
-    T = (ta/tb)^(3 ell/2) [cos(c|k|) I - (sin(c|k|)/|k|) B] and the exact mass
-    flow M = exp(-i m log(tb/ta) g0): M T, or T M with mass_first, in one
-    symbol pass.  M scales the upper pair by u and the lower by 1/u, and
-    g0 B = -B g0 gives M B = B M^-1."""
-    lo, hi = sorted((ta, tb))
-    c = math.copysign(cosmo.travel_distance(hi, lo), tb - ta)
+def _split_pass(hat: np.ndarray, t0: float, tb: float, t1: float, cosmo: Cosmology,
+                m: complex, grid: Grid) -> np.ndarray:
+    """hat carried by the exact mass flow from t0 to tb, then the exact
+    transport from t0 to t1, then the mass flow from tb to t1, in one symbol
+    pass (time may run either way).  The transport, damping included, is
+    T = dil [cos(c|k|) I - (sin(c|k|)/|k|) B] with dil = (t0/t1)^(3 ell/2);
+    the mass flow from ta to tb, exp(-i m log(tb/ta) g0), scales the upper
+    pair by u and the lower by 1/u, here ua and ub.  g0 B = -B g0 gives
+    M B = B M^-1, so the pass is P + s B Q with P = dil cos (ua ub, 1/(ua ub)),
+    Q = (sin(c|k|)/|k|) (ua/ub, ub/ua) and s = -dil.  A Strang step opens
+    with tb = t0 and closes with tb = t1; a run passes from one mid-step to
+    the next with tb the step boundary between them."""
+    lo, hi = sorted((t0, t1))
+    c = math.copysign(cosmo.travel_distance(hi, lo), t1 - t0)
     k, inv_k = _mode_magnitudes(grid)
-    dil = (ta / tb) ** (1.5 * cosmo.ell)
-    u = cmath.exp(-1j * m * math.log(tb / ta))
+    dil = (t0 / t1) ** (1.5 * cosmo.ell)
+    ua, ub = (cmath.exp(-1j * m * math.log(b / a)) for a, b in ((t0, tb), (tb, t1)))
     ck = c * k
     cos = np.cos(ck)
     sin_k = np.sin(ck) * inv_k  # sin(c|k|)/|k|, its limit c immaterial where B = 0
-    q = (u * sin_k, sin_k / u) if mass_first else (sin_k / u, u * sin_k)
-    return _apply_span(hat, grid, ((dil * u) * cos, (dil / u) * cos), q, s=-dil)
+    u, v = ua * ub, ua / ub
+    return _apply_span(hat, grid, ((dil * u) * cos, (dil / u) * cos), (v * sin_k, sin_k / v),
+                       s=-dil)
 
 
-def _split_step(f: SpinorField, dt: float, cosmo: Cosmology, model: ModelSpec) -> SpinorField:
-    """One Strang step (see the module docstring).  A pointwise blow-up
-    inside the step leaves non-finite data, which propagate reads as blow-up;
-    numpy's warnings on the way are silenced, since the data say it."""
-    t, grid, m = f.time, f.grid, complex(model.mass.m)
-    mid = t + 0.5 * dt
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        hat = _transport_and_mass(f.spectrum, t, mid, cosmo, m, grid, mass_first=False)
-        if not model.nonlinearity.is_none:
-            psi = nonlinearity_flow(model.nonlinearity, _ifftn(hat, grid, out=hat), dt)
-            hat = _fftn(psi, grid)
-        hat = _transport_and_mass(hat, mid, t + dt, cosmo, m, grid, mass_first=True)
-    return f.with_spectrum(hat, time=t + dt)
+class _Rk4State:
+    """An RK4 run at a step boundary: the field there."""
+
+    def __init__(self, field: SpinorField, cosmo: Cosmology, model: ModelSpec):
+        self.field, self.time, self.cosmo, self.model = field, field.time, cosmo, model
+
+    def advance(self, dt: float) -> tuple["_Rk4State", float]:
+        """The state one step of dt later, and its squared L2 norm."""
+        f = step(self.field, dt, self.cosmo, self.model)
+        with np.errstate(over="ignore"):  # an overflowing norm is inf: blown up
+            return _Rk4State(f, self.cosmo, self.model), l2_norm_sq(f)
+
+
+class _SplitState:
+    """A split run at the step boundary `time`: hat holds the Fourier
+    coefficients of the data after the last pointwise map, at the mid-step
+    time mid (at the start, the start field's spectrum with mid = time).
+    The field at `time` is the closing pass of hat, built on first read, on
+    a new array: building it never changes the run."""
+
+    def __init__(self, time: float, mid: float, hat: np.ndarray, like: SpinorField,
+                 cosmo: Cosmology, model: ModelSpec):
+        self.time, self.mid, self.hat, self.like = time, mid, hat, like
+        self.cosmo, self.model, self.m = cosmo, model, complex(model.mass.m)
+
+    @classmethod
+    def start(cls, f: SpinorField, cosmo: Cosmology, model: ModelSpec) -> "_SplitState":
+        state = cls(f.time, f.time, f.spectrum, f, cosmo, model)
+        state.__dict__["field"] = f
+        return state
+
+    def advance(self, dt: float) -> tuple["_SplitState", float]:
+        """The state one Strang step of dt later, and the squared L2 norm of
+        the field there, read off its hat without building the field: the
+        closing pass is the mass flow M, diagonal in the spinor index, then
+        dil times a unitary per mode.  A pointwise blow-up inside the step
+        leaves non-finite data and a norm that is not finite; numpy's
+        warnings on the way are silenced, since the data say it."""
+        t, grid = self.time, self.like.grid
+        mid, t1 = t + 0.5 * dt, t + dt
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            hat = _split_pass(self.hat, self.mid, t, mid, self.cosmo, self.m, grid)
+            if not self.model.nonlinearity.is_none:
+                psi = nonlinearity_flow(self.model.nonlinearity, _ifftn(hat, grid, out=hat), dt)
+                hat = _fftn(psi, grid)
+            u_sq = (t1 / mid) ** (2.0 * self.m.imag)  # |u|^2 of the mass flow mid -> t1
+            dil_sq = (mid / t1) ** (3.0 * self.cosmo.ell)
+            upper, lower = (np.vdot(pair, pair).real for pair in (hat[:2], hat[2:]))
+            e = dil_sq * (u_sq * upper + lower / u_sq)
+        new = _SplitState(t1, mid, hat, self.like, self.cosmo, self.model)
+        return new, float(e) * grid.cell_volume / grid.n**grid.dim  # Parseval
+
+    @cached_property
+    def field(self) -> SpinorField:
+        with np.errstate(over="ignore", invalid="ignore"):  # as in advance
+            hat = _split_pass(self.hat, self.mid, self.time, self.time, self.cosmo, self.m,
+                              self.like.grid)
+            return self.like.with_spectrum(hat, time=self.time)
 
 
 def _local_terms(f: SpinorField, t: float, model: ModelSpec) -> np.ndarray:
@@ -388,7 +447,7 @@ def step(f: SpinorField, dt: float, cosmo: Cosmology, model: ModelSpec,
     amplification; otherwise each stage derivative is _rhs_hat, the right
     side of rhs.  The field returned carries its spectrum."""
     if method == "split":
-        return _split_step(f, dt, cosmo, model)
+        return _SplitState.start(f, cosmo, model).advance(dt)[0].field
     t = f.time
     hat = f.spectrum
     if model.is_free:
@@ -419,13 +478,22 @@ def guard_cone(radius: float, grid: Grid, t: float, what: str) -> None:
 
 
 class _Sample:
-    """What an observable reads at one recorded time: the field f, its
-    squared L2 norm l2, its cell volume vol, its bilinear densities dens
-    (computed on first read) and the run's fixed inputs (cfg, cosmo, model
-    and r0, as attributes of run)."""
+    """What an observable reads at one recorded time: the time, the squared
+    L2 norm l2, the field f (the state's, which a split run builds on first
+    read), its cell volume vol, its bilinear densities dens (computed on
+    first read) and the run's fixed inputs (cfg, cosmo, model and r0, as
+    attributes of run)."""
 
-    def __init__(self, f: SpinorField, l2: float, run: "_Recorder"):
-        self.f, self.l2, self.run, self.vol = f, l2, run, f.grid.cell_volume
+    def __init__(self, state: "_Rk4State | _SplitState", l2: float, run: "_Recorder"):
+        self.state, self.time, self.l2, self.run = state, state.time, l2, run
+
+    @property
+    def f(self) -> SpinorField:
+        return self.state.field
+
+    @property
+    def vol(self) -> float:
+        return self.f.grid.cell_volume
 
     @cached_property
     def dens(self) -> BilinearDensities:
@@ -434,8 +502,8 @@ class _Sample:
 
 def _cone_leak(s: _Sample) -> float:
     run = s.run
-    if run.cfg.track_cone and s.f.time >= run.cfg.t_start:
-        return cone_mass(s.f, run.cfg.cone_center, run.reach(s.f.time))
+    if run.cfg.track_cone and s.time >= run.cfg.t_start:
+        return cone_mass(s.f, run.cfg.cone_center, run.reach(s.time))
     return 0.0
 
 
@@ -452,7 +520,7 @@ def _imv_int(s: _Sample) -> float:
 def _source_k(s: _Sample) -> float:
     if s.run.model.source is None:
         return 0.0
-    sf = s.f.with_data(np.asarray(s.run.model.source(s.f.time), dtype=complex))
+    sf = s.f.with_data(np.asarray(s.run.model.source(s.time), dtype=complex))
     return sobolev_norm(sf, s.run.cfg.sobolev_order)
 
 
@@ -464,7 +532,7 @@ TIME_AXIS = "times"
 # call, so wrapping those names (as the tracer does) sees every call.
 OBSERVABLES: dict[str, Callable[[_Sample], float | complex | None]] = {
     # t, the time of the sample
-    TIME_AXIS: lambda s: s.f.time,
+    TIME_AXIS: lambda s: s.time,
     # E(t), the squared L2 norm
     "l2": lambda s: s.l2,
     # H_k norm at cfg.sobolev_order
@@ -510,9 +578,10 @@ class _Recorder:
         distance light travels from cfg.t_start."""
         return self.r0 + self.cosmo.travel_distance(t, self.cfg.t_start)
 
-    def record(self, f: SpinorField, l2: float) -> None:
-        """Sample f; l2 is its squared L2 norm, which propagate has already."""
-        sample = _Sample(f, l2, self)
+    def record(self, state, l2: float) -> None:
+        """Sample the run at state's boundary; l2 is the squared L2 norm
+        there, which propagate has already."""
+        sample = _Sample(state, l2, self)
         for name, observe in self.observe.items():
             value = observe(sample)
             if value is not None:
@@ -549,7 +618,8 @@ def propagate(
 
     For a model with no nonlinearity and no source this realizes the linear
     solution operator between the two times (backward runs are allowed).
-    The run stops early on blow-up (norm threshold or non-finite data).
+    The run stops early on blow-up: a squared L2 norm above the threshold,
+    or one that is not finite.
 
     The run steps through one ordered list of stops, the capture times and
     cfg.t_end: dt = min(dt_max, cfl h a(t), |next stop - t|), so it lands on
@@ -571,7 +641,12 @@ def propagate(
     method is "rk4" (the default) or "split", the Strang step of the module
     docstring; another method, or "split" on a model with a potential, a
     source or a nonlinearity other than power_abs and blowup_G, raises
-    ValueError before the first step.
+    ValueError before the first step.  Each method advances a state and
+    builds the field at its step boundary; RK4's state is that field, while
+    a split run builds it only for a recorded observable that reads it, a
+    capture and the final state, so the run does not depend on
+    record_every or on the capture times.  A split run's norm, and its
+    recorded l2, are read off the data after the pointwise map.
     """
     if abs(f0.time - cfg.t_start) > 1e-9 * max(1.0, cfg.t_start):
         raise ValueError("f0.time must equal cfg.t_start")
@@ -594,8 +669,9 @@ def propagate(
     backward = cfg.t_end < cfg.t_start
     direction = -1.0 if backward else 1.0
 
-    e = l2_norm_sq(f0)  # squared L2 norm of the current state f
-    threshold = cfg.blowup_factor * e if e > 0 else math.inf
+    e = l2_norm_sq(f0)  # squared L2 norm at the current state's boundary
+    # finite, so that an infinite norm fails `e <= threshold` as NaN does
+    threshold = min(cfg.blowup_factor * e if e > 0 else math.inf, sys.float_info.max)
 
     r0 = support_radius(f0, cfg.cone_center) if cfg.track_cone else 0.0
     recorder = _Recorder(cosmo, model, cfg, r0, observables)
@@ -608,39 +684,38 @@ def propagate(
     captured: dict[float, SpinorField] = {}
     flags = {}  # the _FLAGS entries that differ from RunRecord's defaults
 
-    def arrive(f: SpinorField) -> None:
-        """Pop the stops f has reached (to 1e-12 relative; every time is >= 1),
-        storing f at the requested ones."""
-        while stops and direction * (stops[0] - f.time) <= 1e-12 * stops[0]:
+    def arrive(state) -> None:
+        """Pop the stops state has reached (to 1e-12 relative; every time is
+        >= 1), storing its field at the requested ones."""
+        while stops and direction * (stops[0] - state.time) <= 1e-12 * stops[0]:
             tc = stops.pop(0)
             if tc in captures:
-                captured[tc] = f.with_data(f.data)  # without its spectrum: half the memory
+                f = state.field  # stored without its spectrum: half the memory
+                captured[tc] = f.with_data(f.data)
 
-    f = f0
-    recorder.record(f, e)
-    arrive(f)
+    state = (_SplitState.start if method == "split" else _Rk4State)(f0, cosmo, model)
+    recorder.record(state, e)
+    arrive(state)
     steps_since_record = 0
     while stops:
-        dt = min(cfg.dt_max, cfg.cfl * grid.h * cosmo.scale(f.time), abs(stops[0] - f.time))
-        f_new = step(f, direction * dt, cosmo, model, method)
-
-        with np.errstate(over="ignore"):  # an overflowing norm is inf: blown up
-            blown_up = not f_new.is_finite() or (e_new := l2_norm_sq(f_new)) > threshold
-        if blown_up:
-            flags.update(blown_up=True, blowup_time=f.time + 0.5 * direction * dt)
+        t = state.time
+        dt = min(cfg.dt_max, cfg.cfl * grid.h * cosmo.scale(t), abs(stops[0] - t))
+        new, e_new = state.advance(direction * dt)
+        if not e_new <= threshold:
+            flags.update(blown_up=True, blowup_time=t + 0.5 * direction * dt)
             break
 
-        f, e = f_new, e_new
-        arrive(f)
+        state, e = new, e_new
+        arrive(state)
         steps_since_record += 1
-        if tracked and recorder.reach(f.time) >= limit:
+        if tracked and recorder.reach(state.time) >= limit:
             flags["cone_violation"] = True
             break
         if steps_since_record == cfg.record_every:
-            recorder.record(f, e)
+            recorder.record(state, e)
             steps_since_record = 0
     if steps_since_record:  # the end, or the last state before a blow-up or the cone limit
-        recorder.record(f, e)
+        recorder.record(state, e)
 
     flags["completed"] = not stops
-    return recorder.build(flags, f, captured)
+    return recorder.build(flags, state.field, captured)

@@ -375,6 +375,98 @@ def test_split_step_makes_three_transforms(monkeypatch):
     assert counts == {"_fftn": 1, "_ifftn": 2, "numpy": 3}
 
 
+def _fused_case(dim, kind, t0, t1):
+    """A split run of a bump under power_abs or blowup_G with mass 0.5i on
+    ell = 2/3, where the CFL step a(t) cfl h changes every step, from t0 to
+    t1 (either order), short of blow-up."""
+    grid = (Grid(dim=1, n=256, box_length=16.0) if dim == "1d"
+            else Grid(dim=3, n=16, box_length=8.0))
+    f0 = compact_bump(grid, 1.0, 1.5, coeffs=(1, 0.5, 0.2j, 0.3), time=t0)
+    nonlinearity = (NonlinearitySpec(kind="power_abs", sign=-1, alpha_exp=1.0)
+                    if kind == "power_abs"
+                    else NonlinearitySpec(kind="blowup_G", c0=0.5, alpha_exp=2.0))
+    cfg = SolverConfig(t_start=t0, t_end=t1, cfl=0.2, track_cone=False)
+    return f0, ModelSpec(mass=Mass(0.5j), nonlinearity=nonlinearity), cfg
+
+
+@pytest.mark.parametrize("dim", ["1d", "3d"])
+@pytest.mark.parametrize("kind", ["power_abs", "blowup_G"])
+@pytest.mark.parametrize("t0, t1", [(1.0, 1.4), (1.4, 1.0)], ids=["forward", "backward"])
+def test_fused_split_run_is_a_chain_of_split_steps(dim, kind, t0, t1):
+    """A split run passes from mid-step to mid-step, fusing each step's
+    closing half with the next one's opening half; its end state is that of
+    single split steps chained over the run's time grid."""
+    f0, model, cfg = _fused_case(dim, kind, t0, t1)
+    rec = propagate(f0, COSMO, model, cfg, observables=(), method="split")
+    times = rec.series[TIME_AXIS]
+    dts = np.diff(times)
+    assert rec.completed and not rec.blown_up and len(times) > 4
+    assert np.ptp(np.abs(dts[:-1])) > 0.05 * np.abs(dts).max()  # dt moves each step
+    f = f0
+    for dt in dts:
+        f = step(f, dt, COSMO, model, "split")
+    assert f.time == pytest.approx(rec.final.time, rel=1e-14)
+    assert _rel_max(rec.final.data, f.data) < 1e-12
+
+
+def test_split_run_does_not_depend_on_what_it_builds():
+    """The field at a step boundary is built only for what reads it, and
+    building it never feeds back: the final state and every series are
+    bit-identical with record_every 1 and 3, and with and without a capture
+    time on the run's time grid.  (dt_max binds at a power of two, so every
+    time is exact and the capture changes no step.)"""
+    f0, model, cfg = _fused_case("1d", "blowup_G", 1.0, 1.5)
+    cfg = dataclasses.replace(cfg, dt_max=2.0**-7, track_cone=True)
+
+    def run(**kwargs):
+        capture_times = kwargs.pop("capture_times", ())
+        return propagate(f0, COSMO, model, dataclasses.replace(cfg, **kwargs),
+                         capture_times=capture_times, method="split")
+
+    every, sparse, captures = run(), run(record_every=3), run(capture_times=(1.25,))
+    assert every.completed and set(every.series) >= {"l2", "xi_int", "cone_leak", "sobolev_k"}
+    times = list(every.series[TIME_AXIS])
+    for other in (sparse, captures):
+        picked = [times.index(t) for t in other.series[TIME_AXIS]]
+        for name, values in other.series.items():
+            assert np.array_equal(values, every.series[name][picked])
+        assert np.array_equal(other.final.data, every.final.data)
+    assert len(sparse.series[TIME_AXIS]) < len(times)
+    assert np.array_equal(captures.captured[1.25].data, run(t_end=1.25).final.data)
+
+
+def test_split_run_reads_the_norm_off_the_data_after_the_pointwise_map(monkeypatch):
+    """With Im m = 0.5 the mass flow changes the norm.  The l2 a split run
+    records, read off the data after the pointwise map, is the squared L2
+    norm of the field built at every recorded time, all observables
+    recorded."""
+    monkeypatch.setitem(solver_module.OBSERVABLES, "built_l2", lambda s: l2_norm_sq(s.f))
+    for dim in ("1d", "3d"):
+        f0, model, cfg = _fused_case(dim, "blowup_G", 1.0, 1.5)
+        rec = propagate(f0, COSMO, model, cfg, method="split")
+        assert rec.completed and len(rec.series[TIME_AXIS]) > 4
+        l2, built = rec.series["l2"], rec.series["built_l2"]
+        assert np.max(np.abs(l2 - built) / built) < 1e-13
+        assert np.ptp(l2) > 0.01 * l2[0]
+
+
+def test_split_run_makes_two_transforms_a_step(monkeypatch):
+    """A split run of N steps transforms its start field once, into physical
+    space and back around each pointwise map (2 per step), and makes one
+    inverse transform per field it builds: the final state only, when it
+    records l2 alone, and each recorded state besides the start, when it
+    records all observables (their spectra come with the built fields)."""
+    counts = _count_transforms(monkeypatch)
+    for observables in (("l2",), None):
+        f0, model, cfg = _fused_case("1d", "blowup_G", 1.0, 1.5)  # no spectrum yet
+        counts.update(_fftn=0, _ifftn=0, numpy=0)
+        rec = propagate(f0, COSMO, model, cfg, observables=observables, method="split")
+        n = len(rec.series[TIME_AXIS]) - 1
+        built = 1 if observables else n
+        assert rec.completed and n > 4
+        assert counts == {"_fftn": 1 + n, "_ifftn": n + built, "numpy": 1 + 2 * n + built}
+
+
 @pytest.mark.parametrize("model, what", [
     (ModelSpec(nonlinearity=NonlinearitySpec(kind="lochak_form", alpha_coeffs=(1.0, 0.0))),
      "the nonlinearity 'lochak_form'"),
