@@ -196,12 +196,17 @@ def solvability_threshold(case: BlowupCase) -> float:
 def lifespan(case: BlowupCase) -> float:
     """Latest possible blow-up time, or infinity when inconclusive.
 
-    Brent root finding of J(T) = E(1)^(-alpha/2) / ((alpha/2) c0) in a
-    bracket whose end doubles from 2 until J reaches that target; it is
-    inconclusive only if the end would leave the float range (past 2^1023).
-    Every J(t) of one call shares one memo of the complete decades, so each
-    decade is integrated once; the sums, and so the root, are the same as
-    without it.
+    Brent root finding of J(T) = E(1)^(-alpha/2) / ((alpha/2) c0) in
+    [hi/2, hi], hi the first power of 2 from 2 on with J(hi) at or above that
+    target; it is inconclusive only if hi would leave the float range (past
+    2^1023).  Every J(t) of one call shares one memo of the complete decades
+    of _pieces, so each decade is integrated once; the sums, and so the root,
+    are the same as without it.  The memo is walked first: the decades are
+    summed, in j_integral's order, while J stays below the target at their
+    right edge, and the doubling starts from the largest power of 2 at or
+    below the last edge reached.  J is increasing, so every power of 2 the
+    walk passes has J below the target, and hi is the one the doubling from
+    2 finds, with one J per decade instead of one per doubling.
     """
     from scipy.optimize import brentq
 
@@ -210,13 +215,20 @@ def lifespan(case: BlowupCase) -> float:
     if math.isfinite(total) and total <= target * (1.0 + 1e-12):
         return math.inf
 
+    f = _integrand(case)
     decades: dict[float, float] = {}
-    hi = 2.0
-    while j_integral(case, hi, decades=decades) < target:
+    edge, j_edge = 1.0, 0.0  # J(edge) = j_edge < target
+    while edge * 10.0 < math.inf:
+        decades[edge] = quad(f, edge, edge * 10.0, **J_QUAD)[0]
+        if not j_edge + decades[edge] < target:
+            break
+        edge, j_edge = edge * 10.0, j_edge + decades[edge]
+    hi = 2.0 * math.ldexp(1.0, math.frexp(edge)[1] - 1)  # twice the power of 2 at or below edge
+    while not math.isinf(hi) and j_integral(case, hi, decades=decades) < target:
         hi *= 2.0
-        if math.isinf(hi):
-            return math.inf
-    lo = max(1.0, hi / 2.0)  # 1, where J = 0, or the last hi with J < target
+    if math.isinf(hi):
+        return math.inf
+    lo = max(1.0, hi / 2.0)  # 1, where J = 0, or a power of 2 with J < target
 
     def g(t: float) -> float:
         return j_integral(case, t, decades=decades) - target
@@ -258,10 +270,17 @@ def comparison_check(rec: RunRecord, case: BlowupCase) -> dict:
     }
 
 
-def empirical_blowup(case: BlowupCase, grid: Grid, cfg: SolverConfig) -> dict:
+def empirical_blowup(case: BlowupCase | list[BlowupCase], grid: Grid,
+                     cfg: SolverConfig) -> dict | list[dict]:
     """Run blowup_G (the case's alpha and c0, mass i |Im m|) on the data the
     case states, to numerical blow-up or cfg.t_end, and test it against
     lifespan(case); satisfied is None unless it blew up under a finite bound.
+
+    case may also be a list of cases that share ell, r_support and e1, the
+    rows of one sweep cosmology: they start from the same data, run as one
+    stack of rows (solver.propagate) and give a list of reports, one per
+    case, in order.  Each row's run is the one it would make alone, to
+    rounding (models.power_flow).
 
     The run steps with propagate's method "split": every term of blowup_G
     has an exact flow, and a step of a split run costs 2 FFTs to RK4's 8
@@ -274,23 +293,31 @@ def empirical_blowup(case: BlowupCase, grid: Grid, cfg: SolverConfig) -> dict:
     t = 1 = cfg.t_start.  Their support is case.r_support by construction, so
     no radius is measured: an estimate reads below it.
     """
+    cases = [case] if isinstance(case, BlowupCase) else list(case)
+    first = cases[0]
+    shared = ("ell", "r_support", "e1")
+    if any(getattr(c, k) != getattr(first, k) for c in cases for k in shared):
+        raise ValueError(f"the cases of a stack must share {', '.join(shared)}")
     coeffs = (1, 0, 0, 0)
-    probe = compact_bump(grid, 1.0, case.r_support, cfg.cone_center, coeffs)
-    f0 = probe.with_data(math.sqrt(case.e1 / l2_norm_sq(probe)) * probe.data)
-    model = ModelSpec(
-        mass=Mass(1j * case.im_m_abs),
-        nonlinearity=NonlinearitySpec(kind="blowup_G", alpha_exp=case.alpha_exp, c0=case.c0),
-    )
-    rec = propagate(f0, case.cosmology, model, cfg, observables=("l2",), method="split")
-    t_bound = lifespan(case)
-    t_numerical = rec.blowup_time if rec.blown_up else None
-    if rec.blown_up and math.isfinite(t_bound):
-        satisfied = t_numerical <= t_bound * (1.0 + BOUND_SLACK)
-    else:
-        satisfied = None
-    return {
-        "t_bound": t_bound,
-        "t_numerical": t_numerical,
-        "satisfied": satisfied,
-        "comparison": comparison_check(rec, case),
-    }
+    probe = compact_bump(grid, 1.0, first.r_support, cfg.cone_center, coeffs)
+    f0 = probe.with_data(math.sqrt(first.e1 / l2_norm_sq(probe)) * probe.data)
+    models = [ModelSpec(
+        mass=Mass(1j * c.im_m_abs),
+        nonlinearity=NonlinearitySpec(kind="blowup_G", alpha_exp=c.alpha_exp, c0=c.c0),
+    ) for c in cases]
+    recs = propagate(f0, first.cosmology, models, cfg, observables=("l2",), method="split")
+    reports = []
+    for c, rec in zip(cases, recs):
+        t_bound = lifespan(c)
+        t_numerical = rec.blowup_time if rec.blown_up else None
+        if rec.blown_up and math.isfinite(t_bound):
+            satisfied = t_numerical <= t_bound * (1.0 + BOUND_SLACK)
+        else:
+            satisfied = None
+        reports.append({
+            "t_bound": t_bound,
+            "t_numerical": t_numerical,
+            "satisfied": satisfied,
+            "comparison": comparison_check(rec, c),
+        })
+    return reports[0] if isinstance(case, BlowupCase) else reports

@@ -13,11 +13,12 @@ the unit circle, a forward cone that would wrap around the torus by t_end,
 or a kernel argument out of range, among others), 2 runtime error,
 3 verification failure.  simulate runs forward: a solver.t_end before
 solver.t_start is a config error, and it steps with RK4; a sweep's empirical
-blow-up runs step with the split method (blowup.empirical_blowup).
-FLRW_DIRAC_THREADS caps sweep parallelism
-(0 or unset: all cores); with more than one worker the parent loads scipy
-before it forks the pool, so the workers inherit it instead of each
-importing it again.
+blow-up runs step with the split method (blowup.empirical_blowup), the
+points of one ell as one stack.  FLRW_DIRAC_THREADS caps sweep parallelism
+(0 or unset: the CPUs in the process's affinity); the pool maps over the
+stacks, with at most one worker per stack, and with more than one worker
+the parent loads scipy before it forks the pool, so the workers inherit it
+instead of each importing it again.
 """
 from __future__ import annotations
 
@@ -472,10 +473,25 @@ def cmd_kernel(args) -> int:
     return EXIT_OK
 
 
-def _sweep_case(case: bup.BlowupCase, empirical: tuple[Grid, SolverConfig] | None) -> dict:
-    """One CSV row; empirical holds the grid and solver settings of the
-    blow-up run, or is None when the runs are not enabled.  satisfied and
-    the ineq_* columns (blowup.comparison_check: E >= Y, J read through
+def _sweep_stack(cases: list[bup.BlowupCase],
+                 empirical: tuple[Grid, SolverConfig] | None) -> list[dict]:
+    """The CSV rows of cases that share a cosmology, R and E1; empirical
+    holds the grid and solver settings of the blow-up runs, or is None when
+    the runs are not enabled.  Enabled, the cases run as one stack of rows
+    (blowup.empirical_blowup), and an error there is each row's error."""
+    reports, error = [None] * len(cases), ""
+    if empirical is not None:
+        try:
+            reports = bup.empirical_blowup(cases, *empirical)
+        except Exception as exc:  # keep the sweep going, record the failure
+            error = f"{type(exc).__name__}: {exc}"
+    return [_sweep_row(case, rep, error) for case, rep in zip(cases, reports)]
+
+
+def _sweep_row(case: bup.BlowupCase, rep: dict | None, error: str) -> dict:
+    """One CSV row, from the case's report of empirical_blowup (None when
+    the runs are not enabled) or the error of its stack.  satisfied and the
+    ineq_* columns (blowup.comparison_check: E >= Y, J read through
     lifespan's j_integral, so J depends on t only and Y's bracket vanishes at
     T_bu) test the run against the row's T_bu."""
     verdict = bup.classify(case)
@@ -494,13 +510,14 @@ def _sweep_case(case: bup.BlowupCase, empirical: tuple[Grid, SolverConfig] | Non
         "ineq_holds": "",
         "ineq_worst": "",
         "ineq_points": "",
-        "error": "",
+        "error": error,
     }
+    if error:
+        return row
     try:
-        if empirical is None:
+        if rep is None:
             t_bu = bup.lifespan(case)
         else:
-            rep = bup.empirical_blowup(case, *empirical)
             t_bu = rep["t_bound"]
             if rep["t_numerical"] is not None:
                 row["t_numerical"] = repr(rep["t_numerical"])
@@ -518,15 +535,25 @@ def _sweep_case(case: bup.BlowupCase, empirical: tuple[Grid, SolverConfig] | Non
 
 
 def _sweep_workers() -> int:
-    """FLRW_DIRAC_THREADS as a worker count; 0 or unset means all cores."""
+    """FLRW_DIRAC_THREADS as a worker count; 0 or unset means every CPU the
+    process may run on (its affinity, where the platform reports it)."""
     raw = os.environ.get("FLRW_DIRAC_THREADS", "0")
     if not raw.strip().isdecimal():
         raise ConfigError(
             f"FLRW_DIRAC_THREADS must be a nonnegative integer, got {raw!r}")
-    return int(raw) or os.cpu_count() or 1
+    if int(raw):
+        return int(raw)
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def cmd_sweep(args) -> int:
+    """Write the sweep's CSV, one row per (ell, alpha, im_m) point.  The
+    points of one ell form a stack (_sweep_stack), whose blow-up runs step
+    as one array; a 3D row is a stack of one.  A process pool of
+    min(_sweep_workers(), stacks) workers maps over the stacks when that is
+    more than one."""
     v = _walk(_read_json(args.config), _SWEEP)
     emp = v["empirical"]
     grid = _build("empirical", Grid, emp["dim"], emp["n"], emp["box_length"])
@@ -534,24 +561,27 @@ def cmd_sweep(args) -> int:
     if emp["enabled"]:
         empirical = grid, SolverConfig(t_end=emp["t_end"], cfl=emp["cfl"],
                                        on_cone_violation="stop")
-    cases = [
-        _build(None, bup.BlowupCase, e, a, i, v["c0"], v["R"], v["E1"])
+    stacks = [
+        [_build(None, bup.BlowupCase, e, a, i, v["c0"], v["R"], v["E1"])
+         for a in sorted(v["alpha"])
+         for i in sorted(v["im_m"])]
         for e in sorted(v["ell"])
-        for a in sorted(v["alpha"])
-        for i in sorted(v["im_m"])
     ]
-    workers = min(_sweep_workers(), max(len(cases), 1))
-    if workers > 1 and len(cases) > 1:
+    if grid.dim == 3:  # a 3D split run holds one row
+        stacks = [[case] for stack in stacks for case in stack]
+    workers = min(_sweep_workers(), len(stacks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         import scipy.integrate  # noqa: F401 -- loaded once, inherited by the forks
         import scipy.optimize  # noqa: F401
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_case, cases, [empirical] * len(cases)))
+            done = list(pool.map(_sweep_stack, stacks, [empirical] * len(stacks)))
     else:
-        rows = [_sweep_case(c, empirical) for c in cases]
-    rows.sort(key=lambda r: (r["ell"], r["alpha"], r["im_m"]))
+        done = [_sweep_stack(stack, empirical) for stack in stacks]
+    rows = sorted((row for stack in done for row in stack),
+                  key=lambda r: (r["ell"], r["alpha"], r["im_m"]))
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=rows[0])  # the grid lists are non-empty
         writer.writeheader()

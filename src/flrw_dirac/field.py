@@ -206,8 +206,9 @@ def _apply_span(hat: np.ndarray, grid: Grid, p, q=None, s: complex = 1.0,
     minus the k3 term, in that order, with the symbol as the left operand of
     every symbol product; the upper output pair reads the lower input pair,
     and vice versa.  In 1D, where i k3 is absent and the k+ and k- entries
-    are equal, the four symbol terms are one product with the rows of Q hat
-    reversed.
+    are equal, the four symbol terms are one product with the components of
+    Q hat reversed.  There hat may also be a stack of rows (rows, 4, n),
+    with factors that broadcast over it: (rows, 1, 1) per row, say.
 
     In 3D the pass runs slab by slab along the first spatial axis, each slab
     _SLAB_BYTES per component (at least one plane).  Every step acts on each
@@ -223,17 +224,17 @@ def _apply_span(hat: np.ndarray, grid: Grid, p, q=None, s: complex = 1.0,
         raise ValueError("the in-place symbol pass needs a writable hat")
     ik3, ikp, ikm = _dirac_symbol(grid)
     out = hat if in_place else np.empty_like(hat)
-    if ik3 is None:
+    if ik3 is None:  # components on axis -2, after the rows of a stack
         if q is None:
-            term = np.multiply(s * ikp, hat[::-1])
-        else:  # the rows (q_l h3, q_l h2, q_u h1, q_u h0)
+            term = np.multiply(s * ikp, hat[..., ::-1, :])
+        else:  # the components (q_l h3, q_l h2, q_u h1, q_u h0)
             qu, ql = q
             term = np.empty_like(hat)
-            np.multiply(ql, hat[:1:-1], out=term[:2])
-            np.multiply(qu, hat[1::-1], out=term[2:])
+            np.multiply(ql, hat[..., :1:-1, :], out=term[..., :2, :])
+            np.multiply(qu, hat[..., 1::-1, :], out=term[..., 2:, :])
             np.multiply(s * ikp, term, out=term)
-        np.multiply(p[0], hat[:2], out=out[:2])
-        np.multiply(p[1], hat[2:], out=out[2:])
+        np.multiply(p[0], hat[..., :2, :], out=out[..., :2, :])
+        np.multiply(p[1], hat[..., 2:, :], out=out[..., 2:, :])
         out += term
         return out
     ik3, ikp, ikm = s * ik3, s * ikp, s * ikm

@@ -13,7 +13,8 @@ hyperbolic_rhs_nonlinearity returns every family as a first-order right
 side, with the left factor -i g0 of the covariant ones written out.
 nonlinearity_flow is the exact flow of that right side alone for the two
 families of the form c |psi|^alpha psi (power_abs and blowup_G), the
-pointwise piece of the solver's split step.
+pointwise piece of the solver's split step; power_flow is that flow with
+one exponent and coefficient per row of a stack.
 """
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ __all__ = [
     "potential_field",
     "hyperbolic_rhs_nonlinearity",
     "nonlinearity_flow",
+    "power_flow",
 ]
 
 
@@ -235,16 +237,27 @@ def hyperbolic_rhs_nonlinearity(spec: NonlinearitySpec, f: SpinorField) -> np.nd
 
 def nonlinearity_flow(spec: NonlinearitySpec, data: np.ndarray, tau: float) -> np.ndarray:
     """psi advanced by time tau (either sign) under d/dt psi = c |psi|^a psi
-    alone, with c = spec.power_coefficient (ValueError where it is None).
-    |psi|^(-a) falls at the constant rate a c, so psi(tau) =
-    psi (1 - a c tau |psi|^a)^(-1/a): each spinor keeps its direction.  Where
-    the base is <= 0, at or past the pointwise blow-up time, it is taken as
-    0 and the value is not finite (numpy warns of the division by zero unless
-    the caller silences it); a negative base would give a finite power for
-    an integral 1/a."""
+    alone, with a = spec.alpha_exp and c = spec.power_coefficient
+    (ValueError where it is None); power_flow on a field's data."""
     c = spec.power_coefficient
     if c is None:
         raise ValueError(f"nonlinearity kind {spec.kind!r} has no pointwise flow")
-    a = spec.alpha_exp
-    mag_a = np.sum(data.real**2 + data.imag**2, axis=0) ** (0.5 * a)
-    return data * np.maximum(1.0 - a * c * tau * mag_a, 0.0) ** (-1.0 / a)
+    return power_flow(spec.alpha_exp, c, data, tau)
+
+
+def power_flow(a, c, data: np.ndarray, tau: float) -> np.ndarray:
+    """The flow of d/dt psi = c |psi|^a psi over time tau, on a field's data
+    (4, ...) with numbers a and c, or on a stack of rows (rows, 4, ...) with
+    arrays a and c of shape (rows, 1, ...), one exponent and coefficient per
+    row.  |psi|^(-a) falls at the constant rate a c, so psi(tau) =
+    psi (1 - a c tau |psi|^a)^(-1/a): each spinor keeps its direction.
+    Where the base is <= 0, at or past the pointwise blow-up time, it is
+    taken as 0 and the value is not finite (numpy warns of the division by
+    zero unless the caller silences it); a negative base would give a
+    finite power for an integral 1/a.  numpy takes a number exponent 1/2,
+    -1 or 2 as sqrt, 1/x or x*x, and an array entry as pow, so a row whose
+    a/2 or -1/a is one of these (a = 1 or 4) flows within rounding of, not
+    bit for bit as, its field alone."""
+    components = 1 if np.ndim(a) else 0
+    mag_sq = np.sum(data.real**2 + data.imag**2, axis=components, keepdims=True)
+    return data * np.maximum(1.0 - a * c * tau * mag_sq ** (0.5 * a), 0.0) ** (-1.0 / a)

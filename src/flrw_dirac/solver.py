@@ -55,6 +55,14 @@ a nonlinearity that is none, power_abs or blowup_G.  RK4 stays the
 default, which simulate runs: on smooth runs it is far more accurate at
 the same step.  blowup.empirical_blowup runs split.
 
+A split run carries a stack of rows: models that start from one field on
+one cosmology, so that they share every step, and differ in their mass and
+pointwise flow.  In 1D the stack is one array (rows, 4, n), and each pass,
+transform and pointwise map acts on all rows in one call; a step of a
+few hundred modes is mostly per-call cost, so the rows share it.  A row
+whose norm fails the blow-up test leaves the stack with its own record,
+and the rest go on.  A 3D stack holds one row.
+
 The recorder samples only the OBSERVABLES named by propagate's caller, and
 computes the bilinear densities only when a recorded observable reads them.
 """
@@ -88,7 +96,7 @@ from .field import (
     sobolev_norm,
     support_radius,
 )
-from .models import ModelSpec, hyperbolic_rhs_nonlinearity, nonlinearity_flow, potential_field
+from .models import ModelSpec, hyperbolic_rhs_nonlinearity, potential_field, power_flow
 from .spacetime import Cosmology
 
 __all__ = [
@@ -322,89 +330,145 @@ def _free_rk4(hat: np.ndarray, t: float, dt: float, cosmo: Cosmology, m: complex
     return _apply_span(hat, grid, (r0 + r2, r0 - r2), (r1 + r3, r1 - r3))
 
 
+def _per_row(values: list):
+    """values, one per row of a split run's stack, shaped to broadcast over
+    its hat (_SplitState): (rows, 1, 1), or the one value of a stack of one."""
+    return values[0] if len(values) == 1 else np.reshape(values, (-1, 1, 1))
+
+
 def _split_pass(hat: np.ndarray, t0: float, tb: float, t1: float, cosmo: Cosmology,
-                m: complex, grid: Grid) -> np.ndarray:
+                masses: list, grid: Grid) -> np.ndarray:
     """hat carried by the exact mass flow from t0 to tb, then the exact
     transport from t0 to t1, then the mass flow from tb to t1, in one symbol
-    pass (time may run either way).  The transport, damping included, is
+    pass (time may run either way); hat is a stack (_SplitState) and masses
+    holds the mass of each of its rows.  The transport, damping included, is
     T = dil [cos(c|k|) I - (sin(c|k|)/|k|) B] with dil = (t0/t1)^(3 ell/2);
     the mass flow from ta to tb, exp(-i m log(tb/ta) g0), scales the upper
     pair by u and the lower by 1/u, here ua and ub.  g0 B = -B g0 gives
     M B = B M^-1, so the pass is P + s B Q with P = dil cos (ua ub, 1/(ua ub)),
-    Q = (sin(c|k|)/|k|) (ua/ub, ub/ua) and s = -dil.  A Strang step opens
-    with tb = t0 and closes with tb = t1; a run passes from one mid-step to
-    the next with tb the step boundary between them."""
+    Q = (sin(c|k|)/|k|) (ua/ub, ub/ua) and s = -dil, the phases worked out
+    per row in scalar arithmetic, as for a row alone.  A Strang step opens with tb = t0 and closes with
+    tb = t1; a run passes from one mid-step to the next with tb the step
+    boundary between them."""
     lo, hi = sorted((t0, t1))
     c = math.copysign(cosmo.travel_distance(hi, lo), t1 - t0)
     k, inv_k = _mode_magnitudes(grid)
     dil = (t0 / t1) ** (1.5 * cosmo.ell)
-    ua, ub = (cmath.exp(-1j * m * math.log(b / a)) for a, b in ((t0, tb), (tb, t1)))
+    log_a, log_b = math.log(tb / t0), math.log(t1 / tb)
+    pu, pl, v = [], [], []
+    for m in masses:
+        ua, ub = cmath.exp(-1j * m * log_a), cmath.exp(-1j * m * log_b)
+        u = ua * ub
+        pu.append(dil * u)
+        pl.append(dil / u)
+        v.append(ua / ub)
+    pu, pl, v = (_per_row(x) for x in (pu, pl, v))
     ck = c * k
     cos = np.cos(ck)
     sin_k = np.sin(ck) * inv_k  # sin(c|k|)/|k|, its limit c immaterial where B = 0
-    u, v = ua * ub, ua / ub
-    return _apply_span(hat, grid, ((dil * u) * cos, (dil / u) * cos), (v * sin_k, sin_k / v),
-                       s=-dil)
+    return _apply_span(hat, grid, (pu * cos, pl * cos), (v * sin_k, sin_k / v), s=-dil)
 
 
 class _Rk4State:
-    """An RK4 run at a step boundary: the field there."""
+    """An RK4 run of a stack of rows at a step boundary: the field of each
+    row there."""
 
-    def __init__(self, field: SpinorField, cosmo: Cosmology, model: ModelSpec):
-        self.field, self.time, self.cosmo, self.model = field, field.time, cosmo, model
+    def __init__(self, fields: list, cosmo: Cosmology, models: list):
+        self.fields, self.time, self.cosmo, self.models = fields, fields[0].time, cosmo, models
 
-    def advance(self, dt: float) -> tuple["_Rk4State", float]:
-        """The state one step of dt later, and its squared L2 norm."""
-        f = step(self.field, dt, self.cosmo, self.model)
+    @classmethod
+    def start(cls, f: SpinorField, cosmo: Cosmology, models: list) -> "_Rk4State":
+        return cls([f] * len(models), cosmo, models)
+
+    def advance(self, dt: float) -> tuple["_Rk4State", np.ndarray]:
+        """The state one step of dt later, and the squared L2 norm of each row."""
+        fields = [step(f, dt, self.cosmo, m) for f, m in zip(self.fields, self.models)]
         with np.errstate(over="ignore"):  # an overflowing norm is inf: blown up
-            return _Rk4State(f, self.cosmo, self.model), l2_norm_sq(f)
+            e = np.array([l2_norm_sq(f) for f in fields])
+        return _Rk4State(fields, self.cosmo, self.models), e
+
+    def take(self, keep: np.ndarray) -> "_Rk4State":
+        """The state of the rows where keep is true."""
+        fields = [f for f, k in zip(self.fields, keep) if k]
+        return _Rk4State(fields, self.cosmo, [m for m, k in zip(self.models, keep) if k])
+
+
+class _SplitRun:
+    """The fixed inputs of a split run of a stack of rows: the start field
+    `like` (its grid and shape), the cosmology, the model of each row, and
+    what a step reads of them: each row's mass and, unless no row has a
+    nonlinearity, the per-row exponent and coefficient of power_flow (a
+    row without one flows with coefficient 0, which leaves it as it is)."""
+
+    def __init__(self, like: SpinorField, cosmo: Cosmology, models: list):
+        self.like, self.cosmo, self.models = like, cosmo, models
+        self.masses = [complex(m.mass.m) for m in models]
+        nls = [m.nonlinearity for m in models]
+        self.flow = None if all(nl.is_none for nl in nls) else (
+            _per_row([nl.alpha_exp for nl in nls]),
+            _per_row([0.0 if nl.is_none else nl.power_coefficient for nl in nls]))
 
 
 class _SplitState:
-    """A split run at the step boundary `time`: hat holds the Fourier
-    coefficients of the data after the last pointwise map, at the mid-step
-    time mid (at the start, the start field's spectrum with mid = time).
-    The field at `time` is the closing pass of hat, built on first read, on
-    a new array: building it never changes the run."""
+    """A split run of a stack of rows at the step boundary `time`.  The rows
+    start from one field and share its grid, the cosmology and so every
+    step; each has its own model, so its own mass and pointwise flow
+    (_SplitRun).  hat holds, per row, the Fourier coefficients of the data
+    after the last pointwise map, at the mid-step time mid (at the start,
+    the start field's spectrum, with mid = time): (rows, 4, n), or for a
+    stack of one, in 1D or in 3D, that row's array, shaped like its field's
+    data.  The fields at `time` are the closing pass of hat, built on first
+    read, on a new array: building them never changes the run."""
 
-    def __init__(self, time: float, mid: float, hat: np.ndarray, like: SpinorField,
-                 cosmo: Cosmology, model: ModelSpec):
-        self.time, self.mid, self.hat, self.like = time, mid, hat, like
-        self.cosmo, self.model, self.m = cosmo, model, complex(model.mass.m)
+    def __init__(self, time: float, mid: float, hat: np.ndarray, run: _SplitRun):
+        self.time, self.mid, self.hat, self.run = time, mid, hat, run
 
     @classmethod
-    def start(cls, f: SpinorField, cosmo: Cosmology, model: ModelSpec) -> "_SplitState":
-        state = cls(f.time, f.time, f.spectrum, f, cosmo, model)
-        state.__dict__["field"] = f
+    def start(cls, f: SpinorField, cosmo: Cosmology, models: list) -> "_SplitState":
+        rows = len(models)
+        hat = f.spectrum if rows == 1 else np.tile(f.spectrum, (rows, 1, 1))
+        state = cls(f.time, f.time, hat, _SplitRun(f, cosmo, models))
+        state.__dict__["fields"] = [f] * rows
         return state
 
-    def advance(self, dt: float) -> tuple["_SplitState", float]:
+    def advance(self, dt: float) -> tuple["_SplitState", np.ndarray]:
         """The state one Strang step of dt later, and the squared L2 norm of
-        the field there, read off its hat without building the field: the
-        closing pass is the mass flow M, diagonal in the spinor index, then
-        dil times a unitary per mode.  A pointwise blow-up inside the step
-        leaves non-finite data and a norm that is not finite; numpy's
+        each row's field there, read off its hat without building the field:
+        the closing pass is the mass flow M, diagonal in the spinor index,
+        then dil times a unitary per mode.  A pointwise blow-up inside the
+        step leaves non-finite data and a norm that is not finite; numpy's
         warnings on the way are silenced, since the data say it."""
-        t, grid = self.time, self.like.grid
+        t, run = self.time, self.run
+        grid = run.like.grid
         mid, t1 = t + 0.5 * dt, t + dt
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            hat = _split_pass(self.hat, self.mid, t, mid, self.cosmo, self.m, grid)
-            if not self.model.nonlinearity.is_none:
-                psi = nonlinearity_flow(self.model.nonlinearity, _ifftn(hat, grid, out=hat), dt)
-                hat = _fftn(psi, grid)
-            u_sq = (t1 / mid) ** (2.0 * self.m.imag)  # |u|^2 of the mass flow mid -> t1
-            dil_sq = (mid / t1) ** (3.0 * self.cosmo.ell)
-            upper, lower = (np.vdot(pair, pair).real for pair in (hat[:2], hat[2:]))
+            hat = _split_pass(self.hat, self.mid, t, mid, run.cosmo, run.masses, grid)
+            if run.flow is not None:
+                hat = _fftn(power_flow(*run.flow, _ifftn(hat, grid, out=hat), dt), grid)
+            # |u|^2 of each row's mass flow mid -> t1
+            u_sq = np.array([(t1 / mid) ** (2.0 * m.imag) for m in run.masses])
+            dil_sq = (mid / t1) ** (3.0 * run.cosmo.ell)
+            pairs = hat.reshape(-1, 2, 2 * grid.n**grid.dim)  # per row: upper, lower pair
+            upper, lower = np.vecdot(pairs, pairs).real.T
             e = dil_sq * (u_sq * upper + lower / u_sq)
-        new = _SplitState(t1, mid, hat, self.like, self.cosmo, self.model)
-        return new, float(e) * grid.cell_volume / grid.n**grid.dim  # Parseval
+        return _SplitState(t1, mid, hat, run), e * grid.cell_volume / grid.n**grid.dim  # Parseval
+
+    def take(self, keep: np.ndarray) -> "_SplitState":
+        """The state of the rows where keep is true (a 1D stack)."""
+        run = self.run
+        models = [m for m, k in zip(run.models, keep) if k]
+        hat = self.hat[keep]
+        return _SplitState(self.time, self.mid, hat[0] if len(models) == 1 else hat,
+                           _SplitRun(run.like, run.cosmo, models))
 
     @cached_property
-    def field(self) -> SpinorField:
+    def fields(self) -> list[SpinorField]:
+        run = self.run
         with np.errstate(over="ignore", invalid="ignore"):  # as in advance
-            hat = _split_pass(self.hat, self.mid, self.time, self.time, self.cosmo, self.m,
-                              self.like.grid)
-            return self.like.with_spectrum(hat, time=self.time)
+            hat = _split_pass(self.hat, self.mid, self.time, self.time, run.cosmo, run.masses,
+                              run.like.grid)
+            return [run.like.with_spectrum(h, time=self.time)
+                    for h in hat.reshape(-1, *run.like.data.shape)]
 
 
 def _local_terms(f: SpinorField, t: float, model: ModelSpec) -> np.ndarray:
@@ -447,7 +511,7 @@ def step(f: SpinorField, dt: float, cosmo: Cosmology, model: ModelSpec,
     amplification; otherwise each stage derivative is _rhs_hat, the right
     side of rhs.  The field returned carries its spectrum."""
     if method == "split":
-        return _SplitState.start(f, cosmo, model).advance(dt)[0].field
+        return _SplitState.start(f, cosmo, [model]).advance(dt)[0].fields[0]
     t = f.time
     hat = f.spectrum
     if model.is_free:
@@ -478,18 +542,18 @@ def guard_cone(radius: float, grid: Grid, t: float, what: str) -> None:
 
 
 class _Sample:
-    """What an observable reads at one recorded time: the time, the squared
-    L2 norm l2, the field f (the state's, which a split run builds on first
-    read), its cell volume vol, its bilinear densities dens (computed on
-    first read) and the run's fixed inputs (cfg, cosmo, model and r0, as
-    attributes of run)."""
+    """What an observable reads of one row at one recorded time: the time,
+    the squared L2 norm l2, the field f (the row's in the state, which a
+    split run builds on first read), its cell volume vol, its bilinear
+    densities dens (computed on first read) and the row's fixed inputs (cfg,
+    cosmo, model and r0, as attributes of run)."""
 
-    def __init__(self, state: "_Rk4State | _SplitState", l2: float, run: "_Recorder"):
-        self.state, self.time, self.l2, self.run = state, state.time, l2, run
+    def __init__(self, state: "_Rk4State | _SplitState", row: int, l2: float, run: "_Recorder"):
+        self.state, self.row, self.time, self.l2, self.run = state, row, state.time, l2, run
 
     @property
     def f(self) -> SpinorField:
-        return self.state.field
+        return self.state.fields[self.row]
 
     @property
     def vol(self) -> float:
@@ -578,10 +642,10 @@ class _Recorder:
         distance light travels from cfg.t_start."""
         return self.r0 + self.cosmo.travel_distance(t, self.cfg.t_start)
 
-    def record(self, state, l2: float) -> None:
-        """Sample the run at state's boundary; l2 is the squared L2 norm
-        there, which propagate has already."""
-        sample = _Sample(state, l2, self)
+    def record(self, state, row: int, l2: float) -> None:
+        """Sample the run at state's boundary, on its row `row`; l2 is the
+        squared L2 norm there, which propagate has already."""
+        sample = _Sample(state, row, l2, self)
         for name, observe in self.observe.items():
             value = observe(sample)
             if value is not None:
@@ -608,18 +672,25 @@ class _Recorder:
 def propagate(
     f0: SpinorField,
     cosmo: Cosmology,
-    model: ModelSpec,
+    model: ModelSpec | list[ModelSpec],
     cfg: SolverConfig,
     capture_times=(),
     observables=None,
     method: str = "rk4",
-) -> RunRecord:
+) -> RunRecord | list[RunRecord]:
     """Integrate from cfg.t_start to cfg.t_end, recording diagnostics.
 
     For a model with no nonlinearity and no source this realizes the linear
     solution operator between the two times (backward runs are allowed).
     The run stops early on blow-up: a squared L2 norm above the threshold,
     or one that is not finite.
+
+    model may also be a list of models, the rows of a stack: they all start
+    from f0 and share the grid, the cosmology and cfg, so every step and the
+    cone stop, and the call returns a list of records, one per row, in
+    order.  A row that blows up leaves the stack with its own flags, final
+    field and record; the others go on.  A split stack steps its rows as one
+    array (_SplitState); in 3D it holds one row (ValueError otherwise).
 
     The run steps through one ordered list of stops, the capture times and
     cfg.t_end: dt = min(dt_max, cfl h a(t), |next stop - t|), so it lands on
@@ -648,18 +719,22 @@ def propagate(
     record_every or on the capture times.  A split run's norm, and its
     recorded l2, are read off the data after the pointwise map.
     """
+    models = [model] if isinstance(model, ModelSpec) else list(model)
     if abs(f0.time - cfg.t_start) > 1e-9 * max(1.0, cfg.t_start):
         raise ValueError("f0.time must equal cfg.t_start")
     if method not in ("rk4", "split"):
         raise ValueError(f"method must be 'rk4' or 'split', got {method!r}")
     if method == "split":
-        nl = model.nonlinearity
-        why = ("a potential" if not model.potential.is_zero
-               else "a source" if model.source is not None
-               else None if nl.is_none or nl.power_coefficient is not None
-               else f"the nonlinearity {nl.kind!r}")
-        if why:
-            raise ValueError(f"method 'split' cannot run a model with {why}")
+        for m in models:
+            nl = m.nonlinearity
+            why = ("a potential" if not m.potential.is_zero
+                   else "a source" if m.source is not None
+                   else None if nl.is_none or nl.power_coefficient is not None
+                   else f"the nonlinearity {nl.kind!r}")
+            if why:
+                raise ValueError(f"method 'split' cannot run a model with {why}")
+        if f0.grid.dim == 3 and len(models) > 1:
+            raise ValueError(f"a 3D split run holds one row, got {len(models)}")
     lo, hi = sorted((cfg.t_start, cfg.t_end))
     captures = {float(tc) for tc in capture_times}
     outside = sorted(tc for tc in captures if not lo <= tc <= hi)  # NaN is outside
@@ -669,53 +744,75 @@ def propagate(
     backward = cfg.t_end < cfg.t_start
     direction = -1.0 if backward else 1.0
 
-    e = l2_norm_sq(f0)  # squared L2 norm at the current state's boundary
+    e0 = l2_norm_sq(f0)
     # finite, so that an infinite norm fails `e <= threshold` as NaN does
-    threshold = min(cfg.blowup_factor * e if e > 0 else math.inf, sys.float_info.max)
+    threshold = min(cfg.blowup_factor * e0 if e0 > 0 else math.inf, sys.float_info.max)
 
     r0 = support_radius(f0, cfg.cone_center) if cfg.track_cone else 0.0
-    recorder = _Recorder(cosmo, model, cfg, r0, observables)
+    recorders = [_Recorder(cosmo, m, cfg, r0, observables) for m in models]
     tracked = cfg.track_cone and not backward
     if tracked and cfg.on_cone_violation == "error":
-        guard_cone(recorder.reach(cfg.t_end), grid, cfg.t_end, "forward cone")
+        guard_cone(recorders[0].reach(cfg.t_end), grid, cfg.t_end, "forward cone")
     limit = cone_limit_radius(grid)
 
     stops = sorted(captures | {cfg.t_end}, reverse=backward)
-    captured: dict[float, SpinorField] = {}
-    flags = {}  # the _FLAGS entries that differ from RunRecord's defaults
+    captured: list[dict[float, SpinorField]] = [{} for _ in models]
+    flags = [{} for _ in models]  # per row, the _FLAGS entries unlike RunRecord's defaults
+    finals: list[SpinorField | None] = [None] * len(models)
+    live = list(range(len(models)))  # the rows of the state, by their index in models
 
     def arrive(state) -> None:
         """Pop the stops state has reached (to 1e-12 relative; every time is
-        >= 1), storing its field at the requested ones."""
+        >= 1), storing its fields at the requested ones."""
         while stops and direction * (stops[0] - state.time) <= 1e-12 * stops[0]:
             tc = stops.pop(0)
             if tc in captures:
-                f = state.field  # stored without its spectrum: half the memory
-                captured[tc] = f.with_data(f.data)
+                for i, f in zip(live, state.fields):  # without its spectrum: half the memory
+                    captured[i][tc] = f.with_data(f.data)
 
-    state = (_SplitState.start if method == "split" else _Rk4State)(f0, cosmo, model)
-    recorder.record(state, e)
+    def record(state, e, rows) -> None:
+        """Record the rows `rows` of the state (its squared L2 norms e)."""
+        for j in rows:
+            recorders[live[j]].record(state, j, e[j])
+
+    start = _SplitState.start if method == "split" else _Rk4State.start
+    state, e = start(f0, cosmo, models), np.full(len(models), e0)
+    record(state, e, range(len(live)))
     arrive(state)
     steps_since_record = 0
     while stops:
         t = state.time
         dt = min(cfg.dt_max, cfg.cfl * grid.h * cosmo.scale(t), abs(stops[0] - t))
         new, e_new = state.advance(direction * dt)
-        if not e_new <= threshold:
-            flags.update(blown_up=True, blowup_time=t + 0.5 * direction * dt)
-            break
+        blown = ~(e_new <= threshold)
+        if blown.any():  # those rows leave with the last state before the blow-up
+            out = np.flatnonzero(blown)
+            if steps_since_record:
+                record(state, e, out)
+            for j in out:
+                flags[live[j]].update(blown_up=True, blowup_time=t + 0.5 * direction * dt)
+                finals[live[j]] = state.fields[j]
+            live = [i for i, b in zip(live, blown) if not b]
+            if not live:
+                break
+            new, e_new = new.take(~blown), e_new[~blown]
 
         state, e = new, e_new
         arrive(state)
         steps_since_record += 1
-        if tracked and recorder.reach(state.time) >= limit:
-            flags["cone_violation"] = True
+        if tracked and recorders[0].reach(state.time) >= limit:
+            for i in live:
+                flags[i]["cone_violation"] = True
             break
         if steps_since_record == cfg.record_every:
-            recorder.record(state, e)
+            record(state, e, range(len(live)))
             steps_since_record = 0
-    if steps_since_record:  # the end, or the last state before a blow-up or the cone limit
-        recorder.record(state, e)
+    if steps_since_record and live:  # the end, or the last state before the cone limit
+        record(state, e, range(len(live)))
 
-    flags["completed"] = not stops
-    return recorder.build(flags, state.field, captured)
+    for j, i in enumerate(live):  # a row that blew up did not complete
+        flags[i]["completed"] = not stops
+        finals[i] = state.fields[j]
+    records = [rec.build(flag, final, cap)
+               for rec, flag, final, cap in zip(recorders, flags, finals, captured)]
+    return records[0] if isinstance(model, ModelSpec) else records

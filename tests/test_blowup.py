@@ -355,6 +355,65 @@ def test_lifespan_is_finite_far_beyond_1e12():
     assert j_integral(case, t_bu) == pytest.approx(target, rel=1e-9)
 
 
+def _doubling_lifespan(case):
+    """lifespan with its bracket found as it was before the decade walk: the
+    end doubles from 2, one J per doubling (same memo, same Brent call)."""
+    from scipy.optimize import brentq
+
+    target = case.e1 ** (-0.5 * case.alpha_exp) / (0.5 * case.alpha_exp * case.c0)
+    total = total_j_mass(case)
+    if math.isfinite(total) and total <= target * (1.0 + 1e-12):
+        return math.inf
+    decades = {}
+    hi = 2.0
+    while j_integral(case, hi, decades=decades) < target:
+        hi *= 2.0
+        if math.isinf(hi):
+            return math.inf
+    return float(brentq(lambda t: j_integral(case, t, decades=decades) - target,
+                        max(1.0, hi / 2.0), hi, xtol=blowup_module.LIFESPAN_XTOL, rtol=8.9e-16))
+
+
+def _bracket_cases():
+    """The 32 points of the benchmark's sweep (E1 = 4), the far root of
+    test_lifespan_is_finite_far_beyond_1e12 and 60 random cases."""
+    rng = np.random.default_rng(29)
+    grid = [BlowupCase(ell, alpha, im_m, 1.0, 1.0, 4.0) for ell in (0.5, 0.667, 1.0, 2.0)
+            for alpha in (0.3, 0.5, 1.0, 2.0) for im_m in (0.0, 0.5)]
+    random = [BlowupCase(ell=rng.uniform(0.0, 3.0), alpha_exp=rng.uniform(0.05, 2.0),
+                         im_m_abs=rng.uniform(0.0, 2.0), c0=10 ** rng.uniform(-1, 1),
+                         r_support=10 ** rng.uniform(-1, 1), e1=10 ** rng.uniform(-3, 3))
+              for _ in range(60)]
+    return grid + [BlowupCase(0.5, 2 / 3, 0.0, 1.0, 1.0, 1e-6)] + random
+
+
+def test_lifespan_walks_the_decades_to_the_doubling_bracket(monkeypatch):
+    """The decade walk finds the bracket the doubling from 2 finds, so every
+    T_bu keeps its bits, with fewer quadratures in all: on the far root
+    (T_bu near e^600) it skips about 860 doublings, one J each.  (A case can
+    take one more: the walk integrates the whole decade where J reaches the
+    target.)"""
+    counts = {"walk": [], "doubling": []}
+    original = blowup_module.quad
+
+    def counted(*args, **kwargs):
+        counts[method][-1] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(blowup_module, "quad", counted)
+    for case in _bracket_cases():
+        for method in counts:
+            counts[method].append(0)
+        method = "walk"
+        t_bu = lifespan(case)
+        method = "doubling"
+        assert t_bu == _doubling_lifespan(case)
+    walk, doubling = (np.array(counts[m]) for m in ("walk", "doubling"))
+    assert walk[:32].sum() < doubling[:32].sum()  # the benchmark's sweep
+    assert walk[32] < 0.3 * doubling[32]  # the far root
+    assert walk.sum() < 0.6 * doubling.sum()
+
+
 def _blowup_setup(e_target=4.0):
     grid = Grid(dim=1, n=256, box_length=8.0)
     probe = compact_bump(grid, amplitude=1.0, width=1.0, coeffs=(1, 0, 0, 0))
@@ -373,6 +432,26 @@ def test_empirical_blowup_matches_bound():
     assert rep["satisfied"] is True
     assert rep["t_numerical"] <= math.sqrt(2.0) * 1.1
     assert rep["comparison"]["holds"]
+
+
+def test_empirical_blowup_of_a_stack_reports_each_case():
+    """Cases of one cosmology run as one stack: each report has the bound,
+    blow-up time and verdict of the case run alone, and a comparison check
+    within rounding of it (see test_split_stack_rows_run_as_they_would_alone)."""
+    grid = Grid(dim=1, n=256, box_length=16.0)
+    cfg = SolverConfig(t_end=4.0, cfl=0.3, on_cone_violation="stop")
+    cases = [BlowupCase(ell=0.5, alpha_exp=a, im_m_abs=i, e1=4.0)
+             for a in (0.3, 1.0, 2.0) for i in (0.0, 0.5)]
+    for rep, case in zip(empirical_blowup(cases, grid, cfg), cases):
+        alone = empirical_blowup(case, grid, cfg)
+        for key in ("t_bound", "t_numerical", "satisfied"):
+            assert rep[key] == alone[key]
+        ineq, ineq_alone = rep["comparison"], alone["comparison"]
+        assert (ineq["holds"], ineq["points_checked"]) == (
+            ineq_alone["holds"], ineq_alone["points_checked"])
+        assert ineq["worst_violation"] == pytest.approx(ineq_alone["worst_violation"], abs=1e-13)
+    with pytest.raises(ValueError, match="must share ell, r_support, e1"):
+        empirical_blowup([cases[0], BlowupCase(ell=1.0, alpha_exp=2.0, e1=4.0)], grid, cfg)
 
 
 def test_empirical_blowup_zero_data():

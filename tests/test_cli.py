@@ -979,6 +979,96 @@ def test_sweep_pool_writes_the_serial_csv(tmp_path, monkeypatch):
     assert b"Error" not in written[0]
 
 
+_BENCHMARK_SWEEP = {
+    "ell": [0.5, 0.667, 1.0, 2.0], "alpha": [0.3, 0.5, 1.0, 2.0], "im_m": [0.0, 0.5],
+    "c0": 1.0, "R": 1.0, "E1": 4.0,
+    "empirical": {"enabled": True, "dim": 1, "n": 256, "box_length": 16.0,
+                  "t_end": 4.0, "cfl": 0.3},
+}
+
+
+def test_benchmark_sweep_rows_are_those_of_one_point_sweeps(tmp_path, monkeypatch):
+    """The benchmark's 32-row sweep runs a stack per ell.  It writes the
+    same bytes with 1 and 2 workers, and each row is the row a sweep of that
+    one point writes, where its run is a stack of one."""
+    grid = write_json(tmp_path / "sweep.json", _BENCHMARK_SWEEP)
+    written = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("FLRW_DIRAC_THREADS", threads)
+        out = tmp_path / f"sweep{threads}.csv"
+        assert main(["sweep", str(grid), "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    header, *rows = written[0].decode().splitlines()
+    assert len(rows) == 32 and all(row.endswith(",") for row in rows)  # no error column
+    monkeypatch.setenv("FLRW_DIRAC_THREADS", "1")
+    points = [(e, a, i) for e in _BENCHMARK_SWEEP["ell"] for a in _BENCHMARK_SWEEP["alpha"]
+              for i in _BENCHMARK_SWEEP["im_m"]]
+    for (e, a, i), row in zip(points, rows):
+        one = write_json(tmp_path / "one.json",
+                         {**_BENCHMARK_SWEEP, "ell": [e], "alpha": [a], "im_m": [i]})
+        out = tmp_path / "one.csv"
+        assert main(["sweep", str(one), "--out", str(out)]) == 0
+        assert out.read_text().splitlines() == [header, row]
+
+
+def test_3d_sweep_runs_a_stack_per_row(tmp_path, monkeypatch):
+    """A 3D row is a stack of one: the 3D sweep runs every point, with no
+    error in any row."""
+    monkeypatch.setenv("FLRW_DIRAC_THREADS", "1")
+    grid = write_json(tmp_path / "sweep.json", {
+        "ell": [0.5], "alpha": [0.3, 2.0], "E1": 4.0,
+        "empirical": {"enabled": True, "dim": 3, "n": 16, "box_length": 16.0, "t_end": 1.2},
+    })
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", str(grid), "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 and all(r["error"] == "" and r["T_bu"] != "" for r in rows)
+    assert rows[1]["t_numerical"] != ""  # alpha 2 blows up
+
+
+class _RecordingPool:
+    """A stand-in for ProcessPoolExecutor that notes its worker count and
+    maps in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("cpus, ells, pool", [
+    ({0}, [0.5, 2.0], []),
+    ({0, 1, 2, 3, 4}, [0.5, 1.0, 2.0], [3]),
+    ({0, 1, 2, 3, 4}, [0.5], []),
+])
+def test_sweep_pool_follows_the_affinity_and_the_stacks(tmp_path, monkeypatch, cpus, ells, pool):
+    """Unset, FLRW_DIRAC_THREADS means the CPUs the process may run on, and
+    the pool has at most one worker per stack (per ell): a sweep of one
+    stack, or on one CPU, forks no pool."""
+    import concurrent.futures
+
+    monkeypatch.delenv("FLRW_DIRAC_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    grid = write_json(tmp_path / "sweep.json", {"ell": ells, "alpha": [0.3, 2.0], "E1": 4.0})
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", str(grid), "--out", str(out)]) == 0
+    assert _RecordingPool.sizes == pool
+    assert out.read_text().count("\n") == 1 + 2 * len(ells)
+
+
 @pytest.mark.parametrize("threads", ["abc", "-1", ""])
 def test_sweep_bad_thread_count_is_config_error(tmp_path, monkeypatch, capsys, threads):
     monkeypatch.setenv("FLRW_DIRAC_THREADS", threads)

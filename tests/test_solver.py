@@ -482,6 +482,97 @@ def test_split_rejects_a_term_without_an_exact_flow(model, what):
         propagate(f0, COSMO, model, cfg, method="euler")
 
 
+def _stack_rows(kind):
+    """Rows of one split stack and its settings.  "blowup": the sweep's
+    empirical run (1D n = 256, box 16, ell 1/2, E1 = 4, cfl 0.3 to t = 4),
+    where the alpha 2 rows blow up within 8 steps, the alpha 1 rows later
+    and the alpha 0.3 rows reach t_end.  "cone": a small bump on ell = 0 in
+    a box of 8 to t = 6, whose forward cone reaches the torus limit at
+    t ~ 3.8 and stops the rows still running; the alpha 2 rows blow up
+    first."""
+    if kind == "blowup":
+        grid, ell, e1, t_end, alphas = Grid(1, 256, 16.0), 0.5, 4.0, 4.0, (2.0, 0.3, 1.0)
+    else:
+        grid, ell, e1, t_end, alphas = Grid(1, 64, 8.0), 0.0, 0.5, 6.0, (0.3, 2.0)
+    probe = compact_bump(grid, 1.0, 1.0, coeffs=(1, 0, 0, 0))
+    f0 = probe.with_data(math.sqrt(e1 / l2_norm_sq(probe)) * probe.data)
+    models = [ModelSpec(mass=Mass(1j * im), nonlinearity=NonlinearitySpec(
+        kind="blowup_G", alpha_exp=alpha, c0=1.0)) for alpha in alphas for im in (0.0, 0.5)]
+    cfg = SolverConfig(t_end=t_end, cfl=0.3, on_cone_violation="stop")
+    return f0, Cosmology(ell, 1.0), models, cfg
+
+
+@pytest.mark.parametrize("kind", ["blowup", "cone"])
+def test_split_stack_rows_run_as_they_would_alone(kind):
+    """Each row of a stack has the times, flags and blow-up time of its
+    one-row run exactly.  Its l2 differs by rounding at most: numpy takes the
+    exponents 1/2 and -1 of an alpha 1 row as sqrt and 1/x when they are a
+    number (a row alone), but not as one entry of the per-row array (the
+    largest difference seen is 1.4e-14 relative); the other rows keep every
+    bit."""
+    f0, cosmo, models, cfg = _stack_rows(kind)
+    stack = propagate(f0, cosmo, models, cfg, method="split")
+    alone = [propagate(f0, cosmo, m, cfg, method="split") for m in models]
+    assert len(stack) == len(models)
+    for row, rec, model in zip(stack, alone, models):
+        assert np.array_equal(row.series[TIME_AXIS], rec.series[TIME_AXIS])
+        assert [getattr(row, k) for k in _FLAGS] == [getattr(rec, k) for k in _FLAGS]
+        l2 = rec.series["l2"]
+        assert np.max(np.abs(row.series["l2"] - l2) / l2) <= 1e-13
+        if model.nonlinearity.alpha_exp != 1.0:
+            assert np.array_equal(row.series["l2"], l2)
+        assert np.max(np.abs(row.final.data - rec.final.data)) <= 1e-13 * np.max(
+            np.abs(rec.final.data))
+    ends = {(r.blown_up, r.completed, r.cone_violation) for r in stack}
+    if kind == "blowup":  # rows leave at different steps, the rest complete
+        assert ends == {(True, False, False), (False, True, False)}
+        assert sorted({len(r.series[TIME_AXIS]) for r in stack}) == [7, 8, 29, 34, 109]
+    else:
+        assert ends == {(True, False, False), (False, False, True)}
+
+
+def test_a_row_leaving_a_stack_records_its_last_state():
+    """With record_every 3, each row still records the last state before its
+    blow-up, or its end: the sparse record ends where the dense one does,
+    and its times are a subset of the dense ones."""
+    f0, cosmo, models, cfg = _stack_rows("blowup")
+    dense = propagate(f0, cosmo, models, cfg, method="split")
+    sparse = propagate(f0, cosmo, models, dataclasses.replace(cfg, record_every=3),
+                       method="split")
+    for d, s in zip(dense, sparse):
+        assert s.series[TIME_AXIS][-1] == d.series[TIME_AXIS][-1]
+        assert s.series["l2"][-1] == d.series["l2"][-1]
+        assert set(s.series[TIME_AXIS]) <= set(d.series[TIME_AXIS])
+        assert (s.blown_up, s.blowup_time) == (d.blown_up, d.blowup_time)
+
+
+def test_a_stack_of_one_is_the_run_of_its_model():
+    """A list of one model gives the one record the model gives alone."""
+    f0, cosmo, models, cfg = _stack_rows("blowup")
+    (row,) = propagate(f0, cosmo, models[:1], cfg, method="split")
+    rec = propagate(f0, cosmo, models[0], cfg, method="split")
+    assert row.to_dict() == rec.to_dict()
+
+
+def test_stack_capture_and_rk4_rows():
+    """A stack stores each row's field at a capture time, and RK4 steps a
+    stack row by row: both as the rows alone."""
+    f0, model, cfg = _fused_case("1d", "blowup_G", 1.0, 1.4)
+    models = [model, dataclasses.replace(model, mass=Mass(0.2))]
+    for method in ("split", "rk4"):
+        stack = propagate(f0, COSMO, models, cfg, capture_times=(1.2,), method=method)
+        for row, m in zip(stack, models):
+            rec = propagate(f0, COSMO, m, cfg, capture_times=(1.2,), method=method)
+            assert row.to_dict()["series"] == rec.to_dict()["series"]
+            assert np.array_equal(row.captured[1.2].data, rec.captured[1.2].data)
+
+
+def test_a_3d_split_stack_holds_one_row():
+    f0, model, cfg = _fused_case("3d", "blowup_G", 1.0, 1.4)
+    with pytest.raises(ValueError, match="a 3D split run holds one row, got 2"):
+        propagate(f0, COSMO, [model, model], cfg, method="split")
+
+
 def _observable_run(case):
     """A 1D focusing blowup_G run that blows up, or a 3D massive free run."""
     if case == "1d_blowup":
