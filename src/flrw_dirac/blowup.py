@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -122,9 +123,11 @@ def classify(case: BlowupCase) -> RegimeVerdict:
     return RegimeVerdict(regime=regime, branch=f"{cls}:{tag}", threshold_value=q)
 
 
+@lru_cache(maxsize=256)
 def _integrand(case: BlowupCase):
     """s -> (R + A(s))^q s^p, with A = travel_distance from t0 = 1 in its own
-    arithmetic (so its bits) but without its checks: every node is in [1, t]."""
+    arithmetic (so its bits) but without its checks: every node is in [1, t].
+    Built once per case: j_integral runs at each recorded time of a run."""
     r = case.r_support
     q = -1.5 * case.alpha_exp
     p = -1.5 * case.alpha_exp * case.ell - case.alpha_exp * case.im_m_abs
@@ -270,17 +273,16 @@ def comparison_check(rec: RunRecord, case: BlowupCase) -> dict:
     }
 
 
-def empirical_blowup(case: BlowupCase | list[BlowupCase], grid: Grid,
-                     cfg: SolverConfig) -> dict | list[dict]:
-    """Run blowup_G (the case's alpha and c0, mass i |Im m|) on the data the
-    case states, to numerical blow-up or cfg.t_end, and test it against
+def empirical_blowup(cases: list[BlowupCase], grid: Grid, cfg: SolverConfig) -> list[dict]:
+    """Run blowup_G (each case's alpha and c0, mass i |Im m|) on the data the
+    cases state, to numerical blow-up or cfg.t_end, and test each run against
     lifespan(case); satisfied is None unless it blew up under a finite bound.
 
-    case may also be a list of cases that share ell, r_support and e1, the
-    rows of one sweep cosmology: they start from the same data, run as one
-    stack of rows (solver.propagate) and give a list of reports, one per
-    case, in order.  Each row's run is the one it would make alone, to
-    rounding (models.power_flow).
+    The cases share ell, r_support and e1 (ValueError otherwise, and for an
+    empty list), as the rows of one sweep cosmology do: they start from the
+    same data, run as one stack of rows (solver.propagate) and give a list
+    of reports, one per case, in order.  Each row's run is the one it would
+    make alone, to rounding (models.power_flow).
 
     The run steps with propagate's method "split": every term of blowup_G
     has an exact flow, and a step of a split run costs 2 FFTs to RK4's 8
@@ -288,12 +290,13 @@ def empirical_blowup(case: BlowupCase | list[BlowupCase], grid: Grid,
     is the final one).  With either method t_numerical is the midpoint of
     the step in which the run blew up, so it is known only to dt/2.
 
-    The data are a compact bump of radius case.r_support around
-    cfg.cone_center, coefficients (1, 0, 0, 0), scaled to energy case.e1 at
-    t = 1 = cfg.t_start.  Their support is case.r_support by construction, so
-    no radius is measured: an estimate reads below it.
+    The data are a compact bump of radius r_support around cfg.cone_center,
+    coefficients (1, 0, 0, 0), scaled to energy e1 at t = 1 = cfg.t_start.
+    Their support is r_support by construction, so no radius is measured:
+    an estimate reads below it.
     """
-    cases = [case] if isinstance(case, BlowupCase) else list(case)
+    if not cases:
+        raise ValueError("empirical_blowup needs a case, got an empty list")
     first = cases[0]
     shared = ("ell", "r_support", "e1")
     if any(getattr(c, k) != getattr(first, k) for c in cases for k in shared):
@@ -320,4 +323,4 @@ def empirical_blowup(case: BlowupCase | list[BlowupCase], grid: Grid,
             "satisfied": satisfied,
             "comparison": comparison_check(rec, c),
         })
-    return reports[0] if isinstance(case, BlowupCase) else reports
+    return reports

@@ -11,10 +11,10 @@ alpha(xi, eta) I + i beta(xi, eta) g5 and blowup_G contributes
 G(psi) i g0 psi, both on the i-g0-d/dt side of the equation.
 hyperbolic_rhs_nonlinearity returns every family as a first-order right
 side, with the left factor -i g0 of the covariant ones written out.
-nonlinearity_flow is the exact flow of that right side alone for the two
-families of the form c |psi|^alpha psi (power_abs and blowup_G), the
-pointwise piece of the solver's split step; power_flow is that flow with
-one exponent and coefficient per row of a stack.
+power_flow is the exact flow of that right side alone for the two families
+of the form c |psi|^alpha psi (power_abs and blowup_G; alpha_exp and
+power_coefficient of their spec), the pointwise piece of the solver's split
+step, with one exponent and coefficient or one of each per row of a stack.
 """
 from __future__ import annotations
 
@@ -36,7 +36,6 @@ __all__ = [
     "PotentialFlagError",
     "potential_field",
     "hyperbolic_rhs_nonlinearity",
-    "nonlinearity_flow",
     "power_flow",
 ]
 
@@ -233,16 +232,6 @@ def hyperbolic_rhs_nonlinearity(spec: NonlinearitySpec, f: SpinorField) -> np.nd
         mag = np.sqrt(np.sum(np.abs(p) ** 2, axis=0))
         out = c * mag**spec.alpha_exp * p
     return out.astype(complex, copy=False)
-
-
-def nonlinearity_flow(spec: NonlinearitySpec, data: np.ndarray, tau: float) -> np.ndarray:
-    """psi advanced by time tau (either sign) under d/dt psi = c |psi|^a psi
-    alone, with a = spec.alpha_exp and c = spec.power_coefficient
-    (ValueError where it is None); power_flow on a field's data."""
-    c = spec.power_coefficient
-    if c is None:
-        raise ValueError(f"nonlinearity kind {spec.kind!r} has no pointwise flow")
-    return power_flow(spec.alpha_exp, c, data, tau)
 
 
 def power_flow(a, c, data: np.ndarray, tau: float) -> np.ndarray:

@@ -39,7 +39,7 @@ with c the signed comoving travel distance, and the mass is
 exp(-i m log(tb/ta) g0): one factor on the upper spinor pair and its
 inverse on the lower.  Mass, transport and mass again are one _apply_span
 pass on the radial factors (_split_pass); c |psi|^alpha psi flows
-pointwise (models.nonlinearity_flow).  Exact transports compose, so a run
+pointwise (models.power_flow).  Exact transports compose, so a run
 fuses the closing half of each step with the opening half of the next
 into one pass from mid-step to mid-step (the "first same as last" trick,
 McLachlan & Quispel 2002, Acta Numerica 11): it carries the spectrum of
@@ -48,7 +48,6 @@ boundary off it, and builds the field at a boundary only when something
 reads it.  A run step makes 2 FFTs (into physical space and back around
 the pointwise map), 1 symbol pass and 1 pointwise map, on the same step
 size rule as RK4; a built field costs one more pass and one inverse FFT.
-A single step (step(..., "split")) opens and closes: 3 FFTs and 2 passes.
 The method is second order, exact for a massless free model, and accepts
 only models whose every term has such a flow: no potential, no source, and
 a nonlinearity that is none, power_abs or blowup_G.  RK4 stays the
@@ -61,7 +60,7 @@ pointwise flow.  In 1D the stack is one array (rows, 4, n), and each pass,
 transform and pointwise map acts on all rows in one call; a step of a
 few hundred modes is mostly per-call cost, so the rows share it.  A row
 whose norm fails the blow-up test leaves the stack with its own record,
-and the rest go on.  A 3D stack holds one row.
+and the rest go on.  A 3D split run, and an RK4 run, hold one row.
 
 The recorder samples only the OBSERVABLES named by propagate's caller, and
 computes the bilinear densities only when a recorded observable reads them.
@@ -84,6 +83,7 @@ from .field import (
     Grid,
     SpinorField,
     _apply_span,
+    _center3,
     _derivative_wavenumbers,
     _fftn,
     _ifftn,
@@ -128,8 +128,9 @@ class SolverConfig:
     field.  t_start and t_end are normalised to builtin float, so numpy
     scalar times (quadrature nodes, say) behave like plain numbers
     downstream; record_every and sobolev_order to builtin int (any other
-    type, bool and float included, raises TypeError); and lm_z, the phase
-    of the recorded Majorana defect, to builtin complex on the unit circle.
+    type, bool and float included, raises TypeError); lm_z, the phase of
+    the recorded Majorana defect, to builtin complex on the unit circle; and
+    cone_center, as field._center3 does, to a zero-padded 3-tuple of floats.
     """
 
     t_start: float = 1.0
@@ -147,6 +148,7 @@ class SolverConfig:
     def __post_init__(self):
         object.__setattr__(self, "t_start", float(self.t_start))
         object.__setattr__(self, "t_end", float(self.t_end))
+        object.__setattr__(self, "cone_center", _center3(self.cone_center))
         for name in ("record_every", "sobolev_order"):
             value = getattr(self, name)
             if isinstance(value, bool) or not hasattr(value, "__index__"):
@@ -273,14 +275,6 @@ def _free_coefficients(t: float, cosmo: Cosmology, m: complex) -> tuple[float, f
     return -1.5 * cosmo.ell / t, s, -1j * m / t
 
 
-def _linear_symbol(hat: np.ndarray, t: float, cosmo: Cosmology, m: complex,
-                   grid: Grid) -> np.ndarray:
-    """d(hat)/dt of the free operator
-    -(1/a) sum_j alpha^j d_j - 3 ell / 2t - (i m / t) g0, on Fourier data."""
-    d, s, mu = _free_coefficients(t, cosmo, m)
-    return _apply_span(hat, grid, (d + mu, d - mu), s=s)  # g0 = diag(1, 1, -1, -1)
-
-
 def _times_free(x, d: float, s: float, mu: complex, k_sq) -> tuple:
     """L x for L = d I + s B + mu g0 and x = r0 I + r1 B + r2 g0 + r3 B g0,
     where each r_i is a scalar or an array over K = |k|^2.  B^2 = -K,
@@ -370,27 +364,16 @@ def _split_pass(hat: np.ndarray, t0: float, tb: float, t1: float, cosmo: Cosmolo
 
 
 class _Rk4State:
-    """An RK4 run of a stack of rows at a step boundary: the field of each
-    row there."""
+    """An RK4 run at a step boundary: its one row's field there."""
 
-    def __init__(self, fields: list, cosmo: Cosmology, models: list):
-        self.fields, self.time, self.cosmo, self.models = fields, fields[0].time, cosmo, models
-
-    @classmethod
-    def start(cls, f: SpinorField, cosmo: Cosmology, models: list) -> "_Rk4State":
-        return cls([f] * len(models), cosmo, models)
+    def __init__(self, f: SpinorField, cosmo: Cosmology, model: ModelSpec):
+        self.fields, self.time, self.cosmo, self.model = [f], f.time, cosmo, model
 
     def advance(self, dt: float) -> tuple["_Rk4State", np.ndarray]:
-        """The state one step of dt later, and the squared L2 norm of each row."""
-        fields = [step(f, dt, self.cosmo, m) for f, m in zip(self.fields, self.models)]
+        """The state one step of dt later, and the row's squared L2 norm."""
+        f = step(self.fields[0], dt, self.cosmo, self.model)
         with np.errstate(over="ignore"):  # an overflowing norm is inf: blown up
-            e = np.array([l2_norm_sq(f) for f in fields])
-        return _Rk4State(fields, self.cosmo, self.models), e
-
-    def take(self, keep: np.ndarray) -> "_Rk4State":
-        """The state of the rows where keep is true."""
-        fields = [f for f, k in zip(self.fields, keep) if k]
-        return _Rk4State(fields, self.cosmo, [m for m, k in zip(self.models, keep) if k])
+            return _Rk4State(f, self.cosmo, self.model), np.array([l2_norm_sq(f)])
 
 
 class _SplitRun:
@@ -487,9 +470,10 @@ def _local_terms(f: SpinorField, t: float, model: ModelSpec) -> np.ndarray:
 
 
 def _rhs_hat(f: SpinorField, t: float, cosmo: Cosmology, model: ModelSpec) -> np.ndarray:
-    """Fourier coefficients of the right side at time t: the free symbol on
-    f.spectrum, plus the transformed x-dependent terms when there are any."""
-    out = _linear_symbol(f.spectrum, t, cosmo, complex(model.mass.m), f.grid)
+    """Fourier coefficients of the right side at time t: the free operator
+    d I + s B + mu g0 on f.spectrum, plus the transformed x-dependent terms."""
+    d, s, mu = _free_coefficients(t, cosmo, complex(model.mass.m))
+    out = _apply_span(f.spectrum, f.grid, (d + mu, d - mu), s=s)  # g0 = diag(1, 1, -1, -1)
     if not model.is_free:
         out += _fftn(_local_terms(f, t, model), f.grid)
     return out
@@ -501,17 +485,13 @@ def rhs(f: SpinorField, t: float, cosmo: Cosmology, model: ModelSpec) -> SpinorF
     return f.with_spectrum(_rhs_hat(f, t, cosmo, model), time=t)
 
 
-def step(f: SpinorField, dt: float, cosmo: Cosmology, model: ModelSpec,
-         method: str = "rk4") -> SpinorField:
-    """One step of size dt (dt < 0 integrates backward): classical RK4, or
-    with method "split" the Strang step, for a model propagate accepts for
-    it.
+def step(f: SpinorField, dt: float, cosmo: Cosmology, model: ModelSpec) -> SpinorField:
+    """One classical RK4 step of size dt (dt < 0 integrates backward).
 
-    Without x-dependent terms the RK4 step is the closed-form free RK4
-    amplification; otherwise each stage derivative is _rhs_hat, the right
-    side of rhs.  The field returned carries its spectrum."""
-    if method == "split":
-        return _SplitState.start(f, cosmo, [model]).advance(dt)[0].fields[0]
+    Without x-dependent terms it is the closed-form free RK4 amplification;
+    otherwise each stage derivative is _rhs_hat, the right side of rhs.  The
+    field returned carries its spectrum.  A split step is a one-step split
+    propagate run."""
     t = f.time
     hat = f.spectrum
     if model.is_free:
@@ -625,7 +605,9 @@ OBSERVABLES: dict[str, Callable[[_Sample], float | complex | None]] = {
 
 
 class _Recorder:
-    """Samples OBSERVABLES along a run and holds the run's fixed inputs."""
+    """Samples OBSERVABLES along one row of a run, holds the row's fixed
+    inputs, and gathers the rest of its record: the _FLAGS entries the run
+    sets, the final field and the captured states."""
 
     def __init__(self, cosmo, model, cfg, r0, observables=None):
         unknown = set(observables or ()) - OBSERVABLES.keys()
@@ -636,6 +618,7 @@ class _Recorder:
                         if observables is None or name == TIME_AXIS or name in observables}
         self.cosmo, self.model, self.cfg, self.r0 = cosmo, model, cfg, r0
         self.rows: dict[str, list] = {}
+        self.flags, self.final, self.captured = {}, None, {}
 
     def reach(self, t: float) -> float:
         """Forward-cone radius at t >= cfg.t_start: r0 plus the comoving
@@ -651,8 +634,7 @@ class _Recorder:
             if value is not None:
                 self.rows.setdefault(name, []).append(value)
 
-    def build(self, flags, final, captured) -> RunRecord:
-        """The run's record; flags holds the _FLAGS entries the run set."""
+    def build(self) -> RunRecord:
         return RunRecord(
             series={name: np.array(values) for name, values in self.rows.items()},
             cosmology=self.cosmo,
@@ -663,9 +645,9 @@ class _Recorder:
             sobolev_order=self.cfg.sobolev_order,
             support_radius0=self.r0,
             cone_center=self.cfg.cone_center,
-            final=final,
-            captured=captured,
-            **flags,
+            final=self.final,
+            captured=self.captured,
+            **self.flags,
         )
 
 
@@ -685,12 +667,13 @@ def propagate(
     The run stops early on blow-up: a squared L2 norm above the threshold,
     or one that is not finite.
 
-    model may also be a list of models, the rows of a stack: they all start
-    from f0 and share the grid, the cosmology and cfg, so every step and the
-    cone stop, and the call returns a list of records, one per row, in
-    order.  A row that blows up leaves the stack with its own flags, final
-    field and record; the others go on.  A split stack steps its rows as one
-    array (_SplitState); in 3D it holds one row (ValueError otherwise).
+    model may also be a list of models, the rows of a split stack: they all
+    start from f0 and share the grid, the cosmology and cfg, so every step
+    and the cone stop, and the call returns a list of records, one per row,
+    in order.  A row that blows up leaves the stack with its own flags,
+    final field and record; the others go on.  The stack steps its rows as
+    one array (_SplitState).  An empty list, and a list of more than one
+    model for an RK4 or a 3D run, raise ValueError.
 
     The run steps through one ordered list of stops, the capture times and
     cfg.t_end: dt = min(dt_max, cfl h a(t), |next stop - t|), so it lands on
@@ -720,6 +703,8 @@ def propagate(
     recorded l2, are read off the data after the pointwise map.
     """
     models = [model] if isinstance(model, ModelSpec) else list(model)
+    if not models:
+        raise ValueError("propagate needs a model, got an empty list")
     if abs(f0.time - cfg.t_start) > 1e-9 * max(1.0, cfg.t_start):
         raise ValueError("f0.time must equal cfg.t_start")
     if method not in ("rk4", "split"):
@@ -733,8 +718,9 @@ def propagate(
                    else f"the nonlinearity {nl.kind!r}")
             if why:
                 raise ValueError(f"method 'split' cannot run a model with {why}")
-        if f0.grid.dim == 3 and len(models) > 1:
-            raise ValueError(f"a 3D split run holds one row, got {len(models)}")
+    if len(models) > 1 and (method == "rk4" or f0.grid.dim == 3):
+        what = "an RK4" if method == "rk4" else "a 3D split"
+        raise ValueError(f"{what} run holds one row, got {len(models)}")
     lo, hi = sorted((cfg.t_start, cfg.t_end))
     captures = {float(tc) for tc in capture_times}
     outside = sorted(tc for tc in captures if not lo <= tc <= hi)  # NaN is outside
@@ -756,10 +742,7 @@ def propagate(
     limit = cone_limit_radius(grid)
 
     stops = sorted(captures | {cfg.t_end}, reverse=backward)
-    captured: list[dict[float, SpinorField]] = [{} for _ in models]
-    flags = [{} for _ in models]  # per row, the _FLAGS entries unlike RunRecord's defaults
-    finals: list[SpinorField | None] = [None] * len(models)
-    live = list(range(len(models)))  # the rows of the state, by their index in models
+    live = recorders  # those of the state's rows, in order
 
     def arrive(state) -> None:
         """Pop the stops state has reached (to 1e-12 relative; every time is
@@ -767,16 +750,17 @@ def propagate(
         while stops and direction * (stops[0] - state.time) <= 1e-12 * stops[0]:
             tc = stops.pop(0)
             if tc in captures:
-                for i, f in zip(live, state.fields):  # without its spectrum: half the memory
-                    captured[i][tc] = f.with_data(f.data)
+                for rec, f in zip(live, state.fields):  # without its spectrum: half the memory
+                    rec.captured[tc] = f.with_data(f.data)
 
     def record(state, e, rows) -> None:
         """Record the rows `rows` of the state (its squared L2 norms e)."""
         for j in rows:
-            recorders[live[j]].record(state, j, e[j])
+            live[j].record(state, j, e[j])
 
-    start = _SplitState.start if method == "split" else _Rk4State.start
-    state, e = start(f0, cosmo, models), np.full(len(models), e0)
+    state = (_SplitState.start(f0, cosmo, models) if method == "split"
+             else _Rk4State(f0, cosmo, models[0]))
+    e = np.full(len(models), e0)
     record(state, e, range(len(live)))
     arrive(state)
     steps_since_record = 0
@@ -790,9 +774,9 @@ def propagate(
             if steps_since_record:
                 record(state, e, out)
             for j in out:
-                flags[live[j]].update(blown_up=True, blowup_time=t + 0.5 * direction * dt)
-                finals[live[j]] = state.fields[j]
-            live = [i for i, b in zip(live, blown) if not b]
+                live[j].flags.update(blown_up=True, blowup_time=t + 0.5 * direction * dt)
+                live[j].final = state.fields[j]
+            live = [rec for rec, b in zip(live, blown) if not b]
             if not live:
                 break
             new, e_new = new.take(~blown), e_new[~blown]
@@ -801,8 +785,8 @@ def propagate(
         arrive(state)
         steps_since_record += 1
         if tracked and recorders[0].reach(state.time) >= limit:
-            for i in live:
-                flags[i]["cone_violation"] = True
+            for rec in live:
+                rec.flags["cone_violation"] = True
             break
         if steps_since_record == cfg.record_every:
             record(state, e, range(len(live)))
@@ -810,9 +794,8 @@ def propagate(
     if steps_since_record and live:  # the end, or the last state before the cone limit
         record(state, e, range(len(live)))
 
-    for j, i in enumerate(live):  # a row that blew up did not complete
-        flags[i]["completed"] = not stops
-        finals[i] = state.fields[j]
-    records = [rec.build(flag, final, cap)
-               for rec, flag, final, cap in zip(recorders, flags, finals, captured)]
+    for rec, f in zip(live, state.fields):  # a row that blew up did not complete
+        rec.flags["completed"] = not stops
+        rec.final = f
+    records = [rec.build() for rec in recorders]
     return records[0] if isinstance(model, ModelSpec) else records

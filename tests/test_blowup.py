@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import warnings
@@ -426,7 +427,7 @@ def test_empirical_blowup_matches_bound():
     cfg = SolverConfig(t_start=1.0, t_end=3.0, cfl=0.3, record_every=1,
                        on_cone_violation="stop")
     case = BlowupCase(ell=0.0, alpha_exp=2.0, c0=1.0, r_support=1.0, e1=4.0)
-    rep = empirical_blowup(case, grid, cfg)
+    rep = empirical_blowup([case], grid, cfg)[0]
     assert rep["t_bound"] == lifespan(case)
     assert rep["t_numerical"] is not None
     assert rep["satisfied"] is True
@@ -443,7 +444,7 @@ def test_empirical_blowup_of_a_stack_reports_each_case():
     cases = [BlowupCase(ell=0.5, alpha_exp=a, im_m_abs=i, e1=4.0)
              for a in (0.3, 1.0, 2.0) for i in (0.0, 0.5)]
     for rep, case in zip(empirical_blowup(cases, grid, cfg), cases):
-        alone = empirical_blowup(case, grid, cfg)
+        alone = empirical_blowup([case], grid, cfg)[0]
         for key in ("t_bound", "t_numerical", "satisfied"):
             assert rep[key] == alone[key]
         ineq, ineq_alone = rep["comparison"], alone["comparison"]
@@ -452,6 +453,8 @@ def test_empirical_blowup_of_a_stack_reports_each_case():
         assert ineq["worst_violation"] == pytest.approx(ineq_alone["worst_violation"], abs=1e-13)
     with pytest.raises(ValueError, match="must share ell, r_support, e1"):
         empirical_blowup([cases[0], BlowupCase(ell=1.0, alpha_exp=2.0, e1=4.0)], grid, cfg)
+    with pytest.raises(ValueError, match="empirical_blowup needs a case, got an empty list"):
+        empirical_blowup([], grid, cfg)
 
 
 def test_empirical_blowup_zero_data():
@@ -475,7 +478,7 @@ def test_differential_inequality_on_blowup_run():
     cfg = SolverConfig(t_start=1.0, t_end=3.0, cfl=0.2, record_every=1,
                        on_cone_violation="stop")
     case = BlowupCase(ell=0.0, alpha_exp=2.0, c0=1.0, r_support=1.0, e1=4.0)
-    rep = empirical_blowup(case, grid, cfg)
+    rep = empirical_blowup([case], grid, cfg)[0]
     ineq = rep["comparison"]
     assert ineq["holds"] and ineq["points_checked"] > 10
     assert ineq["worst_violation"] <= 0.0
@@ -511,6 +514,21 @@ def test_comparison_check_verdict_is_independent_of_the_record_cadence():
     assert d["holds"] and s["holds"]
     assert d["points_checked"] > s["points_checked"] > 0
     assert s["worst_violation"] <= d["worst_violation"]
+
+
+def test_comparison_check_builds_the_integrand_once(monkeypatch):
+    """J at each recorded time reads one integrand per case: comparison_check
+    on a record builds it (and its Cosmology) once, however many times it
+    checks, and a second check on an equal case builds none."""
+    rec, case = _blowup_record()
+    builds = []
+    monkeypatch.setattr(blowup_module, "Cosmology",
+                        lambda *args: builds.append(args) or Cosmology(*args))
+    blowup_module._integrand.cache_clear()
+    first = comparison_check(rec, case)
+    assert first["points_checked"] > 10 and builds == [(case.ell, 1.0)]
+    assert comparison_check(rec, dataclasses.replace(case)) == first
+    assert len(builds) == 1
 
 
 def test_comparison_check_rejects_a_record_not_starting_at_one():
@@ -567,7 +585,7 @@ def test_blowup_detection_emits_no_overflow_warning(monkeypatch):
     case = BlowupCase(ell=0.5, alpha_exp=2.0, c0=1.0, r_support=1.0, e1=e1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = empirical_blowup(case, grid, cfg)
+        rep = empirical_blowup([case], grid, cfg)[0]
     assert rep["t_numerical"] is not None
 
 
@@ -581,7 +599,7 @@ def test_split_blowup_detection_emits_no_warning(alpha):
     case = BlowupCase(ell=0.5, alpha_exp=alpha, c0=1.0, r_support=1.0, e1=4.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = empirical_blowup(case, grid, cfg)
+        rep = empirical_blowup([case], grid, cfg)[0]
     assert rep["t_numerical"] is not None and rep["satisfied"] is True
 
 
@@ -600,5 +618,5 @@ def test_empirical_blowup_on_the_sweep_settings(monkeypatch, method, t_numerical
     case = BlowupCase(ell=1.0, alpha_exp=2.0, im_m_abs=0.0, c0=1.0, r_support=1.0, e1=4.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = empirical_blowup(case, grid, cfg)
+        rep = empirical_blowup([case], grid, cfg)[0]
     assert rep["t_numerical"] == t_numerical

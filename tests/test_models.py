@@ -18,8 +18,8 @@ from flrw_dirac.models import (
     PotentialFlagError,
     PotentialSpec,
     hyperbolic_rhs_nonlinearity,
-    nonlinearity_flow,
     potential_field,
+    power_flow,
 )
 
 GRID = Grid(dim=1, n=32, box_length=2 * np.pi)
@@ -107,15 +107,17 @@ def test_power_abs_phase_equivariance(theta):
        tau1=st.floats(-0.1, 0.1), tau2=st.floats(-0.1, 0.1), seed=st.integers(0, 20))
 def test_nonlinearity_flow_is_a_semigroup_that_keeps_directions(kind, alpha, c, sign,
                                                                  tau1, tau2, seed):
-    """flow(tau1 + tau2) = flow(tau2) o flow(tau1), and each spinor is scaled
-    by a positive factor.  With |psi| <= 1 every base 1 - a c tau |psi|^a
-    on the way is at least 0.4, so no point blows up."""
+    """power_flow with a spec's exponent and coefficient: flow(tau1 + tau2)
+    = flow(tau2) o flow(tau1), and each spinor is scaled by a positive
+    factor.  With |psi| <= 1 every base 1 - a c tau |psi|^a on the way is at
+    least 0.4, so no point blows up."""
     spec = (NonlinearitySpec(kind="power_abs", alpha_exp=alpha, sign=sign)
             if kind == "power_abs" else NonlinearitySpec(kind="blowup_G", alpha_exp=alpha, c0=c))
+    a, c = spec.alpha_exp, spec.power_coefficient
     data = random_smooth(GRID, amplitude=1.0, seed=seed).data
     data = data / np.max(np.linalg.norm(data, axis=0))
-    once = nonlinearity_flow(spec, data, tau1 + tau2)
-    twice = nonlinearity_flow(spec, nonlinearity_flow(spec, data, tau1), tau2)
+    once = power_flow(a, c, data, tau1 + tau2)
+    twice = power_flow(a, c, power_flow(a, c, data, tau1), tau2)
     assert np.max(np.abs(twice - once)) <= 1e-13 * np.max(np.abs(once))
     scale = np.linalg.norm(once, axis=0) / np.linalg.norm(data, axis=0)
     assert np.all(scale > 0)
@@ -127,11 +129,12 @@ def test_nonlinearity_flow_is_a_semigroup_that_keeps_directions(kind, alpha, c, 
     NonlinearitySpec(kind="blowup_G", alpha_exp=0.5, c0=2.0),
 ], ids=lambda spec: spec.kind)
 def test_nonlinearity_flow_is_generated_by_the_right_side(spec):
-    """d/dtau of the flow at tau = 0 is the term's right side; with the
-    semigroup property this makes it the term's exact flow."""
+    """d/dtau of power_flow, with the spec's exponent and coefficient, at
+    tau = 0 is the term's right side; with the semigroup property this makes
+    it the term's exact flow."""
     f = random_smooth(GRID, amplitude=1.0, seed=5)
-    h = 1e-4
-    slope = (nonlinearity_flow(spec, f.data, h) - nonlinearity_flow(spec, f.data, -h)) / (2 * h)
+    a, c, h = spec.alpha_exp, spec.power_coefficient, 1e-4
+    slope = (power_flow(a, c, f.data, h) - power_flow(a, c, f.data, -h)) / (2 * h)
     rhs = hyperbolic_rhs_nonlinearity(spec, f)
     assert np.max(np.abs(slope - rhs)) < 1e-7 * np.max(np.abs(rhs))
 
@@ -139,17 +142,17 @@ def test_nonlinearity_flow_is_generated_by_the_right_side(spec):
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 0.3])
 def test_nonlinearity_flow_past_the_blowup_time_is_not_finite(alpha):
     """Past 1 / (a c |psi|^a) the point's value is inf, for every exponent:
-    a negative base raised to an integral -1/a would read as a finite value."""
+    a negative base raised to an integral -1/a would read as a finite value.
+    (A term without such a flow: test_split_rejects_a_term_without_an_exact_flow.)"""
     spec = NonlinearitySpec(kind="blowup_G", alpha_exp=alpha, c0=1.0)
+    a, c = spec.alpha_exp, spec.power_coefficient
     data = constant_field((2.0, 0, 0, 0)).data
     t_blow = 1.0 / (alpha * 2.0**alpha)
-    assert np.all(np.isfinite(nonlinearity_flow(spec, data, 0.99 * t_blow)))
+    assert np.all(np.isfinite(power_flow(a, c, data, 0.99 * t_blow)))
     with np.errstate(divide="ignore", invalid="ignore"):  # 0 * inf on the zero components
         for tau in (1.01 * t_blow, 3.0 * t_blow):
-            out = nonlinearity_flow(spec, data, tau)
+            out = power_flow(a, c, data, tau)
             assert np.all(np.isinf(out[0])) and not np.any(np.isfinite(out))
-    with pytest.raises(ValueError, match="has no pointwise flow"):
-        nonlinearity_flow(NonlinearitySpec(kind="lochak_form"), data, 0.1)
 
 
 def test_lochak_form_vanishes_on_lm_states():

@@ -18,8 +18,8 @@ from flrw_dirac.models import (
     NonlinearitySpec,
     PotentialSpec,
     hyperbolic_rhs_nonlinearity,
-    nonlinearity_flow,
     potential_field,
+    power_flow,
 )
 import flrw_dirac.solver as solver_module
 from flrw_dirac.solver import (
@@ -157,9 +157,19 @@ def reference_split_step(f, dt, cosmo, model):
 
     t, mid = f.time, f.time + 0.5 * dt
     data = mass(transport(f.data, t, mid), t, mid)
-    if not model.nonlinearity.is_none:
-        data = nonlinearity_flow(model.nonlinearity, data, dt)
+    nl = model.nonlinearity
+    if not nl.is_none:
+        data = power_flow(nl.alpha_exp, nl.power_coefficient, data, dt)
     return transport(mass(data, mid, t + dt), mid, t + dt)
+
+
+def _split_step(f, dt, cosmo, model):
+    """One split step: a split run of one step from f.time to f.time + dt
+    (cfl 0.9 does not bind on the steps the tests take)."""
+    cfg = SolverConfig(t_start=f.time, t_end=f.time + dt, cfl=0.9, track_cone=False)
+    rec = propagate(f, cosmo, model, cfg, observables=(), method="split")
+    assert len(rec.series[TIME_AXIS]) == 2
+    return rec.final
 
 
 def _rel_max(a, b):
@@ -327,14 +337,14 @@ def test_split_step_is_second_order(kind):
 @pytest.mark.parametrize("dim", ["3d", "1d"])
 @pytest.mark.parametrize("terms", ["mass", "nonlinear"])
 def test_split_step_is_the_stated_composition(dim, terms):
-    """One split step, forward and backward, is transport dt/2, mass dt/2,
+    """A split step, forward and backward, is transport dt/2, mass dt/2,
     the nonlinearity dt, mass dt/2 and transport dt/2, in that order: mass
     and transport do not commute, so another order gives another step."""
     f, model = _reference_case(dim, terms)
     cosmo = Cosmology(0.5, 1.0)
     dt = 0.2 * f.grid.h * cosmo.scale(f.time)
     for h in (dt, -dt):
-        out = step(f, h, cosmo, model, "split")
+        out = _split_step(f, h, cosmo, model)
         assert out.time == f.time + h
         assert _rel_max(out.data, reference_split_step(f, h, cosmo, model)) < 1e-12
 
@@ -363,18 +373,6 @@ def test_massless_free_split_run_is_the_closed_form(ell):
     assert np.linalg.norm(out.data - expected) < 1e-13 * np.linalg.norm(expected)
 
 
-def test_split_step_makes_three_transforms(monkeypatch):
-    """On a field that carries its spectrum, a split step transforms into
-    physical space and back around the pointwise map, and the result back."""
-    grid = Grid(dim=1, n=256, box_length=16.0)
-    f = compact_bump(grid, 2.0, 1.0, coeffs=(1, 0, 0, 0))
-    f.spectrum  # noqa: B018 -- computed before counting, as a carried spectrum
-    model = ModelSpec(nonlinearity=NonlinearitySpec(kind="blowup_G", alpha_exp=1.0, c0=1.0))
-    counts = _count_transforms(monkeypatch)
-    step(f, 0.01, Cosmology(0.5, 1.0), model, "split")
-    assert counts == {"_fftn": 1, "_ifftn": 2, "numpy": 3}
-
-
 def _fused_case(dim, kind, t0, t1):
     """A split run of a bump under power_abs or blowup_G with mass 0.5i on
     ell = 2/3, where the CFL step a(t) cfl h changes every step, from t0 to
@@ -395,7 +393,7 @@ def _fused_case(dim, kind, t0, t1):
 def test_fused_split_run_is_a_chain_of_split_steps(dim, kind, t0, t1):
     """A split run passes from mid-step to mid-step, fusing each step's
     closing half with the next one's opening half; its end state is that of
-    single split steps chained over the run's time grid."""
+    one-step split runs chained over the run's time grid."""
     f0, model, cfg = _fused_case(dim, kind, t0, t1)
     rec = propagate(f0, COSMO, model, cfg, observables=(), method="split")
     times = rec.series[TIME_AXIS]
@@ -404,7 +402,7 @@ def test_fused_split_run_is_a_chain_of_split_steps(dim, kind, t0, t1):
     assert np.ptp(np.abs(dts[:-1])) > 0.05 * np.abs(dts).max()  # dt moves each step
     f = f0
     for dt in dts:
-        f = step(f, dt, COSMO, model, "split")
+        f = _split_step(f, dt, COSMO, model)
     assert f.time == pytest.approx(rec.final.time, rel=1e-14)
     assert _rel_max(rec.final.data, f.data) < 1e-12
 
@@ -555,16 +553,27 @@ def test_a_stack_of_one_is_the_run_of_its_model():
 
 
 def test_stack_capture_and_rk4_rows():
-    """A stack stores each row's field at a capture time, and RK4 steps a
-    stack row by row: both as the rows alone."""
+    """A stack stores each row's field at a capture time, as the rows alone;
+    an RK4 run holds one row."""
     f0, model, cfg = _fused_case("1d", "blowup_G", 1.0, 1.4)
     models = [model, dataclasses.replace(model, mass=Mass(0.2))]
-    for method in ("split", "rk4"):
-        stack = propagate(f0, COSMO, models, cfg, capture_times=(1.2,), method=method)
-        for row, m in zip(stack, models):
-            rec = propagate(f0, COSMO, m, cfg, capture_times=(1.2,), method=method)
-            assert row.to_dict()["series"] == rec.to_dict()["series"]
-            assert np.array_equal(row.captured[1.2].data, rec.captured[1.2].data)
+    stack = propagate(f0, COSMO, models, cfg, capture_times=(1.2,), method="split")
+    for row, m in zip(stack, models):
+        rec = propagate(f0, COSMO, m, cfg, capture_times=(1.2,), method="split")
+        assert row.to_dict()["series"] == rec.to_dict()["series"]
+        assert np.array_equal(row.captured[1.2].data, rec.captured[1.2].data)
+    with pytest.raises(ValueError, match="an RK4 run holds one row, got 2"):
+        propagate(f0, COSMO, models, cfg, capture_times=(1.2,))
+    (rec,) = propagate(f0, COSMO, models[:1], cfg)
+    assert rec.to_dict() == propagate(f0, COSMO, model, cfg).to_dict()
+
+
+@pytest.mark.parametrize("method", ["split", "rk4"])
+def test_an_empty_stack_is_rejected(method):
+    """An empty list of models is no run: ValueError before any step."""
+    f0, _, cfg = _fused_case("1d", "blowup_G", 1.0, 1.4)
+    with pytest.raises(ValueError, match="propagate needs a model, got an empty list"):
+        propagate(f0, COSMO, [], cfg, method=method)
 
 
 def test_a_3d_split_stack_holds_one_row():
@@ -932,6 +941,30 @@ def test_config_validation():
         SolverConfig(method="rk4")  # the integrator is propagate's argument
     with pytest.raises(ValueError):
         SolverConfig(record_every=0)
+
+
+@pytest.mark.parametrize("center, stored", [
+    ((1.0,), (1.0, 0.0, 0.0)),
+    ([0, 0, 1], (0.0, 0.0, 1.0)),
+    (np.array([0.5, 0.0, 0.0]), (0.5, 0.0, 0.0)),
+], ids=["short", "list", "ndarray"])
+def test_config_normalises_the_cone_center(center, stored):
+    """cone_center is stored as a zero-padded 3-tuple of builtin floats, as
+    PotentialSpec stores its center: a short one runs in 3D, a list or an
+    array leaves the frozen config hashable, and the record carries the
+    3 coordinates."""
+    cfg = SolverConfig(t_end=1.2, cone_center=center)
+    assert cfg.cone_center == stored and all(type(c) is float for c in cfg.cone_center)
+    assert hash(cfg) == hash(dataclasses.replace(cfg, cone_center=stored))
+    f0 = compact_bump(Grid(dim=3, n=16, box_length=8.0), 1.0, 1.0, center=stored)
+    rec = propagate(f0, COSMO, ModelSpec(), cfg, observables=("cone_leak",))
+    assert rec.completed and rec.support_radius0 > 0
+    assert rec.to_dict()["cone_center"] == list(stored)
+
+
+def test_config_rejects_a_cone_center_of_four_coordinates():
+    with pytest.raises(ValueError, match="a center has at most 3 coordinates, got 4"):
+        SolverConfig(cone_center=(0, 0, 0, 7))
 
 
 @pytest.mark.parametrize("field, value, message", [
