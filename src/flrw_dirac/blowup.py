@@ -284,11 +284,11 @@ def empirical_blowup(cases: list[BlowupCase], grid: Grid, cfg: SolverConfig) -> 
     of reports, one per case, in order.  Each row's run is the one it would
     make alone, to rounding (models.power_flow).
 
-    The run steps with propagate's method "split": every term of blowup_G
-    has an exact flow, and a step of a split run costs 2 FFTs to RK4's 8
-    (it records l2 alone, read off the data, so the only field it builds
-    is the final one).  With either method t_numerical is the midpoint of
-    the step in which the run blew up, so it is known only to dt/2.
+    A stack steps with the split's Strang step: every term of blowup_G has
+    an exact flow, and a step costs 2 FFTs to RK4's 8 (it records l2 alone,
+    read off the data, so the only field it builds is the final one).
+    t_numerical is the midpoint of the step in which the run blew up, so it
+    is known only to dt/2.
 
     The data are a compact bump of radius r_support around cfg.cone_center,
     coefficients (1, 0, 0, 0), scaled to energy e1 at t = 1 = cfg.t_start.
@@ -308,7 +308,7 @@ def empirical_blowup(cases: list[BlowupCase], grid: Grid, cfg: SolverConfig) -> 
         mass=Mass(1j * c.im_m_abs),
         nonlinearity=NonlinearitySpec(kind="blowup_G", alpha_exp=c.alpha_exp, c0=c.c0),
     ) for c in cases]
-    recs = propagate(f0, first.cosmology, models, cfg, observables=("l2",), method="split")
+    recs = propagate(f0, first.cosmology, models, cfg, observables=("l2",))
     reports = []
     for c, rec in zip(cases, recs):
         t_bound = lifespan(c)

@@ -12,13 +12,15 @@ missing required field; a required potential flag that fails, an lm_z off
 the unit circle, a forward cone that would wrap around the torus by t_end,
 or a kernel argument out of range, among others), 2 runtime error,
 3 verification failure.  simulate runs forward: a solver.t_end before
-solver.t_start is a config error, and it steps with RK4; a sweep's empirical
-blow-up runs step with the split method (blowup.empirical_blowup), the
-points of one ell as one stack.  FLRW_DIRAC_THREADS caps sweep parallelism
-(0 or unset: the CPUs in the process's affinity); the pool maps over the
-stacks, with at most one worker per stack, and with more than one worker
-the parent loads scipy before it forks the pool, so the workers inherit it
-instead of each importing it again.
+solver.t_start is a config error.  It steps a free model with the split's
+exact pieces composed to 4th order and any other model with RK4
+(solver.propagate); a sweep's empirical blow-up runs take Strang split
+steps (blowup.empirical_blowup), the points of one ell as one stack.
+FLRW_DIRAC_THREADS caps sweep parallelism (0 or unset: the CPUs in the
+process's affinity); the pool maps over the stacks, with at most one worker
+per stack, and with more than one worker the parent loads scipy before it
+forks the pool, so the workers inherit it instead of each importing it
+again.
 """
 from __future__ import annotations
 

@@ -164,7 +164,7 @@ def check_energy_identity(rec: RunRecord, tol: float) -> CheckReport:
     2 Im(m) times the accumulated s^(3 ell - 1)-weighted scalar-density
     integral, minus twice the accumulated s^(3 ell)-weighted Im(V) term),
     with the time integrals taken on the recorded cadence by a 4th-order
-    rule (_cumulative_integral), the order of RK4.
+    rule (_cumulative_integral), the order of the free step and of RK4.
     Needs the series times, l2, xi_int and imv_int.
     """
     _require_a_form(rec, "energy identity")

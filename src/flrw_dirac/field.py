@@ -9,15 +9,16 @@ antisymmetric on the grid.
 The module also holds the Dirac symbol of alpha.grad: i sigma.k on the
 off-diagonal 2x2 blocks (_dirac_symbol), and the one pass that applies an
 operator P + s B Q of its span to Fourier coefficients (_apply_span).  The
-RK4 solver and the closed-form propagator of kernels both end with it.
+solver's exact free and split steps and the closed-form propagator of
+kernels all end with it.
 
 Full-size arrays are allocated once per pass.  A 3D transform runs per
 spinor component into one preallocated output.  The 3D symbol pass runs
 slab by slab along the first spatial axis, and its scratch is sized to a
 slab (_SLAB_BYTES per component), not to the grid.  Its factors may be
 radial, arrays over the distinct mode magnitudes (_unique_mode_magnitudes)
-gathered per slab, so neither the solver's free RK4 step nor the
-closed-form propagator of kernels builds a full-size multiplier.  The
+gathered per slab, so neither the solver's free step nor the closed-form
+propagator of kernels builds a full-size multiplier.  The
 symbol pass (in_place=True) and the inverse transform (out=a) also run in
 place, so kernels.reconstruct_free goes from spectrum to field in one
 buffer.  The in-place pass gives the same bits as the pass into a new

@@ -4,7 +4,7 @@ The free solution admits an explicit representation: Fourier modes are
 weighted by r-integrals of cone kernels against the flat-space wave
 multiplier cos(r |xi|), and the result is assembled by a first-order
 co-factor operator, applied through field._apply_span, the symbol pass the
-RK4 solver uses too.  Writing mu = m / (1 - ell), phi(t) = t^(1-ell)/(1-ell),
+solver's free and split steps use too.  Writing mu = m / (1 - ell), phi(t) = t^(1-ell)/(1-ell),
 D = phi(t) - phi(t0), S = phi(t) + phi(t0), w = S^2 - r^2 and
 z = (D^2 - r^2) / w, the two kernels are
 

@@ -5,65 +5,47 @@ The evolved system is
     d/dt psi = -(1/a(t)) sum_j alpha^j d_j psi - (3 ell / 2 t) psi
                - i (m / t) g0 psi + i V psi + F(psi) + source(t)
 
-integrated by classical RK4 with dt = min(dt_max, cfl * h * a(t)): the
-transport speed is 1/a(t), so this keeps the Courant number fixed.  Spatial
-derivatives are spectral, which makes the semi-discrete flow conserve the
-quadratic invariants exactly; the recorded drift is pure time-stepping error.
+stepped with dt = min(dt_max, cfl * h * a(t)): the transport speed is
+1/a(t), so this keeps the Courant number fixed.  Spatial derivatives are
+spectral, so the semi-discrete flow conserves the quadratic invariants
+exactly; the recorded drift is pure time-stepping error.
 
-RK4 runs on the Fourier coefficients.  There the free operator (the first
-three terms) is L(t) = d I + s B + mu g0 per mode, with B = i sigma.k on the
-off-diagonal 2x2 blocks, s = -1/a(t), d = -3 ell / 2t and mu = -i m / t (g0
-flips the sign of the lower spinor pair).  B^2 = -|k|^2, g0^2 = I and
-B g0 = -g0 B, so without x-dependent terms a whole step is one element
-r0 I + r1 B + r2 g0 + r3 B g0 of that span, whose coefficients depend on
-the mode through |k|^2 only.  They are evaluated on the distinct mode
-magnitudes (3D) and applied in one pass, field._apply_span, which the
-closed-form propagator of kernels uses with radial factors too.  Only a
-model with x-dependent terms (a potential, a nonlinearity or a source, all
-declared by the ModelSpec) runs the staged RK4 loop: they are evaluated in
-physical space and transformed, stage by stage.  rhs returns that stage
-derivative, the one step integrates, as a field.
+The free operator (the first three terms) has exact flows on the Fourier
+coefficients: from ta to tb the transport, damping included, is
+(ta/tb)^(3 ell/2) [cos(c|k|) I - (sin(c|k|)/|k|) B], with B = i sigma.k on
+the off-diagonal 2x2 blocks and c the signed comoving travel distance, and
+the mass is exp(-i m log(tb/ta) g0).  B^2 = -|k|^2 and B g0 = -g0 B, so a
+product of these pieces is one element P + s B Q of a span with P and Q
+diagonal on the two spinor pairs and radial in k (_compose), applied in one
+pass, field._apply_span, as the closed-form propagator of kernels is.
 
-Each field a step returns carries its Fourier coefficients
-(SpinorField.spectrum), so the next step and the recorder transform
-nothing: a run makes one forward FFT of its start field, then one inverse
-FFT per free step.  A step with x-dependent terms adds an inverse FFT for
-each of the last three stage fields and a forward FFT of those terms at
-every stage (8 FFTs).
+A Strang step (Strang 1968, SINUM 5) is transport dt/2, mass dt/2, the
+pointwise flow of c |psi|^alpha psi (models.power_flow) for dt, mass dt/2
+and transport dt/2.  Exact transports compose, so a run fuses each step's
+closing half with the next one's opening half into one pass from mid-step
+to mid-step (_split_factors; McLachlan & Quispel 2002, Acta Numerica 11),
+carries the spectrum after the pointwise map, reads the squared L2 norm
+off it, and builds the field at a boundary only when something reads it:
+a step is 2 FFTs, 1 pass and 1 pointwise map.  Without a pointwise flow a
+step is Suzuki's composition of five Strang steps (_SUZUKI), 4th order,
+multiplied out into one pass that ends at the step boundary: a free run
+makes one pass a step and one inverse FFT per built field, and a massless
+one is exact at any step.
 
-propagate's method "split" takes instead one symmetric Strang step of
-exact flows (Strang 1968, SINUM 5): transport dt/2, mass dt/2, the
-nonlinearity dt, mass dt/2, transport dt/2.  From ta to tb the transport,
-damping included, is (ta/tb)^(3 ell/2) [cos(c|k|) I - (sin(c|k|)/|k|) B]
-with c the signed comoving travel distance, and the mass is
-exp(-i m log(tb/ta) g0): one factor on the upper spinor pair and its
-inverse on the lower.  Mass, transport and mass again are one _apply_span
-pass on the radial factors (_split_pass); c |psi|^alpha psi flows
-pointwise (models.power_flow).  Exact transports compose, so a run
-fuses the closing half of each step with the opening half of the next
-into one pass from mid-step to mid-step (the "first same as last" trick,
-McLachlan & Quispel 2002, Acta Numerica 11): it carries the spectrum of
-the data after the pointwise map, reads the squared L2 norm at the step
-boundary off it, and builds the field at a boundary only when something
-reads it.  A run step makes 2 FFTs (into physical space and back around
-the pointwise map), 1 symbol pass and 1 pointwise map, on the same step
-size rule as RK4; a built field costs one more pass and one inverse FFT.
-The method is second order, exact for a massless free model, and accepts
-only models whose every term has such a flow: no potential, no source, and
-a nonlinearity that is none, power_abs or blowup_G.  RK4 stays the
-default, which simulate runs: on smooth runs it is far more accurate at
-the same step.  blowup.empirical_blowup runs split.
+propagate derives the integrator from the models.  A free model, and a
+stack of models whose every term has an exact flow (no potential, no
+source, a nonlinearity that is none, power_abs or blowup_G), split; any
+other single model runs classical RK4 (step), its x-dependent terms
+evaluated in physical space and transformed stage by stage (8 FFTs a
+step; rhs returns the stage derivative).
 
-A split run carries a stack of rows: models that start from one field on
-one cosmology, so that they share every step, and differ in their mass and
-pointwise flow.  In 1D the stack is one array (rows, 4, n), and each pass,
-transform and pointwise map acts on all rows in one call; a step of a
-few hundred modes is mostly per-call cost, so the rows share it.  A row
-whose norm fails the blow-up test leaves the stack with its own record,
-and the rest go on.  A 3D split run, and an RK4 run, hold one row.
-
-The recorder samples only the OBSERVABLES named by propagate's caller, and
-computes the bilinear densities only when a recorded observable reads them.
+A split stack holds rows that start from one field on one cosmology and
+share every step; they differ in mass and pointwise flow.  In 1D the stack
+is one array (rows, 4, n), and each pass, transform and pointwise map acts
+on all rows in one call.  A row whose norm fails the blow-up test leaves
+the stack with its own record.  A 3D split run, and an RK4 run, hold one
+row.  The recorder samples only the OBSERVABLES propagate's caller names,
+and computes the bilinear densities only when one of them reads them.
 """
 from __future__ import annotations
 
@@ -72,7 +54,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Callable
 
 import numpy as np
@@ -178,12 +160,47 @@ class SolverConfig:
 
 
 SCHEMA = "flrw-dirac-run/1"
+TIME_AXIS = "times"
 
 # RunRecord fields serialised as they are, _META at the top level and _FLAGS under
 # "flags"; cosmology, mass, cone_center, series and snapshots have their own shape.
 _META = ("potential_kind", "potential_gamma2_ok", "nonlinearity_kind", "sobolev_order",
          "support_radius0")
 _FLAGS = ("completed", "blown_up", "blowup_time", "cone_violation")
+
+
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _numbers(v) -> bool:
+    return isinstance(v, list) and all(map(_number, v))
+
+
+def _at(d: dict, path: str):
+    """The value at a dotted path of a JSON tree, or _ABSENT."""
+    for part in path.split("."):
+        d = d.get(part, _ABSENT) if isinstance(d, dict) else _ABSENT
+    return d
+
+
+_ABSENT = object()
+_NUMBER, _NUMBERS = (_number, "a number"), (_numbers, "a list of numbers")
+_BOOL = (lambda v: isinstance(v, bool), "true or false")
+_STRING = (lambda v: isinstance(v, str), "a string")
+# What each field of a serialised record must hold, by its dotted path, as (test,
+# description); every path is required, every series is a list of numbers and
+# snapshots, when present, a list of strings.
+_FIELDS = {
+    "potential_kind": _STRING, "potential_gamma2_ok": _BOOL, "nonlinearity_kind": _STRING,
+    "sobolev_order": (lambda v: _number(v) and isinstance(v, int), "an integer"),
+    "support_radius0": _NUMBER,
+    "cone_center": (lambda v: _numbers(v) and len(v) == 3, "3 numbers"),
+    "cosmology.ell": _NUMBER, "cosmology.a0": _NUMBER, "mass.re": _NUMBER, "mass.im": _NUMBER,
+    "flags.completed": _BOOL, "flags.blown_up": _BOOL, "flags.cone_violation": _BOOL,
+    "flags.blowup_time": (lambda v: v is None or _number(v), "a number or null"),
+    f"series.{TIME_AXIS}": _NUMBERS,
+}
 
 
 @dataclass
@@ -233,18 +250,22 @@ class RunRecord:
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
         """Inverse of to_dict; raises ValueError naming another schema, a
-        missing field, or a series whose length differs from the time axis."""
+        missing field, a field that does not hold what _FIELDS says, or a
+        series whose length differs from the time axis."""
         schema = d.get("schema") if isinstance(d, dict) else None
         if schema != SCHEMA:
             raise ValueError(f"record schema {schema!r} is not {SCHEMA!r}")
-        parts = {"cosmology": ("ell", "a0"), "mass": ("re", "im"), "flags": _FLAGS,
-                 "series": (TIME_AXIS,)}
-        missing = [key for key in (*_META, "cone_center") if key not in d] + [
-            f"{p}.{key}" for p, keys in parts.items() for key in keys
-            if not isinstance(d.get(p), dict) or key not in d[p]]
+        missing = [path for path in _FIELDS if _at(d, path) is _ABSENT]
         if missing:
             raise ValueError(f"record lacks the fields {missing}")
         raw = d["series"]
+        fields = {**_FIELDS, **{f"series.{key}": _NUMBERS for key in raw}}
+        if "snapshots" in d:
+            fields["snapshots"] = (lambda v: isinstance(v, list) and all(
+                isinstance(x, str) for x in v), "a list of strings")
+        for path, (test, what) in fields.items():
+            if not test(value := _at(d, path)):
+                raise ValueError(f"record field {path!r} must be {what}, got {value!r:.60}")
         n = len(raw[TIME_AXIS])
         for key, values in raw.items():
             if len(values) != n:
@@ -268,24 +289,6 @@ class RunRecord:
         )
 
 
-def _free_coefficients(t: float, cosmo: Cosmology, m: complex) -> tuple[float, float, complex]:
-    """(d, s, mu) of the free operator d I + s B + mu g0 at time t; the
-    scale factor raises ValueError for t <= 0 before anything divides by t."""
-    s = -1.0 / cosmo.scale(t)
-    return -1.5 * cosmo.ell / t, s, -1j * m / t
-
-
-def _times_free(x, d: float, s: float, mu: complex, k_sq) -> tuple:
-    """L x for L = d I + s B + mu g0 and x = r0 I + r1 B + r2 g0 + r3 B g0,
-    where each r_i is a scalar or an array over K = |k|^2.  B^2 = -K,
-    g0^2 = I and B g0 = -g0 B close the span under products."""
-    r0, r1, r2, r3 = x
-    return (d * r0 - s * k_sq * r1 + mu * r2,
-            d * r1 + s * r0 - mu * r3,
-            d * r2 - s * k_sq * r3 + mu * r0,
-            d * r3 + s * r2 - mu * r1)
-
-
 @lru_cache(maxsize=32)
 def _mode_magnitudes(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """|k| of the derivative wavenumbers, the wavenumbers of the symbol B,
@@ -302,48 +305,24 @@ def _mode_magnitudes(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return k, inv
 
 
-def _free_rk4(hat: np.ndarray, t: float, dt: float, cosmo: Cosmology, m: complex,
-              grid: Grid) -> np.ndarray:
-    """One classical RK4 step of the free flow, taken as its amplification
-    R = I + (dt/6)(K1 + 2 K2 + 2 K3 + K4) = r0 I + r1 B + r2 g0 + r3 B g0,
-    evaluated on K = |k|^2 and applied in one symbol pass.  In 3D K runs
-    over the distinct mode magnitudes, so the factors are radial and no
-    full-size multiplier is built; in 1D it runs over the modes."""
-    l1 = _free_coefficients(t, cosmo, m)
-    l2 = _free_coefficients(t + 0.5 * dt, cosmo, m)
-    l4 = _free_coefficients(t + dt, cosmo, m)
-    k_sq = _mode_magnitudes(grid)[0] ** 2
-    one = (1.0, 0.0, 0.0, 0.0)
-    k1 = _times_free(one, *l1, k_sq)
-    k2 = _times_free([o + 0.5 * dt * k for o, k in zip(one, k1)], *l2, k_sq)
-    k3 = _times_free([o + 0.5 * dt * k for o, k in zip(one, k2)], *l2, k_sq)
-    k4 = _times_free([o + dt * k for o, k in zip(one, k3)], *l4, k_sq)
-    r0, r1, r2, r3 = (o + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + e)
-                      for o, a, b, c, e in zip(one, k1, k2, k3, k4))
-    # g0 is +1 on the upper and -1 on the lower spinor pair
-    return _apply_span(hat, grid, (r0 + r2, r0 - r2), (r1 + r3, r1 - r3))
-
-
 def _per_row(values: list):
     """values, one per row of a split run's stack, shaped to broadcast over
     its hat (_SplitState): (rows, 1, 1), or the one value of a stack of one."""
     return values[0] if len(values) == 1 else np.reshape(values, (-1, 1, 1))
 
 
-def _split_pass(hat: np.ndarray, t0: float, tb: float, t1: float, cosmo: Cosmology,
-                masses: list, grid: Grid) -> np.ndarray:
-    """hat carried by the exact mass flow from t0 to tb, then the exact
-    transport from t0 to t1, then the mass flow from tb to t1, in one symbol
-    pass (time may run either way); hat is a stack (_SplitState) and masses
-    holds the mass of each of its rows.  The transport, damping included, is
-    T = dil [cos(c|k|) I - (sin(c|k|)/|k|) B] with dil = (t0/t1)^(3 ell/2);
-    the mass flow from ta to tb, exp(-i m log(tb/ta) g0), scales the upper
-    pair by u and the lower by 1/u, here ua and ub.  g0 B = -B g0 gives
-    M B = B M^-1, so the pass is P + s B Q with P = dil cos (ua ub, 1/(ua ub)),
-    Q = (sin(c|k|)/|k|) (ua/ub, ub/ua) and s = -dil, the phases worked out
-    per row in scalar arithmetic, as for a row alone.  A Strang step opens with tb = t0 and closes with
-    tb = t1; a run passes from one mid-step to the next with tb the step
-    boundary between them."""
+def _split_factors(t0: float, tb: float, t1: float, cosmo: Cosmology, masses: list,
+                   grid: Grid) -> tuple:
+    """The factors (p, q, s) of _apply_span for the exact mass flow from t0
+    to tb, then the exact transport from t0 to t1, then the mass flow from
+    tb to t1 (either way in time), per row of a stack with these masses.
+    The transport is T = dil [cos(c|k|) I - (sin(c|k|)/|k|) B], dil =
+    (t0/t1)^(3 ell/2); the mass flow scales the upper pair by u and the
+    lower by 1/u, here ua and ub.  M B = B M^-1, so P = dil cos (ua ub,
+    1/(ua ub)), Q = (sin(c|k|)/|k|) (ua/ub, ub/ua) and s = -dil, the phases
+    in scalar arithmetic per row, as for a row alone.  A Strang step opens
+    with tb = t0 and closes with tb = t1; a run passes from one mid-step to
+    the next through the step boundary tb."""
     lo, hi = sorted((t0, t1))
     c = math.copysign(cosmo.travel_distance(hi, lo), t1 - t0)
     k, inv_k = _mode_magnitudes(grid)
@@ -360,7 +339,26 @@ def _split_pass(hat: np.ndarray, t0: float, tb: float, t1: float, cosmo: Cosmolo
     ck = c * k
     cos = np.cos(ck)
     sin_k = np.sin(ck) * inv_k  # sin(c|k|)/|k|, its limit c immaterial where B = 0
-    return _apply_span(hat, grid, (pu * cos, pl * cos), (v * sin_k, sin_k / v), s=-dil)
+    return (pu * cos, pl * cos), (v * sin_k, sin_k / v), -dil
+
+
+def _compose(x2: tuple, x1: tuple, k_sq) -> tuple:
+    """The product x2 x1 of two span elements P + s B Q as their factors
+    (p, q, s), q not None: P = P2 P1 - s1 s2 K Q2^sw Q1, Q = s1 P2^sw Q1 +
+    s2 Q2 P1 and s = 1, where ^sw swaps the upper and lower pair factors
+    (D B = B D^sw) and B^2 = -K, K = |k|^2 on the factors' entries."""
+    (p2u, p2l), (q2u, q2l), s2 = x2
+    (p1u, p1l), (q1u, q1l), s1 = x1
+    sk = s1 * s2 * k_sq
+    return ((p2u * p1u - sk * q2l * q1u, p2l * p1l - sk * q2u * q1l),
+            (s1 * p2l * q1u + s2 * q2u * p1u, s1 * p2u * q1l + s2 * q2l * p1l), 1.0)
+
+
+# Suzuki's fractal composition (Suzuki 1990, Phys. Lett. A 146, 319): Strang steps of p, p,
+# 1 - 4p, p and p times dt, p = 1/(4 - 4^(1/3)), make a 4th-order step whose every substep
+# time lies in [t, t + dt].  Its substep boundaries but the last, as fractions of dt:
+_P = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
+_SUZUKI = (0.0, _P, 2.0 * _P, 1.0 - 2.0 * _P, 1.0 - _P)
 
 
 class _Rk4State:
@@ -393,15 +391,13 @@ class _SplitRun:
 
 
 class _SplitState:
-    """A split run of a stack of rows at the step boundary `time`.  The rows
-    start from one field and share its grid, the cosmology and so every
-    step; each has its own model, so its own mass and pointwise flow
-    (_SplitRun).  hat holds, per row, the Fourier coefficients of the data
-    after the last pointwise map, at the mid-step time mid (at the start,
-    the start field's spectrum, with mid = time): (rows, 4, n), or for a
-    stack of one, in 1D or in 3D, that row's array, shaped like its field's
-    data.  The fields at `time` are the closing pass of hat, built on first
-    read, on a new array: building them never changes the run."""
+    """A split run of a stack of rows (_SplitRun) at the step boundary
+    `time`.  hat holds, per row, the Fourier coefficients of the data at
+    the time mid: at mid-step after the last pointwise map, or at the
+    boundary (mid = time) at the start and after a free step: (rows, 4, n),
+    or for a stack of one that row's array, shaped like its field's data.
+    The fields at `time` are built on first read, from hat or from its
+    closing pass, and building them never changes the run."""
 
     def __init__(self, time: float, mid: float, hat: np.ndarray, run: _SplitRun):
         self.time, self.mid, self.hat, self.run = time, mid, hat, run
@@ -415,18 +411,26 @@ class _SplitState:
         return state
 
     def advance(self, dt: float) -> tuple["_SplitState", np.ndarray]:
-        """The state one Strang step of dt later, and the squared L2 norm of
-        each row's field there, read off its hat without building the field:
-        the closing pass is the mass flow M, diagonal in the spinor index,
-        then dil times a unitary per mode.  A pointwise blow-up inside the
-        step leaves non-finite data and a norm that is not finite; numpy's
-        warnings on the way are silenced, since the data say it."""
+        """The state one step of dt later: Suzuki's step without a pointwise
+        map, else a Strang step.  Also the squared L2 norm of each row's field
+        there, read off hat: the closing pass is the diagonal mass flow, then
+        dil times a unitary per mode.  A pointwise blow-up leaves non-finite
+        data and norm; numpy's warnings on the way are silenced."""
         t, run = self.time, self.run
         grid = run.like.grid
         mid, t1 = t + 0.5 * dt, t + dt
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            hat = _split_pass(self.hat, self.mid, t, mid, run.cosmo, run.masses, grid)
-            if run.flow is not None:
+            if run.flow is None:  # the passes of Suzuki's five Strang steps, multiplied out
+                bounds = [t + c * dt for c in _SUZUKI] + [t1]
+                mids = [self.mid] + [0.5 * (a + b) for a, b in zip(bounds, bounds[1:])] + [t1]
+                k_sq = _mode_magnitudes(grid)[0] ** 2
+                x = reduce(lambda x, y: _compose(y, x, k_sq), (
+                    _split_factors(*ts, run.cosmo, run.masses, grid)
+                    for ts in zip(mids, bounds, mids[1:])))
+                hat, mid = _apply_span(self.hat, grid, *x), t1
+            else:
+                hat = _apply_span(self.hat, grid,
+                                  *_split_factors(self.mid, t, mid, run.cosmo, run.masses, grid))
                 hat = _fftn(power_flow(*run.flow, _ifftn(hat, grid, out=hat), dt), grid)
             # |u|^2 of each row's mass flow mid -> t1
             u_sq = np.array([(t1 / mid) ** (2.0 * m.imag) for m in run.masses])
@@ -446,10 +450,11 @@ class _SplitState:
 
     @cached_property
     def fields(self) -> list[SpinorField]:
-        run = self.run
+        run, hat = self.run, self.hat
         with np.errstate(over="ignore", invalid="ignore"):  # as in advance
-            hat = _split_pass(self.hat, self.mid, self.time, self.time, run.cosmo, run.masses,
-                              run.like.grid)
+            if self.mid != self.time:  # the closing pass
+                hat = _apply_span(hat, run.like.grid, *_split_factors(
+                    self.mid, self.time, self.time, run.cosmo, run.masses, run.like.grid))
             return [run.like.with_spectrum(h, time=self.time)
                     for h in hat.reshape(-1, *run.like.data.shape)]
 
@@ -471,8 +476,11 @@ def _local_terms(f: SpinorField, t: float, model: ModelSpec) -> np.ndarray:
 
 def _rhs_hat(f: SpinorField, t: float, cosmo: Cosmology, model: ModelSpec) -> np.ndarray:
     """Fourier coefficients of the right side at time t: the free operator
-    d I + s B + mu g0 on f.spectrum, plus the transformed x-dependent terms."""
-    d, s, mu = _free_coefficients(t, cosmo, complex(model.mass.m))
+    d I + s B + mu g0, with d = -3 ell/2t, s = -1/a(t) and mu = -i m/t, on
+    f.spectrum, plus the transformed x-dependent terms.  The scale factor
+    raises ValueError for t <= 0 before anything divides by t."""
+    s = -1.0 / cosmo.scale(t)
+    d, mu = -1.5 * cosmo.ell / t, -1j * complex(model.mass.m) / t
     out = _apply_span(f.spectrum, f.grid, (d + mu, d - mu), s=s)  # g0 = diag(1, 1, -1, -1)
     if not model.is_free:
         out += _fftn(_local_terms(f, t, model), f.grid)
@@ -486,17 +494,13 @@ def rhs(f: SpinorField, t: float, cosmo: Cosmology, model: ModelSpec) -> SpinorF
 
 
 def step(f: SpinorField, dt: float, cosmo: Cosmology, model: ModelSpec) -> SpinorField:
-    """One classical RK4 step of size dt (dt < 0 integrates backward).
-
-    Without x-dependent terms it is the closed-form free RK4 amplification;
-    otherwise each stage derivative is _rhs_hat, the right side of rhs.  The
-    field returned carries its spectrum.  A split step is a one-step split
-    propagate run."""
+    """One classical RK4 step of size dt (dt < 0 integrates backward), each
+    stage derivative _rhs_hat, the right side of rhs.  The field returned
+    carries its spectrum.  propagate steps a single model with x-dependent
+    terms with it; a free run and a split stack take the split's exact
+    pieces (_SplitState)."""
     t = f.time
     hat = f.spectrum
-    if model.is_free:
-        new = _free_rk4(hat, t, dt, cosmo, complex(model.mass.m), f.grid)
-        return f.with_spectrum(new, time=t + dt)
     k = [_rhs_hat(f, t, cosmo, model)]
     for frac in (0.5, 0.5, 1.0):
         stage = f.with_spectrum(hat + frac * dt * k[-1])
@@ -568,7 +572,6 @@ def _source_k(s: _Sample) -> float:
     return sobolev_norm(sf, s.run.cfg.sobolev_order)
 
 
-TIME_AXIS = "times"
 
 # The recorded series, in order: name -> value at one sample, or None where
 # the observable does not apply to the run (the series is then absent).
@@ -658,7 +661,6 @@ def propagate(
     cfg: SolverConfig,
     capture_times=(),
     observables=None,
-    method: str = "rk4",
 ) -> RunRecord | list[RunRecord]:
     """Integrate from cfg.t_start to cfg.t_end, recording diagnostics.
 
@@ -667,13 +669,14 @@ def propagate(
     The run stops early on blow-up: a squared L2 norm above the threshold,
     or one that is not finite.
 
-    model may also be a list of models, the rows of a split stack: they all
-    start from f0 and share the grid, the cosmology and cfg, so every step
-    and the cone stop, and the call returns a list of records, one per row,
-    in order.  A row that blows up leaves the stack with its own flags,
-    final field and record; the others go on.  The stack steps its rows as
-    one array (_SplitState).  An empty list, and a list of more than one
-    model for an RK4 or a 3D run, raise ValueError.
+    The model decides the integrator (module docstring): a free model
+    splits, any other single model runs RK4.  A list of models is the rows
+    of a split stack, stepped as one array (_SplitState): they start from f0
+    and share the grid, the cosmology, cfg, every step and the cone stop,
+    and the call returns one record per row, in order.  A row that blows up
+    leaves with its own flags, final field and record; the others go on.
+    An empty list, more than one model in 3D, and a model without exact
+    flows in a list raise ValueError before the first step.
 
     The run steps through one ordered list of stops, the capture times and
     cfg.t_end: dt = min(dt_max, cfl h a(t), |next stop - t|), so it lands on
@@ -692,24 +695,18 @@ def propagate(
     on_cone_violation="error" raises ConeSafetyError before the first step
     and "stop" ends the run at the first step that reaches it.
 
-    method is "rk4" (the default) or "split", the Strang step of the module
-    docstring; another method, or "split" on a model with a potential, a
-    source or a nonlinearity other than power_abs and blowup_G, raises
-    ValueError before the first step.  Each method advances a state and
-    builds the field at its step boundary; RK4's state is that field, while
-    a split run builds it only for a recorded observable that reads it, a
-    capture and the final state, so the run does not depend on
-    record_every or on the capture times.  A split run's norm, and its
-    recorded l2, are read off the data after the pointwise map.
+    RK4's state is the field at its step boundary; a split run builds that
+    field only for a recorded observable that reads it, a capture and the
+    final state, so it does not depend on record_every or on the capture
+    times, and reads its norm, the recorded l2, off its spectrum.
     """
     models = [model] if isinstance(model, ModelSpec) else list(model)
     if not models:
         raise ValueError("propagate needs a model, got an empty list")
     if abs(f0.time - cfg.t_start) > 1e-9 * max(1.0, cfg.t_start):
         raise ValueError("f0.time must equal cfg.t_start")
-    if method not in ("rk4", "split"):
-        raise ValueError(f"method must be 'rk4' or 'split', got {method!r}")
-    if method == "split":
+    split = not isinstance(model, ModelSpec) or model.is_free
+    if split:
         for m in models:
             nl = m.nonlinearity
             why = ("a potential" if not m.potential.is_zero
@@ -717,10 +714,9 @@ def propagate(
                    else None if nl.is_none or nl.power_coefficient is not None
                    else f"the nonlinearity {nl.kind!r}")
             if why:
-                raise ValueError(f"method 'split' cannot run a model with {why}")
-    if len(models) > 1 and (method == "rk4" or f0.grid.dim == 3):
-        what = "an RK4" if method == "rk4" else "a 3D split"
-        raise ValueError(f"{what} run holds one row, got {len(models)}")
+                raise ValueError(f"a split stack cannot hold a model with {why}")
+    if len(models) > 1 and f0.grid.dim == 3:
+        raise ValueError(f"a 3D split run holds one row, got {len(models)}")
     lo, hi = sorted((cfg.t_start, cfg.t_end))
     captures = {float(tc) for tc in capture_times}
     outside = sorted(tc for tc in captures if not lo <= tc <= hi)  # NaN is outside
@@ -758,8 +754,7 @@ def propagate(
         for j in rows:
             live[j].record(state, j, e[j])
 
-    state = (_SplitState.start(f0, cosmo, models) if method == "split"
-             else _Rk4State(f0, cosmo, models[0]))
+    state = _SplitState.start(f0, cosmo, models) if split else _Rk4State(f0, cosmo, model)
     e = np.full(len(models), e0)
     record(state, e, range(len(live)))
     arrive(state)

@@ -490,8 +490,8 @@ def _blowup_record(record_every=1):
                        on_cone_violation="stop")
     model = ModelSpec(nonlinearity=NonlinearitySpec(kind="blowup_G", alpha_exp=2.0, c0=1.0))
     case = BlowupCase(ell=0.0, alpha_exp=2.0, c0=1.0, r_support=1.0, e1=l2_norm_sq(f0))
-    return propagate(f0, Cosmology(0.0, 1.0), model, cfg, observables=("l2",),
-                     method="split"), case
+    (rec,) = propagate(f0, Cosmology(0.0, 1.0), [model], cfg, observables=("l2",))
+    return rec, case
 
 
 def test_comparison_check_fails_a_tampered_record():
@@ -568,9 +568,12 @@ def test_comparison_check_against_the_closed_form(alpha, r_support, e1):
 
 
 def _force_method(monkeypatch, method):
-    """Make empirical_blowup step with method in place of its split."""
-    monkeypatch.setattr(blowup_module, "propagate",
-                        lambda *args, **kwargs: propagate(*args, **{**kwargs, "method": method}))
+    """Make empirical_blowup step its one row with RK4, by passing
+    propagate that row's model alone, for method "rk4"; "split" leaves its
+    stack as it is."""
+    if method == "rk4":
+        monkeypatch.setattr(blowup_module, "propagate", lambda f0, cosmo, models, *args, **kwargs:
+                            [propagate(f0, cosmo, *models, *args, **kwargs)])
 
 
 def test_blowup_detection_emits_no_overflow_warning(monkeypatch):

@@ -199,6 +199,30 @@ def test_verify_rejects_a_record_it_cannot_read(tmp_path, plain_record, capsys, 
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda tree: tree["series"].update(times=5), "'series.times' must be a list of numbers"),
+    (lambda tree: tree.update(cone_center=5), "'cone_center' must be 3 numbers"),
+    (lambda tree: tree["mass"].update(re="x"), "'mass.re' must be a number"),
+    (lambda tree: tree["cosmology"].update(ell="x"), "'cosmology.ell' must be a number"),
+    (lambda tree: tree["series"].update(l2=[str(v) for v in tree["series"]["l2"]]),
+     "'series.l2' must be a list of numbers"),
+    (lambda tree: tree["flags"].update(completed="no"), "'flags.completed' must be true or false"),
+], ids=["times_a_number", "cone_center_a_number", "mass_re_a_string", "ell_a_string",
+        "l2_as_strings", "completed_a_string"])
+def test_verify_rejects_a_record_field_of_the_wrong_type(tmp_path, plain_record, capsys, edit,
+                                                         message):
+    """A record field that does not hold what to_dict writes is a load error
+    naming the field, not a TypeError from inside a check (exit 2) or a
+    verdict on a misread run (exit 0)."""
+    tree = json.loads(plain_record.read_text())
+    edit(tree)
+    record = write_json(tmp_path / "edited.json", tree)
+    assert verify(tmp_path, record, [{"name": "energy_identity", "tolerance": 1e-4}]) == 1
+    captured = capsys.readouterr()
+    assert "cannot load inputs" in captured.err and message in captured.err
+    assert captured.out == ""
+
+
 def test_verify_missing_series_is_runtime_error(tmp_path, plain_record, capsys):
     """A check whose series the record lacks fails as incompatible (exit 2);
     checks that do not need it still run."""

@@ -1,6 +1,7 @@
-"""The run config maps onto the model specs key for key.  Each key of a
-model section of `cli._RUN` is a field of its spec, and the per-kind tables
-let a kind read only such keys.  A key with no field would need a
+"""The run config maps onto the model specs and the solver settings key for
+key.  Each key of a model section of `cli._RUN` is a field of its spec, and
+the per-kind tables let a kind read only such keys; each key of the solver
+section is a field of SolverConfig.  A key with no field would need a
 translation in `load_run_config`, and a field with no key would be an
 option that only the Python API reaches."""
 import dataclasses
@@ -9,6 +10,7 @@ import pytest
 
 from flrw_dirac.cli import _KIND_KEYS, _RUN
 from flrw_dirac.models import NonlinearitySpec, PotentialSpec
+from flrw_dirac.solver import SolverConfig
 
 SPECS = {"nonlinearity": NonlinearitySpec, "potential": PotentialSpec}
 
@@ -21,3 +23,13 @@ def test_model_section_keys_are_the_spec_fields(section):
     assert set(keys) == fields
     for read in _KIND_KEYS[section].values():
         assert set(read) <= fields - {"kind"}
+
+
+def test_solver_section_keys_are_the_config_fields():
+    """Every SolverConfig field is a key of the solver section, except
+    cone_center, which load_run_config takes from initial_data.center."""
+    fields = {f.name for f in dataclasses.fields(SolverConfig)}
+    kind, keys, _ = _RUN["solver"]
+    assert kind == "section"
+    assert set(keys) == fields - {"cone_center"}
+    assert "center" in _RUN["initial_data"][1]
