@@ -626,9 +626,16 @@ def test_stack_capture_and_rk4_rows():
     assert 1.2 in times and _rel_max(rec.final.data, f.data) < 1e-13
 
 
-def test_an_empty_stack_is_rejected():
-    """An empty list of models is no run: ValueError before any step."""
-    f0, _, cfg = _fused_case("1d", "blowup_G", 1.0, 1.4)
+@pytest.mark.parametrize("method", ["rk4", "split"])
+def test_an_empty_stack_is_rejected(method):
+    """An empty list of models is no run: ValueError before any step, for
+    the field and config of a run that one model would take by RK4 (a
+    blowup_G model) or by the split (a free model)."""
+    f0, model, cfg = _fused_case("1d", "blowup_G", 1.0, 1.4)
+    if method == "split":
+        model = dataclasses.replace(model, nonlinearity=NonlinearitySpec())
+    assert model.is_free == (method == "split")
+    assert propagate(f0, COSMO, model, cfg, observables=()).completed
     with pytest.raises(ValueError, match="propagate needs a model, got an empty list"):
         propagate(f0, COSMO, [], cfg)
 
