@@ -2,9 +2,9 @@
 and blow-up sweeps.
 
 A config is a single JSON tree.  Each config type (a run, a sweep, a
-verification suite) is declared by one table of (dotted path, kind,
-bounds, default) entries, and one walker checks a tree against its table
-before anything is built; every validation error names the offending
+verification suite) is declared here by one table of (dotted path, kind,
+bounds, default) entries; schema's walker, which reads run records too,
+checks a tree before anything is built, and every error names the offending
 dotted path.  Exit codes: 0 success (including a detected blow-up),
 1 config/validation error (an unknown key at any level, reported with the
 nearest valid key; a value of the wrong kind or out of its bounds; a
@@ -25,7 +25,6 @@ again.
 from __future__ import annotations
 
 import argparse
-import cmath
 import csv
 import inspect
 import json
@@ -49,6 +48,7 @@ from .kernels import (
     reconstruct_free,
 )
 from .models import Mass, ModelSpec, NonlinearitySpec, PotentialSpec
+from .schema import INF, REQUIRED, ConfigError, _table, _walk
 from .solver import ConeSafetyError, RunRecord, SolverConfig, propagate
 from .spacetime import Cosmology
 
@@ -58,49 +58,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_VERIFY = 3
-
-
-class ConfigError(ValueError):
-    """Invalid configuration; the message names the offending field."""
-
-
-class _NotFinite(ConfigError):
-    """A NaN or infinite number where its entry admits none; a list passes
-    it on, so the message names the item."""
-
-
-# --- config tables and their walker -------------------------------------------
-#
-# An entry is (dotted path, kind, bounds, default).  Kinds and their bounds:
-#   number, integer   bounds (lo, hi) closed, hi None for no upper bound, or
-#                     (lo, hi, "open"); an integral float counts as an integer
-#   bool, complex     no bounds; complex is a number, [re, im] or {re, im}
-#   string            bounds: None or the tuple of allowed values
-#   list              bounds (item kind, item bounds, min length, max length);
-#                     the lengths are equal, or min is 0, or min is 1 and max INF
-#   section           an object whose keys are the entries below its path; it
-#                     needs its own entry only to be required or, with no
-#                     entries below it, to take any keys
-# default is REQUIRED, None (absent: the dataclass default applies) or the
-# value used when the key is absent.  Bools and strings are never numbers and
-# null is never a value.  json reads NaN and Infinity, but a number or complex
-# value must be finite; only the bounds (lo, INF), closed at INF, admit inf.
-
-REQUIRED = object()
-INF = math.inf
-
-
-def _table(*entries) -> dict:
-    """Nest the entries by section, a section's bounds slot holding the
-    table of its keys; a section entry comes before its keys."""
-    root = {}
-    for path, kind, bounds, default in entries:
-        *parents, key = path.split(".")
-        node = root
-        for part in parents:
-            node = node.setdefault(part, ("section", {}, None))[1]
-        node[key] = (kind, {} if kind == "section" else bounds, default)
-    return root
 
 
 # the keys each kind of a model section reads; a given key its kind does not read is an error
@@ -139,7 +96,7 @@ _RUN = _table(
     ("solver.sobolev_order", "integer", (0, MAX_SOBOLEV_ORDER), None),
     ("solver.blowup_factor", "number", (1.0, INF), None),
     ("solver.track_cone", "bool", None, None),
-    ("solver.on_cone_violation", "string", None, None),
+    ("solver.on_cone_violation", "string", ("error", "stop"), None),
     ("solver.lm_z", "complex", None, None),
     ("initial_data", "section", None, REQUIRED),
     ("initial_data.family", "string", None, "gaussian"),
@@ -180,128 +137,6 @@ _CHECK = _table(
     ("params.window", "list", ("number", None, 2, 2), None),
     ("params.expected", "number", None, None),
 )
-
-
-def _number(v):
-    return float(v) if isinstance(v, (int, float)) and not isinstance(v, bool) else None
-
-
-def _integer(v):
-    if isinstance(v, float) and v.is_integer():
-        return int(v)
-    return v if isinstance(v, int) and not isinstance(v, bool) else None
-
-
-def _complex(v):
-    if isinstance(v, dict) and v.keys() <= {"re", "im"}:
-        v = [v.get("re", 0.0), v.get("im", 0.0)]
-    if isinstance(v, list) and len(v) == 2:
-        re, im = _number(v[0]), _number(v[1])
-        return None if re is None or im is None else complex(re, im)
-    return None if _number(v) is None else complex(v)
-
-
-# kind -> (normaliser returning None for a value of another kind, noun, plural)
-_KINDS = {
-    "number": (_number, "a number", "numbers"),
-    "integer": (_integer, "an integer", "integers"),
-    "bool": (lambda v: v if isinstance(v, bool) else None, "true or false", "bools"),
-    "string": (lambda v: v if isinstance(v, str) else None, "a string", "strings"),
-    "complex": (_complex, "a number, [re, im] or {re, im}", "complex numbers"),
-    "section": (None, "an object", "objects"),
-}
-
-
-def _range(bounds) -> str:
-    lo, hi, *is_open = bounds
-    if is_open:
-        return f"in ({lo}, {hi})"
-    return f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-
-
-def _noun(kind: str, bounds, plural: bool = False) -> str:
-    """What a value of this kind must be: 'a number', 'a list of at most 3
-    numbers', 'a list of one or more numbers in (0.0, inf)', ..."""
-    if kind != "list":
-        return _KINDS[kind][1 + plural]
-    item, item_bounds, lo, hi = bounds
-    size = f"{lo} " if lo == hi else f"at most {hi} " if hi < INF else "one or more " if lo else ""
-    items = _noun(item, item_bounds, plural=True)
-    if item_bounds and item in ("number", "integer"):
-        items += " " + _range(item_bounds)
-    return ("lists" if plural else "a list") + f" of {size}{items}"
-
-
-def _unknown(what: str, name: str, valid) -> ConfigError:
-    """The error for a key or value outside `valid`, naming the nearest one."""
-    from difflib import get_close_matches
-
-    near = get_close_matches(name, list(valid), n=1)
-    hint = f"did you mean {near[0]!r}?" if near else "valid: " + ", ".join(map(repr, valid))
-    return ConfigError(f"{what} {name!r}; {hint}")
-
-
-def _value(val, kind: str, bounds, path: str):
-    """val checked against its kind and bounds and normalised: numbers to
-    float, integers to int, complex forms to complex, lists to tuples."""
-    if kind == "section":
-        return _walk(val, bounds, path)
-    if kind == "list":
-        item, item_bounds, lo, hi = bounds
-        if isinstance(val, list) and lo <= len(val) <= hi:
-            try:
-                return tuple(_value(v, item, item_bounds, f"{path}[{i}]")
-                             for i, v in enumerate(val))
-            except _NotFinite:
-                raise
-            except ConfigError:
-                pass
-        raise ConfigError(f"field {path!r} must be {_noun(kind, bounds)}")
-    out = _KINDS[kind][0](val)
-    if out is None:
-        raise ConfigError(f"field {path!r} must be {_noun(kind, bounds)}")
-    if kind in ("number", "complex") and not cmath.isfinite(out) and not (
-            out == INF and bounds is not None and bounds[1:] == (INF,)):
-        raise _NotFinite(f"field {path!r} must be finite")
-    if bounds is None:
-        return out
-    if kind == "string":
-        if out not in bounds:
-            raise _unknown(f"field {path!r} has unknown value", out, bounds)
-        return out
-    lo, hi, *is_open = bounds
-    if not (lo < out < hi if is_open else lo <= out and (hi is None or out <= hi)):
-        text = _range(bounds)
-        raise ConfigError(f"field {path!r} must {'be' if text[0] == '>' else 'lie'} {text}")
-    return out
-
-
-def _walk(node, table: dict, path: str = "") -> dict:
-    """Check one config object against its table; returns the normalised
-    values of the keys given, plus the default of each absent key that has
-    one.  An absent optional section is walked as {}, so its own defaults
-    apply.  Unknown keys are rejected first: a misspelt key is more often
-    the cause of an error than the value it was meant to set."""
-    where = f"field {path!r}" if path else "the config"
-    if not isinstance(node, dict):
-        raise ConfigError(f"{where} must be an object")
-    if not table:
-        return dict(node)
-    for key in node:
-        if key not in table:
-            raise _unknown(f"{where} has unknown key", key, table)
-    out = {}
-    for key, (kind, bounds, default) in table.items():
-        sub = f"{path}.{key}" if path else key
-        if key in node:
-            out[key] = _value(node[key], kind, bounds, sub)
-        elif default is REQUIRED:
-            raise ConfigError(f"missing required field {sub!r}")
-        elif kind == "section":
-            out[key] = _walk({}, bounds, sub)
-        elif default is not None:
-            out[key] = default
-    return out
 
 
 def _build(path: str | None, fn, *args, **kwargs):
@@ -393,7 +228,7 @@ def cmd_verify(args) -> int:
     try:
         rec = RunRecord.from_dict(json.loads(Path(args.record).read_text()))
         suite = json.loads(Path(args.suite).read_text())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot load inputs: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     calls = []  # every spec is checked before the first check runs

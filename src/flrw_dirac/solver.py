@@ -79,6 +79,7 @@ from .field import (
     support_radius,
 )
 from .models import ModelSpec, hyperbolic_rhs_nonlinearity, potential_field, power_flow
+from .schema import INF, NULLABLE, REQUIRED, ConfigError, _table, _value, _walk
 from .spacetime import Cosmology
 
 __all__ = [
@@ -169,40 +170,6 @@ _META = ("potential_kind", "potential_gamma2_ok", "nonlinearity_kind", "sobolev_
 _FLAGS = ("completed", "blown_up", "blowup_time", "cone_violation")
 
 
-def _number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _numbers(v) -> bool:
-    return isinstance(v, list) and all(map(_number, v))
-
-
-def _at(d: dict, path: str):
-    """The value at a dotted path of a JSON tree, or _ABSENT."""
-    for part in path.split("."):
-        d = d.get(part, _ABSENT) if isinstance(d, dict) else _ABSENT
-    return d
-
-
-_ABSENT = object()
-_NUMBER, _NUMBERS = (_number, "a number"), (_numbers, "a list of numbers")
-_BOOL = (lambda v: isinstance(v, bool), "true or false")
-_STRING = (lambda v: isinstance(v, str), "a string")
-# What each field of a serialised record must hold, by its dotted path, as (test,
-# description); every path is required, every series is a list of numbers and
-# snapshots, when present, a list of strings.
-_FIELDS = {
-    "potential_kind": _STRING, "potential_gamma2_ok": _BOOL, "nonlinearity_kind": _STRING,
-    "sobolev_order": (lambda v: _number(v) and isinstance(v, int), "an integer"),
-    "support_radius0": _NUMBER,
-    "cone_center": (lambda v: _numbers(v) and len(v) == 3, "3 numbers"),
-    "cosmology.ell": _NUMBER, "cosmology.a0": _NUMBER, "mass.re": _NUMBER, "mass.im": _NUMBER,
-    "flags.completed": _BOOL, "flags.blown_up": _BOOL, "flags.cone_violation": _BOOL,
-    "flags.blowup_time": (lambda v: v is None or _number(v), "a number or null"),
-    f"series.{TIME_AXIS}": _NUMBERS,
-}
-
-
 @dataclass
 class RunRecord:
     """Recorded series plus the metadata of the run that produced them.
@@ -249,44 +216,62 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
-        """Inverse of to_dict; raises ValueError naming another schema, a
-        missing field, a field that does not hold what _FIELDS says, or a
-        series whose length differs from the time axis."""
+        """Inverse of to_dict.  A record of another schema, or one that does not
+        hold what to_dict writes (_RECORD; both halves of a complex series, every
+        series as long as the times), raises ValueError naming the field."""
         schema = d.get("schema") if isinstance(d, dict) else None
         if schema != SCHEMA:
             raise ValueError(f"record schema {schema!r} is not {SCHEMA!r}")
-        missing = [path for path in _FIELDS if _at(d, path) is _ABSENT]
-        if missing:
-            raise ValueError(f"record lacks the fields {missing}")
-        raw = d["series"]
-        fields = {**_FIELDS, **{f"series.{key}": _NUMBERS for key in raw}}
-        if "snapshots" in d:
-            fields["snapshots"] = (lambda v: isinstance(v, list) and all(
-                isinstance(x, str) for x in v), "a list of strings")
-        for path, (test, what) in fields.items():
-            if not test(value := _at(d, path)):
-                raise ValueError(f"record field {path!r} must be {what}, got {value!r:.60}")
+        v = _walk(d, _RECORD, root="the record")
+        raw = {key: _value(values, "list", ("number", None, 0, INF), f"series.{key}")
+               for key, values in v["series"].items()}
+        if TIME_AXIS not in raw:
+            raise ConfigError(f"missing required field 'series.{TIME_AXIS}'")
         n = len(raw[TIME_AXIS])
         for key, values in raw.items():
             if len(values) != n:
-                raise ValueError(f"series {key!r} has {len(values)} values, "
-                                 f"but {TIME_AXIS!r} has {n}")
+                raise ConfigError(f"series {key!r} has {len(values)} values, "
+                                  f"but {TIME_AXIS!r} has {n}")
         series = {}
         for name in OBSERVABLES:
+            re, im = f"{name}_re", f"{name}_im"
             if name in raw:
                 series[name] = np.array(raw[name])
-            elif f"{name}_re" in raw:
-                real, imag = np.array(raw[f"{name}_re"]), np.array(raw[f"{name}_im"])
-                series[name] = real + 1j * imag
+            elif re in raw or im in raw:
+                if not (re in raw and im in raw):
+                    raise ConfigError(f"series {name!r} needs both {re!r} and {im!r}")
+                series[name] = np.array(raw[re]) + 1j * np.array(raw[im])
         return cls(
             series=series,
-            cosmology=Cosmology(d["cosmology"]["ell"], d["cosmology"]["a0"]),
-            mass=complex(d["mass"]["re"], d["mass"]["im"]),
-            cone_center=tuple(d["cone_center"]),
-            snapshots=list(d.get("snapshots", [])),
-            **{key: d[key] for key in _META},
-            **{key: d["flags"][key] for key in _FLAGS},
+            cosmology=Cosmology(v["cosmology"]["ell"], v["cosmology"]["a0"]),
+            mass=complex(v["mass"]["re"], v["mass"]["im"]),
+            cone_center=v["cone_center"],
+            snapshots=list(v.get("snapshots", [])),
+            **{key: v[key] for key in _META},
+            **{key: v["flags"][key] for key in _FLAGS},
         )
+
+
+# What a serialised record holds, for from_dict; every series is a list of numbers.
+_RECORD = _table(
+    ("schema", "string", (SCHEMA,), REQUIRED),
+    ("cosmology.ell", "number", None, REQUIRED),
+    ("cosmology.a0", "number", None, REQUIRED),
+    ("mass.re", "number", None, REQUIRED),
+    ("mass.im", "number", None, REQUIRED),
+    ("potential_kind", "string", None, REQUIRED),
+    ("potential_gamma2_ok", "bool", None, REQUIRED),
+    ("nonlinearity_kind", "string", None, REQUIRED),
+    ("sobolev_order", "integer", None, REQUIRED),
+    ("support_radius0", "number", None, REQUIRED),
+    ("flags.completed", "bool", None, REQUIRED),
+    ("flags.blown_up", "bool", None, REQUIRED),
+    ("flags.blowup_time", "number", None, NULLABLE),
+    ("flags.cone_violation", "bool", None, REQUIRED),
+    ("cone_center", "list", ("number", None, 3, 3), REQUIRED),
+    ("series", "section", None, REQUIRED),
+    ("snapshots", "list", ("string", None, 0, INF), None),
+)
 
 
 @lru_cache(maxsize=32)

@@ -185,11 +185,17 @@ def test_verify_rejects_series_of_other_length(
     (lambda tree: tree.update(schema="something-else/9"),
      "record schema 'something-else/9' is not 'flrw-dirac-run/1'"),
     (lambda tree: tree["flags"].pop("blown_up"), "'flags.blown_up'"),
-    (lambda tree: tree.update(flags=5), "'flags.completed'"),
-], ids=["other_schema", "missing_flag", "flags_not_an_object"])
+    (lambda tree: tree.update(flags=5), "'flags' must be an object"),
+    (lambda tree: tree["series"].pop("gamma2_im"),
+     "series 'gamma2' needs both 'gamma2_re' and 'gamma2_im'"),
+    (lambda tree: tree["series"].pop("gamma2_re"),
+     "series 'gamma2' needs both 'gamma2_re' and 'gamma2_im'"),
+], ids=["other_schema", "missing_flag", "flags_not_an_object", "gamma2_without_im",
+        "gamma2_without_re"])
 def test_verify_rejects_a_record_it_cannot_read(tmp_path, plain_record, capsys, edit, message):
-    """A record of another schema, or one that lacks a field, is a load
-    error naming what is wrong, not a verdict on a misread run."""
+    """A record of another schema, or one that lacks a field or half of a
+    complex series, is a load error naming what is wrong, not a verdict on
+    a misread run or a run read without that series."""
     tree = json.loads(plain_record.read_text())
     edit(tree)
     record = write_json(tmp_path / "edited.json", tree)
@@ -201,19 +207,25 @@ def test_verify_rejects_a_record_it_cannot_read(tmp_path, plain_record, capsys, 
 
 @pytest.mark.parametrize("edit, message", [
     (lambda tree: tree["series"].update(times=5), "'series.times' must be a list of numbers"),
-    (lambda tree: tree.update(cone_center=5), "'cone_center' must be 3 numbers"),
+    (lambda tree: tree.update(cone_center=5), "'cone_center' must be a list of 3 numbers"),
     (lambda tree: tree["mass"].update(re="x"), "'mass.re' must be a number"),
     (lambda tree: tree["cosmology"].update(ell="x"), "'cosmology.ell' must be a number"),
     (lambda tree: tree["series"].update(l2=[str(v) for v in tree["series"]["l2"]]),
      "'series.l2' must be a list of numbers"),
     (lambda tree: tree["flags"].update(completed="no"), "'flags.completed' must be true or false"),
+    (lambda tree: tree.update(cone_centre=[0, 0, 0]),
+     "the record has unknown key 'cone_centre'; did you mean 'cone_center'?"),
+    (lambda tree: tree["series"]["l2"].__setitem__(2, math.nan), "'series.l2[2]' must be finite"),
+    (lambda tree: tree["flags"].update(blowup_time="x"), "'flags.blowup_time' must be a number"),
+    (lambda tree: tree["flags"].pop("blowup_time"), "missing required field 'flags.blowup_time'"),
 ], ids=["times_a_number", "cone_center_a_number", "mass_re_a_string", "ell_a_string",
-        "l2_as_strings", "completed_a_string"])
+        "l2_as_strings", "completed_a_string", "misspelt_key", "l2_nan", "blowup_time_a_string",
+        "blowup_time_absent"])
 def test_verify_rejects_a_record_field_of_the_wrong_type(tmp_path, plain_record, capsys, edit,
                                                          message):
-    """A record field that does not hold what to_dict writes is a load error
-    naming the field, not a TypeError from inside a check (exit 2) or a
-    verdict on a misread run (exit 0)."""
+    """A record field that does not hold what to_dict writes, and a key it
+    does not write, is a load error naming the field, not a TypeError from
+    inside a check (exit 2) or a verdict on a misread run (exit 0 or 3)."""
     tree = json.loads(plain_record.read_text())
     edit(tree)
     record = write_json(tmp_path / "edited.json", tree)
@@ -459,6 +471,8 @@ def test_simulate_defect_phase_off_the_unit_circle_is_config_error(tmp_path, cap
      "'potential.amplitude' must be a number"),
     ("nonlinearity", {"kind": "power_abs", "alpha_exp": True},
      "'nonlinearity.alpha_exp' must be a number"),
+    ("solver", {"t_end": 3.0, "on_cone_violation": "stopp"},
+     "'solver.on_cone_violation' has unknown value 'stopp'; did you mean 'stop'?"),
 ])
 def test_simulate_malformed_section_is_config_error(tmp_path, capsys, section, value, field):
     tree = config()

@@ -3,11 +3,16 @@ key.  Each key of a model section of `cli._RUN` is a field of its spec, and
 the per-kind tables let a kind read only such keys; each key of the solver
 section is a field of SolverConfig.  A key with no field would need a
 translation in `load_run_config`, and a field with no key would be an
-option that only the Python API reaches."""
+option that only the Python API reaches.  The walker of these tables,
+`schema`, stands below both `cli` and `solver`."""
+import ast
 import dataclasses
+import sys
+from pathlib import Path
 
 import pytest
 
+import flrw_dirac.schema
 from flrw_dirac.cli import _KIND_KEYS, _RUN
 from flrw_dirac.models import NonlinearitySpec, PotentialSpec
 from flrw_dirac.solver import SolverConfig
@@ -33,3 +38,20 @@ def test_solver_section_keys_are_the_config_fields():
     assert kind == "section"
     assert set(keys) == fields - {"cone_center"}
     assert "center" in _RUN["initial_data"][1]
+
+
+def test_schema_imports_only_the_standard_library():
+    """cli and solver both import schema, so it imports no module of the
+    package (no cycle) and nothing beyond the standard library (no work
+    added to the import of either)."""
+    tree = ast.parse(Path(flrw_dirac.schema.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert imported  # the walk saw the module's imports
+    outside = [name for name in imported
+               if name.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
