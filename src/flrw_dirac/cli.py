@@ -206,7 +206,7 @@ def run_simulation(tree: dict, out_dir: Path | None = None) -> tuple[RunRecord, 
             save_snapshot(record.final, last)
             record.snapshots.append(last.name)
     record_path = out_dir / "record.json"
-    record_path.write_text(json.dumps(record.to_dict(), indent=1, sort_keys=True))
+    record_path.write_text(json.dumps(record.to_dict(), indent=1, sort_keys=True, allow_nan=False))
     return record, record_path
 
 

@@ -348,11 +348,14 @@ def scattering_profile(
 ) -> ScatterResult:
     """Build the modified free datum and measure the approach to free flow.
 
-    The tail integral of backward-transported nonlinear outputs is
-    accumulated panel by panel over the checkpoint partition (fixed-order
-    Gauss-Legendre nodes per panel, each node backward-propagated to the
-    start time with the linear solver).  Convergence is declared when the
-    last panel increment falls below tol.  The modified datum then seeds a
+    The tail integral of backward-transported nonlinear outputs, the Duhamel
+    sum, is held as arrays: Gauss-Legendre nodes and weights (panels,
+    NODES_PER_PANEL) over the checkpoint partition, and one zero-filled
+    (panels, *shape) array, to whose row each node adds, in node order, its
+    weighted nonlinear output run back to the start time by the linear
+    solver.  A panel's increment is the L2 norm of its row, and convergence
+    is declared when the last one falls below tol.  The modified datum, f0
+    plus the rows' sum, then seeds a
     free run whose distance to the nonlinear run is recorded at the
     checkpoints.  The construction covers the nonlinear forcing only, so a
     model with a source raises ValueError.
@@ -378,54 +381,34 @@ def scattering_profile(
         guard_cone(reach, f0.grid, t_last, "free comparison")
 
     x_gl, w_gl = np.polynomial.legendre.leggauss(NODES_PER_PANEL)
-    edges = [cfg.t_start] + checkpoints
-    nodes, weights, panel_of = [], [], []
-    for p in range(len(edges) - 1):
-        a, b = edges[p], edges[p + 1]
-        nodes.extend(0.5 * (a + b) + 0.5 * (b - a) * x_gl)
-        weights.extend(0.5 * (b - a) * w_gl)
-        panel_of.extend([p] * NODES_PER_PANEL)
+    edges = np.array([cfg.t_start] + checkpoints)
+    a, b = edges[:-1, None], edges[1:, None]
+    nodes = 0.5 * (a + b) + 0.5 * (b - a) * x_gl  # (panels, NODES_PER_PANEL)
+    weights = 0.5 * (b - a) * w_gl
 
     run_cfg = replace(cfg, t_end=t_last, on_cone_violation="error")
-    capture = list(nodes) + checkpoints
+    capture = list(nodes.flat) + checkpoints
     nonlinear = propagate(f0, cosmo, model, run_cfg, capture_times=capture, observables=())
 
     linear_model = ModelSpec(mass=model.mass, potential=model.potential)
-    panel_sums = [None] * (len(edges) - 1)
+    panel_sums = np.zeros((len(nodes), *f0.data.shape), dtype=complex)
     if not model.nonlinearity.is_none:
-        for tau, w, p in zip(nodes, weights, panel_of):
+        for (p, j), tau in np.ndenumerate(nodes):  # in node order
             state = nonlinear.captured[tau]
             g = state.with_data(hyperbolic_rhs_nonlinearity(model.nonlinearity, state))
             back_cfg = replace(cfg, t_start=tau, t_end=cfg.t_start, track_cone=False,
                                blowup_factor=math.inf)
             back = propagate(g, cosmo, linear_model, back_cfg, observables=())
-            contrib = w * back.final.data
-            if panel_sums[p] is None:
-                panel_sums[p] = contrib
-            else:
-                panel_sums[p] = panel_sums[p] + contrib
-        increments = np.array(
-            [math.sqrt(l2_norm_sq(f0.with_data(s))) for s in panel_sums]
-        )
-        total = sum(panel_sums)
-    else:
-        increments = np.zeros(len(edges) - 1)
-        total = np.zeros_like(f0.data)
+            panel_sums[p] += weights[p, j] * back.final.data
+    increments = np.array([math.sqrt(l2_norm_sq(f0.with_data(s))) for s in panel_sums])
 
-    psi_plus = f0.with_data(f0.data + total)
+    psi_plus = f0.with_data(f0.data + panel_sums.sum(axis=0))
     free_cfg = replace(run_cfg, track_cone=False)
     free = propagate(psi_plus, cosmo, linear_model, free_cfg,
                      capture_times=checkpoints, observables=())
 
-    tails = []
-    for c in checkpoints:
-        diff = nonlinear.captured[c].data - free.captured[c].data
-        tails.append(math.sqrt(l2_norm_sq(f0.with_data(diff))))
-    converged = bool(increments[-1] < tol)
-    return ScatterResult(
-        psi_plus=psi_plus,
-        tail_times=np.array(checkpoints),
-        tail_norms=np.array(tails),
-        increments=increments,
-        converged=converged,
-    )
+    tails = [math.sqrt(l2_norm_sq(f0.with_data(nonlinear.captured[c].data - free.captured[c].data)))
+             for c in checkpoints]
+    return ScatterResult(psi_plus=psi_plus, tail_times=np.array(checkpoints),
+                         tail_norms=np.array(tails), increments=increments,
+                         converged=bool(increments[-1] < tol))

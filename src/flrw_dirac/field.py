@@ -4,7 +4,10 @@ Fields live on a uniform torus of period L (1 or 3 spatial dimensions) with
 the component axis first: data.shape == (4, n) or (4, n, n, n).  Derivatives
 are spectral; the odd-derivative multiplier zeroes the unpaired Nyquist mode
 so that differentiation commutes with complex conjugation and is exactly
-antisymmetric on the grid.
+antisymmetric on the grid.  Every per-axis table (coordinates,
+wavenumbers, integer modes) is one axis array viewed along each axis by
+_along_axes, and the torus envelopes of the initial data and the potential
+(_radius_sq, _envelope_gaussian) are built on the one torus metric here.
 
 The module also holds the Dirac symbol of alpha.grad: i sigma.k on the
 off-diagonal 2x2 blocks (_dirac_symbol), and the one pass that applies an
@@ -92,14 +95,14 @@ class Grid:
 
     def coordinate_arrays(self) -> tuple[np.ndarray, ...]:
         """Coordinates broadcastable against the spatial part of the data."""
-        x = self.axis_coordinates()
-        if self.dim == 1:
-            return (x,)
-        return (
-            x[:, None, None],
-            x[None, :, None],
-            x[None, None, :],
-        )
+        return _along_axes(self.axis_coordinates(), self.dim)
+
+
+def _along_axes(v: np.ndarray, dim: int) -> tuple[np.ndarray, ...]:
+    """The axis array v viewed along each spatial axis, to broadcast over the data."""
+    if dim == 1:
+        return (v,)
+    return (v[:, None, None], v[None, :, None], v[None, None, :])
 
 
 def _fftn(a: np.ndarray, grid: Grid) -> np.ndarray:
@@ -128,21 +131,15 @@ def _per_component(transform, a: np.ndarray, out: np.ndarray | None = None) -> n
 @lru_cache(maxsize=32)
 def _wavenumbers(grid: Grid) -> tuple[np.ndarray, ...]:
     """Angular wavenumbers per axis, shaped to broadcast over the data."""
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.h)
-    if grid.dim == 1:
-        return (k,)
-    return (k[:, None, None], k[None, :, None], k[None, None, :])
+    return _along_axes(2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.h), grid.dim)
 
 
 @lru_cache(maxsize=32)
 def _derivative_wavenumbers(grid: Grid) -> tuple[np.ndarray, ...]:
     """Wavenumbers with the Nyquist mode removed (odd-derivative symbol)."""
     k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.h)
-    k = k.copy()
     k[grid.n // 2] = 0.0
-    if grid.dim == 1:
-        return (k,)
-    return (k[:, None, None], k[None, :, None], k[None, None, :])
+    return _along_axes(k, grid.dim)
 
 
 @lru_cache(maxsize=32)
@@ -278,11 +275,7 @@ def _apply_span(hat: np.ndarray, grid: Grid, p, q=None, s: complex = 1.0,
 
 @lru_cache(maxsize=32)
 def _k_squared(grid: Grid) -> np.ndarray:
-    ks = _wavenumbers(grid)
-    out = np.zeros((grid.n,) * grid.dim)
-    for k in ks:
-        out = out + k**2
-    return out
+    return sum(k**2 for k in _wavenumbers(grid))
 
 
 @lru_cache(maxsize=32)
@@ -349,6 +342,14 @@ def l2_norm_sq(f: SpinorField) -> float:
     return float(np.sum(np.abs(f.data) ** 2)) * f.grid.cell_volume
 
 
+def _recordable_norm_sq(grid: Grid) -> float:
+    """The largest squared L2 norm E at which each recorded observable of a field
+    on grid is finite.  Pointwise |psi|^2 <= E / vol, so the quartic density rho^2
+    and its grid sum are at most 2 (E / vol)^2, and its integral 2 E^2 / vol."""
+    vol = grid.cell_volume
+    return math.sqrt(np.finfo(float).max / 4) * min(vol, math.sqrt(vol))
+
+
 def sobolev_norm(f: SpinorField, k: int) -> float:
     """H_k norm via the exact Fourier symbol (1 + |xi|^2)**k.
 
@@ -408,12 +409,23 @@ def _torus_distance_sq(grid: Grid, center) -> np.ndarray:
 @lru_cache(maxsize=16)
 def _cached_torus_distance_sq(grid: Grid, center: tuple[float, ...]) -> np.ndarray:
     L = grid.box_length
-    out = np.zeros((grid.n,) * grid.dim)
-    for x, c in zip(grid.coordinate_arrays(), center):
-        d = np.mod(x - c + 0.5 * L, L) - 0.5 * L
-        out = out + d**2
+    out = sum((np.mod(x - c + 0.5 * L, L) - 0.5 * L) ** 2
+              for x, c in zip(grid.coordinate_arrays(), center))
     out.setflags(write=False)
     return out
+
+
+def _radius_sq(grid: Grid, width: float, center) -> np.ndarray:
+    """|x - center|^2 / width^2 on the torus; a width <= 0 raises (the envelopes
+    would run the |width| profile).  width^2 is a numpy power: inf, not OverflowError."""
+    if not width > 0:
+        raise ValueError(f"width must be positive, got {width!r}")
+    return _torus_distance_sq(grid, center) / np.float64(width) ** 2
+
+
+def _envelope_gaussian(grid: Grid, width: float, center) -> np.ndarray:
+    """exp(-|x - center|^2 / width^2) on the torus."""
+    return np.exp(-_radius_sq(grid, width, center))
 
 
 def cone_mass(f: SpinorField, center, radius: float) -> float:

@@ -10,7 +10,8 @@ from functools import partial
 
 import numpy as np
 
-from .field import Grid, SpinorField, _center3, _ifftn, _torus_distance_sq
+from .field import (Grid, SpinorField, _along_axes, _center3, _envelope_gaussian, _ifftn,
+                    _radius_sq, _recordable_norm_sq, l2_norm_sq)
 
 __all__ = [
     "gaussian_bump",
@@ -24,18 +25,6 @@ DEFAULT_COEFFS = (1.0, 0.6, 0.4j, 0.8)
 CORR_MODES = 4.0  # random_smooth's damping scale, in integer mode units
 
 
-def _radius_sq(grid: Grid, width: float, center) -> np.ndarray:
-    """|x - center|^2 / width^2 on the torus; a width <= 0 raises (the envelopes
-    would run the |width| profile).  width^2 is a numpy power: inf, not OverflowError."""
-    if not width > 0:
-        raise ValueError(f"width must be positive, got {width!r}")
-    return _torus_distance_sq(grid, center) / np.float64(width) ** 2
-
-
-def _envelope_gaussian(grid: Grid, width: float, center) -> np.ndarray:
-    return np.exp(-_radius_sq(grid, width, center))
-
-
 def _envelope_compact(grid: Grid, width: float, center) -> np.ndarray:
     """Smooth mollifier profile: exactly zero outside radius `width`."""
     r2 = _radius_sq(grid, width, center)
@@ -43,6 +32,12 @@ def _envelope_compact(grid: Grid, width: float, center) -> np.ndarray:
     inside = r2 < 1.0
     out[inside] = np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
     return out
+
+
+def _bump(grid: Grid, amplitude: float, coeffs, env: np.ndarray, time: float) -> SpinorField:
+    """amplitude times the component coefficients coeffs times the envelope env."""
+    data = amplitude * np.array(coeffs, dtype=complex).reshape((4,) + (1,) * grid.dim) * env
+    return SpinorField(grid, data.astype(complex), time)
 
 
 def gaussian_bump(
@@ -57,10 +52,8 @@ def gaussian_bump(
     """Gaussian envelope times fixed complex component coefficients."""
     env = _envelope_gaussian(grid, width, _center3(center))
     if wavenumber:
-        x = grid.coordinate_arrays()[0]
-        env = env * np.exp(1j * wavenumber * x)
-    data = amplitude * np.array(coeffs, dtype=complex).reshape((4,) + (1,) * grid.dim) * env
-    return SpinorField(grid, data.astype(complex), time)
+        env = env * np.exp(1j * wavenumber * grid.coordinate_arrays()[0])
+    return _bump(grid, amplitude, coeffs, env, time)
 
 
 def lm_constrained_bump(
@@ -92,9 +85,7 @@ def compact_bump(
     time: float = 1.0,
 ) -> SpinorField:
     """Compactly supported mollifier bump (support radius = width)."""
-    env = _envelope_compact(grid, width, _center3(center))
-    data = amplitude * np.array(coeffs, dtype=complex).reshape((4,) + (1,) * grid.dim) * env
-    return SpinorField(grid, data.astype(complex), time)
+    return _bump(grid, amplitude, coeffs, _envelope_compact(grid, width, _center3(center)), time)
 
 
 def random_smooth(
@@ -111,9 +102,7 @@ def random_smooth(
     rng = np.random.Generator(np.random.Philox(key=seed))
     shape = (4,) + (grid.n,) * grid.dim
     coeff = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    m2 = (np.fft.fftfreq(grid.n) * grid.n) ** 2
-    if grid.dim == 3:
-        m2 = m2[:, None, None] + m2[None, :, None] + m2[None, None, :]
+    m2 = sum(_along_axes((np.fft.fftfreq(grid.n) * grid.n) ** 2, grid.dim))
     coeff *= np.exp(-m2 / CORR_MODES**2)
     data = _ifftn(coeff, grid)
     scale = amplitude / max(np.max(np.abs(data)), 1e-300)
@@ -130,16 +119,21 @@ _FAMILIES = {
 
 
 def make_initial_data(grid: Grid, family: str, time: float = 1.0, **kwargs) -> SpinorField:
-    """Dispatch on the configured family name.  A field that is not finite
-    (a zero width, say) raises ValueError naming the family and kwargs."""
+    """Dispatch on the configured family name.  A field that is not finite (a
+    zero width, say) or whose squared L2 norm is past field._recordable_norm_sq
+    raises ValueError naming the family and kwargs."""
     try:
         builder = _FAMILIES[family]
     except KeyError:
         raise ValueError(
             f"unknown initial data family {family!r}; options: {sorted(_FAMILIES)}"
         ) from None
-    with np.errstate(all="ignore"):  # a non-finite field is rejected below
+    with np.errstate(all="ignore"):  # a non-finite field or norm is rejected below
         f = builder(grid, time=time, **kwargs)
+        e = l2_norm_sq(f)
     if not f.is_finite():
         raise ValueError(f"{family!r} initial data with {kwargs} is not finite")
+    if not e <= _recordable_norm_sq(grid):
+        raise ValueError(f"{family!r} initial data with {kwargs} has a squared L2 norm {e:.3g}, "
+                         "above the largest at which its observables are finite")
     return f

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .field import Grid, SpinorField, _center3, _torus_distance_sq, bilinear_densities
+from .field import Grid, SpinorField, _center3, _envelope_gaussian, bilinear_densities
 from .gamma import BASIS
 
 __all__ = [
@@ -136,8 +136,7 @@ def potential_field(spec: PotentialSpec, grid: Grid) -> np.ndarray | None:
     if spec.is_zero:
         return None
     with np.errstate(over="ignore"):  # a numpy power: inf past the float range, the flat limit
-        width_sq = np.float64(spec.width) ** 2
-    env = spec.amplitude * np.exp(-_torus_distance_sq(grid, spec.center) / width_sq)
+        env = spec.amplitude * _envelope_gaussian(grid, spec.width, spec.center)
     m = spec.constant_matrix()
     vf = m.reshape((4, 4) + (1,) * grid.dim) * env
     vf.setflags(write=False)

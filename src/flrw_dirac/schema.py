@@ -114,17 +114,24 @@ def _unknown(what: str, name: str, valid) -> ConfigError:
     return ConfigError(f"{what} {name!r}; {hint}")
 
 
-def _value(val, kind: str, bounds, path: str):
+def _at(path: str, index: int | None) -> str:
+    return path if index is None else f"{path}[{index}]"
+
+
+def _value(val, kind: str, bounds, path: str, index: int | None = None):
     """val checked against its kind and bounds and normalised: numbers to
-    float, integers to int, complex forms to complex, lists to tuples."""
+    float, integers to int, complex forms to complex, lists to tuples.  With
+    index, val is that item of the list at path, and the item's own path
+    (_at) is formatted only where it is read: in an error, or below it."""
+    if index is not None and kind in ("section", "list"):
+        path, index = _at(path, index), None
     if kind == "section":
         return _walk(val, bounds, path)
     if kind == "list":
         item, item_bounds, lo, hi = bounds
         if isinstance(val, list) and lo <= len(val) <= hi:
             try:
-                return tuple(_value(v, item, item_bounds, f"{path}[{i}]")
-                             for i, v in enumerate(val))
+                return tuple(_value(v, item, item_bounds, path, i) for i, v in enumerate(val))
             except _NotFinite:
                 raise
             except ConfigError:
@@ -132,20 +139,21 @@ def _value(val, kind: str, bounds, path: str):
         raise ConfigError(f"field {path!r} must be {_noun(kind, bounds)}")
     out = _KINDS[kind][0](val)
     if out is None:
-        raise ConfigError(f"field {path!r} must be {_noun(kind, bounds)}")
+        raise ConfigError(f"field {_at(path, index)!r} must be {_noun(kind, bounds)}")
     if kind in ("number", "complex") and not cmath.isfinite(out) and not (
             out == INF and bounds is not None and bounds[1:] == (INF,)):
-        raise _NotFinite(f"field {path!r} must be finite")
+        raise _NotFinite(f"field {_at(path, index)!r} must be finite")
     if bounds is None:
         return out
     if kind == "string":
         if out not in bounds:
-            raise _unknown(f"field {path!r} has unknown value", out, bounds)
+            raise _unknown(f"field {_at(path, index)!r} has unknown value", out, bounds)
         return out
     lo, hi, *is_open = bounds
     if not (lo < out < hi if is_open else lo <= out and (hi is None or out <= hi)):
         text = _range(bounds)
-        raise ConfigError(f"field {path!r} must {'be' if text[0] == '>' else 'lie'} {text}")
+        raise ConfigError(
+            f"field {_at(path, index)!r} must {'be' if text[0] == '>' else 'lie'} {text}")
     return out
 
 

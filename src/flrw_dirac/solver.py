@@ -52,7 +52,6 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-import sys
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache, reduce
 from typing import Callable
@@ -69,6 +68,7 @@ from .field import (
     _derivative_wavenumbers,
     _fftn,
     _ifftn,
+    _recordable_norm_sq,
     _unique_mode_magnitudes,
     bilinear_densities,
     cone_mass,
@@ -105,15 +105,16 @@ class ConeSafetyError(RuntimeError):
 class SolverConfig:
     """Time-integration parameters.
 
-    A run blows up when its squared L2 norm exceeds blowup_factor (>= 1)
-    times the initial one, or is not finite (with math.inf, or zero data,
-    only a norm that is not finite counts).  NaN is rejected in every float
-    field.  t_start and t_end are normalised to builtin float, so numpy
-    scalar times (quadrature nodes, say) behave like plain numbers
-    downstream; record_every and sobolev_order to builtin int (any other
-    type, bool and float included, raises TypeError); lm_z, the phase of
-    the recorded Majorana defect, to builtin complex on the unit circle; and
-    cone_center, as field._center3 does, to a zero-padded 3-tuple of floats.
+    A run blows up when its squared L2 norm is not finite or exceeds
+    blowup_factor (>= 1) times E(1), the initial one, or the largest norm
+    whose observables are finite (field._recordable_norm_sq), whichever is
+    smaller.  NaN is rejected in every float field.  t_start and t_end are
+    normalised to builtin float, so numpy scalar times (quadrature nodes,
+    say) behave like plain numbers downstream; record_every and
+    sobolev_order to builtin int (any other type, bool and float included,
+    raises TypeError); lm_z, the phase of the recorded Majorana defect, to
+    builtin complex on the unit circle; and cone_center, as field._center3
+    does, to a zero-padded 3-tuple of floats.
     """
 
     t_start: float = 1.0
@@ -354,8 +355,8 @@ class _Rk4State:
 
     def advance(self, dt: float) -> tuple["_Rk4State", np.ndarray]:
         """The state one step of dt later, and the row's squared L2 norm."""
-        f = step(self.fields[0], dt, self.cosmo, self.model)
-        with np.errstate(over="ignore"):  # an overflowing norm is inf: blown up
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # as the split's
+            f = step(self.fields[0], dt, self.cosmo, self.model)
             return _Rk4State(f, self.cosmo, self.model), np.array([l2_norm_sq(f)])
 
 
@@ -651,8 +652,9 @@ def propagate(
 
     For a model with no nonlinearity and no source this realizes the linear
     solution operator between the two times (backward runs are allowed).
-    The run stops early on blow-up: a squared L2 norm above the threshold,
-    or one that is not finite.
+    The run stops early on blow-up: a squared L2 norm above blowup_factor
+    times E(1), or the largest norm whose observables are finite, or one
+    that is not finite (SolverConfig).
 
     The model decides the integrator (module docstring): a free model
     splits, any other single model runs RK4.  A list of models is the rows
@@ -712,8 +714,8 @@ def propagate(
     direction = -1.0 if backward else 1.0
 
     e0 = l2_norm_sq(f0)
-    # finite, so that an infinite norm fails `e <= threshold` as NaN does
-    threshold = min(cfg.blowup_factor * e0 if e0 > 0 else math.inf, sys.float_info.max)
+    # finite, so that an infinite norm fails `e <= threshold` as NaN does, and recordable
+    threshold = min(cfg.blowup_factor * e0 if e0 > 0 else math.inf, _recordable_norm_sq(grid))
 
     r0 = support_radius(f0, cfg.cone_center) if cfg.track_cone else 0.0
     recorders = [_Recorder(cosmo, m, cfg, r0, observables) for m in models]

@@ -79,11 +79,23 @@ def write_json(path, tree):
     return path
 
 
+def strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity, which JSON lacks."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def simulate(tmp_path, tree, name="run"):
+    """simulate the config tree; every record it writes must be strict JSON."""
     cfg = write_json(tmp_path / f"{name}.json", tree)
     out = tmp_path / name
     code = main(["simulate", str(cfg), "--out", str(out)])
-    return code, out / "record.json"
+    record = out / "record.json"
+    if record.exists():
+        strict_json(record.read_text())
+    return code, record
 
 
 def verify(tmp_path, record, checks, out=None):
@@ -430,7 +442,7 @@ def test_simulate_writes_to_outputs_dir_without_out(tmp_path):
     tree["outputs"] = {"dir": str(tmp_path / "from_config")}
     cfg = write_json(tmp_path / "run.json", tree)
     assert main(["simulate", str(cfg)]) == 0
-    assert (tmp_path / "from_config" / "record.json").is_file()
+    strict_json((tmp_path / "from_config" / "record.json").read_text())
 
 
 def test_simulate_untracked_cone_measures_no_support(tmp_path):
@@ -572,6 +584,65 @@ def test_simulate_infinite_solver_bound_is_accepted(tmp_path, key):
     code, record = simulate(tmp_path, tree)
     assert code == 0
     assert json.loads(record.read_text())["flags"]["completed"]
+
+
+def _unbounded_blowup():
+    """A focusing 1D RK4 run whose only blow-up test is the recordable norm."""
+    return {
+        "cosmology": {"ell": 0.0},
+        "mass": 0.0,
+        "grid": {"dim": 1, "n": 64, "box_length": 8.0},
+        "nonlinearity": {"kind": "blowup_G", "alpha_exp": 2.0, "c0": 1.0},
+        "initial_data": {"family": "compact_bump", "amplitude": 3.0},
+        "solver": {"t_start": 1.0, "t_end": 4.0, "cfl": 0.3,
+                   "blowup_factor": math.inf, "track_cone": False},
+    }
+
+
+def test_unbounded_blowup_records_only_finite_numbers(tmp_path, capsys):
+    """With blowup_factor inf the run stops at the largest norm whose
+    observables are finite, so its record holds numbers that verify loads,
+    and no RuntimeWarning is raised on the way (pyproject makes one an error)."""
+    code, record = simulate(tmp_path, _unbounded_blowup())
+    assert code == 0
+    assert "blow-up" in capsys.readouterr().out
+    series = strict_json(record.read_text())["series"]
+    assert all(math.isfinite(v) for values in series.values() for v in values)
+    assert verify(tmp_path, record, [{"name": "forward_bound"}]) == 0
+
+
+def test_initial_data_above_the_recordable_norm_is_config_error(tmp_path, capsys):
+    """A start field whose squared norm is past that bound is refused before
+    the run squares it."""
+    tree = _unbounded_blowup()
+    tree["initial_data"]["amplitude"] = 1e300
+    code, record = simulate(tmp_path, tree)
+    assert code == 1
+    assert not record.exists()
+    err = capsys.readouterr().err
+    assert "config error: field 'initial_data': 'compact_bump' initial data" in err
+    assert "the largest at which its observables are finite" in err
+
+
+def test_simulate_refuses_to_write_a_record_that_is_not_json(tmp_path, monkeypatch, capsys):
+    """A non-finite number that reaches the record fails simulate (exit 2)
+    instead of being written as NaN, which strict JSON readers refuse."""
+    import flrw_dirac.cli as cli
+
+    run = cli.propagate
+
+    def nan_l2(*args, **kwargs):
+        rec = run(*args, **kwargs)
+        rec.series["l2"][-1] = math.nan
+        return rec
+
+    monkeypatch.setattr(cli, "propagate", nan_l2)
+    code, record = simulate(tmp_path, config())
+    assert code == 2
+    assert "ValueError" in capsys.readouterr().err
+    assert not record.exists()
+    with pytest.raises(ValueError, match="NaN is not JSON"):
+        strict_json('{"l2": [NaN]}')
 
 
 @pytest.mark.parametrize("center", [5, "x", [1.0, 2.0, 3.0, 4.0], [1.0, "a"], [True], None])

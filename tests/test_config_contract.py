@@ -4,7 +4,8 @@ the per-kind tables let a kind read only such keys; each key of the solver
 section is a field of SolverConfig.  A key with no field would need a
 translation in `load_run_config`, and a field with no key would be an
 option that only the Python API reaches.  The walker of these tables,
-`schema`, stands below both `cli` and `solver`."""
+`schema`, stands below both `cli` and `solver`, and every module imports
+only modules below it in one declared order."""
 import ast
 import dataclasses
 import sys
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import flrw_dirac
 import flrw_dirac.schema
 from flrw_dirac.cli import _KIND_KEYS, _RUN
 from flrw_dirac.models import NonlinearitySpec, PotentialSpec
@@ -55,3 +57,36 @@ def test_schema_imports_only_the_standard_library():
     outside = [name for name in imported
                if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+# The package's modules from the bottom up: each imports only modules before it.
+LAYERS = ("gamma", "spacetime", "schema", "field", "initial_data", "models", "solver",
+          "kernels", "diagnostics", "blowup", "cli")
+
+
+def _package_imports(path: Path) -> list[str]:
+    """The modules of the package that the module at path imports, anywhere in it."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names += [node.module] if node.module else [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names += [a.name.split(".")[1] for a in node.names
+                      if a.name.startswith("flrw_dirac.")]
+    return names
+
+
+def test_modules_import_only_the_layers_below_them():
+    """The import graph is acyclic and follows LAYERS; models, say, imports
+    only field and gamma."""
+    package = Path(flrw_dirac.__file__).parent
+    modules = sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")
+    assert modules == sorted(LAYERS)
+    seen = {}
+    for name in LAYERS:
+        seen[name] = _package_imports(package / f"{name}.py")
+        below = LAYERS[:LAYERS.index(name)]
+        assert [m for m in seen[name] if m not in below] == [], name
+    assert _package_imports(package / "__init__.py") == []
+    assert sorted(seen["models"]) == ["field", "gamma"]
+    assert sum(map(len, seen.values())) > 20  # the walk saw the imports

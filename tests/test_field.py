@@ -171,6 +171,25 @@ def test_bilinear_examples(grid1d):
     assert np.allclose(d.rho2, 4.0)
 
 
+@pytest.mark.parametrize("dim, n, box", [(1, 64, 8.0), (1, 8, 64.0), (3, 8, 1.0), (3, 8, 40.0)])
+def test_a_field_at_the_recordable_norm_has_finite_observables(dim, n, box):
+    """The whole recordable norm on one grid point, the worst case for the
+    quartic densities, on cells smaller and larger than 1: each density
+    integral, the top Sobolev norm, the gamma2 bilinear and the Majorana
+    defect are finite (pyproject makes an overflow warning an error)."""
+    grid = Grid(dim=dim, n=n, box_length=box)
+    e = field._recordable_norm_sq(grid)
+    data = np.zeros((4,) + (n,) * dim, dtype=complex)
+    data[(0,) * (dim + 1)] = np.sqrt(e / grid.cell_volume)
+    f = SpinorField(grid, data, 1.0)
+    assert l2_norm_sq(f) == pytest.approx(e, rel=1e-12)
+    d = bilinear_densities(f)
+    values = [float(np.sum(x)) * grid.cell_volume for x in (d.xi, d.eta, d.rho2, np.sqrt(d.rho2))]
+    values += [sobolev_norm(f, field.MAX_SOBOLEV_ORDER), abs(gamma2_bilinear(f)),
+               majorana_defect(f, 1.0)]
+    assert np.all(np.isfinite(values))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3)), min_size=4, max_size=4))
 def test_bilinear_densities_consistency(parts):

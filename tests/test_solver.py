@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flrw_dirac.blowup import BlowupCase, comparison_check
-from flrw_dirac.field import Grid, SpinorField, _derivative_wavenumbers, l2_norm_sq
+from flrw_dirac.field import (
+    Grid,
+    SpinorField,
+    _derivative_wavenumbers,
+    _recordable_norm_sq,
+    l2_norm_sq,
+)
 from flrw_dirac.gamma import BASIS
 from flrw_dirac.initial_data import compact_bump, gaussian_bump, random_smooth
 from flrw_dirac.kernels import KernelEval, reconstruct_free
@@ -856,6 +862,25 @@ def test_blowup_detection_and_linear_never_flags():
 
     lin = propagate(f0, Cosmology(0.0, 1.0), ModelSpec(), cfg)
     assert not lin.blown_up
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0, 4.0])
+@pytest.mark.parametrize("method", ["rk4", "split"])
+def test_unbounded_blowup_records_finite_observables(method, alpha):
+    """With blowup_factor inf a run blows up at the largest norm whose
+    observables are finite, or at a norm that is not finite: every recorded
+    value is a finite number either way, and no step warns."""
+    grid = Grid(dim=1, n=64, box_length=8.0)
+    f0 = compact_bump(grid, amplitude=3.0)
+    model = ModelSpec(nonlinearity=NonlinearitySpec(kind="blowup_G", alpha_exp=alpha))
+    cfg = SolverConfig(t_start=1.0, t_end=4.0, cfl=0.3, blowup_factor=math.inf,
+                       track_cone=False)
+    rec = propagate(f0, Cosmology(0.0, 1.0), model if method == "rk4" else [model], cfg)
+    rec = rec if method == "rk4" else rec[0]
+    assert rec.blown_up
+    assert all(np.all(np.isfinite(values)) for values in rec.series.values())
+    assert max(rec.series["l2"]) <= _recordable_norm_sq(grid)
+    assert rec.final.is_finite()
 
 
 def test_cone_violation_error_and_stop():
