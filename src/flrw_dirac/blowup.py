@@ -11,8 +11,10 @@ D = 3 ell + 2 |Im m|, integrates (with F = E t^D) to the comparison bound
 where A(s) is the comoving travel distance (log s for ell = 1).  J is strictly
 increasing, and the lifespan bound T_bu is the time the bracket vanishes; when
 J's improper total mass stays below E(1)^(-alpha/2) / ((alpha/2) c0) the bound
-is inconclusive for this energy and infinity is returned.  comparison_check
-tests a run against Y with lifespan's J, read through j_integral: J(t) only.
+is inconclusive for this energy and infinity is returned.  lifespan's J is
+adaptive quadrature (j_integral).  comparison_check tests a run against Y
+with J from one fixed Gauss ladder (_ladder_j), evaluated in numpy arrays
+and depending on t only; it checks no time at or past the row's T_bu.
 
 empirical_blowup runs the data a BlowupCase states (support radius R,
 energy E(1)) and tests the run against lifespan(case), the bound a sweep row
@@ -23,7 +25,7 @@ scipy is loaded on the first quadrature, not at import: the simulate,
 verify and kernel paths never integrate and should not pay for it.
 `quad` stays a module attribute that forwards to scipy's, so callers and
 tools that wrap `flrw_dirac.blowup.quad` see every quad: `total_j_mass`'s and
-`j_integral`'s, which `lifespan` and `comparison_check` call.
+`j_integral`'s, which `lifespan` calls.  comparison_check makes none.
 """
 from __future__ import annotations
 
@@ -59,6 +61,14 @@ TOTAL_J_ABS_TOL = 1e-12  # absolute quadrature tolerance of J over [1, infinity)
 LIFESPAN_XTOL = 1e-12  # root tolerance of the lifespan time
 COMPARISON_RTOL = 1e-6  # relative round-off allowance of E >= Y in comparison_check
 BOUND_SLACK = 0.1  # relative slack of a numerical blow-up time against the bound
+LADDER_STEPS = 64  # edges 10^(j / LADDER_STEPS) per decade of comparison_check's J
+# numpy.polynomial.legendre.leggauss(8), written out: the sweep builds no Gauss rule
+_GAUSS_NODES = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+    0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362])
+_GAUSS_WEIGHTS = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+    0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706])
 
 
 @dataclass(frozen=True)
@@ -127,18 +137,25 @@ def classify(case: BlowupCase) -> RegimeVerdict:
 def _integrand(case: BlowupCase):
     """s -> (R + A(s))^q s^p, with A = travel_distance from t0 = 1 in its own
     arithmetic (so its bits) but without its checks: every node is in [1, t].
-    Built once per case: j_integral runs at each recorded time of a run."""
+    Its `array` attribute is the same integrand on numpy arrays, for
+    _ladder_j, with A = expm1(k log s) / k: it keeps its relative accuracy
+    as ell nears 1, where s^k - 1 cancels.  Built once per case: lifespan,
+    j_integral and every check of a run with that case share it."""
     r = case.r_support
     q = -1.5 * case.alpha_exp
     p = -1.5 * case.alpha_exp * case.ell - case.alpha_exp * case.im_m_abs
     if case.cosmology.ell_is_one:
-        return lambda s: (r + math.log(s)) ** q * s**p
+        f = lambda s: (r + math.log(s)) ** q * s**p
+        f.array = lambda s: (r + np.log(s)) ** q * s**p
+        return f
     k = 1.0 - case.ell
-    return lambda s: (r + (_pow(s, k) - 1.0) / k) ** q * s**p
+    f = lambda s: (r + (_pow(s, k) - 1.0) / k) ** q * s**p
+    f.array = lambda s: (r + np.expm1(k * np.log(s)) / k) ** q * s**p
+    return f
 
 
 def quad(*args, **kwargs):
-    """scipy.integrate.quad, imported on the first call (comparison_check's J via j_integral)."""
+    """scipy.integrate.quad, imported on the first call (lifespan's J via j_integral)."""
     from scipy.integrate import quad as scipy_quad
 
     return scipy_quad(*args, **kwargs)
@@ -239,37 +256,50 @@ def lifespan(case: BlowupCase) -> float:
     return float(brentq(g, lo, hi, xtol=LIFESPAN_XTOL, rtol=8.9e-16))
 
 
-def comparison_check(rec: RunRecord, case: BlowupCase) -> dict:
+def _ladder_j(case: BlowupCase, times: np.ndarray) -> np.ndarray:
+    """J at each of the times (all >= 1) from a fixed Gauss ladder: the
+    8-node Gauss-Legendre panels between the edges 10^(j / LADDER_STEPS) at
+    or below t, summed in order, plus one 8-node panel from the last such
+    edge to t.  The edges do not depend on the times, so J at a time depends
+    on that time only.  The integrand is evaluated once, as one array over
+    the nodes of every panel."""
+    n = int(LADDER_STEPS * math.log10(times.max())) + 2  # the last edge is past every time
+    edges = 10.0 ** (np.arange(n) / LADDER_STEPS)
+    below = np.searchsorted(edges, times, side="right") - 1  # the last edge at or below t
+    lo = np.concatenate([edges[:-1], edges[below]])
+    half = 0.5 * (np.concatenate([edges[1:], times]) - lo)
+    nodes = (lo + half)[:, None] + half[:, None] * _GAUSS_NODES
+    panels = half * (_integrand(case).array(nodes) * _GAUSS_WEIGHTS).sum(axis=-1)
+    at_edges = np.concatenate([[0.0], np.cumsum(panels[:n - 1])])
+    return at_edges[below] + panels[n - 1:]
+
+
+def comparison_check(rec: RunRecord, case: BlowupCase, t_bound: float = math.inf) -> dict:
     """The comparison bound E >= Y (module docstring) on a recorded run that
     starts at t = 1, with E(1) = case.e1.
 
-    J at each recorded time t is j_integral(case, t), lifespan's J: it depends
-    on t only.  Each recorded time after the start with a positive bracket
-    (before lifespan(case)) is checked to E >= Y (1 - COMPARISON_RTOL);
-    worst_violation is the largest (Y (1 - COMPARISON_RTOL) - E) / E, so the
-    bound holds when it is <= 0.
+    J at each recorded time t is _ladder_j's: it depends on t only.  A
+    recorded time t > 1 is checked when t < t_bound (lifespan(case), which a
+    sweep row has) and its bracket (the target of lifespan less J) is
+    positive, to E >= Y (1 - COMPARISON_RTOL); worst_violation is the
+    largest (Y (1 - COMPARISON_RTOL) - E) / E, so the bound holds when it
+    is <= 0.
     """
     tt = rec.series["times"]
-    e = rec.series["l2"]
     if tt[0] != 1.0:
         raise ValueError(f"the comparison bound starts at t = 1, the record at {tt[0]}")
     half = 0.5 * case.alpha_exp
     damping = 3.0 * case.ell + 2.0 * case.im_m_abs
     target = case.e1 ** (-half) / (half * case.c0)  # lifespan's
-    decades: dict[float, float] = {}
-    worst = -math.inf
-    checked = 0
-    for i in range(1, len(tt)):
-        j = j_integral(case, tt[i], decades=decades)
-        if not j < target:  # t >= T_bu: Y is infinite from here on
-            break
-        y = tt[i] ** (-damping) * (half * case.c0 * (target - j)) ** (-1.0 / half)
-        worst = max(worst, y * (1.0 - COMPARISON_RTOL) / e[i] - 1.0)
-        checked += 1
+    bracket = target - _ladder_j(case, tt)
+    checked = (tt > 1.0) & (tt < t_bound) & (bracket > 0.0)
+    t, e = tt[checked], rec.series["l2"][checked]
+    y = t ** (-damping) * (half * case.c0 * bracket[checked]) ** (-1.0 / half)
+    worst = float(np.max(y * (1.0 - COMPARISON_RTOL) / e - 1.0)) if t.size else None
     return {
-        "holds": worst <= 0.0,
-        "points_checked": checked,
-        "worst_violation": worst if checked else None,
+        "holds": worst is None or worst <= 0.0,
+        "points_checked": int(t.size),
+        "worst_violation": worst,
     }
 
 
@@ -321,6 +351,6 @@ def empirical_blowup(cases: list[BlowupCase], grid: Grid, cfg: SolverConfig) -> 
             "t_bound": t_bound,
             "t_numerical": t_numerical,
             "satisfied": satisfied,
-            "comparison": comparison_check(rec, c),
+            "comparison": comparison_check(rec, c, t_bound),
         })
     return reports

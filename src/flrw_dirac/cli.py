@@ -328,9 +328,9 @@ def _sweep_stack(cases: list[bup.BlowupCase],
 def _sweep_row(case: bup.BlowupCase, rep: dict | None, error: str) -> dict:
     """One CSV row, from the case's report of empirical_blowup (None when
     the runs are not enabled) or the error of its stack.  satisfied and the
-    ineq_* columns (blowup.comparison_check: E >= Y, J read through
-    lifespan's j_integral, so J depends on t only and Y's bracket vanishes at
-    T_bu) test the run against the row's T_bu."""
+    ineq_* columns (blowup.comparison_check: E >= Y before T_bu, with J from
+    a fixed Gauss ladder, so J depends on t only) test the run against the
+    row's T_bu."""
     verdict = bup.classify(case)
     row = {
         "ell": case.ell,

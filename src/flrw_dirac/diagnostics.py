@@ -358,7 +358,10 @@ def scattering_profile(
     plus the rows' sum, then seeds a
     free run whose distance to the nonlinear run is recorded at the
     checkpoints.  The construction covers the nonlinear forcing only, so a
-    model with a source raises ValueError.
+    model with a source raises ValueError.  A model without a nonlinearity
+    adds nothing to the datum, and its run captures the checkpoints only:
+    capture times are step stops, so it steps as the free run does, and the
+    tails are exactly 0.
 
     Torus wraparound of the free comparison run is guarded once, up front:
     by finite propagation speed that run stays inside
@@ -387,12 +390,13 @@ def scattering_profile(
     weights = 0.5 * (b - a) * w_gl
 
     run_cfg = replace(cfg, t_end=t_last, on_cone_violation="error")
-    capture = list(nodes.flat) + checkpoints
+    forced = not model.nonlinearity.is_none
+    capture = (list(nodes.flat) if forced else []) + checkpoints
     nonlinear = propagate(f0, cosmo, model, run_cfg, capture_times=capture, observables=())
 
     linear_model = ModelSpec(mass=model.mass, potential=model.potential)
     panel_sums = np.zeros((len(nodes), *f0.data.shape), dtype=complex)
-    if not model.nonlinearity.is_none:
+    if forced:
         for (p, j), tau in np.ndenumerate(nodes):  # in node order
             state = nonlinear.captured[tau]
             g = state.with_data(hyperbolic_rhs_nonlinearity(model.nonlinearity, state))

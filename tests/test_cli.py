@@ -1277,7 +1277,7 @@ import json, sys
 from flrw_dirac.cli import main
 
 LAZY = ("scipy.integrate", "scipy.optimize", "scipy.special",
-        "concurrent.futures.process")
+        "concurrent.futures.process", "numpy.polynomial")
 config, work, report = sys.argv[1:]
 seen = {"import": [m for m in LAZY if m in sys.modules]}
 assert main(["simulate", config, "--out", work + "/run"]) == 0

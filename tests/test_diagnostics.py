@@ -289,6 +289,29 @@ def test_scattering_free_run_is_trivial():
     assert np.max(res.tail_norms) < 1e-7 * math.sqrt(l2_norm_sq(f0))
 
 
+def test_scattering_free_model_steps_as_the_free_run(monkeypatch):
+    """Without a nonlinearity there is no Duhamel sum, so the first run
+    captures the checkpoints only; it then takes the free run's steps, and
+    the tails are exactly 0."""
+    import flrw_dirac.diagnostics as diagnostics
+
+    captures = []
+    original = diagnostics.propagate
+
+    def recorded(*args, capture_times=None, **kwargs):
+        captures.append(capture_times)
+        return original(*args, capture_times=capture_times, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "propagate", recorded)
+    grid = Grid(dim=1, n=256, box_length=48.0)
+    f0 = gaussian_bump(grid, amplitude=0.1, width=2.0)
+    checkpoints = [2.0, 4.0, 7.0, 10.0, 15.0, 20.0]
+    res = scattering_profile(f0, COSMO, ModelSpec(mass=Mass(0.5)), SolverConfig(t_end=20.0),
+                             checkpoints=checkpoints)
+    assert captures[0] == checkpoints and captures[-1] == checkpoints
+    assert np.all(res.tail_norms == 0.0)
+
+
 def test_scattering_rejects_a_model_with_a_source():
     """The modified datum covers the nonlinear forcing only; a source would
     be dropped from the linear runs, so it is refused before any run."""
