@@ -14,7 +14,7 @@ J's improper total mass stays below E(1)^(-alpha/2) / ((alpha/2) c0) the bound
 is inconclusive for this energy and infinity is returned.  lifespan's J is
 adaptive quadrature (j_integral).  comparison_check tests a run against Y
 with J from one fixed Gauss ladder (_ladder_j), evaluated in numpy arrays
-and depending on t only; it checks no time at or past the row's T_bu.
+and depending on t only; it checks the times whose bracket is positive.
 
 empirical_blowup runs the data a BlowupCase states (support radius R,
 energy E(1)) and tests the run against lifespan(case), the bound a sweep row
@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -133,25 +134,36 @@ def classify(case: BlowupCase) -> RegimeVerdict:
     return RegimeVerdict(regime=regime, branch=f"{cls}:{tag}", threshold_value=q)
 
 
+class _Integrand(NamedTuple):
+    """The lifespan integrand (R + A(s))^q s^p in its two forms.  Calling it
+    calls `scalar`, the form lifespan, j_integral and total_j_mass integrate."""
+
+    scalar: Callable[[float], float]  # A = (s^k - 1) / k, k = 1 - ell (log s at ell = 1)
+    array: Callable[[np.ndarray], np.ndarray]  # A = expm1(k log s) / k, for _ladder_j
+
+    def __call__(self, s: float) -> float:
+        return self.scalar(s)
+
+
 @lru_cache(maxsize=256)
-def _integrand(case: BlowupCase):
-    """s -> (R + A(s))^q s^p, with A = travel_distance from t0 = 1 in its own
-    arithmetic (so its bits) but without its checks: every node is in [1, t].
-    Its `array` attribute is the same integrand on numpy arrays, for
-    _ladder_j, with A = expm1(k log s) / k: it keeps its relative accuracy
-    as ell nears 1, where s^k - 1 cancels.  Built once per case: lifespan,
-    j_integral and every check of a run with that case share it."""
+def _integrand(case: BlowupCase) -> _Integrand:
+    """s -> (R + A(s))^q s^p, A the travel distance from t0 = 1, without its
+    checks: every node is in [1, t].  The scalar form computes A in
+    travel_distance's own arithmetic, so T_bu keeps its bits.  The array
+    form computes A as expm1(k log s) / k, which keeps its relative accuracy
+    as ell nears 1 where s^k - 1 cancels; so lifespan's J and the ladder's J
+    comparison_check reads differ near ell = 1 (up to about 1e-16 / |ell - 1|
+    relative) until the scalar form takes expm1 too.  Built once per case:
+    lifespan, j_integral and every check of a run with that case share it."""
     r = case.r_support
     q = -1.5 * case.alpha_exp
     p = -1.5 * case.alpha_exp * case.ell - case.alpha_exp * case.im_m_abs
     if case.cosmology.ell_is_one:
-        f = lambda s: (r + math.log(s)) ** q * s**p
-        f.array = lambda s: (r + np.log(s)) ** q * s**p
-        return f
+        return _Integrand(lambda s: (r + math.log(s)) ** q * s**p,
+                          lambda s: (r + np.log(s)) ** q * s**p)
     k = 1.0 - case.ell
-    f = lambda s: (r + (_pow(s, k) - 1.0) / k) ** q * s**p
-    f.array = lambda s: (r + np.expm1(k * np.log(s)) / k) ** q * s**p
-    return f
+    return _Integrand(lambda s: (r + (_pow(s, k) - 1.0) / k) ** q * s**p,
+                      lambda s: (r + np.expm1(k * np.log(s)) / k) ** q * s**p)
 
 
 def quad(*args, **kwargs):
@@ -274,16 +286,15 @@ def _ladder_j(case: BlowupCase, times: np.ndarray) -> np.ndarray:
     return at_edges[below] + panels[n - 1:]
 
 
-def comparison_check(rec: RunRecord, case: BlowupCase, t_bound: float = math.inf) -> dict:
+def comparison_check(rec: RunRecord, case: BlowupCase) -> dict:
     """The comparison bound E >= Y (module docstring) on a recorded run that
     starts at t = 1, with E(1) = case.e1.
 
     J at each recorded time t is _ladder_j's: it depends on t only.  A
-    recorded time t > 1 is checked when t < t_bound (lifespan(case), which a
-    sweep row has) and its bracket (the target of lifespan less J) is
-    positive, to E >= Y (1 - COMPARISON_RTOL); worst_violation is the
-    largest (Y (1 - COMPARISON_RTOL) - E) / E, so the bound holds when it
-    is <= 0.
+    recorded time t > 1 is checked when its bracket (the target of lifespan
+    less J) is positive, that is before T_bu, to E >= Y (1 - COMPARISON_RTOL);
+    worst_violation is the largest (Y (1 - COMPARISON_RTOL) - E) / E, so the
+    bound holds when it is <= 0.
     """
     tt = rec.series["times"]
     if tt[0] != 1.0:
@@ -292,7 +303,7 @@ def comparison_check(rec: RunRecord, case: BlowupCase, t_bound: float = math.inf
     damping = 3.0 * case.ell + 2.0 * case.im_m_abs
     target = case.e1 ** (-half) / (half * case.c0)  # lifespan's
     bracket = target - _ladder_j(case, tt)
-    checked = (tt > 1.0) & (tt < t_bound) & (bracket > 0.0)
+    checked = (tt > 1.0) & (bracket > 0.0)
     t, e = tt[checked], rec.series["l2"][checked]
     y = t ** (-damping) * (half * case.c0 * bracket[checked]) ** (-1.0 / half)
     worst = float(np.max(y * (1.0 - COMPARISON_RTOL) / e - 1.0)) if t.size else None
@@ -351,6 +362,6 @@ def empirical_blowup(cases: list[BlowupCase], grid: Grid, cfg: SolverConfig) -> 
             "t_bound": t_bound,
             "t_numerical": t_numerical,
             "satisfied": satisfied,
-            "comparison": comparison_check(rec, c, t_bound),
+            "comparison": comparison_check(rec, c),
         })
     return reports

@@ -98,15 +98,13 @@ def test_lifespan_inconclusive_below_threshold():
 def test_quad_is_the_module_attribute_every_quadrature_calls(monkeypatch):
     """Tools that wrap flrw_dirac.blowup.quad (the benchmark tracer counts
     IntegrationWarnings this way) see every call, and results are unchanged.
-    comparison_check reads J from its Gauss ladder: given the row's t_bound
-    it makes no quad, and its result is the one without the argument."""
+    comparison_check reads J from its Gauss ladder and makes no quad."""
     import flrw_dirac.blowup as bup
 
     case = BlowupCase(ell=0.5, alpha_exp=1.0, e1=4.0)
     rec, rec_case = _blowup_record()
     expected = (j_integral(case, 50.0), total_j_mass(case), lifespan(case),
                 comparison_check(rec, rec_case))
-    t_bound = lifespan(rec_case)
     calls, inside, outside = [], [], []  # outside: quads made outside j_integral
     original_quad, original_j = bup.quad, bup.j_integral
 
@@ -134,7 +132,7 @@ def test_quad_is_the_module_attribute_every_quadrature_calls(monkeypatch):
     assert calls[:2] == [(1.0, 200.0), (200.0, np.inf)] and len(calls) > 2
     assert math.isfinite(expected[2])
     del calls[:], outside[:]
-    assert comparison_check(rec, rec_case, t_bound) == expected[3]
+    assert comparison_check(rec, rec_case) == expected[3]
     assert calls == [] and outside == []
 
 
@@ -620,35 +618,29 @@ def test_ladder_j_at_a_time_ignores_the_other_times(ell, times, keep):
     assert np.array_equal(alone, every)
 
 
-def test_comparison_check_stops_at_t_bound_and_at_a_closed_bracket():
+def test_comparison_check_stops_at_a_closed_bracket():
     """A record that runs past T_bu, with an E that fails the bound at every
-    point from T_bu on.  Given t_bound = T_bu, no point at or after it is
-    checked, although the ladder's bracket at T_bu is still positive here;
-    without t_bound, or with a later one, no point whose bracket is <= 0 is.
-    Y is evaluated on the checked points only, so no RuntimeWarning."""
+    point after T_bu.  The ladder's bracket is positive exactly before T_bu
+    on these times, and no point whose bracket is <= 0 is checked.  Y is
+    evaluated on the checked points only, so no RuntimeWarning."""
     case = BlowupCase(ell=0.5, alpha_exp=0.5, e1=4.0)
     t_bu = lifespan(case)
     target = case.e1 ** -0.25 / 0.25
     assert math.isfinite(t_bu)
-    assert blowup_module._ladder_j(case, np.array([1.0, t_bu]))[-1] < target
-    times = np.union1d(np.geomspace(1.0, 4.0 * t_bu, 40), [t_bu])
+    times = np.geomspace(1.0, 4.0 * t_bu, 40)
     before = times < t_bu
-    energy = np.where(before, 1e300, 1e-300)
-
-    def record(keep):
-        return RunRecord(series={"times": times[keep], "l2": energy[keep]},
-                         cosmology=case.cosmology, mass=0j, potential_kind="none",
-                         potential_gamma2_ok=True, nonlinearity_kind="blowup_G",
-                         sobolev_order=1, support_radius0=case.r_support,
-                         cone_center=(0.0, 0.0, 0.0))
-
-    expected = {"holds": True, "points_checked": int(before.sum()) - 1,  # t = 1 is not
-                "worst_violation": -1.0}
+    assert np.array_equal(target - blowup_module._ladder_j(case, times) > 0.0, before)
+    assert 0 < before.sum() < len(times)
+    rec = RunRecord(series={"times": times, "l2": np.where(before, 1e300, 1e-300)},
+                    cosmology=case.cosmology, mass=0j, potential_kind="none",
+                    potential_gamma2_ok=True, nonlinearity_kind="blowup_G",
+                    sobolev_order=1, support_radius0=case.r_support,
+                    cone_center=(0.0, 0.0, 0.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert comparison_check(record(slice(None)), case, t_bu) == expected
-        assert comparison_check(record(times != t_bu), case) == expected
-        assert comparison_check(record(times != t_bu), case, 2.0 * t_bu) == expected
+        assert comparison_check(rec, case) == {
+            "holds": True, "points_checked": int(before.sum()) - 1,  # t = 1 is not
+            "worst_violation": -1.0}
 
 
 def _force_method(monkeypatch, method):
